@@ -28,7 +28,7 @@ from repro.core.moments_fit import (
     measurement_noise_variance,
     robust_filter,
 )
-from repro.core.path_enum import PathFamily, PathInfo, enumerate_paths
+from repro.core.path_enum import PathFamily, enumerate_paths
 from repro.core.em import EMEstimator, EMResult
 from repro.core.estimator import (
     CodeTomography,
@@ -58,7 +58,6 @@ __all__ = [
     "MomentFitResult",
     "robust_filter",
     "measurement_noise_variance",
-    "PathInfo",
     "PathFamily",
     "enumerate_paths",
     "EMEstimator",

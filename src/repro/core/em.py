@@ -14,11 +14,23 @@ Treating the path as the latent variable gives a classic EM scheme:
 
 The family is re-enumerated whenever the iterate moves materially, so paths
 likely under the *estimate* (not under the 0.5 prior) stay covered.
+
 Observations matching no enumerated path (all kernels ≈ 0) are dropped from
 that iteration rather than poisoning the weights; if *every* observation is
 dropped, the fit returns its current iterate flagged ``converged=False``
 with ``dropped_observations == n_samples`` instead of dividing by zero
 responsibility mass.
+
+Timer ticks quantize the durations, so a sample holds few distinct values.
+The E-step's kernel, joint, row maxima and normalization therefore run once
+per *distinct* duration (``np.unique``), and the responsibilities are then
+gathered back to one row per observation before the M-step.  The M-step
+itself stays on observation rows on purpose: a multiplicity-weighted sum
+(or a matmul over distinct rows, expanded afterwards) changes the summation
+order, which moves θ̂ in its last bits — enough to flip a near-tie placement
+and change the F4/F5 goldens.  Gathering keeps every estimate bit-identical
+to a per-observation E-step; dropped observations and the log-likelihood
+are likewise counted over observation rows.
 
 :meth:`EMEstimator.fit_with_family` additionally accepts — and returns —
 the enumerated :class:`PathFamily`, which is what lets the streaming
@@ -99,10 +111,9 @@ class EMEstimator:
     def _log_kernel(
         self, observations: np.ndarray, family: PathFamily
     ) -> np.ndarray:
-        """``log N(y_i; d_p, σ_p²)`` as an (n_obs, n_paths) matrix."""
-        d, path_var = family.durations()
-        var = self._kernel_variance() + path_var  # (n_paths,)
-        diff = observations[:, None] - d[None, :]
+        """``log N(y_i; d_p, σ_p²)`` as an (n_values, n_paths) matrix."""
+        var = self._kernel_variance() + family.duration_variances  # (n_paths,)
+        diff = observations[:, None] - family.duration_means[None, :]
         # Observations absurdly far from every path overflow diff**2 to inf;
         # the resulting -inf log-kernel is exactly the "drop this row"
         # signal the E-step wants, so the overflow is intentional.
@@ -186,8 +197,10 @@ class EMEstimator:
             family = enumerate_paths(
                 self.model, theta, min_prob=self.min_prob, max_paths=self.max_paths
             )
-        log_kernel = self._log_kernel(ys, family)
-        a_mat, b_mat = family.arm_count_matrices()
+        # The E-step runs over distinct durations; ``inverse`` maps each
+        # observation to its distinct value's row.
+        values, inverse = np.unique(ys, return_inverse=True)
+        log_kernel = self._log_kernel(values, family)
         family_theta = np.asarray(family.reference_theta, dtype=float)
 
         converged = False
@@ -202,11 +215,10 @@ class EMEstimator:
                 family = enumerate_paths(
                     self.model, theta, min_prob=self.min_prob, max_paths=self.max_paths
                 )
-                log_kernel = self._log_kernel(ys, family)
-                a_mat, b_mat = family.arm_count_matrices()
+                log_kernel = self._log_kernel(values, family)
                 family_theta = theta.copy()
 
-            log_prior = np.array([p.log_probability(theta) for p in family.paths])
+            log_prior = family.log_probabilities(theta)
             # Renormalize the truncated path family into a proper mixture so
             # that (a) responsibilities are unbiased by enumeration coverage
             # and (b) log-likelihoods are comparable across families with
@@ -214,9 +226,10 @@ class EMEstimator:
             prior_max = log_prior.max()
             log_mass = prior_max + np.log(np.sum(np.exp(log_prior - prior_max)))
             log_prior = log_prior - log_mass
-            log_joint = log_kernel + log_prior[None, :]  # (n_obs, n_paths)
+            log_joint = log_kernel + log_prior[None, :]  # (n_distinct, n_paths)
             row_max = log_joint.max(axis=1)
-            usable = np.isfinite(row_max)
+            usable_value = np.isfinite(row_max)
+            usable = usable_value[inverse]
             dropped = int(np.sum(~usable))
             if not np.any(usable):
                 # The M-step would divide by zero responsibility mass.  Hand
@@ -237,13 +250,16 @@ class EMEstimator:
                     ),
                     family,
                 )
-            shifted = np.exp(log_joint[usable] - row_max[usable, None])
+            shifted = np.exp(log_joint[usable_value] - row_max[usable_value, None])
             norm = shifted.sum(axis=1, keepdims=True)
-            resp = shifted / norm
-            log_likelihood = float(np.sum(np.log(norm[:, 0]) + row_max[usable]))
+            # Gather back to one row per usable observation, in order.
+            rows = (np.cumsum(usable_value) - 1)[inverse[usable]]
+            resp = (shifted / norm)[rows]  # (n_usable, n_paths)
+            row_log_mass = np.log(norm[:, 0]) + row_max[usable_value]
+            log_likelihood = float(np.sum(row_log_mass[rows]))
 
-            then_counts = resp @ a_mat[:, :]  # (n_usable, k)
-            else_counts = resp @ b_mat[:, :]
+            then_counts = resp @ family.then_counts  # (n_usable, k)
+            else_counts = resp @ family.else_counts
             a_total = then_counts.sum(axis=0)
             b_total = else_counts.sum(axis=0)
             denom = a_total + b_total

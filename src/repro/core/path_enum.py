@@ -16,13 +16,17 @@ stopping at ``max_paths`` paths or when the frontier's probability drops
 below ``min_prob``; loops terminate naturally because every extra iteration
 multiplies the reference probability down.  The EM estimator re-enumerates
 under its current iterate, so coverage follows the estimate.
+
+A :class:`PathFamily` holds those statistics as read-only arrays, one row per
+path, so it can be shared — across EM iterations, the online estimator's
+cache, checkpoints and serve hand-offs — without anyone mutating it.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,62 +34,63 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.sim.timing import ProcedureTimingModel
 
-__all__ = ["PathInfo", "PathFamily", "enumerate_paths"]
+__all__ = ["PathFamily", "enumerate_paths"]
+
+#: Bits per arm in a path's packed arm counts.  A node only joins the
+#: frontier with probability >= min_prob > 0, and every arm taken multiplies
+#: by at most 0.98 (theta_ref is clipped), so no count exceeds
+#: log(5e-324) / log(0.98) < 36,900 < 2**16.
+_ARM_BITS = 16
 
 
-@dataclass(frozen=True)
-class PathInfo:
-    """One complete path's sufficient statistics."""
-
-    then_counts: tuple[int, ...]  # a_k per branch parameter
-    else_counts: tuple[int, ...]  # b_k per branch parameter
-    duration_mean: float
-    duration_variance: float
-
-    def log_probability(self, theta: np.ndarray) -> float:
-        """``log P(path | theta)`` (``-inf`` when an arm has probability 0)."""
-        a = np.asarray(self.then_counts, dtype=float)
-        b = np.asarray(self.else_counts, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = a * np.log(theta) + b * np.log1p(-theta)
-        # 0 * log(0) is a legitimate 0 contribution, not NaN.
-        log_p = np.where((a == 0) & np.isnan(log_p), 0.0, log_p)
-        log_p = np.where((b == 0) & np.isnan(log_p), 0.0, log_p)
-        return float(np.sum(log_p))
-
-    def probability(self, theta: np.ndarray) -> float:
-        """``P(path | theta)``."""
-        return float(np.exp(self.log_probability(theta)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathFamily:
-    """An enumerated set of paths plus coverage bookkeeping."""
+    """An enumerated set of paths plus coverage bookkeeping.
 
-    paths: tuple[PathInfo, ...]
+    Row ``p`` of ``then_counts`` / ``else_counts`` holds path p's arm counts
+    ``a_pk`` / ``b_pk``; ``duration_means`` / ``duration_variances`` hold its
+    total duration moments.  The arrays are read-only and the family
+    compares by identity.
+    """
+
+    then_counts: np.ndarray  # (n_paths, k)
+    else_counts: np.ndarray  # (n_paths, k)
+    duration_means: np.ndarray  # (n_paths,)
+    duration_variances: np.ndarray  # (n_paths,)
     covered_probability: float  # total mass under the reference theta
     reference_theta: tuple[float, ...]
     truncated: bool  # True when max_paths or min_prob cut enumeration short
 
+    def __post_init__(self) -> None:
+        for arr in (
+            self.then_counts,
+            self.else_counts,
+            self.duration_means,
+            self.duration_variances,
+        ):
+            arr.flags.writeable = False
+
+    def __reduce__(self):
+        # Rebuild through __init__ so unpickled arrays are read-only again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.duration_means.shape[0]
+
+    def log_probabilities(self, theta: Sequence[float]) -> np.ndarray:
+        """``log P(path | theta)`` for every path (``-inf`` on a 0-probability arm)."""
+        vec = np.asarray(theta, dtype=float)
+        a, b = self.then_counts, self.else_counts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = a * np.log(vec) + b * np.log1p(-vec)
+        # 0 * log(0) is a legitimate 0 contribution, not NaN.
+        log_p = np.where((a == 0) & np.isnan(log_p), 0.0, log_p)
+        log_p = np.where((b == 0) & np.isnan(log_p), 0.0, log_p)
+        return log_p.sum(axis=1)
 
     def probabilities(self, theta: Sequence[float]) -> np.ndarray:
         """``P(path | theta)`` for every path, in order."""
-        vec = np.asarray(theta, dtype=float)
-        return np.array([p.probability(vec) for p in self.paths])
-
-    def durations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectors of per-path duration means and variances."""
-        means = np.array([p.duration_mean for p in self.paths])
-        variances = np.array([p.duration_variance for p in self.paths])
-        return means, variances
-
-    def arm_count_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(A, B)`` with ``A[p, k]`` = then-arm count of path p, branch k."""
-        a = np.array([p.then_counts for p in self.paths], dtype=float)
-        b = np.array([p.else_counts for p in self.paths], dtype=float)
-        return a, b
+        return np.exp(self.log_probabilities(theta))
 
 
 def enumerate_paths(
@@ -116,90 +121,111 @@ def enumerate_paths(
     if max_paths < 1:
         raise EstimationError(f"max_paths must be >= 1, got {max_paths}")
 
-    plan = model.transition_plan()
-    means = model.reward_means
-    variances = model.reward_variances
-    entry_index = model.states.index(model.entry_state)
-
-    # Best-first frontier: (-prob, tiebreak, state, prob, a, b, mean, var)
-    counter = itertools.count()
-    start = (
-        -1.0,
-        next(counter),
-        entry_index,
-        1.0,
-        (0,) * k,
-        (0,) * k,
-        float(means[entry_index]),
-        float(variances[entry_index]),
-    )
-    frontier: list[tuple] = [start]
-    paths: list[PathInfo] = []
-    covered = 0.0
-    truncated = False
-
-    while frontier:
-        if len(paths) >= max_paths:
-            truncated = True
-            break
-        _, _, state, prob, a, b, dur_mean, dur_var = heapq.heappop(frontier)
-        if prob < min_prob:
-            truncated = True
-            break
-        for entry in plan[state]:
+    means = model.reward_means.tolist()
+    variances = model.reward_variances.tolist()
+    ref = theta_ref.tolist()
+    # Resolve the plan once.  Per state: its exit probabilities; its moves as
+    # (dst, edge probability, packed arm increment, dst mean, dst variance);
+    # and, when its only move is certain, that move as (dst, mean, var).
+    # Arm counts pack into one int, then-arms in the low k fields.
+    rows = []
+    for plan_row in model.transition_plan():
+        exits, moves = [], []
+        for entry in plan_row:
             if entry[0] == "exit":
-                p_next = prob * entry[1]
-                if p_next <= 0:
-                    continue
-                paths.append(
-                    PathInfo(
-                        then_counts=a,
-                        else_counts=b,
-                        duration_mean=dur_mean,
-                        duration_variance=dur_var,
-                    )
-                )
-                covered += p_next
+                exits.append(entry[1])
                 continue
             if entry[0] == "fixed":
                 _, dst, p_edge = entry
-                p_next = prob * p_edge
-                a2, b2 = a, b
+                inc = 0
             else:
                 _, dst, param, arm = entry
-                p_edge = theta_ref[param] if arm == "then" else 1.0 - theta_ref[param]
-                p_next = prob * p_edge
                 if arm == "then":
-                    a2 = a[:param] + (a[param] + 1,) + a[param + 1 :]
-                    b2 = b
+                    p_edge, field_index = ref[param], param
                 else:
-                    a2 = a
-                    b2 = b[:param] + (b[param] + 1,) + b[param + 1 :]
-            if p_next < min_prob:
+                    p_edge, field_index = 1.0 - ref[param], k + param
+                inc = 1 << (_ARM_BITS * field_index)
+            moves.append((dst, p_edge, inc, means[dst], variances[dst]))
+        certain = None
+        if not exits and len(moves) == 1 and moves[0][1] == 1.0:
+            dst, _, _, d_mean, d_var = moves[0]
+            certain = (dst, d_mean, d_var)
+        rows.append((exits, moves, certain))
+
+    # Best-first search.  The frontier groups nodes by probability: a heap of
+    # distinct -prob values, each with a FIFO of its nodes (state, packed
+    # counts, duration mean, duration variance).  Nodes therefore pop in order
+    # of falling probability and, among equal probabilities, in push order —
+    # exactly the order of one heap keyed on (-prob, push sequence number).
+    # Probabilities are carried negated; negation is exact.
+    heap: list[float] = []
+    queues: dict[float, deque] = {}
+    neg_min = -min_prob
+    state = model.states.index(model.entry_state)
+    neg, packed = -1.0, 0
+    dur_mean, dur_var = means[state], variances[state]
+    packed_paths: list[int] = []
+    path_means: list[float] = []
+    path_vars: list[float] = []
+    covered = 0.0
+    truncated = False
+    while True:
+        exits, moves, certain = rows[state]
+        if certain is not None:
+            # The child keeps this node's probability, so it pops next unless
+            # nodes of that probability are already waiting (at the top).
+            dst, d_mean, d_var = certain
+            queue = queues.get(neg)
+            if queue is None:
+                state, dur_mean, dur_var = dst, dur_mean + d_mean, dur_var + d_var
+                continue
+            queue.append((dst, packed, dur_mean + d_mean, dur_var + d_var))
+            state, packed, dur_mean, dur_var = queue.popleft()
+            continue
+        for p_exit in exits:
+            neg_next = neg * p_exit
+            if neg_next >= 0:
+                continue
+            packed_paths.append(packed)
+            path_means.append(dur_mean)
+            path_vars.append(dur_var)
+            covered -= neg_next
+        for dst, p_edge, inc, d_mean, d_var in moves:
+            neg_next = neg * p_edge
+            if neg_next > neg_min:
                 truncated = True
                 continue
-            heapq.heappush(
-                frontier,
-                (
-                    -p_next,
-                    next(counter),
-                    dst,
-                    p_next,
-                    a2,
-                    b2,
-                    dur_mean + float(means[dst]),
-                    dur_var + float(variances[dst]),
-                ),
-            )
+            queue = queues.get(neg_next)
+            if queue is None:
+                queue = queues[neg_next] = deque()
+                heapq.heappush(heap, neg_next)
+            queue.append((dst, packed + inc, dur_mean + d_mean, dur_var + d_var))
+        if exits and len(packed_paths) >= max_paths:
+            truncated = truncated or bool(heap)
+            break
+        if not heap:
+            break
+        neg = heap[0]
+        queue = queues[neg]
+        state, packed, dur_mean, dur_var = queue.popleft()
+        if not queue:
+            heapq.heappop(heap)
+            del queues[neg]
 
-    if not paths:
+    if not packed_paths:
         raise EstimationError(
             "path enumeration found no complete path within limits "
             f"(min_prob={min_prob}, max_paths={max_paths})"
         )
+    width = 2 * k * _ARM_BITS // 8
+    raw = b"".join(p.to_bytes(width, "little") for p in packed_paths)
+    counts = np.frombuffer(raw, dtype="<u2").reshape(len(packed_paths), 2 * k)
     return PathFamily(
-        paths=tuple(paths),
+        then_counts=np.ascontiguousarray(counts[:, :k], dtype=float),
+        else_counts=np.ascontiguousarray(counts[:, k:], dtype=float),
+        duration_means=np.array(path_means),
+        duration_variances=np.array(path_vars),
         covered_probability=covered,
-        reference_theta=tuple(float(t) for t in theta_ref),
+        reference_theta=tuple(ref),
         truncated=truncated,
     )

@@ -11,15 +11,17 @@ downstream of this module may touch exact cycle counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import ProfilingError
 from repro.mote.platform import Platform
-from repro.sim.trace import InvocationRecord
 from repro.util.rng import RngSource, as_rng
 from repro.util.stats import RunningStats
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim -> faults -> profiling)
+    from repro.sim.trace import InvocationRecord
 
 __all__ = ["TimingDataset", "TimingProfiler"]
 

@@ -48,13 +48,13 @@ class TestEnumeratePaths:
 
     def test_durations_differ_between_arms(self, diamond_model):
         family = enumerate_paths(diamond_model)
-        means, variances = family.durations()
+        means, variances = family.duration_means, family.duration_variances
         assert means[0] != means[1]
         assert np.all(variances == 0.0)
 
     def test_loop_paths_follow_geometric_counts(self, loop_model):
         family = enumerate_paths(loop_model, reference_theta=[0.5], min_prob=1e-4)
-        a_mat, b_mat = family.arm_count_matrices()
+        a_mat, b_mat = family.then_counts, family.else_counts
         # Exactly one else (exit) per path; then counts enumerate 0,1,2,...
         assert np.all(b_mat[:, 0] == 1)
         assert set(a_mat[:, 0].astype(int).tolist()) >= {0, 1, 2, 3}

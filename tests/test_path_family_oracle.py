@@ -1,0 +1,206 @@
+"""Array-native path families against the tuple-based reference enumerator.
+
+:func:`repro.core.enumerate_paths` packs arm counts into ints and stores
+the family as read-only arrays; :mod:`tests.estimation_oracle` keeps the
+straightforward tuple enumerator and per-path ``log_probability``.  Both
+must agree exactly: same paths in the same order, same coverage and
+truncation, and the same log-probabilities to the last bit.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import enumerate_paths
+from repro.errors import EstimationError
+from repro.lang import compile_source
+from repro.mote import MICAZ_LIKE
+from repro.placement.layout import Layout, ProgramLayout
+from repro.sim import ProcedureTimingModel, ProgramTimingModel
+from repro.workloads.registry import all_workloads
+from tests.estimation_oracle import (
+    assert_same_family,
+    oracle_enumerate_paths,
+    synthetic_model,
+)
+
+#: Thetas where the 0 * log 0 = 0 rule decides the answer.
+EDGE_THETAS = (0.0, 1.0)
+
+
+def assert_same_log_probabilities(family, oracle, theta):
+    vec = np.asarray(theta, dtype=float)
+    assert np.array_equal(family.log_probabilities(vec), oracle.log_probabilities(vec))
+
+
+def workload_models():
+    """Every parametered procedure model of the six workloads.
+
+    Callee time is folded in at the uninformed 0.5 vector, so callers carry
+    nonzero path variances.
+    """
+    models = []
+    for spec in all_workloads():
+        program = spec.program()
+        timing = ProgramTimingModel(
+            program, MICAZ_LIKE, ProgramLayout.source_order(program)
+        )
+        callee_moments = {}
+        for proc in program.topological_procedures():
+            model = timing.procedure_model(proc.name, callee_moments)
+            half = np.full(model.n_parameters, 0.5)
+            callee_moments[proc.name] = model.moments(half)
+            if model.n_parameters:
+                models.append(pytest.param(model, id=f"{spec.name}/{proc.name}"))
+    return models
+
+
+unit_thetas = st.one_of(st.sampled_from(EDGE_THETAS), st.floats(0.0, 1.0))
+# A loop's reference theta near 1 keeps its continue arm above min_prob for
+# hundreds of iterations; several such loops make the frontier explode
+# before any path completes, so reference thetas stop at 0.8 here (and
+# reach 1 in the diamond-only edge test below).
+reference_thetas = st.one_of(st.just(0.0), st.floats(0.0, 0.8))
+
+
+def enumerate_both(model, reference, **limits):
+    """``(family, oracle)``, or ``(None, None)`` when both find no path."""
+    try:
+        oracle = oracle_enumerate_paths(model, reference, **limits)
+    except EstimationError:
+        with pytest.raises(EstimationError, match="no complete path"):
+            enumerate_paths(model, reference, **limits)
+        return None, None
+    return enumerate_paths(model, reference, **limits), oracle
+
+
+class TestAgainstOracle:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_branches=st.integers(1, 8),
+        loop_fraction=st.floats(0.0, 1.0),
+        min_prob=st.sampled_from([1e-2, 1e-4, 1e-6]),
+        max_paths=st.sampled_from([1, 7, 200, 2000]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_problems(
+        self, seed, n_branches, loop_fraction, min_prob, max_paths, data
+    ):
+        model = synthetic_model(seed, n_branches, loop_fraction)
+        k = model.n_parameters
+        reference = [data.draw(reference_thetas) for _ in range(k)]
+        family, oracle = enumerate_both(
+            model, reference, min_prob=min_prob, max_paths=max_paths
+        )
+        if family is None:
+            return
+        assert_same_family(family, oracle)
+        theta = [data.draw(unit_thetas) for _ in range(k)]
+        assert_same_log_probabilities(family, oracle, theta)
+        assert_same_log_probabilities(family, oracle, family.reference_theta)
+
+    @pytest.mark.parametrize("model", workload_models())
+    def test_workload_procedures(self, model):
+        k = model.n_parameters
+        for reference in (None, np.full(k, 0.9), np.linspace(0.0, 1.0, k)):
+            family = enumerate_paths(model, reference)
+            oracle = oracle_enumerate_paths(model, reference)
+            assert_same_family(family, oracle)
+            for theta in (np.full(k, 0.3), np.zeros(k), np.ones(k), np.linspace(1.0, 0.0, k)):
+                assert_same_log_probabilities(family, oracle, theta)
+
+    def test_max_paths_truncation(self):
+        model = synthetic_model(seed=11, n_branches=6, loop_fraction=0.6)
+        family = enumerate_paths(model, min_prob=1e-12, max_paths=50)
+        oracle = oracle_enumerate_paths(model, min_prob=1e-12, max_paths=50)
+        assert family.truncated and len(family) == 50
+        assert_same_family(family, oracle)
+
+    def test_min_prob_cutoff(self):
+        model = synthetic_model(seed=11, n_branches=6, loop_fraction=0.6)
+        family = enumerate_paths(model, min_prob=1e-3, max_paths=100_000)
+        oracle = oracle_enumerate_paths(model, min_prob=1e-3, max_paths=100_000)
+        assert family.truncated and len(family) < 100_000
+        assert family.covered_probability < 1.0
+        assert_same_family(family, oracle)
+
+    def test_edge_thetas_keep_zero_log_zero_rule(self):
+        model = synthetic_model(seed=5, n_branches=4, loop_fraction=0.5)
+        k = model.n_parameters
+        family = enumerate_paths(model, np.zeros(k))
+        oracle = oracle_enumerate_paths(model, np.zeros(k))
+        assert_same_family(family, oracle)
+        # At theta = 0 the all-else path is certain: log P = 0, not NaN.
+        assert family.log_probabilities(np.zeros(k)).max() == 0.0
+        for theta in (np.zeros(k), np.ones(k), np.r_[np.zeros(k - k // 2), np.ones(k // 2)]):
+            assert not np.any(np.isnan(family.log_probabilities(theta)))
+            assert_same_log_probabilities(family, oracle, theta)
+
+    def test_reference_theta_one_is_clipped(self):
+        model = synthetic_model(seed=5, n_branches=5, loop_fraction=0.0)
+        k = model.n_parameters
+        family = enumerate_paths(model, np.ones(k))
+        oracle = oracle_enumerate_paths(model, np.ones(k))
+        assert family.reference_theta == (0.98,) * k
+        assert_same_family(family, oracle)
+        assert family.log_probabilities(np.ones(k)).max() == 0.0
+        assert_same_log_probabilities(family, oracle, np.ones(k))
+
+    def test_many_parameters_sum_in_the_same_order(self):
+        # k >= 8 takes numpy's unrolled pairwise summation path per row.
+        model = synthetic_model(seed=3, n_branches=12, loop_fraction=0.0)
+        assert model.n_parameters >= 8
+        family = enumerate_paths(model, max_paths=500)
+        oracle = oracle_enumerate_paths(model, max_paths=500)
+        assert_same_family(family, oracle)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            assert_same_log_probabilities(
+                family, oracle, rng.uniform(0.0, 1.0, model.n_parameters)
+            )
+
+
+@pytest.fixture
+def family():
+    prog = compile_source("proc main() { while (sense(a) > 800) { led(1); } }")
+    main = prog.procedure("main")
+    model = ProcedureTimingModel(main, MICAZ_LIKE, Layout.source_order(main.cfg))
+    return enumerate_paths(model, [0.5], min_prob=1e-4)
+
+
+ARRAYS = ("then_counts", "else_counts", "duration_means", "duration_variances")
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_arrays_reject_writes(self, family, name):
+        arr = getattr(family, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_read_only_survives_pickle(self, family, protocol):
+        clone = pickle.loads(pickle.dumps(family, protocol=protocol))
+        for name in ARRAYS:
+            assert np.array_equal(getattr(clone, name), getattr(family, name))
+            assert not getattr(clone, name).flags.writeable
+        assert clone.covered_probability == family.covered_probability
+        assert clone.reference_theta == family.reference_theta
+
+    def test_copies_stay_read_only(self, family):
+        for clone in (copy.copy(family), copy.deepcopy(family)):
+            assert all(not getattr(clone, name).flags.writeable for name in ARRAYS)
+
+    def test_equality_is_identity(self, family):
+        clone = copy.deepcopy(family)
+        assert family == family
+        assert family != clone
+        assert len({family, clone}) == 2

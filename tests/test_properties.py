@@ -76,7 +76,7 @@ class TestChainInvariants:
         family = enumerate_paths(model, theta, min_prob=1e-9, max_paths=20_000)
         probs = family.probabilities(theta)
         assume(probs.sum() > 0.9999)
-        durations, _ = family.durations()
+        durations = family.duration_means
         mean = float(np.sum(probs * durations))
         analytic = model.moments(theta)
         assert mean == pytest.approx(analytic.mean, rel=1e-3)
@@ -227,7 +227,7 @@ class TestEstimatorRoundTrip:
         family = enumerate_paths(model, hidden, min_prob=1e-6, max_paths=5000)
         probs = family.probabilities(hidden)
         assume(probs.sum() > 0.999)
-        durations, _ = family.durations()
+        durations = family.duration_means
         gen = np.random.default_rng(seed + 1)
         xs = gen.choice(durations, size=300, p=probs / probs.sum())
         fit = fit_moments(model, xs, timer=MICAZ_LIKE.timer, rng=seed + 2)
@@ -250,7 +250,7 @@ class TestEstimatorRoundTrip:
         family = enumerate_paths(model, hidden, min_prob=1e-6, max_paths=5000)
         probs = family.probabilities(hidden)
         assume(probs.sum() > 0.999)
-        durations, _ = family.durations()
+        durations = family.duration_means
         gen = np.random.default_rng(seed + 3)
         xs = gen.choice(durations, size=150, p=probs / probs.sum())
         classic = fit_moments(model, xs, timer=MICAZ_LIKE.timer, rng=seed)

@@ -69,7 +69,7 @@ class TestRobustFilter:
         from repro.core import enumerate_paths
 
         family = enumerate_paths(model, theta, min_prob=1e-6, max_paths=5000)
-        durations, _ = family.durations()
+        durations = family.duration_means
         probs = family.probabilities(theta)
         xs = rng.choice(durations, size=200, p=probs / probs.sum())
         kept, rejected = robust_filter(model, xs, MICAZ_LIKE.timer)
@@ -127,7 +127,7 @@ class TestStrictNoOpOnCleanData:
         from repro.core import enumerate_paths
 
         family = enumerate_paths(model, theta, min_prob=1e-6, max_paths=5000)
-        durations, _ = family.durations()
+        durations = family.duration_means
         probs = family.probabilities(theta)
         xs = np.random.default_rng(4).choice(
             durations, size=120, p=probs / probs.sum()
