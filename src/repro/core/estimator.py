@@ -26,7 +26,12 @@ from repro import obs
 from repro.errors import EstimationError
 from repro.core.em import EMEstimator
 from repro.core.identifiability import analyze_identifiability
-from repro.core.moments_fit import fit_moments, robust_filter
+from repro.core.moments_fit import (
+    fit_moments,
+    moment_sample,
+    observed_moments,
+    robust_filter,
+)
 from repro.ir.program import Program
 from repro.markov.moments import RewardMoments
 from repro.mote.platform import Platform
@@ -270,19 +275,29 @@ class CodeTomography:
         durations = dataset.durations(name)
         timer = self.platform.timer
 
-        moment_fit = fit_moments(
-            model,
-            durations,
-            timer=timer,
-            moments_used=opts.moments_used,
-            prior_weight=opts.prior_weight,
-            restarts=opts.restarts,
-            rng=gen,
+        robust_args = dict(
             robust=opts.robust,
             robust_k=opts.robust_k,
             robust_floor_mult=opts.robust_floor_mult,
             max_reject_fraction=opts.max_reject_fraction,
         )
+        if opts.method == "em":
+            # Plain EM reports the observed moments of the sample a moments
+            # fit would match, and needs no fit.
+            sample, _ = moment_sample(model, durations, timer, **robust_args)
+            observed = observed_moments(sample, timer)
+        else:
+            moment_fit = fit_moments(
+                model,
+                durations,
+                timer=timer,
+                moments_used=opts.moments_used,
+                prior_weight=opts.prior_weight,
+                restarts=opts.restarts,
+                rng=gen,
+                **robust_args,
+            )
+            observed = moment_fit.observed_moments
         if opts.method == "moments":
             degraded, note = _degradation(
                 opts, name, moment_fit.n_samples, moment_fit.n_rejected
@@ -364,7 +379,7 @@ class CodeTomography:
             method=opts.method,
             fit_cost=-em_result.log_likelihood,
             predicted_moments=model.moments(em_result.theta).as_tuple(),
-            observed_moments=moment_fit.observed_moments,
+            observed_moments=observed,
             warnings=tuple(warnings),
             degraded=degraded,
             n_rejected=em_rejected,

@@ -62,6 +62,8 @@ __all__ = [
     "MomentFitResult",
     "fit_moments",
     "measurement_noise_variance",
+    "moment_sample",
+    "observed_moments",
     "robust_filter",
 ]
 
@@ -236,10 +238,6 @@ def fit_moments(
         raise EstimationError(f"moments_used must be 1, 2 or 3, got {moments_used}")
     if restarts < 1:
         raise EstimationError(f"restarts must be >= 1, got {restarts}")
-    if timer is not None and timer.drift_ppm != 0.0:
-        # Calibrated crystal drift is a known multiplicative bias; divide it
-        # out so the moment match sees durations on the true cycle axis.
-        xs = xs / timer.drift_scale
 
     gen = as_rng(rng)
     with obs.span(
@@ -249,25 +247,70 @@ def fit_moments(
         robust=robust,
     ):
         obs.inc("estimator.moment_fits")
-        if not robust or model.n_parameters == 0:
-            return _fit_core(
-                model, xs, timer, moments_used, prior_weight, restarts, gen, 0
-            )
-        # Screen first (consumes no randomness), then fit once on the survivors.
-        # Zero rejections hand the *same* array to the same fit with the same
-        # generator state, so the robust path is bit-identical to the classic
-        # one on clean data.
-        survivors, n_rejected = robust_filter(
+        # The screen consumes no randomness.  Zero rejections hand the *same*
+        # array to the same fit with the same generator state, so the robust
+        # path is bit-identical to the classic one on clean data.
+        sample, n_rejected = moment_sample(
             model,
             xs,
             timer,
+            robust=robust,
             robust_k=robust_k,
             robust_floor_mult=robust_floor_mult,
             max_reject_fraction=max_reject_fraction,
         )
         return _fit_core(
-            model, survivors, timer, moments_used, prior_weight, restarts, gen, n_rejected
+            model, sample, timer, moments_used, prior_weight, restarts, gen, n_rejected
         )
+
+
+def moment_sample(
+    model: ProcedureTimingModel,
+    durations: Sequence[float],
+    timer: Optional[TimestampTimer] = None,
+    robust: bool = False,
+    robust_k: float = 8.0,
+    robust_floor_mult: float = 25.0,
+    max_reject_fraction: float = 0.35,
+) -> tuple[np.ndarray, int]:
+    """The sample :func:`fit_moments` matches, as ``(durations, n_rejected)``.
+
+    A drifting timer's known scale factor is divided out first; with
+    ``robust`` the rescaled sample then goes through :func:`robust_filter`
+    (a model with no parameters is never screened).
+    """
+    xs = np.asarray(durations, dtype=float)
+    if timer is not None and timer.drift_ppm != 0.0:
+        # Calibrated crystal drift is a known multiplicative bias; divide it
+        # out so the moment match sees durations on the true cycle axis.
+        xs = xs / timer.drift_scale
+    if not robust or model.n_parameters == 0:
+        return xs, 0
+    return robust_filter(
+        model,
+        xs,
+        timer,
+        robust_k=robust_k,
+        robust_floor_mult=robust_floor_mult,
+        max_reject_fraction=max_reject_fraction,
+    )
+
+
+def observed_moments(
+    xs: np.ndarray, timer: Optional[TimestampTimer] = None
+) -> tuple[float, float, float]:
+    """Mean, variance and third central moment of ``xs`` as the fit targets them.
+
+    With a timer, its measurement-noise variance is subtracted from the
+    sample variance (floored at 0).
+    """
+    mean = float(xs.mean())
+    centered = xs - mean
+    variance = float(np.mean(centered**2))
+    mu3 = float(np.mean(centered**3))
+    if timer is not None:
+        variance = max(variance - measurement_noise_variance(timer), 0.0)
+    return mean, variance, mu3
 
 
 def _fit_core(
@@ -282,12 +325,7 @@ def _fit_core(
 ) -> MomentFitResult:
     """One weighted multi-start moment match on an already-vetted sample."""
     k = model.n_parameters
-    mean = float(xs.mean())
-    centered = xs - mean
-    variance = float(np.mean(centered**2))
-    mu3 = float(np.mean(centered**3))
-    if timer is not None:
-        variance = max(variance - measurement_noise_variance(timer), 0.0)
+    mean, variance, mu3 = observed_moments(xs, timer)
     observed = np.array([mean, variance, mu3])
 
     if k == 0:

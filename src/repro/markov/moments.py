@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.markov.chain import AbsorbingChain
 
-__all__ = ["RewardMoments", "reward_moments"]
+__all__ = ["RewardMoments", "central_reward_moments", "reward_moments"]
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,18 @@ class RewardMoments:
         return (self.mean, self.variance, self.third_central)
 
 
-def reward_moments(chain: AbsorbingChain) -> RewardMoments:
-    """Exact central moments of total reward from the chain's start state.
+def central_reward_moments(m1: float, m2: float, m3: float) -> RewardMoments:
+    """Central moments from the raw ones of total reward.
 
-    Raw → central conversion:
-    ``var = m2 - m1²``, ``mu3 = m3 - 3 m1 m2 + 2 m1³``.
+    ``var = m2 - m1²`` (floored at 0), ``mu3 = m3 - 3 m1 m2 + 2 m1³``.
     """
-    m1_vec, m2_vec, m3_vec = chain.reward_moment_vectors()
-    i = chain.start_index
-    m1, m2, m3 = float(m1_vec[i]), float(m2_vec[i]), float(m3_vec[i])
     variance = max(m2 - m1 * m1, 0.0)
     third = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     return RewardMoments(mean=m1, variance=variance, third_central=third)
+
+
+def reward_moments(chain: AbsorbingChain) -> RewardMoments:
+    """Exact central moments of total reward from the chain's start state."""
+    m1_vec, m2_vec, m3_vec = chain.reward_moment_vectors()
+    i = chain.start_index
+    return central_reward_moments(float(m1_vec[i]), float(m2_vec[i]), float(m3_vec[i]))

@@ -20,6 +20,41 @@ Because the interpreter charges exactly these costs, the model's moments
 match simulation to sampling error — a property the integration tests pin
 down.  Estimators invert this model; the placement pass re-evaluates it
 under candidate layouts.
+
+Compiled once, evaluated per theta
+----------------------------------
+
+Estimators call :meth:`ProcedureTimingModel.moments` thousands of times
+per fit (every finite-difference Jacobian column is one call), so each
+model resolves what does not depend on ``theta`` when it is built: the
+``(n, n+1)`` matrix of deterministic and exit edges, the flat positions
+of the branch-arm cells with the index of each arm's probability, and the
+per-state raw reward moments.  The chain's state and reward checks do not
+depend on ``theta`` either; when one fails (say a callee's moments carry
+a negative variance), every call builds the full chain instead, so the
+error surfaces from ``moments``/``chain`` after the ``theta`` checks, in
+the chain's order.  Otherwise a call scatters the arm probabilities into
+a copy of the base matrix and runs the chain's own validation,
+reachability, fundamental-matrix and moment functions from
+:mod:`repro.markov.chain` on it.
+
+Reachability depends only on which entries are positive, and every
+non-arm entry is a fixed 1 or 0, so the reachable mask is a function of
+which arms are positive.  The pattern with every arm positive — all of
+``least_squares``' box, whose bounds keep each theta inside (0, 1) — has
+its mask computed once and kept; any other pattern (an arm at 0 from
+theta ∈ {0, 1}, a clipped ``-1e-13`` or a NaN) recomputes it on the spot,
+and a trapped pattern raises the same :class:`NotAbsorbingError` naming
+the same states.
+
+Results are bit-identical to building an :class:`AbsorbingChain` per call
+because the floating-point work is the same operations on the same
+arrays: arm cells hold ``0.0 + p`` as when accumulated into a zero matrix,
+the clip, solve and matrix-vector products run on identically laid-out
+arrays, and the raw-to-central conversion is the shared
+:func:`repro.markov.moments.central_reward_moments`.  A direct solve
+against the reward vector, or a different memory layout, moves the last
+bits — and estimates near a placement tie move with them.
 """
 
 from __future__ import annotations
@@ -28,13 +63,22 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import MarkovError, SimulationError
 from repro.ir.instructions import Branch, Jump, Return
 from repro.ir.procedure import Procedure
 from repro.ir.program import Program
 from repro.markov.builders import BranchParameterization
-from repro.markov.chain import AbsorbingChain
-from repro.markov.moments import RewardMoments, reward_moments
+from repro.markov.chain import (
+    AbsorbingChain,
+    checked_rewards,
+    checked_states,
+    checked_transition,
+    fundamental_on_mask,
+    raw_reward_moments,
+    reachable_absorbing_mask,
+    reward_moment_recursion,
+)
+from repro.markov.moments import RewardMoments, central_reward_moments, reward_moments
 from repro.mote.platform import Platform
 from repro.placement.layout import Layout, ProgramLayout
 
@@ -64,17 +108,17 @@ class ProcedureTimingModel:
         cfg = procedure.cfg
         par = BranchParameterization(cfg)
         self.branch_labels = par.branch_labels
-        self._reachable = set(par.states)
         cpu = platform.cpu
 
         states: list[str] = []
         mean: list[float] = []
         var: list[float] = []
         mu3: list[float] = []
-        # Transition plan: (src_state_index, dst_label_or_None, kind)
-        # kind: ("fixed", p) for deterministic, ("theta", k, arm) for branches.
-        self._rows: list[list[tuple[object, ...]]] = []
         index: dict[str, int] = {}
+        # Transition structure: deterministic (src, dst) edges, where
+        # dst None is EXIT, and branch arms as (src, arm_state, k, arm).
+        fixed: list[tuple[int, Optional[int]]] = []
+        arms: list[tuple[int, int, int, str]] = []
 
         def add_state(name: str, m: float, v: float, t: float) -> int:
             index[name] = len(states)
@@ -82,7 +126,6 @@ class ProcedureTimingModel:
             mean.append(m)
             var.append(v)
             mu3.append(t)
-            self._rows.append([])
             return index[name]
 
         # Pass 1: block states with their rewards.
@@ -110,15 +153,15 @@ class ProcedureTimingModel:
                 det += cpu.jump_cost(fallthrough=layout.jump_is_elided(label))
             add_state(label, det + m_extra, v_extra, t_extra)
 
-        # Pass 2: arm pseudo-states and the transition plan.
+        # Pass 2: arm pseudo-states and the transition structure.
         for label in par.states:
             block = cfg.block(label)
             term = block.terminator
             src = index[label]
             if isinstance(term, Return):
-                self._rows[src].append(("exit", 1.0))
+                fixed.append((src, None))
             elif isinstance(term, Jump):
-                self._rows[src].append(("fixed", index[term.target], 1.0))
+                fixed.append((src, index[term.target]))
             elif isinstance(term, Branch):
                 site = layout.resolve_branch(label)
                 k = self.branch_labels.index(label)
@@ -132,14 +175,52 @@ class ProcedureTimingModel:
                     if arm == site.extra_jump_arm:
                         cost += cpu.jump_cycles
                     arm_state = add_state(f"{label}@{arm}", cost, 0.0, 0.0)
-                    self._rows[arm_state].append(("fixed", index[target], 1.0))
-                    self._rows[src].append(("theta", arm_state, k, arm))
+                    fixed.append((arm_state, index[target]))
+                    arms.append((src, arm_state, k, arm))
 
         self.states = states
         self._mean = np.asarray(mean)
         self._var = np.asarray(var)
         self._mu3 = np.asarray(mu3)
         self._entry = procedure.cfg.entry
+        self._compile(fixed, arms)
+
+    def _compile(
+        self,
+        fixed: list[tuple[int, Optional[int]]],
+        arms: list[tuple[int, int, int, str]],
+    ) -> None:
+        """Resolve the θ-independent part of :meth:`chain` and :meth:`moments`."""
+        n = len(self.states)
+        k = self.n_parameters
+        # Deterministic edges and exits are the same in every chain.
+        self._base = np.zeros((n, n + 1))
+        for src, dst in fixed:
+            self._base[src, n if dst is None else dst] += 1.0
+        # Branch arms: flat positions in the (n, n+1) matrix, and where each
+        # arm's probability sits in concatenate((theta, 1 - theta)).
+        self._arms = arms
+        self._arm_cells = np.array(
+            [src * (n + 1) + dst for src, dst, _, _ in arms], dtype=np.intp
+        )
+        self._arm_sources = np.array(
+            [p if arm == "then" else k + p for _, _, p, arm in arms], dtype=np.intp
+        )
+        self._start = self.states.index(self._entry)
+        # The checks a chain runs on its states and rewards do not depend on
+        # theta.  When one fails, every call builds the chain, which raises it
+        # after the theta checks, in the chain's order.
+        try:
+            checked_states(self.states)
+            rewards = checked_rewards((self._mean, self._var, self._mu3), n)
+        except MarkovError:
+            self._raw: Optional[tuple[np.ndarray, ...]] = None
+        else:
+            self._raw = raw_reward_moments(*rewards)
+        # Reachability depends only on which arms are positive; the pattern
+        # with every arm positive is the one the fitters use, so its mask is
+        # kept once computed.
+        self._all_arms_mask: Optional[np.ndarray] = None
 
     @property
     def n_parameters(self) -> int:
@@ -169,46 +250,61 @@ class ProcedureTimingModel:
         ``{"then", "else"}``.  Exposed for the path-enumeration machinery in
         :mod:`repro.core.path_enum`.
         """
-        plan: list[list[tuple]] = []
-        for row in self._rows:
-            entries: list[tuple] = []
-            for entry in row:
-                if entry[0] == "exit":
-                    entries.append(("exit", float(entry[1])))
-                elif entry[0] == "fixed":
-                    entries.append(("fixed", int(entry[1]), float(entry[2])))
-                else:
-                    _, arm_state, k, arm = entry
-                    entries.append(("theta", int(arm_state), int(k), str(arm)))
-            plan.append(entries)
+        n = len(self.states)
+        plan: list[list[tuple]] = [[] for _ in range(n)]
+        for src, dst in zip(*np.nonzero(self._base)):
+            p = float(self._base[src, dst])
+            plan[src].append(("exit", p) if dst == n else ("fixed", int(dst), p))
+        for src, arm_state, k, arm in self._arms:
+            plan[src].append(("theta", arm_state, k, arm))
         return plan
 
-    def chain(self, theta: Sequence[float]) -> AbsorbingChain:
-        """Instantiate the timing chain for branch probabilities ``theta``."""
+    def _transition(self, theta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``(matrix, arm probabilities)`` for ``theta``, before validation.
+
+        Each arm cell gets ``0.0 + p``, as when it was accumulated into a zero
+        matrix, so a ``-0.0`` arm is stored as ``0.0``.
+        """
         vec = np.asarray(theta, dtype=float)
         if vec.shape != (self.n_parameters,):
             raise SimulationError(
                 f"theta must have length {self.n_parameters}, got shape {vec.shape}"
             )
-        n = len(self.states)
-        matrix = np.zeros((n, n + 1))
-        for i, row in enumerate(self._rows):
-            for entry in row:
-                if entry[0] == "exit":
-                    matrix[i, n] += entry[1]
-                elif entry[0] == "fixed":
-                    matrix[i, entry[1]] += entry[2]
-                else:  # ("theta", arm_state, k, arm)
-                    _, arm_state, k, arm = entry
-                    p = vec[k] if arm == "then" else 1.0 - vec[k]
-                    matrix[i, arm_state] += p
+        arm_p = 0.0 + np.concatenate((vec, 1.0 - vec))[self._arm_sources]
+        matrix = self._base.copy()
+        matrix.ravel()[self._arm_cells] = arm_p
+        return matrix, arm_p
+
+    def chain(self, theta: Sequence[float]) -> AbsorbingChain:
+        """Instantiate the timing chain for branch probabilities ``theta``."""
+        matrix, _ = self._transition(theta)
         return AbsorbingChain(
             self.states, matrix, (self._mean, self._var, self._mu3), self._entry
         )
 
     def moments(self, theta: Sequence[float]) -> RewardMoments:
-        """Predicted execution-time moments under ``theta``."""
-        return reward_moments(self.chain(theta))
+        """Predicted execution-time moments under ``theta``.
+
+        Equal to ``reward_moments(self.chain(theta))``, bit for bit and error
+        for error, without building the chain object.
+        """
+        if self._raw is None:
+            return reward_moments(self.chain(theta))
+        matrix, arm_p = self._transition(theta)
+        matrix = checked_transition(matrix, self.states)
+        q_matrix = matrix[:, :-1]
+        all_arms = (arm_p > 0).all()
+        mask = self._all_arms_mask if all_arms else None
+        if mask is None:
+            mask = reachable_absorbing_mask(
+                q_matrix, matrix[:, -1], self._start, self.states
+            )
+            if all_arms:
+                self._all_arms_mask = mask
+        fundamental = fundamental_on_mask(q_matrix, mask)
+        m1, m2, m3 = reward_moment_recursion(fundamental, q_matrix, *self._raw)
+        i = self._start
+        return central_reward_moments(float(m1[i]), float(m2[i]), float(m3[i]))
 
     def measured_moments(self, theta: Sequence[float], timer) -> RewardMoments:
         """Moments of the duration as a ``TimestampTimer`` would *measure* it.
@@ -223,7 +319,7 @@ class ProcedureTimingModel:
         (:func:`repro.core.moments_fit.fit_moments`).
         """
         s = timer.drift_scale
-        m = reward_moments(self.chain(theta))
+        m = self.moments(theta)
         return RewardMoments(
             mean=s * m.mean,
             variance=s * s * m.variance + timer.noise_variance(),

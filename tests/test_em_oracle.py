@@ -14,14 +14,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EMEstimator, OnlineOptions
+import repro.core.estimator as estimator_module
+from repro.core import CodeTomography, EMEstimator, EstimationOptions, OnlineOptions
 from repro.markov.sampling import sample_rewards
-from repro.mote import MICAZ_LIKE
+from repro.mote import MICAZ_LIKE, TimestampTimer
 from repro.placement.layout import ProgramLayout
 from repro.profiling import TimingProfiler
 from repro.sim import ProgramTimingModel, run_program
 from repro.workloads.registry import all_workloads, workload_by_name
-from tests.estimation_oracle import assert_same_family, oracle_fit, synthetic_model
+from tests.estimation_oracle import (
+    assert_same_family,
+    oracle_fit,
+    oracle_observed_moments,
+    synthetic_model,
+)
 
 ACTIVATIONS = 200
 WORKLOADS = [spec.name for spec in all_workloads()]
@@ -119,3 +125,37 @@ def test_every_observation_dropped_matches_oracle(loop_model):
     result, _, _ = fit_both(em, [1e200, -1e200, 1e200], theta0=[0.3, 0.6, 0.5])
     assert result.dropped_observations == 3
     assert not result.converged
+
+
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("drift_ppm", [0.0, 40.0])
+def test_plain_em_reports_observed_moments_without_a_moments_fit(
+    monkeypatch, robust, drift_ppm
+):
+    platform = MICAZ_LIKE.with_timer(TimestampTimer(cycles_per_tick=8, drift_ppm=drift_ppm))
+    spec = workload_by_name("sense")
+    program = spec.program()
+    run = run_program(program, platform, spec.sensors(rng=2015), activations=ACTIVATIONS)
+    dataset = TimingProfiler(platform, rng=2016).collect(run.records)
+    options = EstimationOptions(method="em", seed=2015, robust=robust)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("method='em' ran a moments fit")
+
+    monkeypatch.setattr(estimator_module, "fit_moments", no_fit)
+    result = CodeTomography(program, platform).estimate(dataset, options)
+
+    timing = ProgramTimingModel(program, platform)
+    callee_moments = {}
+    compared = 0
+    for proc in program.topological_procedures():
+        model = timing.procedure_model(proc.name, callee_moments)
+        estimate = result.estimates[proc.name]
+        if estimate.method == "em":
+            ys = dataset.durations(proc.name)
+            assert estimate.observed_moments == oracle_observed_moments(
+                model, ys, platform.timer, robust=robust
+            )
+            compared += 1
+        callee_moments[proc.name] = model.moments(estimate.theta)
+    assert compared == 2
