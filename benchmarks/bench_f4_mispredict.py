@@ -1,12 +1,11 @@
 """F4 — regenerate the misprediction-rate-by-placement figure.
 
-Quick mode (``REPRO_BENCH_QUICK=1``, CI's bench-track gate) parametrizes
-the run over both execution engines via :data:`~repro.sim.ENGINE_ENV_VAR`,
-so the tracked counter snapshots pin each engine separately
-(``benchmarks/results/counters/test_f4...[vectorized].json`` vs
-``...[scalar].json`` — the two must stay bit-identical to each other, and
-the differential suite holds them to it).  The full-size golden run keeps
-the driver's own ``auto`` dispatch, exactly what a user gets.
+Quick mode (``REPRO_BENCH_QUICK=1``, as CI's vectorized-differential job
+runs it) parametrizes the run over both execution engines via
+:data:`~repro.sim.ENGINE_ENV_VAR`, so each engine passes the figure's shape
+checks on its own; ``tests/test_hw_counters.py`` holds the two engines'
+counters bit-identical.  The full-size golden run keeps the driver's own
+``auto`` dispatch, exactly what a user gets.
 """
 
 from __future__ import annotations

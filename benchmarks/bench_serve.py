@@ -10,9 +10,8 @@ measured window is pure ingestion.
 
 The run also asserts the service's core invariant en passant: every shard
 is accepted (no budget, backlog ample) and every tenant's estimate reflects
-exactly the samples sent.  Throughput and latency land in the perf history
-via the counter snapshot + ``scripts/bench_track.py`` like every other
-bench; the rendered summary goes to ``benchmarks/results/serve.txt``.
+exactly the samples sent.  The rendered summary goes to
+``benchmarks/results/serve.txt``.
 """
 
 from __future__ import annotations

@@ -11,61 +11,31 @@ deliberately not wired in here (``bench_engine.py`` measures the cache
 itself).  Saved renders contain only seed-determined values; wall-clock
 stage diagnostics live in ``ExperimentResult.timings`` and stay out of the
 results files so re-runs diff clean.
-
-Every benchmark test also runs under a fresh
-:class:`~repro.obs.counters.HardwareCounters` registry whose snapshot is
-dumped to ``benchmarks/results/counters/<test>.json`` — the raw material
-``scripts/bench_track.py`` ingests into the perf history.  Every bench
-here uses ``benchmark.pedantic(..., rounds=1, iterations=1)``, so the
-captured counts are seed-determined and bit-identical run-to-run (the
-determinism gate depends on this; adaptive rounds would break it).  Set
-``REPRO_BENCH_COUNTERS=0`` to switch the capture off.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.common import ExperimentConfig, ExperimentResult
-from repro.obs import HardwareCounters, counters_active
 
 RESULTS_DIR = Path(__file__).parent / "results"
-COUNTERS_DIR = RESULTS_DIR / "counters"
 
 
 def _quick_mode() -> bool:
-    """CI's bench-track job sets REPRO_BENCH_QUICK=1: small runs, goldens safe."""
+    """``REPRO_BENCH_QUICK=1`` selects small runs whose renders skip the goldens."""
     return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 @pytest.fixture(scope="session")
 def experiment_config() -> ExperimentConfig:
-    """Full-size configuration used by every benchmark (quick under CI's gate)."""
+    """Full-size configuration used by every benchmark (small in quick mode)."""
     if _quick_mode():
         return ExperimentConfig(activations=600, seed=2015, quick=True)
     return ExperimentConfig(activations=3000, seed=2015, quick=False)
-
-
-@pytest.fixture(autouse=True)
-def hw_counter_snapshot(request):
-    """Capture each benchmark's hardware-counter delta for bench_track.
-
-    ``isolated=True`` keeps the capture self-contained: nothing folds into
-    an outer registry, so the dumped snapshot is exactly this test's counts.
-    """
-    if os.environ.get("REPRO_BENCH_COUNTERS", "1") in ("0", "false", "no"):
-        yield
-        return
-    hw = HardwareCounters()
-    with counters_active(hw, isolated=True):
-        yield
-    COUNTERS_DIR.mkdir(parents=True, exist_ok=True)
-    path = COUNTERS_DIR / f"{request.node.name}.json"
-    path.write_text(json.dumps(hw.snapshot(), indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

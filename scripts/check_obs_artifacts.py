@@ -9,18 +9,16 @@ path-qualified message on the first structural violation (see
     python scripts/check_obs_artifacts.py \
         --trace trace.jsonl [--trace-format jsonl|chrome] \
         --metrics metrics.json [--require-coverage] \
-        --hw-counters snapshot.json --bench BENCH_2026-08-06.json \
-        --health health.json --alerts alerts.jsonl --report report.json
+        --hw-counters snapshot.json --health health.json \
+        --alerts alerts.jsonl --report report.json
 
 ``--require-coverage`` additionally asserts the span names prove the trace
 covered the engine, sim and estimator layers.  ``--hw-counters`` validates a
-hardware-counter snapshot (``benchmarks/results/counters/*.json`` or any
-file holding a ``repro.hwcounters/1`` object); ``--bench`` validates a
-``BENCH_<date>.json`` history file written by ``scripts/bench_track.py``;
-``--health`` validates a standalone fleet health report
+hardware-counter snapshot (any file holding a ``repro.hwcounters/1``
+object); ``--health`` validates a standalone fleet health report
 (``repro.health-report/1``) and ``--alerts`` a JSONL alert log
 (``repro.health-alert/1`` lines), both as written by ``repro-serve`` /
-``repro-health``; ``--report`` validates a ``repro.obs-report/1``
+``repro-obs health``; ``--report`` validates a ``repro.obs-report/1``
 attribution report as written by ``repro-obs explain --json``.
 """
 
@@ -33,7 +31,6 @@ from repro.obs.validate import (
     ArtifactError,
     require_span_coverage,
     validate_alert_log,
-    validate_bench_file,
     validate_chrome_trace,
     validate_health_report,
     validate_hw_counters_file,
@@ -59,12 +56,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="PATH",
         help="hardware-counter snapshot JSON to validate",
-    )
-    parser.add_argument(
-        "--bench",
-        default=None,
-        metavar="PATH",
-        help="BENCH_<date>.json benchmark-history file to validate",
     )
     parser.add_argument(
         "--health",
@@ -96,7 +87,6 @@ def main(argv=None) -> int:
             args.trace,
             args.metrics,
             args.hw_counters,
-            args.bench,
             args.health,
             args.alerts,
             args.report,
@@ -104,7 +94,7 @@ def main(argv=None) -> int:
     ):
         parser.error(
             "nothing to check; pass --trace, --metrics, --hw-counters, "
-            "--bench, --health, --alerts and/or --report"
+            "--health, --alerts and/or --report"
         )
 
     try:
@@ -147,13 +137,6 @@ def main(argv=None) -> int:
             print(
                 f"{args.hw_counters}: OK — {summary['counters']} counters, "
                 f"{summary['procs']} procedures attributed"
-            )
-        if args.bench is not None:
-            summary = validate_bench_file(args.bench)
-            print(
-                f"{args.bench}: OK — {summary['records']} record(s), "
-                f"{summary['benchmarks']} benchmark stat(s), "
-                f"{summary['snapshots']} counter snapshot(s)"
             )
         if args.report is not None:
             summary = validate_obs_report(args.report)

@@ -1,10 +1,9 @@
 """Regression attribution: explain *why* run B is slower than run A.
 
-``bench_track.py --check`` can flag "F4 got 23% slower"; this module turns
-that bare threshold breach into a ranked, explainable story.  Given two
-runs — span traces, metrics snapshots with hardware-counter embeds, or two
-bench-history records — it produces one deterministic attribution report
-(schema ``repro.obs-report/1``):
+A bare threshold breach ("F1 got 23% slower") says that something moved,
+not what.  Given two runs — span traces, metrics snapshots with
+hardware-counter embeds, or two counter snapshots — this module produces
+one deterministic attribution report (schema ``repro.obs-report/1``):
 
 * **Span attribution** — per-span-name exclusive (self) wall-clock deltas,
   ranked by contribution to the total regression, so "the run grew 2.3s"
@@ -15,9 +14,6 @@ bench-history records — it produces one deterministic attribution report
   exclusive-cycle attribution from the interpreter's push/pop brackets.
 * **Metrics attribution** — registry counter deltas and histogram mean
   shifts (the "EM iteration histogram shifted right" drill-down).
-* **Benchmark attribution** — per-benchmark median deltas between two
-  history records, ranked by contribution, with the records' counter
-  snapshots merged and diffed alongside.
 
 Reports are **byte-identical for identical inputs**: no timestamps, no
 environment reads, all orderings total (primary key descending, name
@@ -32,12 +28,7 @@ import json
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import ObsError
-from repro.obs.counters import (
-    SNAPSHOT_SCHEMA,
-    empty_snapshot,
-    merge_snapshots,
-    snapshot_deltas,
-)
+from repro.obs.counters import snapshot_deltas
 from repro.obs.query import RunBundle, TraceForest, aggregate
 
 __all__ = [
@@ -46,8 +37,7 @@ __all__ = [
     "counter_attribution",
     "metrics_attribution",
     "compare_runs",
-    "compare_bench_records",
-    "explain_history",
+    "format_movers",
     "format_report",
     "report_json",
 ]
@@ -265,118 +255,8 @@ def compare_runs(
         "spans": spans,
         "counters": counters,
         "metrics": metrics,
-        "benchmarks": None,
         "notes": notes,
     }
-
-
-# --------------------------------------------------------------------------
-# Bench-history attribution
-# --------------------------------------------------------------------------
-
-
-def _merged_counters(record: Mapping, names: Sequence[str]) -> Optional[Mapping]:
-    snaps = record.get("counters") or {}
-    merged = empty_snapshot()
-    found = False
-    for name in names:
-        snap = snaps.get(name)
-        if isinstance(snap, Mapping) and snap.get("schema") == SNAPSHOT_SCHEMA:
-            merged = merge_snapshots(merged, snap)
-            found = True
-    return merged if found else None
-
-
-def compare_bench_records(
-    before: Mapping, after: Mapping, top: Optional[int] = None
-) -> dict:
-    """Attribution report for two ``BENCH_<date>.json`` history records.
-
-    Per-benchmark median deltas ranked by contribution to the records'
-    total median movement; counter snapshots are merged across the
-    benchmarks *shared by both records* (so a benchmark added on one side
-    cannot masquerade as a counter regression) and diffed with the full
-    group/per-procedure drill-down.
-    """
-    b_benches = {
-        k: v for k, v in (before.get("benchmarks") or {}).items()
-        if isinstance(v, Mapping) and "median" in v
-    }
-    a_benches = {
-        k: v for k, v in (after.get("benchmarks") or {}).items()
-        if isinstance(v, Mapping) and "median" in v
-    }
-    shared = sorted(b_benches.keys() & a_benches.keys())
-    total_before = sum(b_benches[k]["median"] for k in shared)
-    total_after = sum(a_benches[k]["median"] for k in shared)
-    total_delta = total_after - total_before
-    rows = []
-    for name in shared:
-        mb, ma = b_benches[name]["median"], a_benches[name]["median"]
-        rows.append(
-            {
-                "benchmark": name,
-                "before_median_s": mb,
-                "after_median_s": ma,
-                "delta_s": ma - mb,
-                "relative": ((ma - mb) / mb) if mb > 0 else None,
-                "share": _share(ma - mb, total_delta),
-            }
-        )
-    rows.sort(key=lambda r: (-r["delta_s"], r["benchmark"]))
-
-    shared_counter_names = sorted(
-        (before.get("counters") or {}).keys() & (after.get("counters") or {}).keys()
-    )
-    counters = counter_attribution(
-        _merged_counters(before, shared_counter_names),
-        _merged_counters(after, shared_counter_names),
-        top=top,
-    )
-    return {
-        "schema": OBS_REPORT_SCHEMA,
-        "kind": "bench",
-        "total": _total_block(total_before, total_after),
-        "spans": None,
-        "counters": counters,
-        "metrics": None,
-        "benchmarks": rows[:top] if top is not None else rows,
-        "notes": [
-            f"compared {len(shared)} shared benchmark(s); "
-            f"before@{str(before.get('git_sha', 'unknown'))[:12]} vs "
-            f"after@{str(after.get('git_sha', 'unknown'))[:12]}"
-        ],
-    }
-
-
-def explain_history(records: Sequence[Mapping], top: Optional[int] = None) -> dict:
-    """Attribute the newest history record against its natural baseline.
-
-    The baseline is the most recent prior record from the *same machine*
-    (wall-clock comparisons across hosts are noise — the same rule
-    :func:`repro.obs.bench_history.check_history` applies); when no
-    same-machine prior exists, the immediately preceding record is used
-    and the report says so.
-    """
-    if len(records) < 2:
-        raise ObsError("attribution needs at least two history records")
-    newest = records[-1]
-    machine = (newest.get("host") or {}).get("machine")
-    reference = next(
-        (
-            r
-            for r in reversed(records[:-1])
-            if (r.get("host") or {}).get("machine") == machine
-        ),
-        None,
-    )
-    report = compare_bench_records(reference or records[-2], newest, top=top)
-    if reference is None:
-        report["notes"].append(
-            "no prior record from this machine; baseline is the previous "
-            "record from a different host (wall-clock deltas are noisy)"
-        )
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -393,6 +273,24 @@ def _pct(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:+.1%}"
 
 
+def format_movers(rows: Sequence[Mapping]) -> list[str]:
+    """One ``  name: before -> after (delta, relative)`` line per mover row.
+
+    The single rendering of a counter-mover row, shared by the attribution
+    table, ``repro-obs diff-counters`` and ``repro-obs health``'s "top
+    moved counters" section.
+    """
+    lines = []
+    for row in rows:
+        delta = row["delta"]
+        rendered = f"{delta:+.3f}" if isinstance(delta, float) else f"{delta:+d}"
+        lines.append(
+            f"  {row['counter']}: {row['before']} -> {row['after']} "
+            f"({rendered}, {_pct(row['relative'])})"
+        )
+    return lines
+
+
 def format_report(report: Mapping, top: int = 10) -> str:
     """Terminal attribution table: ranked movers, worst offenders first."""
     lines = ["== attribution report =="]
@@ -402,16 +300,6 @@ def format_report(report: Mapping, top: int = 10) -> str:
             f"total: {total['before_s']:.6f}s -> {total['after_s']:.6f}s "
             f"({_pct(total['relative'])})"
         )
-    benches = report.get("benchmarks")
-    if benches:
-        lines.append("")
-        lines.append("benchmark movers (median, ranked by contribution):")
-        for row in benches[:top]:
-            lines.append(
-                f"  {row['benchmark']}: {row['before_median_s']:.6f}s -> "
-                f"{row['after_median_s']:.6f}s ({_pct(row['relative'])}, "
-                f"share {_pct(row['share'])})"
-            )
     spans = report.get("spans")
     if spans:
         lines.append("")
@@ -461,13 +349,7 @@ def format_report(report: Mapping, top: int = 10) -> str:
         if metrics["counters"]:
             lines.append("")
             lines.append("pipeline metric movers:")
-            for row in metrics["counters"][:top]:
-                delta = row["delta"]
-                rendered = f"{delta:+.3f}" if isinstance(delta, float) else f"{delta:+d}"
-                lines.append(
-                    f"  {row['counter']}: {row['before']} -> {row['after']} "
-                    f"({rendered}, {_pct(row['relative'])})"
-                )
+            lines.extend(format_movers(metrics["counters"][:top]))
     for note in report.get("notes") or []:
         lines.append("")
         lines.append(f"note: {note}")

@@ -18,8 +18,7 @@ Design follows the :mod:`repro.obs` house rules:
 * **Mergeable, diffable snapshots.**  :meth:`HardwareCounters.snapshot`
   produces a plain-JSON dict; :func:`merge_snapshots` is associative and
   commutative (integer sums), and ``diff_snapshots(a, merge_snapshots(a,
-  b)) == b`` — the algebra the engine's deterministic merge and the
-  benchmark-history layer (:mod:`repro.obs.bench_history`) both lean on.
+  b)) == b`` — the algebra the engine's deterministic merge leans on.
 * **Per-procedure attribution.**  The interpreter brackets each procedure
   invocation with :meth:`push_proc`/:meth:`pop_proc`; events attribute
   their *exclusive* (self) counts to the innermost open procedure, so the

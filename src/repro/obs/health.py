@@ -68,7 +68,7 @@ __all__ = [
 #: Schema tag stamped on every serialized alert (one JSONL line each).
 ALERT_SCHEMA = "repro.health-alert/1"
 
-#: Schema tag stamped on a fleet health report (``repro-health`` output).
+#: Schema tag stamped on a fleet health report (``repro-obs health`` output).
 REPORT_SCHEMA = "repro.health-report/1"
 
 #: Alert severities, mild to severe (the vocabulary is closed).
@@ -804,7 +804,7 @@ def build_health_report(
     alerts: Sequence[AlertEvent] = (),
     nominal_coverage: float = 0.95,
 ) -> dict:
-    """Assemble the fleet health report (``repro-health``'s artifact).
+    """Assemble the fleet health report (``repro-obs health``'s artifact).
 
     ``tenants`` maps tenant key to a :meth:`EstimatorHealthMonitor.summary`
     dict (optionally extended with an ``slo`` sub-object by the service);

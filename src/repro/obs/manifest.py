@@ -37,12 +37,7 @@ SEED_SCHEME = (
 
 
 def host_facts() -> dict:
-    """The host identity block shared by manifests and benchmark history.
-
-    Everything here is plain JSON; benchmark records
-    (:mod:`repro.obs.bench_history`) embed the same block so a perf
-    trajectory can be segmented by machine.
-    """
+    """The host identity block of a run manifest (plain JSON)."""
     return {
         "python": sys.version.split()[0],
         "implementation": platform_mod.python_implementation(),

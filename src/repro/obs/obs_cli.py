@@ -7,29 +7,45 @@ Examples::
     repro-obs critical-path trace.jsonl --json path.json
     repro-obs explain before.jsonl after.jsonl \\
         --metrics-before before_metrics.json --metrics-after after_metrics.json
-    repro-obs explain benchmarks/history          # newest record vs baseline
     repro-obs diff-counters before_snap.json after_snap.json --top 10
+    repro-obs health --stats serve_metrics.json --alerts alerts.jsonl --check
 
-Five subcommands over the artifacts the obs stack already emits:
+Six subcommands over the artifacts the obs stack already emits:
 
 * ``aggregate`` — per-span-name inclusive/exclusive self-time table.
 * ``flamegraph`` — Brendan Gregg collapsed-stack export (``stack µs``),
   feedable to any flamegraph renderer and round-trippable.
 * ``critical-path`` — the heaviest root→leaf chain through the span tree.
-* ``explain`` — regression attribution between two runs: pass two traces
-  (plus optional ``--metrics-before``/``--metrics-after`` for the counter
-  and histogram drill-down), two ``--metrics`` files, two
-  ``BENCH_<date>.json`` history files, or a single history file/directory
-  (newest record vs its same-machine baseline).
+* ``explain`` — regression attribution between two runs of the same
+  kind: two traces (plus optional ``--metrics-before``/``--metrics-after``
+  for the counter and histogram drill-down), two ``--metrics`` files, or
+  two counter snapshots.
 * ``diff-counters`` — signed hardware-counter deltas with relative
   movement and stable top-movers ordering; inputs are counter-snapshot
   JSONs or ``--metrics`` files carrying the embed.
+* ``health`` — render, and optionally gate on, a fleet estimator-health
+  report (see below).
 
 ``--json PATH`` on every subcommand writes the structured result (the
-attribution subcommands write a ``repro.obs-report/1`` artifact).  All
-analysis is offline and deterministic: identical inputs produce
-byte-identical output at any ``--jobs``.  Exit codes: 0 ok, 1 unreadable
-or malformed artifact, 2 usage error.
+attribution subcommands write a ``repro.obs-report/1`` artifact, ``health``
+the normalized ``repro.health-report/1``).  All analysis is offline and
+deterministic: identical inputs produce byte-identical output at any
+``--jobs``.  Exit codes: 0 ok, 1 unreadable or malformed artifact, 2 usage
+error.
+
+``health`` reads either a saved ``repro.health-report/1`` artifact
+(``--report``) or any JSON file carrying per-tenant health summaries
+(``--stats``): a ``--metrics`` file from ``repro-serve``/
+``repro-experiments``, a raw ``stats`` wire response, or a ``repro-serve
+--json`` fleet report.  ``--alerts`` folds a JSONL alert log into the
+assembled report, and ``--counters-before``/``--counters-after`` add the
+top moved hardware counters.  ``--check`` turns the render into a gate:
+exit 1 when the fleet is unhealthy (drift alarms, health alerts, or a
+breached SLO).  ``--expect-drift`` flips the drift clause for
+injected-drift drills: the gate *fails unless* at least one drift alarm
+fired (coverage alerts are tolerated too — degraded coverage against
+base-regime truth is exactly what an injected drift causes), while
+staleness/SLO alerts still fail.
 """
 
 from __future__ import annotations
@@ -42,17 +58,16 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ObsError
-from repro.obs.bench_history import BENCH_SCHEMA, load_history
 from repro.obs.compare import (
     OBS_REPORT_SCHEMA,
-    compare_bench_records,
     compare_runs,
     counter_attribution,
-    explain_history,
+    format_movers,
     format_report,
     report_json,
 )
-from repro.obs.counters import SNAPSHOT_SCHEMA
+from repro.obs.counters import SNAPSHOT_SCHEMA, snapshot_deltas
+from repro.obs.health import build_health_report, read_alert_log
 from repro.obs.query import (
     RunBundle,
     aggregate,
@@ -63,12 +78,17 @@ from repro.obs.query import (
     load_trace,
     to_collapsed,
 )
+from repro.obs.validate import (
+    ArtifactError,
+    _check_health_report,
+    validate_counter_snapshot,
+)
 
 __all__ = ["main"]
 
 
 def _sniff(path: Path) -> str:
-    """Classify an artifact file: trace | metrics | bench | counters.
+    """Classify an artifact file: trace | metrics | counters.
 
     JSONL traces are not one JSON document, so a whole-file parse failure
     *is* the trace signal; single-document files classify by their schema
@@ -84,16 +104,13 @@ def _sniff(path: Path) -> str:
         return "trace"  # JSON-lines: many documents, one per line
     if not isinstance(payload, dict):
         raise ObsError(f"{path}: not a recognized telemetry artifact")
-    if payload.get("schema") == BENCH_SCHEMA:
-        return "bench"
     if payload.get("schema") == SNAPSHOT_SCHEMA:
         return "counters"
     if "metrics" in payload:
         return "metrics"
     raise ObsError(
         f"{path}: not a recognized telemetry artifact (expected a JSONL "
-        f"trace, a --metrics file, a {SNAPSHOT_SCHEMA!r} snapshot, or a "
-        f"{BENCH_SCHEMA!r} history file)"
+        f"trace, a --metrics file, or a {SNAPSHOT_SCHEMA!r} snapshot)"
     )
 
 
@@ -111,28 +128,27 @@ def _load_pair(jobs: int, load_a: Callable, load_b: Callable):
     return load_a(), load_b()
 
 
-def _load_counter_side(path: Path) -> dict:
-    kind = _sniff(path)
-    payload = json.loads(path.read_text())
-    if kind == "counters":
-        return payload
-    if kind == "metrics":
-        snap = payload.get("hardware_counters")
-        if snap is None:
-            raise ObsError(
-                f"{path}: metrics file carries no hardware_counters embed "
-                "(was the run made with --counters?)"
-            )
-        return snap
-    raise ObsError(f"{path}: expected a counter snapshot or a --metrics file")
+def _load_counter_snapshot(path: Path) -> dict:
+    """A validated counter snapshot, read raw or from a ``--metrics`` embed.
 
-
-def _bench_records(path: Path) -> list[dict]:
-    payload = json.loads(path.read_text())
-    records = payload.get("records")
-    if not isinstance(records, list) or not records:
-        raise ObsError(f"{path}: bench history has no records")
-    return records
+    The one loader behind ``diff-counters``, ``explain`` on two snapshots
+    and ``health --counters-before/--counters-after``: a snapshot with no
+    ``totals`` or a negative count is a malformed artifact (exit 1), never
+    "no counters moved".
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
+    if isinstance(payload, dict) and "hardware_counters" in payload:
+        payload = payload["hardware_counters"]
+    elif isinstance(payload, dict) and "metrics" in payload:
+        raise ObsError(
+            f"{path}: metrics file carries no hardware_counters embed "
+            "(was the run made with --counters?)"
+        )
+    validate_counter_snapshot(payload, path.name)
+    return payload
 
 
 def _write_json(path: Optional[Path], text: str) -> None:
@@ -189,28 +205,31 @@ def _cmd_flamegraph(args) -> int:
     return 0
 
 
+def _counters_report(args, before_path: Path, after_path: Path) -> dict:
+    snap_a, snap_b = _load_pair(
+        args.jobs,
+        lambda: _load_counter_snapshot(before_path),
+        lambda: _load_counter_snapshot(after_path),
+    )
+    return {
+        "schema": OBS_REPORT_SCHEMA,
+        "kind": "counters",
+        "total": None,
+        "spans": None,
+        "counters": counter_attribution(snap_a, snap_b, top=args.top),
+        "metrics": None,
+        "notes": [],
+    }
+
+
 def _explain_report(args) -> dict:
-    paths = [Path(p) for p in args.runs]
-    if len(paths) == 1:
-        target = paths[0]
-        records = (
-            load_history(target) if target.is_dir() else _bench_records(target)
-        )
-        return explain_history(records, top=args.top)
-    before_path, after_path = paths
+    before_path, after_path = (Path(p) for p in args.runs)
     kind_a, kind_b = _sniff(before_path), _sniff(after_path)
     if kind_a != kind_b:
         raise ObsError(
             f"cannot compare a {kind_a} artifact against a {kind_b} artifact; "
             "pass two runs of the same kind"
         )
-    if kind_a == "bench":
-        rec_a, rec_b = _load_pair(
-            args.jobs,
-            lambda: _bench_records(before_path)[-1],
-            lambda: _bench_records(after_path)[-1],
-        )
-        return compare_bench_records(rec_a, rec_b, top=args.top)
     if kind_a == "trace":
         bundle_a, bundle_b = _load_pair(
             args.jobs,
@@ -225,21 +244,7 @@ def _explain_report(args) -> dict:
             lambda: load_run(metrics=after_path),
         )
         return compare_runs(bundle_a, bundle_b, top=args.top)
-    snap_a, snap_b = _load_pair(
-        args.jobs,
-        lambda: _load_counter_side(before_path),
-        lambda: _load_counter_side(after_path),
-    )
-    return {
-        "schema": OBS_REPORT_SCHEMA,
-        "kind": "counters",
-        "total": None,
-        "spans": None,
-        "counters": counter_attribution(snap_a, snap_b, top=args.top),
-        "metrics": None,
-        "benchmarks": None,
-        "notes": [],
-    }
+    return _counters_report(args, before_path, after_path)
 
 
 def _cmd_explain(args) -> int:
@@ -250,37 +255,155 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_diff_counters(args) -> int:
-    snap_a, snap_b = _load_pair(
-        args.jobs,
-        lambda: _load_counter_side(Path(args.before)),
-        lambda: _load_counter_side(Path(args.after)),
-    )
-    counters = counter_attribution(snap_a, snap_b, top=args.top)
-    report = {
-        "schema": OBS_REPORT_SCHEMA,
-        "kind": "counters",
-        "total": None,
-        "spans": None,
-        "counters": counters,
-        "metrics": None,
-        "benchmarks": None,
-        "notes": [],
-    }
-    if not counters["movers"]:
+    report = _counters_report(args, Path(args.before), Path(args.after))
+    movers = report["counters"]["movers"]
+    if not movers:
         print("no counters moved")
     else:
         print(format_report(report, top=args.top or 10))
         print()
         print("movers (|delta| ordered):")
-        for row in counters["movers"][: args.top or 20]:
-            delta = row["delta"]
-            rendered = f"{delta:+.3f}" if isinstance(delta, float) else f"{delta:+d}"
-            rel = "-" if row["relative"] is None else f"{row['relative']:+.1%}"
-            print(
-                f"  {row['counter']}: {row['before']} -> {row['after']} "
-                f"({rendered}, {rel})"
-            )
+        print("\n".join(format_movers(movers[: args.top or 20])))
     _write_json(args.json_path, report_json(report))
+    return 0
+
+
+def _health_summaries(payload: dict, where: str) -> dict:
+    """Pull tenant health summaries out of any of the accepted JSON shapes."""
+    if "health" in payload and isinstance(payload["health"], dict):
+        health = payload["health"]
+        # A --metrics file's "health" key is a full report; a stats payload's
+        # is the plain tenant->summary mapping.
+        if health.get("schema") and "tenants" in health:
+            return dict(health["tenants"])
+        return dict(health)
+    if "serve" in payload and isinstance(payload["serve"], dict):
+        return _health_summaries(payload["serve"], where)
+    if "stats" in payload and isinstance(payload["stats"], dict):
+        return _health_summaries(payload["stats"], where)
+    raise ArtifactError(
+        f"{where}: no health summaries found (expected a 'health' key; was "
+        "the run made with health monitoring enabled?)"
+    )
+
+
+def _load_health_report(args) -> dict:
+    if args.report is not None:
+        report = json.loads(args.report.read_text())
+        _check_health_report(report, args.report.name)
+    else:
+        payload = json.loads(args.stats.read_text())
+        summaries = _health_summaries(payload, args.stats.name)
+        alerts = read_alert_log(args.alerts) if args.alerts is not None else ()
+        report = build_health_report(summaries, alerts=alerts)
+        _check_health_report(report, args.stats.name)
+    if args.counters_before is not None:
+        # Drift alerts name *what* drifted; the counter movers name what
+        # the hardware was doing differently while it drifted.
+        report["counter_movers"] = snapshot_deltas(
+            _load_counter_snapshot(args.counters_before),
+            _load_counter_snapshot(args.counters_after),
+            top=10,
+        )
+    return report
+
+
+def _render_health(report: dict) -> None:
+    fleet = report["fleet"]
+    print(
+        f"fleet: {fleet['tenants']} tenant(s), max drift score "
+        f"{fleet['max_drift_score']:.2f}, {fleet['drift_alarms']} drift "
+        f"alarm(s), {fleet['alerts']} alert(s)"
+    )
+    coverage = fleet["coverage"]
+    if coverage is None:
+        print("coverage: n/a (no audited checks)")
+    else:
+        print(
+            f"coverage: {coverage:.3f} over {fleet['coverage_checks']} checks "
+            f"(nominal {report['nominal_coverage']:.2f}, worst tenant "
+            f"{fleet['worst_coverage']:.3f})"
+        )
+    for name in sorted(report["tenants"]):
+        summary = report["tenants"][name]
+        cov = summary["coverage"]
+        staleness = summary["staleness_s"]
+        slo = summary.get("slo", {}).get("state", "-")
+        print(
+            f"  {name}: drift {summary['drift_score']:.2f} "
+            f"({summary['drift_alarms']} alarm(s)), coverage "
+            + ("n/a" if cov is None else f"{cov:.3f}")
+            + f"/{summary['coverage_checks']}, staleness "
+            + ("-" if staleness is None else f"{staleness:.1f}s")
+            + f", slo {slo}, {summary['alerts']} alert(s)"
+        )
+    for alert in report["alerts"]:
+        tag = f" {alert['procedure']}" if alert.get("procedure") else ""
+        print(
+            f"  alert [{alert['severity']}] {alert['kind']} "
+            f"{alert['source']}{tag}: {alert['value']:.4g} vs threshold "
+            f"{alert['threshold']:.4g}"
+            + (f" — {alert['detail']}" if alert.get("detail") else "")
+        )
+    movers = report.get("counter_movers")
+    if movers:
+        print("top moved counters:")
+        print("\n".join(format_movers(movers)))
+
+
+def _health_problems(report: dict, expect_drift: bool) -> list[str]:
+    fleet = report["fleet"]
+    problems = []
+    alert_kinds = {alert["kind"] for alert in report["alerts"]}
+    if expect_drift:
+        if fleet["drift_alarms"] < 1:
+            problems.append("expected a drift alarm; the detectors stayed quiet")
+        tolerated = {"drift", "coverage"}
+        bad = sorted(alert_kinds - tolerated)
+        if bad:
+            problems.append(f"unexpected alert kind(s): {', '.join(bad)}")
+    else:
+        if fleet["drift_alarms"] > 0:
+            problems.append(f"{fleet['drift_alarms']} drift alarm(s)")
+        tenant_alerts = sum(s["alerts"] for s in report["tenants"].values())
+        total_alerts = max(fleet["alerts"], tenant_alerts)
+        if total_alerts > 0:
+            kinds = f" ({', '.join(sorted(alert_kinds))})" if alert_kinds else ""
+            problems.append(f"{total_alerts} health alert(s){kinds}")
+    for name in sorted(report["tenants"]):
+        if report["tenants"][name].get("slo", {}).get("state") == "breached":
+            problems.append(f"{name}: SLO breached")
+    return problems
+
+
+def _cmd_health(args) -> int:
+    if (args.report is None) == (args.stats is None):
+        print("pass exactly one of --report or --stats", file=sys.stderr)
+        return 2
+    if args.expect_drift and not args.check:
+        print("--expect-drift only makes sense with --check", file=sys.stderr)
+        return 2
+    if (args.counters_before is None) != (args.counters_after is None):
+        print(
+            "--counters-before and --counters-after come as a pair",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        report = _load_health_report(args)
+    except (ObsError, ArtifactError, OSError, json.JSONDecodeError) as exc:
+        print(f"health report FAILED to load: {exc}", file=sys.stderr)
+        return 1
+
+    _render_health(report)
+    _write_json(args.json_path, report_json(report))
+    if args.check:
+        problems = _health_problems(report, args.expect_drift)
+        if problems:
+            for problem in problems:
+                print(f"UNHEALTHY: {problem}", file=sys.stderr)
+            return 1
+        print("healthy" + (" (drift detected, as expected)" if args.expect_drift else ""))
     return 0
 
 
@@ -311,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
         description="Query, visualize and diff the repo's own telemetry "
-        "artifacts (traces, metrics, counters, bench history).",
+        "artifacts (traces, metrics, counters, health reports).",
         epilog="exit codes: 0 ok; 1 unreadable or malformed artifact; "
         "2 usage error",
     )
@@ -347,12 +470,10 @@ def _build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain",
         help="attribute a regression between two runs (traces, metrics, "
-        "counter snapshots, or bench history)",
+        "or counter snapshots)",
     )
     explain.add_argument(
-        "runs", nargs="+", metavar="RUN",
-        help="two artifacts of the same kind, or one bench-history "
-        "file/directory (newest record vs its baseline)",
+        "runs", nargs=2, metavar="RUN", help="two artifacts of the same kind"
     )
     explain.add_argument(
         "--metrics-before", type=Path, default=None, metavar="PATH",
@@ -373,6 +494,56 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("after", help="counter snapshot or --metrics file")
     _add_common(diff)
     diff.set_defaults(func=_cmd_diff_counters)
+
+    health = sub.add_parser(
+        "health",
+        help="render (and optionally gate on) a fleet estimator-health report",
+        description="Render (and optionally gate on) a fleet estimator-health "
+        "report.",
+        epilog="exit codes: 0 healthy (or no --check); 1 unhealthy, or an "
+        "unreadable or invalid input; 2 usage error",
+    )
+    source = health.add_argument_group("input")
+    source.add_argument(
+        "--report", type=Path, default=None, metavar="PATH",
+        help="a saved repro.health-report/1 JSON artifact",
+    )
+    source.add_argument(
+        "--stats", type=Path, default=None, metavar="PATH",
+        help="any JSON carrying tenant health summaries: a --metrics file, a "
+        "stats wire response, or a repro-serve --json report",
+    )
+    source.add_argument(
+        "--alerts", type=Path, default=None, metavar="PATH",
+        help="JSONL alert log to fold into the report (see repro-serve "
+        "--alert-log)",
+    )
+    source.add_argument(
+        "--counters-before", type=Path, default=None, metavar="PATH",
+        help="hardware-counter snapshot (or --metrics file) from before the "
+        "drift window; with --counters-after, the report carries the top "
+        "moved counters",
+    )
+    source.add_argument(
+        "--counters-after", type=Path, default=None, metavar="PATH",
+        help="hardware-counter snapshot (or --metrics file) from after the "
+        "drift window",
+    )
+    gate = health.add_argument_group("gate")
+    gate.add_argument(
+        "--check", action="store_true",
+        help="exit 1 unless the fleet is healthy",
+    )
+    gate.add_argument(
+        "--expect-drift", action="store_true",
+        help="with --check: require at least one drift alarm (injected-drift "
+        "drill) and tolerate drift/coverage alerts",
+    )
+    health.add_argument(
+        "--json", type=Path, default=None, metavar="PATH", dest="json_path",
+        help="write the (normalized) health report to PATH",
+    )
+    health.set_defaults(func=_cmd_health)
     return parser
 
 
@@ -382,14 +553,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.command == "explain" and len(args.runs) not in (1, 2):
-        parser.error("explain takes one history file/directory or two artifacts")
-    if args.command == "explain" and len(args.runs) == 1:
-        if args.metrics_before or args.metrics_after:
-            parser.error("--metrics-before/--metrics-after need two trace runs")
     try:
         return args.func(args)
-    except (ObsError, OSError, json.JSONDecodeError) as exc:
+    except (ObsError, ArtifactError, OSError, json.JSONDecodeError) as exc:
         print(f"repro-obs FAILED: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,8 @@
 """Offline telemetry queries: span forests, self-time, flamegraphs, joins.
 
 Every artifact the observability stack emits — JSONL span traces, metrics
-snapshots with embedded run manifests and hardware counters, bench-history
-records — is append-time cheap and read-time mute: until this module,
+snapshots with embedded run manifests and hardware counters, counter
+snapshots — is append-time cheap and read-time mute: until this module,
 nothing in the repo could aggregate, walk or visualize any of it.  This is
 the read side.  It is strictly **offline**: nothing here runs inside an
 instrumented region, so the <5% telemetry-overhead gate and the engine's

@@ -19,7 +19,6 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.obs.bench_history import BENCH_SCHEMA
 from repro.obs.counters import SNAPSHOT_SCHEMA
 from repro.obs.health import ALERT_KINDS, ALERT_SCHEMA, REPORT_SCHEMA, SEVERITIES
 from repro.obs.trace import TRACE_SCHEMA
@@ -36,7 +35,6 @@ __all__ = [
     "validate_health_report",
     "validate_alert_log",
     "validate_hw_counters_file",
-    "validate_bench_file",
     "require_span_coverage",
 ]
 
@@ -448,7 +446,7 @@ def _check_health_report(payload, where: str) -> dict:
 
 
 def validate_health_report(path: Union[str, Path]) -> dict:
-    """Validate a fleet health-report JSON file (``repro-health`` artifact)."""
+    """Validate a fleet health-report JSON file (``repro-obs health`` artifact)."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -486,55 +484,12 @@ def validate_hw_counters_file(path: Union[str, Path]) -> dict:
     return validate_counter_snapshot(snap, path.name)
 
 
-def validate_bench_file(path: Union[str, Path]) -> dict:
-    """Validate a ``BENCH_<date>.json`` history file (``bench_track`` output)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
-    schema = _need(payload, "schema", str, path.name)
-    if schema != BENCH_SCHEMA:
-        raise ArtifactError(
-            f"{path.name}: schema {schema!r}, expected {BENCH_SCHEMA!r}"
-        )
-    records = _need(payload, "records", list, path.name)
-    if not records:
-        raise ArtifactError(f"{path.name}: history contains no records")
-    benchmarks = 0
-    snapshots = 0
-    for i, record in enumerate(records):
-        where = f"{path.name}: records[{i}]"
-        if not isinstance(record, dict):
-            raise ArtifactError(f"{where}: record must be an object")
-        _need(record, "created_utc", str, where)
-        _need(record, "git_sha", str, where)
-        _need(record, "host", dict, where)
-        benches = _need(record, "benchmarks", dict, where)
-        for name, stats in benches.items():
-            stat_where = f"{where}: benchmark {name!r}"
-            if not isinstance(stats, dict):
-                raise ArtifactError(f"{stat_where}: stats must be an object")
-            for key, value in stats.items():
-                if not isinstance(value, (int, float)) or value < 0:
-                    raise ArtifactError(
-                        f"{stat_where}: stat {key!r} must be a non-negative "
-                        f"number, got {value!r}"
-                    )
-        counters = _need(record, "counters", dict, where)
-        for name, snap in counters.items():
-            validate_counter_snapshot(snap, f"{where}: counters[{name!r}]")
-        benchmarks += len(benches)
-        snapshots += len(counters)
-    return {"records": len(records), "benchmarks": benchmarks, "snapshots": snapshots}
-
-
 #: Schema tag on attribution reports (``repro.obs.compare``).  Spelled out
 #: here (like ``SERVE_SCHEMA``) so the validators import nothing cyclic.
 OBS_REPORT_SCHEMA = "repro.obs-report/1"
 
 #: The report kinds ``repro-obs`` emits.
-OBS_REPORT_KINDS = ("runs", "bench", "counters", "aggregate", "critical-path")
+OBS_REPORT_KINDS = ("runs", "counters", "aggregate", "critical-path")
 
 
 def _check_numeric_rows(rows, where: str, key_field: str) -> None:
@@ -579,7 +534,7 @@ def validate_obs_report(path: Union[str, Path]) -> dict:
         rows = _need(payload, "rows", list, path.name)
         _check_numeric_rows(rows, f"{path.name}: rows", "name")
         return {"kind": kind, "rows": len(rows)}
-    for key in ("total", "spans", "counters", "metrics", "benchmarks", "notes"):
+    for key in ("total", "spans", "counters", "metrics", "notes"):
         _need(payload, key, object, path.name)
     notes = payload["notes"]
     if not isinstance(notes, list) or any(not isinstance(n, str) for n in notes):
@@ -591,11 +546,6 @@ def validate_obs_report(path: Union[str, Path]) -> dict:
             _need(total, key, (int, float), f"{path.name}: total")
     if payload["spans"] is not None:
         _check_numeric_rows(payload["spans"], f"{path.name}: spans", "span")
-        sections += 1
-    if payload["benchmarks"] is not None:
-        _check_numeric_rows(
-            payload["benchmarks"], f"{path.name}: benchmarks", "benchmark"
-        )
         sections += 1
     if payload["counters"] is not None:
         counters = _need(payload, "counters", dict, path.name)
@@ -631,7 +581,7 @@ def validate_obs_report(path: Union[str, Path]) -> dict:
     if sections == 0:
         raise ArtifactError(
             f"{path.name}: report has no attribution sections "
-            "(spans, counters, metrics and benchmarks are all null)"
+            "(spans, counters and metrics are all null)"
         )
     return {"kind": kind, "sections": sections, "notes": len(notes)}
 

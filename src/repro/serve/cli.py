@@ -28,8 +28,8 @@ detectors and a CI-calibration audit run alongside absorption, per-tenant
 summaries land in the stats payload (and ``--metrics`` gains a ``health``
 report), and ``--alert-log PATH`` exports every alert as JSONL.
 ``--drift-at-shard N`` injects a mid-stream regime change — the drill the
-detectors are supposed to catch (``repro-health --check --expect-drift``
-gates on it in CI).
+detectors are supposed to catch (``repro-obs health --check
+--expect-drift`` gates on it in CI).
 """
 
 from __future__ import annotations

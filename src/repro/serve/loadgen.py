@@ -113,7 +113,7 @@ class FleetSpec:
 
 @dataclass(frozen=True)
 class FleetReport:
-    """What one fleet run produced, for gates and the bench history."""
+    """What one fleet run produced, for the serve gates and reports."""
 
     shards_sent: int
     shards_accepted: int

@@ -18,10 +18,6 @@ an absorbing chain over blocks and branch-arm pseudo-states whose total
 reward is exactly the interpreter's cycle count — parameterized by the
 branch probabilities.  This is the forward model that Code Tomography
 inverts.
-
-:mod:`repro.sim.surrogate` fits a ridge-regression block-throughput model
-over instruction-mix features — an optional fast pricer for placement
-search inner loops, shipped with its measured-error report.
 """
 
 from repro.sim.trace import ExecutionCounters, InvocationRecord, RunResult
@@ -34,7 +30,6 @@ from repro.sim.runner import (
     run_program_batched,
     split_activations,
 )
-from repro.sim.surrogate import SurrogateCostModel, SurrogateReport, fit_surrogate
 from repro.sim.timing import ProcedureTimingModel, ProgramTimingModel
 from repro.sim.vectorized import run_motes, run_motes_merged, vectorize_eligible
 
@@ -52,9 +47,6 @@ __all__ = [
     "run_motes",
     "run_motes_merged",
     "vectorize_eligible",
-    "SurrogateCostModel",
-    "SurrogateReport",
-    "fit_surrogate",
     "ProcedureTimingModel",
     "ProgramTimingModel",
 ]

@@ -4,8 +4,8 @@ The CI smoke job scripts against this contract, so it gets its own
 systematic coverage: every flag with a valid artifact exits 0, every flag
 with a malformed or missing artifact exits 1, and every flagless or
 contradictory invocation exits 2 — across ``--trace``, ``--metrics``,
-``--hw-counters``, ``--bench``, ``--health``, ``--alerts`` and
-``--report``, alone and combined.
+``--hw-counters``, ``--health``, ``--alerts`` and ``--report``, alone
+and combined.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.bench_history import append_record, bench_path, build_record
 from repro.obs.compare import compare_runs, report_json
 from repro.obs.counters import SNAPSHOT_SCHEMA
 from repro.obs.health import (
@@ -54,7 +53,6 @@ def good(tmp_path):
         "--trace": write_jsonl(tmp_path / "trace.jsonl", tracer),
         "--metrics": tmp_path / "metrics.json",
         "--hw-counters": tmp_path / "snap.json",
-        "--bench": bench_path(tmp_path, "2026-08-08"),
         "--health": tmp_path / "health.json",
         "--alerts": tmp_path / "alerts.jsonl",
         "--report": tmp_path / "report.json",
@@ -65,12 +63,6 @@ def good(tmp_path):
         )
     )
     paths["--hw-counters"].write_text(json.dumps(hw_snapshot()))
-    append_record(
-        paths["--bench"],
-        build_record(
-            counter_snapshots={"test_f4": hw_snapshot()}, git_sha="aaa111"
-        ),
-    )
     monitor = EstimatorHealthMonitor()
     paths["--health"].write_text(
         json.dumps(build_health_report({"default": monitor.summary(now=0.0)}))
@@ -103,7 +95,6 @@ ALL_FLAGS = (
     "--trace",
     "--metrics",
     "--hw-counters",
-    "--bench",
     "--health",
     "--alerts",
     "--report",
@@ -161,6 +152,13 @@ class TestExitOne:
         assert module.main(["--trace", str(good["--trace"])]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_wrong_counter_schema_exits_1(self, module, good, capsys):
+        good["--hw-counters"].write_text(
+            json.dumps({"schema": "wrong/1", "totals": {}, "per_proc": {}})
+        )
+        assert module.main(["--hw-counters", str(good["--hw-counters"])]) == 1
+        assert "FAILED" in capsys.readouterr().err
+
     def test_wrong_report_schema_exits_1(self, module, good, capsys):
         payload = json.loads(good["--report"].read_text())
         payload["schema"] = "repro.obs-report/99"
@@ -179,7 +177,6 @@ class TestExitOne:
                     "spans": None,
                     "counters": None,
                     "metrics": None,
-                    "benchmarks": None,
                     "notes": [],
                 }
             )

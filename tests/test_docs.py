@@ -40,7 +40,6 @@ FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 CLI_MODULES = {
     "repro-experiments": "repro.experiments",
     "repro-serve": "repro.serve",
-    "repro-health": "repro.obs.health_cli",
     "repro-obs": "repro.obs.obs_cli",
 }
 

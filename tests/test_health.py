@@ -15,7 +15,7 @@ Four layers of coverage:
 * serve integration — per-tenant monitors in the ingestion service
   (uptime/health stats embeds, SLO breaches, causal trace ids, monitor
   survival across rebalance, bit-identity at any worker count), the
-  fleet report/alert-log validators, and the ``repro-health`` CLI gate.
+  fleet report/alert-log validators, and the ``repro-obs health`` CLI gate.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.obs import (
     validate_health_report,
     validate_serve_stats,
 )
+from repro.obs import obs_cli
 from repro.obs.health import (
     ALERT_KINDS,
     AlertEvent,
@@ -55,7 +56,6 @@ from repro.obs.health import (
     residual_signals,
     write_alert_log,
 )
-from repro.obs.health_cli import main as health_cli
 from repro.profiling import TimingProfiler
 from repro.serve import IngestionService, ServiceConfig, parse_request_line
 from repro.serve.loadgen import (
@@ -748,6 +748,11 @@ class TestHealthReport:
             validate_health_report(path)
 
 
+def obs_health(argv):
+    """Run ``repro-obs health`` with ``argv``; returns the exit code."""
+    return obs_cli.main(["health", *argv])
+
+
 class TestHealthCli:
     def write_report(self, tmp_path, name="health.json", **tenant_overrides):
         alerts = tenant_overrides.pop("alerts_list", [])
@@ -760,15 +765,14 @@ class TestHealthCli:
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         report = self.write_report(tmp_path)
-        assert health_cli([]) == 2
-        assert health_cli(["--report", str(report), "--stats", str(report)]) == 2
-        assert health_cli(["--report", str(report), "--expect-drift"]) == 2
-        assert health_cli(["--report", str(tmp_path / "missing.json")]) == 2
+        assert obs_health([]) == 2
+        assert obs_health(["--report", str(report), "--stats", str(report)]) == 2
+        assert obs_health(["--report", str(report), "--expect-drift"]) == 2
         capsys.readouterr()
 
     def test_healthy_report_passes_check(self, tmp_path, capsys):
         report = self.write_report(tmp_path)
-        assert health_cli(["--report", str(report), "--check"]) == 0
+        assert obs_health(["--report", str(report), "--check"]) == 0
         out = capsys.readouterr().out
         assert "healthy" in out and "fleet: 1 tenant(s)" in out
 
@@ -785,23 +789,23 @@ class TestHealthCli:
                 )
             ],
         )
-        assert health_cli(["--report", str(report), "--check"]) == 1
+        assert obs_health(["--report", str(report), "--check"]) == 1
         assert "UNHEALTHY" in capsys.readouterr().err
         assert (
-            health_cli(["--report", str(report), "--check", "--expect-drift"]) == 0
+            obs_health(["--report", str(report), "--check", "--expect-drift"]) == 0
         )
         capsys.readouterr()
 
     def test_expect_drift_fails_on_quiet_fleet(self, tmp_path, capsys):
         report = self.write_report(tmp_path)
         assert (
-            health_cli(["--report", str(report), "--check", "--expect-drift"]) == 1
+            obs_health(["--report", str(report), "--check", "--expect-drift"]) == 1
         )
         assert "stayed quiet" in capsys.readouterr().err
 
     def test_breached_slo_always_fails_check(self, tmp_path, capsys):
         report = self.write_report(tmp_path, slo={"state": "breached"})
-        assert health_cli(["--report", str(report), "--check"]) == 1
+        assert obs_health(["--report", str(report), "--check"]) == 1
         assert "SLO breached" in capsys.readouterr().err
 
     def test_stats_input_with_alert_log_and_json_output(self, tmp_path, capsys):
@@ -818,7 +822,7 @@ class TestHealthCli:
             ],
         )
         out_path = tmp_path / "report.json"
-        code = health_cli(
+        code = obs_health(
             [
                 "--stats", str(stats_path),
                 "--alerts", str(alerts_path),
@@ -835,21 +839,22 @@ class TestHealthCli:
         full = build_health_report({"t": make_summary()})
         metrics_path = tmp_path / "metrics.json"
         metrics_path.write_text(json.dumps({"health": full}))
-        assert health_cli(["--stats", str(metrics_path)]) == 0
+        assert obs_health(["--stats", str(metrics_path)]) == 0
         fleet_path = tmp_path / "fleet.json"
         fleet_path.write_text(
             json.dumps({"stats": {"health": {"t": make_summary()}}})
         )
-        assert health_cli(["--stats", str(fleet_path)]) == 0
+        assert obs_health(["--stats", str(fleet_path)]) == 0
         capsys.readouterr()
 
     def test_invalid_inputs_exit_1(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")
-        assert health_cli(["--report", str(garbage)]) == 1
+        assert obs_health(["--report", str(garbage)]) == 1
         no_health = tmp_path / "no_health.json"
         no_health.write_text(json.dumps({"metrics": {}}))
-        assert health_cli(["--stats", str(no_health)]) == 1
+        assert obs_health(["--stats", str(no_health)]) == 1
+        assert obs_health(["--report", str(tmp_path / "missing.json")]) == 1
         assert "FAILED to load" in capsys.readouterr().err
 
     def test_counter_movers_ride_along_with_drift(self, tmp_path, capsys):
@@ -868,7 +873,7 @@ class TestHealthCli:
         before.write_text(json.dumps(snap))
         after.write_text(json.dumps(drifted))
         out_path = tmp_path / "out.json"
-        code = health_cli(
+        code = obs_health(
             [
                 "--report", str(report),
                 "--counters-before", str(before),
@@ -890,7 +895,7 @@ class TestHealthCli:
         snap = tmp_path / "snap.json"
         snap.write_text(json.dumps({"schema": "repro.hwcounters/1",
                                     "totals": {}, "per_proc": {}}))
-        code = health_cli(
+        code = obs_health(
             ["--report", str(report), "--counters-before", str(snap)]
         )
         assert code == 2

@@ -18,9 +18,7 @@ from repro.errors import ObsError
 from repro.obs import obs_cli
 from repro.obs.compare import (
     OBS_REPORT_SCHEMA,
-    compare_bench_records,
     compare_runs,
-    explain_history,
     format_report,
     span_attribution,
 )
@@ -234,56 +232,28 @@ class TestCliDeterminism:
         assert "cycles.block" in capsys.readouterr().out
         assert validate_obs_report(out)["kind"] == "counters"
 
-
-class TestBenchRecordAttribution:
-    def bench_record(self, median=1.0, block_cycles=1000, sha="aaa111",
-                     machine="box-1"):
-        return {
-            "created_utc": "2026-08-01T00:00:00+00:00",
-            "git_sha": sha,
-            "host": {"machine": machine},
-            "benchmarks": {
-                "bench_f4.py::test_f4": {"median": median, "rounds": 1},
-                "bench_f1.py::test_f1": {"median": 0.5, "rounds": 1},
-            },
-            "counters": {
-                "bench_f4.py::test_f4": hw_snapshot(block_cycles=block_cycles)
-            },
-        }
-
-    def test_bench_delta_ranked_with_counters(self):
-        report = compare_bench_records(
-            self.bench_record(),
-            self.bench_record(median=1.3, block_cycles=2100, sha="bbb222"),
-        )
-        assert report["kind"] == "bench"
-        assert report["benchmarks"][0]["benchmark"] == "bench_f4.py::test_f4"
-        assert report["benchmarks"][0]["delta_s"] == pytest.approx(0.3)
-        assert report["counters"]["groups"][0]["group"] == "cycles"
-        assert any("aaa111" in n and "bbb222" in n for n in report["notes"])
-
-    def test_explain_history_prefers_same_machine_baseline(self):
-        records = [
-            self.bench_record(median=1.0, machine="box-1"),
-            self.bench_record(median=9.0, machine="box-2", sha="ccc"),
-            self.bench_record(median=1.2, machine="box-1", sha="ddd"),
-        ]
-        report = explain_history(records)
-        # baseline is the box-1 record (median 1.0), not the noisy box-2 one
-        assert report["benchmarks"][0]["delta_s"] == pytest.approx(0.2)
-        assert not any("different host" in n for n in report["notes"])
-
-    def test_explain_history_falls_back_with_a_note(self):
-        records = [
-            self.bench_record(median=1.0, machine="box-2"),
-            self.bench_record(median=1.2, machine="box-1", sha="ddd"),
-        ]
-        report = explain_history(records)
-        assert any("different host" in n for n in report["notes"])
-
-    def test_explain_history_needs_two_records(self):
-        with pytest.raises(ObsError, match="at least two"):
-            explain_history([self.bench_record()])
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"schema": SNAPSHOT_SCHEMA, "per_proc": {}},
+            {"schema": SNAPSHOT_SCHEMA, "totals": {"a": -1}, "per_proc": {}},
+        ],
+        ids=["no-totals", "negative-count"],
+    )
+    def test_diff_counters_rejects_malformed_snapshots(
+        self, malformed, tmp_path, capsys
+    ):
+        # A snapshot with no totals once read as "no counters moved", and a
+        # negative count as a mover; both are malformed artifacts (exit 1),
+        # whichever side they are on.
+        good = tmp_path / "good.json"
+        bad = tmp_path / "bad.json"
+        good.write_text(json.dumps(hw_snapshot()))
+        bad.write_text(json.dumps(malformed))
+        for before, after in ((bad, bad), (good, bad), (bad, good)):
+            assert obs_cli.main(["diff-counters", str(before), str(after)]) == 1
+            err = capsys.readouterr().err
+            assert "FAILED" in err and "bad.json" in err
 
 
 class TestCounterDeltas:
