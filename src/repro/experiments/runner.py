@@ -44,18 +44,16 @@ from repro.experiments.engine import (
 )
 from repro.mote.platform import MICAZ_LIKE, TELOSB_LIKE
 from repro.obs import (
-    HardwareCounters,
     MetricsRegistry,
     Tracer,
-    build_manifest,
-    counters_active,
-    format_counters,
     metrics_active,
     tracing,
     write_chrome_trace,
     write_jsonl,
     write_metrics,
 )
+from repro.obs.counters import HardwareCounters, counters_active, format_counters
+from repro.obs.manifest import build_manifest
 from repro.profiling.serialize import json_default
 
 __all__ = ["main"]

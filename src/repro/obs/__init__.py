@@ -1,12 +1,13 @@
-"""``repro.obs`` — tracing, metrics and run-manifest telemetry.
+"""``repro.obs`` — tracing and metrics telemetry.
 
 The observability layer for the reproduction's own pipeline ("profile the
-profiler"): nestable spans with JSONL/Chrome-trace exporters
-(:mod:`repro.obs.trace`), a counters/gauges/histograms registry
-(:mod:`repro.obs.metrics`), the run manifest (:mod:`repro.obs.manifest`),
-estimator-health monitoring — drift detectors, CI-calibration audits and
-structured alerts (:mod:`repro.obs.health`) — and artifact validators
-(:mod:`repro.obs.validate`).
+profiler").  The package re-exports its in-process instrumentation API:
+nestable spans with JSONL/Chrome-trace exporters (:mod:`repro.obs.trace`)
+and a counters/gauges/histograms registry (:mod:`repro.obs.metrics`).
+Everything else is imported from its own module: hardware counters, the
+run manifest, estimator health, the offline readers and analysis, and the
+artifact shapes (``counters``, ``manifest``, ``health``, ``query``,
+``compare``, ``validate``).
 
 The contract every instrumented module leans on: **telemetry off (the
 default) is a strict no-op** — no RNG draws, no table changes, near-zero
@@ -15,167 +16,8 @@ off, serial, or parallel.  See ``docs/observability.md``.
 """
 
 from repro.errors import ObsError
-from repro.obs.counters import (
-    FLOAT_COUNTER_RTOL,
-    HardwareCounters,
-    counter_group,
-    counters_active,
-    current_counters,
-    diff_snapshots,
-    empty_snapshot,
-    format_counters,
-    merge_snapshots,
-    snapshot_deltas,
-)
-from repro.obs.compare import (
-    OBS_REPORT_SCHEMA,
-    compare_runs,
-    counter_attribution,
-    format_report,
-    metrics_attribution,
-    report_json,
-    span_attribution,
-)
-from repro.obs.query import (
-    RunBundle,
-    SpanNode,
-    TraceForest,
-    aggregate,
-    critical_path,
-    load_run,
-    load_trace,
-    parse_collapsed,
-    to_collapsed,
-)
-from repro.obs.manifest import SEED_SCHEME, build_manifest, host_facts
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    inc,
-    metrics_active,
-    observe,
-    set_gauge,
-    write_metrics,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA,
-    SpanRecord,
-    Tracer,
-    chrome_trace_events,
-    current_tracer,
-    instant,
-    span,
-    tracing,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.health import (
-    ALERT_SCHEMA,
-    REPORT_SCHEMA,
-    AlertEvent,
-    CoverageAudit,
-    Cusum,
-    EstimatorHealthMonitor,
-    HealthConfig,
-    PageHinkley,
-    build_health_report,
-    read_alert_log,
-    residual_signals,
-    write_alert_log,
-)
-from repro.obs.validate import (
-    ArtifactError,
-    require_span_coverage,
-    validate_obs_report,
-    validate_alert_log,
-    validate_chrome_trace,
-    validate_counter_snapshot,
-    validate_health_report,
-    validate_health_summary,
-    validate_hw_counters_file,
-    validate_metrics_file,
-    validate_serve_stats,
-    validate_trace_jsonl,
-)
+from repro.obs import metrics, trace
+from repro.obs.metrics import *  # noqa: F403 - re-exported below
+from repro.obs.trace import *  # noqa: F403 - re-exported below
 
-__all__ = [
-    "ObsError",
-    "FLOAT_COUNTER_RTOL",
-    "HardwareCounters",
-    "counter_group",
-    "counters_active",
-    "current_counters",
-    "diff_snapshots",
-    "empty_snapshot",
-    "format_counters",
-    "merge_snapshots",
-    "snapshot_deltas",
-    "OBS_REPORT_SCHEMA",
-    "compare_runs",
-    "counter_attribution",
-    "format_report",
-    "metrics_attribution",
-    "report_json",
-    "span_attribution",
-    "RunBundle",
-    "SpanNode",
-    "TraceForest",
-    "aggregate",
-    "critical_path",
-    "load_run",
-    "load_trace",
-    "parse_collapsed",
-    "to_collapsed",
-    "SEED_SCHEME",
-    "build_manifest",
-    "host_facts",
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "current_registry",
-    "inc",
-    "metrics_active",
-    "observe",
-    "set_gauge",
-    "write_metrics",
-    "TRACE_SCHEMA",
-    "SpanRecord",
-    "Tracer",
-    "chrome_trace_events",
-    "current_tracer",
-    "instant",
-    "span",
-    "tracing",
-    "write_chrome_trace",
-    "write_jsonl",
-    "ALERT_SCHEMA",
-    "REPORT_SCHEMA",
-    "AlertEvent",
-    "CoverageAudit",
-    "Cusum",
-    "EstimatorHealthMonitor",
-    "HealthConfig",
-    "PageHinkley",
-    "build_health_report",
-    "read_alert_log",
-    "residual_signals",
-    "write_alert_log",
-    "ArtifactError",
-    "require_span_coverage",
-    "validate_obs_report",
-    "validate_alert_log",
-    "validate_chrome_trace",
-    "validate_counter_snapshot",
-    "validate_health_report",
-    "validate_health_summary",
-    "validate_hw_counters_file",
-    "validate_metrics_file",
-    "validate_serve_stats",
-    "validate_trace_jsonl",
-]
+__all__ = ["ObsError", *trace.__all__, *metrics.__all__]

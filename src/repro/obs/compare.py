@@ -30,9 +30,9 @@ from typing import Mapping, Optional, Sequence
 from repro.errors import ObsError
 from repro.obs.counters import snapshot_deltas
 from repro.obs.query import RunBundle, TraceForest, aggregate
+from repro.obs.validate import OBS_REPORT_SCHEMA
 
 __all__ = [
-    "OBS_REPORT_SCHEMA",
     "span_attribution",
     "counter_attribution",
     "metrics_attribution",
@@ -41,10 +41,6 @@ __all__ = [
     "format_report",
     "report_json",
 ]
-
-#: Schema tag on every attribution report.
-OBS_REPORT_SCHEMA = "repro.obs-report/1"
-
 
 def _share(delta: float, total_delta: float) -> Optional[float]:
     return (delta / total_delta) if total_delta else None

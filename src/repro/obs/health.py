@@ -49,10 +49,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from repro.errors import ObsError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.obs.validate import ALERT, ALERT_SCHEMA, REPORT_SCHEMA, check, read_jsonl
 
 __all__ = [
-    "ALERT_SCHEMA",
-    "REPORT_SCHEMA",
     "HealthConfig",
     "PageHinkley",
     "Cusum",
@@ -64,26 +63,6 @@ __all__ = [
     "read_alert_log",
     "build_health_report",
 ]
-
-#: Schema tag stamped on every serialized alert (one JSONL line each).
-ALERT_SCHEMA = "repro.health-alert/1"
-
-#: Schema tag stamped on a fleet health report (``repro-obs health`` output).
-REPORT_SCHEMA = "repro.health-report/1"
-
-#: Alert severities, mild to severe (the vocabulary is closed).
-SEVERITIES = ("warning", "critical")
-
-#: Alert kinds the monitor can emit (the vocabulary is closed).
-ALERT_KINDS = (
-    "drift",
-    "coverage",
-    "staleness",
-    "slo-latency",
-    "slo-backlog",
-    "slo-deferral",
-)
-
 
 @dataclass(frozen=True)
 class HealthConfig:
@@ -449,7 +428,8 @@ class CoverageAudit:
 class AlertEvent:
     """One threshold crossing, structured for machines.
 
-    ``kind`` comes from :data:`ALERT_KINDS`; ``source`` names the stream
+    ``kind`` comes from :data:`repro.obs.validate.ALERT_KINDS` and
+    ``severity`` from its ``SEVERITIES``; ``source`` names the stream
     (tenant key, or ``"estimator"`` for a bare monitor); ``value`` crossed
     ``threshold``; ``shard`` is the trajectory index at emission (-1 when
     the alert is not tied to a shard, e.g. staleness).
@@ -465,12 +445,8 @@ class AlertEvent:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ALERT_KINDS:
-            raise ObsError(f"unknown alert kind {self.kind!r} (known: {ALERT_KINDS})")
-        if self.severity not in SEVERITIES:
-            raise ObsError(
-                f"unknown severity {self.severity!r} (known: {SEVERITIES})"
-            )
+        check(self.kind, ALERT["kind"], "alert")
+        check(self.severity, ALERT["severity"], "alert")
 
     def to_json(self) -> dict:
         payload: dict = {
@@ -498,36 +474,26 @@ def write_alert_log(path: Union[str, Path], events: Sequence[AlertEvent]) -> Pat
 
 
 def read_alert_log(path: Union[str, Path]) -> list[AlertEvent]:
-    """Parse a JSONL alert log back into :class:`AlertEvent` records."""
-    path = Path(path)
+    """Parse a JSONL alert log back into :class:`AlertEvent` records.
+
+    Every line must be a whole ``repro.health-alert/1`` record; anything
+    else raises :class:`~repro.obs.validate.ArtifactError` naming the line.
+    """
     events = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObsError(f"{path.name}:{lineno}: not valid JSON: {exc}") from exc
-        if obj.get("schema") != ALERT_SCHEMA:
-            raise ObsError(
-                f"{path.name}:{lineno}: schema {obj.get('schema')!r}, "
-                f"expected {ALERT_SCHEMA!r}"
+    for where, obj in read_jsonl(path):
+        check(obj, ALERT, where)
+        events.append(
+            AlertEvent(
+                kind=obj["kind"],
+                severity=obj["severity"],
+                source=obj["source"],
+                value=float(obj["value"]),
+                threshold=float(obj["threshold"]),
+                shard=obj["shard"],
+                procedure=obj.get("procedure"),
+                detail=obj.get("detail", ""),
             )
-        try:
-            events.append(
-                AlertEvent(
-                    kind=obj["kind"],
-                    severity=obj["severity"],
-                    source=obj["source"],
-                    value=float(obj["value"]),
-                    threshold=float(obj["threshold"]),
-                    shard=int(obj.get("shard", -1)),
-                    procedure=obj.get("procedure"),
-                    detail=obj.get("detail", ""),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ObsError(f"{path.name}:{lineno}: malformed alert: {exc}") from exc
+        )
     return events
 
 

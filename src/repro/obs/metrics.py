@@ -254,8 +254,8 @@ def write_metrics(
     (:meth:`repro.serve.service.IngestionService.stats_payload`) — likewise
     for service runs; ``health`` — a fleet health report
     (:func:`repro.obs.health.build_health_report`) — for monitored runs.
-    These five keys are the file's complete top-level vocabulary;
-    :func:`repro.obs.validate.validate_metrics_file` rejects anything else.
+    These five keys are the file's complete top-level vocabulary; its
+    reader (:data:`repro.obs.validate.METRICS_FILE`) rejects anything else.
     """
     path = Path(path)
     payload: dict = {"metrics": registry.snapshot()}

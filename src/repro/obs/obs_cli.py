@@ -9,8 +9,9 @@ Examples::
         --metrics-before before_metrics.json --metrics-after after_metrics.json
     repro-obs diff-counters before_snap.json after_snap.json --top 10
     repro-obs health --stats serve_metrics.json --alerts alerts.jsonl --check
+    repro-obs check --trace trace.jsonl --metrics metrics.json --require-coverage
 
-Six subcommands over the artifacts the obs stack already emits:
+Seven subcommands over the artifacts the obs stack already emits:
 
 * ``aggregate`` — per-span-name inclusive/exclusive self-time table.
 * ``flamegraph`` — Brendan Gregg collapsed-stack export (``stack µs``),
@@ -25,8 +26,10 @@ Six subcommands over the artifacts the obs stack already emits:
   JSONs or ``--metrics`` files carrying the embed.
 * ``health`` — render, and optionally gate on, a fleet estimator-health
   report (see below).
+* ``check`` — read each artifact through the reader the subcommands above
+  use and print a one-line summary (CI's artifact check).
 
-``--json PATH`` on every subcommand writes the structured result (the
+``--json PATH`` on the analysis subcommands writes the structured result (the
 attribution subcommands write a ``repro.obs-report/1`` artifact, ``health``
 the normalized ``repro.health-report/1``).  All analysis is offline and
 deterministic: identical inputs produce byte-identical output at any
@@ -59,7 +62,6 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import ObsError
 from repro.obs.compare import (
-    OBS_REPORT_SCHEMA,
     compare_runs,
     counter_attribution,
     format_movers,
@@ -79,31 +81,38 @@ from repro.obs.query import (
     to_collapsed,
 )
 from repro.obs.validate import (
+    CHROME_TRACE,
+    COUNTER_SNAPSHOT,
+    HEALTH_REPORT,
+    METRICS_FILE,
+    OBS_REPORT,
+    OBS_REPORT_SCHEMA,
     ArtifactError,
-    _check_health_report,
-    validate_counter_snapshot,
+    check,
+    read_json,
+    require_span_coverage,
 )
 
 __all__ = ["main"]
 
 
 def _sniff(path: Path) -> str:
-    """Classify an artifact file: trace | metrics | counters.
+    """Classify an artifact file: trace | chrome | metrics | counters.
 
     JSONL traces are not one JSON document, so a whole-file parse failure
     *is* the trace signal; single-document files classify by their schema
-    tag or top-level vocabulary.
+    tag or top-level vocabulary (a Chrome export holds ``traceEvents``).
     """
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ObsError(f"cannot read {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError:
         return "trace"  # JSON-lines: many documents, one per line
     if not isinstance(payload, dict):
         raise ObsError(f"{path}: not a recognized telemetry artifact")
+    if "traceEvents" in payload:
+        return "chrome"
+    if "type" in payload:
+        return "trace"  # a JSONL trace of one record
     if payload.get("schema") == SNAPSHOT_SCHEMA:
         return "counters"
     if "metrics" in payload:
@@ -129,17 +138,15 @@ def _load_pair(jobs: int, load_a: Callable, load_b: Callable):
 
 
 def _load_counter_snapshot(path: Path) -> dict:
-    """A validated counter snapshot, read raw or from a ``--metrics`` embed.
+    """A checked counter snapshot, read raw or from a ``--metrics`` embed.
 
-    The one loader behind ``diff-counters``, ``explain`` on two snapshots
-    and ``health --counters-before/--counters-after``: a snapshot with no
-    ``totals`` or a negative count is a malformed artifact (exit 1), never
-    "no counters moved".
+    The one loader behind ``diff-counters``, ``explain`` on two snapshots,
+    ``health --counters-before/--counters-after`` and ``check
+    --hw-counters``: a snapshot with no ``totals`` or a negative count is a
+    malformed artifact (exit 1), never "no counters moved".
     """
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
+    path = Path(path)
+    payload = read_json(path)
     if isinstance(payload, dict) and "hardware_counters" in payload:
         payload = payload["hardware_counters"]
     elif isinstance(payload, dict) and "metrics" in payload:
@@ -147,13 +154,19 @@ def _load_counter_snapshot(path: Path) -> dict:
             f"{path}: metrics file carries no hardware_counters embed "
             "(was the run made with --counters?)"
         )
-    validate_counter_snapshot(payload, path.name)
+    check(payload, COUNTER_SNAPSHOT, path.name)
     return payload
 
 
 def _write_json(path: Optional[Path], text: str) -> None:
     if path is not None:
         path.write_text(text)
+
+
+def _write_rows(args, rows: list[dict]) -> None:
+    """``--json`` for the row reports; the subcommand names the kind."""
+    report = {"schema": OBS_REPORT_SCHEMA, "kind": args.command, "rows": rows}
+    _write_json(args.json_path, report_json(report))
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -163,15 +176,7 @@ def _cmd_aggregate(args) -> int:
     forest = load_trace(args.trace)
     rows = aggregate(forest)
     print(format_aggregate(rows, top=args.top))
-    _write_json(
-        args.json_path,
-        json.dumps(
-            {"schema": OBS_REPORT_SCHEMA, "kind": "aggregate", "rows": rows},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    _write_rows(args, rows)
     return 0
 
 
@@ -179,15 +184,7 @@ def _cmd_critical_path(args) -> int:
     forest = load_trace(args.trace)
     rows = critical_path(forest)
     print(format_critical_path(rows))
-    _write_json(
-        args.json_path,
-        json.dumps(
-            {"schema": OBS_REPORT_SCHEMA, "kind": "critical-path", "rows": rows},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    _write_rows(args, rows)
     return 0
 
 
@@ -230,6 +227,8 @@ def _explain_report(args) -> dict:
             f"cannot compare a {kind_a} artifact against a {kind_b} artifact; "
             "pass two runs of the same kind"
         )
+    if kind_a == "chrome":
+        raise ObsError("explain reads JSONL traces, not Chrome exports")
     if kind_a == "trace":
         bundle_a, bundle_b = _load_pair(
             args.jobs,
@@ -275,6 +274,7 @@ def _health_summaries(payload: dict, where: str) -> dict:
         # A --metrics file's "health" key is a full report; a stats payload's
         # is the plain tenant->summary mapping.
         if health.get("schema") and "tenants" in health:
+            check(health, HEALTH_REPORT, where, "health")
             return dict(health["tenants"])
         return dict(health)
     if "serve" in payload and isinstance(payload["serve"], dict):
@@ -289,14 +289,14 @@ def _health_summaries(payload: dict, where: str) -> dict:
 
 def _load_health_report(args) -> dict:
     if args.report is not None:
-        report = json.loads(args.report.read_text())
-        _check_health_report(report, args.report.name)
+        report = read_json(args.report, HEALTH_REPORT)
     else:
-        payload = json.loads(args.stats.read_text())
-        summaries = _health_summaries(payload, args.stats.name)
+        summaries = _health_summaries(read_json(args.stats), args.stats.name)
         alerts = read_alert_log(args.alerts) if args.alerts is not None else ()
         report = build_health_report(summaries, alerts=alerts)
-        _check_health_report(report, args.stats.name)
+        # The alerts were checked as they were read, so what fails here
+        # came from the --stats file.
+        check(report, HEALTH_REPORT, args.stats.name)
     if args.counters_before is not None:
         # Drift alerts name *what* drifted; the counter movers name what
         # the hardware was doing differently while it drifted.
@@ -391,7 +391,7 @@ def _cmd_health(args) -> int:
         return 2
     try:
         report = _load_health_report(args)
-    except (ObsError, ArtifactError, OSError, json.JSONDecodeError) as exc:
+    except (ObsError, OSError) as exc:
         print(f"health report FAILED to load: {exc}", file=sys.stderr)
         return 1
 
@@ -404,6 +404,70 @@ def _cmd_health(args) -> int:
                 print(f"UNHEALTHY: {problem}", file=sys.stderr)
             return 1
         print("healthy" + (" (drift detected, as expected)" if args.expect_drift else ""))
+    return 0
+
+
+def _cmd_check(args) -> int:
+    inputs = (
+        args.trace, args.metrics, args.hw_counters, args.health, args.alerts, args.report
+    )
+    if all(value is None for value in inputs):
+        args.usage_error(
+            "nothing to check; pass --trace, --metrics, --hw-counters, "
+            "--health, --alerts and/or --report"
+        )
+    if args.trace is not None:
+        if _sniff(args.trace) == "chrome":
+            events = read_json(args.trace, CHROME_TRACE)["traceEvents"]
+            names = {event["name"] for event in events}
+            spans = len(events)
+        else:
+            forest = load_trace(args.trace)
+            names = {node.name for node in forest.walk()}
+            spans = forest.spans
+        print(f"{args.trace}: OK — {spans} spans, {len(names)} distinct names")
+        if args.require_coverage:
+            covered = require_span_coverage(names)
+            print(f"{args.trace}: covers {', '.join(sorted(covered))}")
+    if args.metrics is not None:
+        payload = read_json(args.metrics, METRICS_FILE)
+        embeds = (
+            ("manifest", "manifest"),
+            ("hw-counters", "hardware_counters"),
+            ("serve", "serve"),
+            ("health", "health"),
+        )
+        print(
+            f"{args.metrics}: OK — {len(payload['metrics']['counters'])} counters, "
+            f"{len(payload['metrics']['histograms'])} histograms, "
+            + ", ".join(
+                f"{label}={'yes' if key in payload else 'no'}" for label, key in embeds
+            )
+        )
+    if args.health is not None:
+        report = read_json(args.health, HEALTH_REPORT)
+        print(
+            f"{args.health}: OK — {len(report['tenants'])} tenant(s), "
+            f"{len(report['alerts'])} alert(s)"
+        )
+    if args.alerts is not None:
+        events = read_alert_log(args.alerts)
+        kinds = ", ".join(sorted({event.kind for event in events})) or "none"
+        print(f"{args.alerts}: OK — {len(events)} alert(s), kinds: {kinds}")
+    if args.hw_counters is not None:
+        snap = _load_counter_snapshot(args.hw_counters)
+        print(
+            f"{args.hw_counters}: OK — {len(snap['totals'])} counters, "
+            f"{len(snap['per_proc'])} procedures attributed"
+        )
+    if args.report is not None:
+        report = read_json(args.report, OBS_REPORT)
+        if "rows" in report:
+            detail = f"{len(report['rows'])} row(s)"
+        else:
+            sections = sum(report[k] is not None for k in ("spans", "counters", "metrics"))
+            detail = f"{sections} attribution section(s), {len(report['notes'])} note(s)"
+        print(f"{args.report}: OK — kind {report['kind']}, {detail}")
     return 0
 
 
@@ -544,6 +608,29 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the (normalized) health report to PATH",
     )
     health.set_defaults(func=_cmd_health)
+
+    chk = sub.add_parser(
+        "check",
+        help="check telemetry artifacts with the readers the analysis uses",
+        description="Read each artifact through its checking reader and print "
+        "a one-line summary; stops at the first malformed artifact.",
+        epilog="exit codes: 0 all artifacts valid; 1 invalid or unreadable "
+        "artifact; 2 usage error",
+    )
+    for flag, what in (
+        ("--trace", "JSONL trace or Chrome trace export"),
+        ("--metrics", "--metrics file"),
+        ("--hw-counters", "hardware-counter snapshot (or --metrics file carrying one)"),
+        ("--health", "fleet health report"),
+        ("--alerts", "JSONL health-alert log"),
+        ("--report", "repro.obs-report/1 attribution report"),
+    ):
+        chk.add_argument(flag, default=None, metavar="PATH", help=f"{what} to check")
+    chk.add_argument(
+        "--require-coverage", action="store_true",
+        help="assert the trace covers the engine, sim and estimator layers",
+    )
+    chk.set_defaults(func=_cmd_check, usage_error=chk.error)
     return parser
 
 
@@ -555,7 +642,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         return args.func(args)
-    except (ObsError, ArtifactError, OSError, json.JSONDecodeError) as exc:
+    except (ObsError, OSError) as exc:
         print(f"repro-obs FAILED: {exc}", file=sys.stderr)
         return 1
 

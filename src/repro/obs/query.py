@@ -36,13 +36,21 @@ structures, orderings and rendered text, regardless of thread count
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Union
 
 from repro.errors import ObsError
-from repro.obs.trace import TRACE_SCHEMA
+from repro.obs.validate import (
+    METRICS_FILE,
+    SPAN,
+    TRACE_HEADER,
+    TRACE_RECORD,
+    ArtifactError,
+    check,
+    read_json,
+    read_jsonl,
+)
 
 __all__ = [
     "SpanNode",
@@ -128,43 +136,41 @@ def load_trace(path: Union[str, Path]) -> TraceForest:
     """Parse a JSONL trace into a :class:`TraceForest`.
 
     Accepts both versioned streams (first line ``{"type": "header",
-    "schema": "repro.trace/1"}``) and legacy headerless ones; an unknown
-    header schema is a loud :class:`ObsError`, not a guess.  Nesting is
-    rebuilt per ``(pid, tid)`` track from each span's recorded open order
-    and depth: records sorted by ``seq`` replay the open sequence, and a
-    span's parent is the deepest still-open span shallower than it.
+    "schema": "repro.trace/1"}``) and legacy headerless ones.  Each line is
+    checked as it is parsed; a malformed record, an unknown header schema
+    or a ``seq`` that does not increase is an
+    :class:`~repro.obs.validate.ArtifactError` naming the line, not a guess.
+    Nesting is rebuilt per ``(pid, tid)`` track from each span's recorded
+    open order and depth: records sorted by ``seq`` replay the open
+    sequence, and a span's parent is the deepest still-open span shallower
+    than it.
     """
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ObsError(f"cannot read trace {path}: {exc}") from exc
-
     manifest: Optional[dict] = None
     schema: Optional[str] = None
     records: list[SpanNode] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObsError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        kind = obj.get("type")
+    for index, (where, obj) in enumerate(read_jsonl(path)):
+        check(obj, TRACE_RECORD, where)
+        kind = obj["type"]
         if kind == "header":
-            if obj.get("schema") != TRACE_SCHEMA:
-                raise ObsError(
-                    f"{path}:{lineno}: unknown trace schema "
-                    f"{obj.get('schema')!r} (expected {TRACE_SCHEMA!r})"
-                )
+            if index != 0:
+                raise ArtifactError(f"{where}: header must be the first line")
+            check(obj, TRACE_HEADER, where)
             schema = obj["schema"]
-            continue
-        if kind == "manifest":
+        elif kind == "manifest":
+            if index != (1 if schema else 0):
+                raise ArtifactError(
+                    f"{where}: manifest must directly follow the header "
+                    "(or open the stream in legacy traces)"
+                )
             manifest = {k: v for k, v in obj.items() if k != "type"}
-            continue
-        if kind != "span":
-            raise ObsError(f"{path}:{lineno}: unknown record type {kind!r}")
-        try:
+        else:
+            check(obj, SPAN, where)
+            if records and obj["seq"] <= records[-1].seq:
+                raise ArtifactError(
+                    f"{where}: seq {obj['seq']} not increasing "
+                    f"(after {records[-1].seq})"
+                )
             records.append(
                 SpanNode(
                     name=obj["name"],
@@ -174,13 +180,11 @@ def load_trace(path: Union[str, Path]) -> TraceForest:
                     seq=obj["seq"],
                     pid=obj["pid"],
                     tid=obj["tid"],
-                    attrs=obj.get("attrs") or {},
+                    attrs=obj["attrs"],
                 )
             )
-        except KeyError as exc:
-            raise ObsError(f"{path}:{lineno}: span record missing {exc}") from exc
     if not records:
-        raise ObsError(f"{path}: contains no span records")
+        raise ArtifactError(f"{path.name}: contains no span records")
 
     # Group by track; replay each track's open order to rebuild nesting.
     tracks: dict[tuple[int, int], list[SpanNode]] = {}
@@ -366,20 +370,15 @@ def load_run(
     manifest, their config fingerprints must agree on every shared
     experiment id — a mismatch means the files came from different runs,
     and joining them would attribute one run's counters to another run's
-    spans; that is an :class:`ObsError`, not a warning.
+    spans; that is an :class:`ObsError`, not a warning.  The metrics file
+    is checked against :data:`repro.obs.validate.METRICS_FILE`.
     """
     if trace is None and metrics is None:
         raise ObsError("load_run needs a trace artifact, a metrics artifact, or both")
     forest = load_trace(trace) if trace is not None else None
     metrics_snapshot = manifest = hw = None
     if metrics is not None:
-        path = Path(metrics)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ObsError(f"cannot read metrics {path}: {exc}") from exc
-        if not isinstance(payload, dict) or "metrics" not in payload:
-            raise ObsError(f"{path}: not a --metrics artifact (no 'metrics' key)")
+        payload = read_json(metrics, METRICS_FILE)
         metrics_snapshot = payload["metrics"]
         manifest = payload.get("manifest")
         hw = payload.get("hardware_counters")

@@ -1,52 +1,67 @@
-"""Structural validation of telemetry artifacts (no external schema deps).
+"""The shapes of the telemetry artifacts, and the walker that checks them.
 
-CI's smoke job — and any consumer pulling a ``--trace``/``--metrics``
-artifact off a finished run — needs a cheap answer to "is this file the
-shape the exporters promise".  The checks here are hand-rolled (the
-container has no ``jsonschema``) but express the same contracts a JSON
-schema would: required keys with required types, monotonic ``ts`` per
-(pid, tid) track in Chrome traces, balanced non-negative spans, histogram
-bucket/count length agreement.
+Every artifact the obs stack writes has one reader that checks what it
+parses against a shape declared here: ``load_trace`` and ``load_run``
+(:mod:`repro.obs.query`), ``read_alert_log`` (:mod:`repro.obs.health`) and
+``repro-obs``'s loaders.  ``repro-obs check`` runs those same readers, so
+the checker and the analysis accept exactly the same files.
 
-Each validator raises :class:`ArtifactError` with a path-qualified message
-on first violation and returns a small summary dict on success (the smoke
-script prints it).
+A shape is plain data (the container has no ``jsonschema``):
+
+* a :class:`Leaf` (``STR``, ``INT``, ``NUMBER``, ``NON_NEGATIVE``, ...) —
+  numbers never admit ``bool``;
+* a :class:`Vocab`, a closed vocabulary such as a schema tag;
+* ``[shape]``, a list of ``shape``;
+* a dict: its keys are required unless wrapped in :class:`Opt`, and the
+  ``...`` key gives the shape of every undeclared key (by default anything;
+  ``None`` closes the key set);
+* :class:`Null` admits ``null`` as well; :class:`Checked` adds an invariant
+  the shape cannot state (histogram buckets, fleet totals, ...).
+
+Failures raise :class:`ArtifactError` naming the file, the line for JSONL,
+and the key path.  The schema tags of the formats whose readers import
+this module (alerts, health reports, attribution reports, the serve embed)
+are declared here, so each tag has one definition and no import cycles.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Any, Callable, Iterator, Union
 
+from repro.errors import ObsError
 from repro.obs.counters import SNAPSHOT_SCHEMA
-from repro.obs.health import ALERT_KINDS, ALERT_SCHEMA, REPORT_SCHEMA, SEVERITIES
 from repro.obs.trace import TRACE_SCHEMA
 
-__all__ = [
-    "ArtifactError",
-    "validate_trace_jsonl",
-    "validate_obs_report",
-    "validate_chrome_trace",
-    "validate_metrics_file",
-    "validate_counter_snapshot",
-    "validate_serve_stats",
-    "validate_health_summary",
-    "validate_health_report",
-    "validate_alert_log",
-    "validate_hw_counters_file",
-    "require_span_coverage",
-]
+__all__ = ["ArtifactError", "check", "read_json", "read_jsonl", "require_span_coverage"]
 
-#: Schema tag the ingestion service stamps on its stats embed
-#: (:meth:`repro.serve.service.IngestionService.stats_payload`).  Spelled
-#: out here rather than imported so the validators stay dependency-free.
+#: Schema tag stamped on every serialized alert (one JSONL line each).
+ALERT_SCHEMA = "repro.health-alert/1"
+
+#: Schema tag stamped on a fleet health report (``repro-obs health`` output).
+REPORT_SCHEMA = "repro.health-report/1"
+
+#: Schema tag on every attribution report (``repro.obs.compare``).
+OBS_REPORT_SCHEMA = "repro.obs-report/1"
+
+#: The serve wire protocol's version, echoed as the schema of ``stats``
+#: responses and of the metrics file's ``serve`` embed.
 SERVE_SCHEMA = "repro.serve/1"
 
-#: The complete top-level key vocabulary of a ``--metrics`` file.  The
-#: validator *rejects* anything else: a typo'd or half-renamed embed key
-#: should fail CI's artifact check, not silently ride along unvalidated.
-METRICS_FILE_KEYS = ("metrics", "manifest", "hardware_counters", "serve", "health")
+#: Alert severities, mild to severe (the vocabulary is closed).
+SEVERITIES = ("warning", "critical")
+
+#: Alert kinds the health monitor can emit (the vocabulary is closed).
+ALERT_KINDS = (
+    "drift",
+    "coverage",
+    "staleness",
+    "slo-latency",
+    "slo-backlog",
+    "slo-deferral",
+)
 
 #: Span-name prefixes that prove the trace covered a pipeline layer.
 LAYER_PREFIXES = {
@@ -56,534 +71,384 @@ LAYER_PREFIXES = {
 }
 
 
-class ArtifactError(ValueError):
+class ArtifactError(ObsError):
     """A telemetry artifact violated its documented structure."""
 
 
-def _need(mapping: dict, key: str, types, where: str):
-    if key not in mapping:
-        raise ArtifactError(f"{where}: missing required key {key!r}")
-    value = mapping[key]
-    if not isinstance(value, types):
-        raise ArtifactError(
-            f"{where}: key {key!r} must be {types}, got {type(value).__name__}"
-        )
+@dataclass(frozen=True)
+class Leaf:
+    """A scalar rule: ``test(value)`` holds for every value that is ``label``."""
+
+    label: str
+    test: Callable[[Any], bool]
+
+
+@dataclass(frozen=True)
+class Vocab:
+    """A closed vocabulary: the value must be one of ``values``."""
+
+    noun: str
+    values: tuple
+
+
+@dataclass(frozen=True)
+class Opt:
+    """An object key that may be absent."""
+
+    shape: Any
+
+
+@dataclass(frozen=True)
+class Null:
+    """A value that may also be ``null``."""
+
+    shape: Any
+
+
+@dataclass(frozen=True)
+class Checked:
+    """``shape`` plus ``invariant(value, where)``, run once the shape holds."""
+
+    shape: Any
+    invariant: Callable[[Any, str], None]
+
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+ANY = Leaf("any value", lambda value: True)
+STR = Leaf("a string", lambda value: isinstance(value, str))
+INT = Leaf("an int", _int)
+NUMBER = Leaf("a number", _number)
+# Most counters are ints; energy (µJ) and the timer's quantization error
+# accumulate as floats.
+NON_NEGATIVE = Leaf("a non-negative number", lambda v: _number(v) and v >= 0)
+NON_NEGATIVE_INT = Leaf("a non-negative int", lambda v: _int(v) and v >= 0)
+
+
+def _at(where: str, path: str) -> str:
+    return f"{where}: {path}" if path else where
+
+
+def check(value: Any, shape: Any, where: str, path: str = "") -> None:
+    """Raise :class:`ArtifactError` unless ``value`` has ``shape``.
+
+    ``where`` names the file (``trace.jsonl:3`` for a JSONL line) and
+    ``path`` the key path inside it; both prefix every message.
+    """
+    if isinstance(shape, Leaf):
+        if not shape.test(value):
+            raise ArtifactError(f"{_at(where, path)} must be {shape.label}, got {value!r}")
+    elif isinstance(shape, Null):
+        if value is not None:
+            check(value, shape.shape, where, path)
+    elif isinstance(shape, Checked):
+        check(value, shape.shape, where, path)
+        shape.invariant(value, _at(where, path))
+    elif isinstance(shape, Vocab):
+        if value not in shape.values:
+            raise ArtifactError(
+                f"{_at(where, path)}: unknown {shape.noun} {value!r} "
+                f"(known: {', '.join(shape.values)})"
+            )
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ArtifactError(
+                f"{_at(where, path)} must be a list, got {type(value).__name__}"
+            )
+        for i, item in enumerate(value):
+            check(item, shape[0], where, f"{path}[{i}]")
+    else:
+        if not isinstance(value, dict):
+            raise ArtifactError(
+                f"{_at(where, path)} must be an object, got {type(value).__name__}"
+            )
+        for key, sub in shape.items():
+            if key is ...:
+                continue
+            if key in value:
+                sub = sub.shape if isinstance(sub, Opt) else sub
+                check(value[key], sub, where, f"{path}.{key}" if path else key)
+            elif not isinstance(sub, Opt):
+                raise ArtifactError(f"{_at(where, path)}: missing required key {key!r}")
+        rest = shape.get(..., ANY)
+        if rest is ANY:
+            return
+        extra = sorted(key for key in value if key not in shape)
+        if rest is None and extra:
+            raise ArtifactError(
+                f"{where}: unknown {path or 'top-level'} key(s) "
+                f"{', '.join(map(repr, extra))} "
+                f"(known: {', '.join(key for key in shape if key is not ...)})"
+            )
+        for key in extra:
+            check(value[key], rest, where, f"{path}[{key!r}]")
+
+
+def _parse(text: str, where: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{where}: not valid JSON: {exc}") from exc
+
+
+def read_json(path: Union[str, Path], shape: Any = ANY) -> Any:
+    """Parse a one-document JSON artifact and check it against ``shape``."""
+    path = Path(path)
+    value = _parse(path.read_text(), path.name)
+    check(value, shape, path.name)
     return value
 
 
-def _check_span_record(record: dict, where: str) -> None:
-    _need(record, "name", str, where)
-    start = _need(record, "start", (int, float), where)
-    end = _need(record, "end", (int, float), where)
-    _need(record, "depth", int, where)
-    _need(record, "seq", int, where)
-    _need(record, "pid", int, where)
-    _need(record, "tid", int, where)
-    _need(record, "attrs", dict, where)
-    if end < start:
-        raise ArtifactError(f"{where}: span ends ({end}) before it starts ({start})")
-    if record["depth"] < 0:
-        raise ArtifactError(f"{where}: negative depth {record['depth']}")
-
-
-def validate_trace_jsonl(path: Union[str, Path]) -> dict:
-    """Validate a JSONL trace; returns ``{"spans": n, "names": set, ...}``.
-
-    Accepts both the versioned stream (a ``repro.trace/1`` header on the
-    first line, optional manifest on the second) and the legacy headerless
-    layout (optional manifest on the first line) — old artifacts stay
-    checkable forever.
-    """
+def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[str, Any]]:
+    """Yield ``(where, record)`` for every non-blank line of a JSONL artifact."""
     path = Path(path)
-    names: set[str] = set()
-    spans = 0
-    manifest_lines = 0
-    header_lines = 0
-    last_seq = -1
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        where = f"{path.name}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{where}: not valid JSON: {exc}") from exc
-        kind = _need(record, "type", str, where)
-        if kind == "header":
-            if lineno != 1:
-                raise ArtifactError(f"{where}: header must be the first line")
-            schema = _need(record, "schema", str, where)
-            if schema != TRACE_SCHEMA:
-                raise ArtifactError(
-                    f"{where}: schema {schema!r}, expected {TRACE_SCHEMA!r}"
-                )
-            header_lines += 1
-            continue
-        if kind == "manifest":
-            if lineno != 1 + header_lines:
-                raise ArtifactError(
-                    f"{where}: manifest must directly follow the header "
-                    "(or open the stream in legacy traces)"
-                )
-            manifest_lines += 1
-            continue
-        if kind != "span":
-            raise ArtifactError(f"{where}: unknown record type {kind!r}")
-        _check_span_record(record, where)
-        if record["seq"] <= last_seq:
-            raise ArtifactError(
-                f"{where}: seq {record['seq']} not increasing (after {last_seq})"
-            )
-        last_seq = record["seq"]
-        names.add(record["name"])
-        spans += 1
-    if spans == 0:
-        raise ArtifactError(f"{path.name}: contains no span records")
-    return {
-        "spans": spans,
-        "names": names,
-        "has_manifest": bool(manifest_lines),
-        "versioned": bool(header_lines),
-    }
+        if line.strip():
+            where = f"{path.name}:{lineno}"
+            yield where, _parse(line, where)
 
 
-def validate_chrome_trace(path: Union[str, Path]) -> dict:
-    """Validate a Chrome ``trace_event`` export: shape + per-track monotonic ts."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
-    events = _need(payload, "traceEvents", list, path.name)
+# -- JSONL and Chrome traces (repro.obs.trace) ------------------------------
+
+
+def _span_interval(span: dict, where: str) -> None:
+    if span["end"] < span["start"]:
+        raise ArtifactError(
+            f"{where}: span ends ({span['end']}) before it starts ({span['start']})"
+        )
+
+
+#: Every JSONL trace line; :func:`repro.obs.query.load_trace` checks the
+#: header and manifest positions and the strictly increasing ``seq``.
+TRACE_RECORD = {"type": Vocab("record type", ("header", "manifest", "span"))}
+TRACE_HEADER = {"schema": Vocab("trace schema", (TRACE_SCHEMA,))}
+SPAN = Checked(
+    {
+        "name": STR,
+        "start": NUMBER,
+        "end": NUMBER,
+        "depth": NON_NEGATIVE_INT,
+        "seq": INT,
+        "pid": INT,
+        "tid": INT,
+        "attrs": {},
+    },
+    _span_interval,
+)
+
+
+def _monotonic_tracks(payload: dict, where: str) -> None:
+    events = payload["traceEvents"]
     if not events:
-        raise ArtifactError(f"{path.name}: traceEvents is empty")
-    names: set[str] = set()
+        raise ArtifactError(f"{where}: traceEvents is empty")
     last_ts: dict[tuple, int] = {}
     for i, event in enumerate(events):
-        where = f"{path.name}: traceEvents[{i}]"
-        if not isinstance(event, dict):
-            raise ArtifactError(f"{where}: event must be an object")
-        name = _need(event, "name", str, where)
-        _need(event, "ph", str, where)
-        ts = _need(event, "ts", int, where)
-        dur = _need(event, "dur", int, where)
-        pid = _need(event, "pid", int, where)
-        tid = _need(event, "tid", int, where)
-        if dur < 0:
-            raise ArtifactError(f"{where}: negative dur {dur}")
-        track = (pid, tid)
-        if track in last_ts and ts < last_ts[track]:
+        track = (event["pid"], event["tid"])
+        if event["ts"] < last_ts.get(track, event["ts"]):
             raise ArtifactError(
-                f"{where}: ts {ts} decreases within track pid={pid} tid={tid} "
-                f"(previous {last_ts[track]})"
+                f"{where}: traceEvents[{i}]: ts {event['ts']} decreases within "
+                f"track pid={track[0]} tid={track[1]} (previous {last_ts[track]})"
             )
-        last_ts[track] = ts
-        names.add(name)
-    return {"spans": len(events), "names": names, "tracks": len(last_ts)}
+        last_ts[track] = event["ts"]
 
 
-def validate_metrics_file(path: Union[str, Path]) -> dict:
-    """Validate a ``--metrics`` snapshot file (metrics + embedded manifest)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
-    metrics = _need(payload, "metrics", dict, path.name)
-    counters = _need(metrics, "counters", dict, f"{path.name}: metrics")
-    _need(metrics, "gauges", dict, f"{path.name}: metrics")
-    histograms = _need(metrics, "histograms", dict, f"{path.name}: metrics")
-    for name, value in counters.items():
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ArtifactError(
-                f"{path.name}: counter {name!r} must be a non-negative number"
+CHROME_TRACE = Checked(
+    {
+        "traceEvents": [
+            {
+                "name": STR,
+                "ph": STR,
+                "ts": INT,
+                "dur": NON_NEGATIVE_INT,
+                "pid": INT,
+                "tid": INT,
+            }
+        ]
+    },
+    _monotonic_tracks,
+)
+
+
+# -- counter snapshots, health reports and alerts ---------------------------
+
+COUNTER_SNAPSHOT = {
+    "schema": Vocab("counter-snapshot schema", (SNAPSHOT_SCHEMA,)),
+    "totals": {...: NON_NEGATIVE},
+    "per_proc": {...: {...: NON_NEGATIVE}},
+}
+
+HEALTH_SUMMARY = {
+    "drift_score": NON_NEGATIVE,
+    "drift_alarms": NON_NEGATIVE,
+    "shards_absorbed": NON_NEGATIVE,
+    "samples_absorbed": NON_NEGATIVE,
+    "shards_since_rebuild": NON_NEGATIVE,
+    "staleness_s": Null(NON_NEGATIVE),
+    "coverage": Null(Leaf("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1)),
+    "coverage_checks": NON_NEGATIVE,
+    "alerts": NON_NEGATIVE,
+    "alarmed_procedures": [STR],
+    "slo": Opt({"state": Opt(Vocab("slo state", ("ok", "breached"))), ...: NON_NEGATIVE}),
+}
+
+ALERT = {
+    "schema": Vocab("alert schema", (ALERT_SCHEMA,)),
+    "kind": Vocab("alert kind", ALERT_KINDS),
+    "severity": Vocab("severity", SEVERITIES),
+    "source": STR,
+    "value": NUMBER,
+    "threshold": NUMBER,
+    # -1 marks an alert tied to no shard (staleness, say).
+    "shard": Leaf("an int >= -1", lambda v: _int(v) and v >= -1),
+    "procedure": Opt(STR),
+    "detail": Opt(STR),
+}
+
+
+def _fleet_totals(report: dict, where: str) -> None:
+    fleet = report["fleet"]
+    for key, rows, noun in (
+        ("tenants", report["tenants"], "tenant rows"),
+        ("alerts", report["alerts"], "alert records"),
+    ):
+        if fleet[key] != len(rows):
+            raise ArtifactError(f"{where}: fleet.{key} {fleet[key]} != {noun} {len(rows)}")
+
+
+HEALTH_REPORT = Checked(
+    {
+        "schema": Vocab("health-report schema", (REPORT_SCHEMA,)),
+        "nominal_coverage": Leaf(
+            "a number in (0, 1)", lambda v: _number(v) and 0 < v < 1
+        ),
+        "tenants": {...: HEALTH_SUMMARY},
+        "fleet": {"tenants": INT, "alerts": INT},
+        "alerts": [ALERT],
+    },
+    _fleet_totals,
+)
+
+
+# -- the --metrics file (repro.obs.metrics.write_metrics) -------------------
+
+
+def _histogram_buckets(hist: dict, where: str) -> None:
+    bounds, counts = hist["bounds"], hist["counts"]
+    if len(counts) != len(bounds) + 1:
+        raise ArtifactError(
+            f"{where}: expected {len(bounds) + 1} buckets, got {len(counts)}"
+        )
+    if sum(counts) != hist["count"]:
+        raise ArtifactError(f"{where}: bucket counts {sum(counts)} != count {hist['count']}")
+
+
+SERVE_STATS = {
+    "schema": Vocab("serve schema", (SERVE_SCHEMA,)),
+    "workers": Leaf("an int >= 1", lambda v: _int(v) and v >= 1),
+    "uptime_s": NON_NEGATIVE,
+    "totals": {
+        "accepted": NON_NEGATIVE,
+        "deferred": NON_NEGATIVE,
+        "rejected": NON_NEGATIVE,
+        ...: NON_NEGATIVE,
+    },
+    "tenants": {...: {...: NON_NEGATIVE}},
+    "latency": {...: NON_NEGATIVE},
+    "health": Opt({...: HEALTH_SUMMARY}),
+}
+
+METRICS_FILE = {
+    "metrics": {
+        "counters": {...: NON_NEGATIVE},
+        "gauges": {},
+        "histograms": {
+            ...: Checked(
+                {
+                    "bounds": [NUMBER],
+                    "counts": [NON_NEGATIVE],
+                    "count": NON_NEGATIVE,
+                    "sum": NUMBER,
+                },
+                _histogram_buckets,
             )
-    for name, hist in histograms.items():
-        where = f"{path.name}: histogram {name!r}"
-        bounds = _need(hist, "bounds", list, where)
-        counts = _need(hist, "counts", list, where)
-        count = _need(hist, "count", (int, float), where)
-        _need(hist, "sum", (int, float), where)
-        if len(counts) != len(bounds) + 1:
-            raise ArtifactError(
-                f"{where}: expected {len(bounds) + 1} buckets, got {len(counts)}"
-            )
-        if sum(counts) != count:
-            raise ArtifactError(f"{where}: bucket counts {sum(counts)} != count {count}")
-    unknown = sorted(set(payload) - set(METRICS_FILE_KEYS))
-    if unknown:
+        },
+    },
+    "manifest": Opt(
+        {
+            key: ANY
+            for key in ("schema_version", "repro_version", "seed_scheme", "config", "host")
+        }
+    ),
+    "hardware_counters": Opt(COUNTER_SNAPSHOT),
+    "serve": Opt(SERVE_STATS),
+    "health": Opt(HEALTH_REPORT),
+    # A typo'd or half-renamed embed key must fail, not ride along unchecked.
+    ...: None,
+}
+
+
+# -- attribution reports (repro.obs.compare, repro-obs --json) --------------
+
+
+_CELL = Leaf(
+    "a number, string or null", lambda v: v is None or isinstance(v, (int, float, str))
+)
+
+
+def _rows(key: str) -> list:
+    """A table: one object per row, named by the string column ``key``."""
+    return [{key: STR, ...: _CELL}]
+
+
+def _has_sections(report: dict, where: str) -> None:
+    if all(report[key] is None for key in ("spans", "counters", "metrics")):
         raise ArtifactError(
-            f"{path.name}: unknown top-level key(s) {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(METRICS_FILE_KEYS)})"
-        )
-    if "manifest" in payload:
-        manifest = payload["manifest"]
-        for key in ("schema_version", "repro_version", "seed_scheme", "config", "host"):
-            _need(manifest, key, object, f"{path.name}: manifest")
-    if "hardware_counters" in payload:
-        validate_counter_snapshot(
-            payload["hardware_counters"], f"{path.name}: hardware_counters"
-        )
-    if "serve" in payload:
-        validate_serve_stats(payload["serve"], f"{path.name}: serve")
-    if "health" in payload:
-        _check_health_report(payload["health"], f"{path.name}: health")
-    return {
-        "counters": len(counters),
-        "histograms": len(histograms),
-        "has_manifest": "manifest" in payload,
-        "has_hw_counters": "hardware_counters" in payload,
-        "has_serve": "serve" in payload,
-        "has_health": "health" in payload,
-    }
-
-
-def validate_counter_snapshot(snap, where: str) -> dict:
-    """Validate one hardware-counter snapshot (see ``repro.obs.counters``).
-
-    Shape: ``{"schema": ..., "totals": {name: int>=0},
-    "per_proc": {proc: {field: int>=0}}}``.  Returns a tiny summary.
-    """
-    if not isinstance(snap, dict):
-        raise ArtifactError(f"{where}: snapshot must be an object")
-    schema = _need(snap, "schema", str, where)
-    if schema != SNAPSHOT_SCHEMA:
-        raise ArtifactError(
-            f"{where}: schema {schema!r}, expected {SNAPSHOT_SCHEMA!r}"
-        )
-    def _non_negative_number(value) -> bool:
-        # Most counters are ints; energy (µJ) and the timer's quantization
-        # error accumulate as floats.  bool is an int subclass — reject it.
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and value >= 0
-        )
-
-    totals = _need(snap, "totals", dict, where)
-    for name, value in totals.items():
-        if not _non_negative_number(value):
-            raise ArtifactError(
-                f"{where}: counter {name!r} must be a non-negative number, "
-                f"got {value!r}"
-            )
-    per_proc = _need(snap, "per_proc", dict, where)
-    for proc, row in per_proc.items():
-        if not isinstance(row, dict):
-            raise ArtifactError(f"{where}: per_proc[{proc!r}] must be an object")
-        for field, value in row.items():
-            if not _non_negative_number(value):
-                raise ArtifactError(
-                    f"{where}: per_proc[{proc!r}].{field} must be a "
-                    f"non-negative number, got {value!r}"
-                )
-    return {"counters": len(totals), "procs": len(per_proc)}
-
-
-def validate_serve_stats(embed, where: str) -> dict:
-    """Validate an ingestion-service stats embed (``--metrics`` ``serve`` key).
-
-    Shape (see :meth:`repro.serve.service.IngestionService.stats_payload`):
-    ``{"schema": "repro.serve/1", "workers": int>=1, "uptime_s": float>=0,
-    "totals": {...}, "tenants": {tenant: {...}},
-    "latency": {pXX_ms: float>=0}}`` plus an optional ``health`` mapping of
-    tenant to health summary.  Returns a tiny summary.
-    """
-    if not isinstance(embed, dict):
-        raise ArtifactError(f"{where}: serve stats must be an object")
-    schema = _need(embed, "schema", str, where)
-    if schema != SERVE_SCHEMA:
-        raise ArtifactError(f"{where}: schema {schema!r}, expected {SERVE_SCHEMA!r}")
-    workers = _need(embed, "workers", int, where)
-    if isinstance(workers, bool) or workers < 1:
-        raise ArtifactError(f"{where}: workers must be a positive int, got {workers!r}")
-    uptime = _need(embed, "uptime_s", (int, float), where)
-    if isinstance(uptime, bool) or uptime < 0:
-        raise ArtifactError(
-            f"{where}: uptime_s must be a non-negative number, got {uptime!r}"
-        )
-
-    def _tallies(mapping: dict, sub_where: str) -> None:
-        for name, value in mapping.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise ArtifactError(
-                    f"{sub_where}: {name!r} must be a non-negative number, got {value!r}"
-                )
-
-    totals = _need(embed, "totals", dict, where)
-    _tallies(totals, f"{where}: totals")
-    for key in ("accepted", "deferred", "rejected"):
-        if key not in totals:
-            raise ArtifactError(f"{where}: totals is missing {key!r}")
-    tenants = _need(embed, "tenants", dict, where)
-    for tenant, row in tenants.items():
-        if not isinstance(row, dict):
-            raise ArtifactError(f"{where}: tenants[{tenant!r}] must be an object")
-        _tallies(row, f"{where}: tenants[{tenant!r}]")
-    latency = _need(embed, "latency", dict, where)
-    _tallies(latency, f"{where}: latency")
-    if "health" in embed:
-        health = _need(embed, "health", dict, where)
-        for tenant, summary in health.items():
-            validate_health_summary(summary, f"{where}: health[{tenant!r}]")
-    return {
-        "workers": workers,
-        "tenants": len(tenants),
-        "has_health": "health" in embed,
-    }
-
-
-def validate_health_summary(summary, where: str) -> dict:
-    """Validate one tenant health summary (a health-report tenant row).
-
-    Shape (see :meth:`repro.obs.health.EstimatorHealthMonitor.summary`):
-    numeric gauges plus an optional ``slo`` sub-object; ``coverage`` and
-    ``staleness_s`` may be ``null`` (not yet measurable).
-    """
-    if not isinstance(summary, dict):
-        raise ArtifactError(f"{where}: health summary must be an object")
-
-    def _gauge(key, allow_none=False):
-        value = _need(summary, key, object, where)
-        if value is None and allow_none:
-            return value
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-            raise ArtifactError(
-                f"{where}: {key!r} must be a non-negative number, got {value!r}"
-            )
-        return value
-
-    _gauge("drift_score")
-    _gauge("drift_alarms")
-    _gauge("shards_absorbed")
-    _gauge("samples_absorbed")
-    _gauge("shards_since_rebuild")
-    _gauge("staleness_s", allow_none=True)
-    coverage = _gauge("coverage", allow_none=True)
-    if coverage is not None and coverage > 1.0:
-        raise ArtifactError(f"{where}: coverage must lie in [0, 1], got {coverage!r}")
-    _gauge("coverage_checks")
-    _gauge("alerts")
-    procs = _need(summary, "alarmed_procedures", list, where)
-    for proc in procs:
-        if not isinstance(proc, str):
-            raise ArtifactError(
-                f"{where}: alarmed_procedures entries must be strings, got {proc!r}"
-            )
-    if "slo" in summary:
-        slo = _need(summary, "slo", dict, where)
-        for key, value in slo.items():
-            if key == "state":
-                if value not in ("ok", "breached"):
-                    raise ArtifactError(
-                        f"{where}: slo state must be 'ok' or 'breached', got {value!r}"
-                    )
-                continue
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                raise ArtifactError(
-                    f"{where}: slo.{key} must be a non-negative number, got {value!r}"
-                )
-    return {"alerts": summary["alerts"], "drift_alarms": summary["drift_alarms"]}
-
-
-def _check_alert(obj, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ArtifactError(f"{where}: alert must be an object")
-    schema = _need(obj, "schema", str, where)
-    if schema != ALERT_SCHEMA:
-        raise ArtifactError(f"{where}: schema {schema!r}, expected {ALERT_SCHEMA!r}")
-    kind = _need(obj, "kind", str, where)
-    if kind not in ALERT_KINDS:
-        raise ArtifactError(
-            f"{where}: unknown alert kind {kind!r} (known: {', '.join(ALERT_KINDS)})"
-        )
-    severity = _need(obj, "severity", str, where)
-    if severity not in SEVERITIES:
-        raise ArtifactError(
-            f"{where}: unknown severity {severity!r} (known: {', '.join(SEVERITIES)})"
-        )
-    _need(obj, "source", str, where)
-    for key in ("value", "threshold"):
-        value = _need(obj, key, (int, float), where)
-        if isinstance(value, bool):
-            raise ArtifactError(f"{where}: {key!r} must be a number, got {value!r}")
-    shard = _need(obj, "shard", int, where)
-    if shard < -1:
-        raise ArtifactError(f"{where}: shard must be >= -1, got {shard}")
-
-
-def _check_health_report(payload, where: str) -> dict:
-    if not isinstance(payload, dict):
-        raise ArtifactError(f"{where}: health report must be an object")
-    schema = _need(payload, "schema", str, where)
-    if schema != REPORT_SCHEMA:
-        raise ArtifactError(f"{where}: schema {schema!r}, expected {REPORT_SCHEMA!r}")
-    nominal = _need(payload, "nominal_coverage", (int, float), where)
-    if isinstance(nominal, bool) or not 0.0 < nominal < 1.0:
-        raise ArtifactError(
-            f"{where}: nominal_coverage must lie in (0, 1), got {nominal!r}"
-        )
-    tenants = _need(payload, "tenants", dict, where)
-    for tenant, summary in tenants.items():
-        validate_health_summary(summary, f"{where}: tenants[{tenant!r}]")
-    fleet = _need(payload, "fleet", dict, where)
-    n_tenants = _need(fleet, "tenants", int, f"{where}: fleet")
-    if n_tenants != len(tenants):
-        raise ArtifactError(
-            f"{where}: fleet.tenants {n_tenants} != tenant rows {len(tenants)}"
-        )
-    alerts = _need(payload, "alerts", list, where)
-    for i, alert in enumerate(alerts):
-        _check_alert(alert, f"{where}: alerts[{i}]")
-    fleet_alerts = _need(fleet, "alerts", int, f"{where}: fleet")
-    if fleet_alerts != len(alerts):
-        raise ArtifactError(
-            f"{where}: fleet.alerts {fleet_alerts} != alert records {len(alerts)}"
-        )
-    return {"tenants": len(tenants), "alerts": len(alerts)}
-
-
-def validate_health_report(path: Union[str, Path]) -> dict:
-    """Validate a fleet health-report JSON file (``repro-obs health`` artifact)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
-    return _check_health_report(payload, path.name)
-
-
-def validate_alert_log(path: Union[str, Path]) -> dict:
-    """Validate a JSONL alert log (one :class:`AlertEvent` per line)."""
-    path = Path(path)
-    alerts = 0
-    kinds: set[str] = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            raise ArtifactError(f"{path.name}:{lineno}: blank line in alert log")
-        where = f"{path.name}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{where}: not valid JSON: {exc}") from exc
-        _check_alert(obj, where)
-        kinds.add(obj["kind"])
-        alerts += 1
-    return {"alerts": alerts, "kinds": kinds}
-
-
-def validate_hw_counters_file(path: Union[str, Path]) -> dict:
-    """Validate a standalone counter-snapshot JSON file."""
-    path = Path(path)
-    try:
-        snap = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
-    return validate_counter_snapshot(snap, path.name)
-
-
-#: Schema tag on attribution reports (``repro.obs.compare``).  Spelled out
-#: here (like ``SERVE_SCHEMA``) so the validators import nothing cyclic.
-OBS_REPORT_SCHEMA = "repro.obs-report/1"
-
-#: The report kinds ``repro-obs`` emits.
-OBS_REPORT_KINDS = ("runs", "counters", "aggregate", "critical-path")
-
-
-def _check_numeric_rows(rows, where: str, key_field: str) -> None:
-    if not isinstance(rows, list):
-        raise ArtifactError(f"{where}: must be a list")
-    for i, row in enumerate(rows):
-        row_where = f"{where}[{i}]"
-        if not isinstance(row, dict):
-            raise ArtifactError(f"{row_where}: row must be an object")
-        _need(row, key_field, str, row_where)
-        for key, value in row.items():
-            if key == key_field:
-                continue
-            if value is not None and not isinstance(value, (int, float, str)):
-                raise ArtifactError(
-                    f"{row_where}: field {key!r} must be a number, string or "
-                    f"null, got {type(value).__name__}"
-                )
-
-
-def validate_obs_report(path: Union[str, Path]) -> dict:
-    """Validate a ``repro.obs-report/1`` attribution/aggregation artifact."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path.name}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ArtifactError(f"{path.name}: report must be an object")
-    schema = _need(payload, "schema", str, path.name)
-    if schema != OBS_REPORT_SCHEMA:
-        raise ArtifactError(
-            f"{path.name}: schema {schema!r}, expected {OBS_REPORT_SCHEMA!r}"
-        )
-    kind = _need(payload, "kind", str, path.name)
-    if kind not in OBS_REPORT_KINDS:
-        raise ArtifactError(
-            f"{path.name}: unknown report kind {kind!r} "
-            f"(known: {', '.join(OBS_REPORT_KINDS)})"
-        )
-    if kind in ("aggregate", "critical-path"):
-        rows = _need(payload, "rows", list, path.name)
-        _check_numeric_rows(rows, f"{path.name}: rows", "name")
-        return {"kind": kind, "rows": len(rows)}
-    for key in ("total", "spans", "counters", "metrics", "notes"):
-        _need(payload, key, object, path.name)
-    notes = payload["notes"]
-    if not isinstance(notes, list) or any(not isinstance(n, str) for n in notes):
-        raise ArtifactError(f"{path.name}: notes must be a list of strings")
-    sections = 0
-    if payload["total"] is not None:
-        total = _need(payload, "total", dict, path.name)
-        for key in ("before_s", "after_s", "delta_s"):
-            _need(total, key, (int, float), f"{path.name}: total")
-    if payload["spans"] is not None:
-        _check_numeric_rows(payload["spans"], f"{path.name}: spans", "span")
-        sections += 1
-    if payload["counters"] is not None:
-        counters = _need(payload, "counters", dict, path.name)
-        _check_numeric_rows(
-            _need(counters, "movers", list, f"{path.name}: counters"),
-            f"{path.name}: counters.movers",
-            "counter",
-        )
-        _check_numeric_rows(
-            _need(counters, "groups", list, f"{path.name}: counters"),
-            f"{path.name}: counters.groups",
-            "group",
-        )
-        _check_numeric_rows(
-            _need(counters, "per_proc", list, f"{path.name}: counters"),
-            f"{path.name}: counters.per_proc",
-            "procedure",
-        )
-        sections += 1
-    if payload["metrics"] is not None:
-        metrics = _need(payload, "metrics", dict, path.name)
-        _check_numeric_rows(
-            _need(metrics, "counters", list, f"{path.name}: metrics"),
-            f"{path.name}: metrics.counters",
-            "counter",
-        )
-        _check_numeric_rows(
-            _need(metrics, "histograms", list, f"{path.name}: metrics"),
-            f"{path.name}: metrics.histograms",
-            "histogram",
-        )
-        sections += 1
-    if sections == 0:
-        raise ArtifactError(
-            f"{path.name}: report has no attribution sections "
+            f"{where}: report has no attribution sections "
             "(spans, counters and metrics are all null)"
         )
-    return {"kind": kind, "sections": sections, "notes": len(notes)}
+
+
+_ATTRIBUTION = Checked(
+    {
+        "total": Null({"before_s": NUMBER, "after_s": NUMBER, "delta_s": NUMBER}),
+        "spans": Null(_rows("span")),
+        "counters": Null(
+            {
+                "movers": _rows("counter"),
+                "groups": _rows("group"),
+                "per_proc": _rows("procedure"),
+            }
+        ),
+        "metrics": Null({"counters": _rows("counter"), "histograms": _rows("histogram")}),
+        "notes": [STR],
+    },
+    _has_sections,
+)
+
+#: The body of each report kind ``repro-obs`` writes: ``compare_runs``
+#: writes ``runs``, ``explain``/``diff-counters`` on two counter snapshots
+#: ``counters``, and the ``aggregate``/``critical-path`` subcommands their
+#: own names.
+REPORT_BODIES = {
+    "runs": _ATTRIBUTION,
+    "counters": _ATTRIBUTION,
+    "aggregate": {"rows": _rows("name")},
+    "critical-path": {"rows": _rows("name")},
+}
+
+OBS_REPORT = Checked(
+    {
+        "schema": Vocab("report schema", (OBS_REPORT_SCHEMA,)),
+        "kind": Vocab("report kind", tuple(REPORT_BODIES)),
+    },
+    lambda report, where: check(report, REPORT_BODIES[report["kind"]], where),
+)
 
 
 def require_span_coverage(names: set[str]) -> dict:

@@ -20,8 +20,8 @@ throughput plus ingest-latency percentiles.  ``--check-throughput`` /
 Telemetry mirrors ``repro-experiments``: ``--trace PATH`` exports the span
 timeline (``serve.ingest`` / ``serve.absorb`` / ``serve.query`` spans),
 ``--metrics PATH`` writes the metrics snapshot with the service's stats
-embedded under the ``serve`` key
-(validated by :func:`repro.obs.validate.validate_serve_stats`).
+embedded under the ``serve`` key (shape:
+:data:`repro.obs.validate.SERVE_STATS`; ``repro-obs check`` checks it).
 
 ``--health`` attaches an estimator-health monitor to every tenant: drift
 detectors and a CI-calibration audit run alongside absorption, per-tenant
@@ -45,17 +45,15 @@ from typing import Optional, Sequence
 from repro.errors import ReproError
 from repro.faults.model import FaultModel
 from repro.obs import (
-    HealthConfig,
     MetricsRegistry,
     Tracer,
-    build_health_report,
     metrics_active,
     tracing,
-    write_alert_log,
     write_chrome_trace,
     write_jsonl,
     write_metrics,
 )
+from repro.obs.health import HealthConfig, build_health_report, write_alert_log
 from repro.profiling.budget import SampleBudget
 from repro.serve.loadgen import FleetReport, default_fleet, run_fleet
 from repro.serve.service import IngestionService, ServiceConfig

@@ -55,6 +55,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.obs.validate import SERVE_SCHEMA
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -70,8 +71,9 @@ __all__ = [
     "encode",
 ]
 
-#: Bumped on any wire-visible change; echoed by ``stats`` responses.
-PROTOCOL_VERSION = "repro.serve/1"
+#: Bumped on any wire-visible change; echoed by ``stats`` responses.  The
+#: tag is declared with the other artifact schemas in :mod:`repro.obs.validate`.
+PROTOCOL_VERSION = SERVE_SCHEMA
 
 #: The stable error-code vocabulary (documented in docs/serving.md).
 ERROR_CODES = ("bad-json", "bad-request", "unknown-op", "bad-shard", "unknown-tenant")

@@ -15,7 +15,7 @@ Four layers of coverage:
 * serve integration — per-tenant monitors in the ingestion service
   (uptime/health stats embeds, SLO breaches, causal trace ids, monitor
   survival across rebalance, bit-identity at any worker count), the
-  fleet report/alert-log validators, and the ``repro-obs health`` CLI gate.
+  fleet report/alert-log readers, and the ``repro-obs health`` CLI gate.
 """
 
 from __future__ import annotations
@@ -32,19 +32,9 @@ from repro.core.online import OnlineEstimator, OnlineOptions
 from repro.errors import ObsError
 from repro.lang import compile_source
 from repro.mote.platform import MICAZ_LIKE
-from repro.obs import (
-    ArtifactError,
-    MetricsRegistry,
-    Tracer,
-    metrics_active,
-    tracing,
-    validate_alert_log,
-    validate_health_report,
-    validate_serve_stats,
-)
+from repro.obs import MetricsRegistry, Tracer, metrics_active, tracing
 from repro.obs import obs_cli
 from repro.obs.health import (
-    ALERT_KINDS,
     AlertEvent,
     CoverageAudit,
     Cusum,
@@ -55,6 +45,14 @@ from repro.obs.health import (
     read_alert_log,
     residual_signals,
     write_alert_log,
+)
+from repro.obs.validate import (
+    ALERT_KINDS,
+    HEALTH_REPORT,
+    SERVE_STATS,
+    ArtifactError,
+    check,
+    read_json,
 )
 from repro.profiling import TimingProfiler
 from repro.serve import IngestionService, ServiceConfig, parse_request_line
@@ -303,13 +301,13 @@ class TestAlerts:
         ]
         path = write_alert_log(tmp_path / "alerts.jsonl", events)
         assert read_alert_log(path) == events
-        summary = validate_alert_log(path)
-        assert summary == {"alerts": 2, "kinds": {"drift", "staleness"}}
+        alerts = read_alert_log(path)
+        assert len(alerts) == 2
+        assert {alert.kind for alert in alerts} == {"drift", "staleness"}
 
     def test_empty_log_is_valid(self, tmp_path):
         path = write_alert_log(tmp_path / "alerts.jsonl", [])
         assert read_alert_log(path) == []
-        assert validate_alert_log(path)["alerts"] == 0
 
     def test_read_rejects_wrong_schema_and_garbage(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
@@ -327,7 +325,7 @@ class TestAlerts:
         path = tmp_path / "alerts.jsonl"
         path.write_text(json.dumps({**event, "kind": "panic"}) + "\n")
         with pytest.raises(ArtifactError, match="unknown alert kind"):
-            validate_alert_log(path)
+            read_alert_log(path)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +422,8 @@ class TestMonitor:
         summary = monitor.summary(now=monitor.staleness_s() and None)
         json.dumps(summary)
         report = build_health_report({"tenant": summary})
-        from repro.obs.validate import _check_health_report
-
-        assert _check_health_report(report, "test") == {"tenants": 1, "alerts": 0}
+        check(report, HEALTH_REPORT, "test")
+        assert len(report["tenants"]) == 1 and len(report["alerts"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +534,8 @@ class TestServeHealth:
         report = run(run_fleet(fleet, config))
         stats = report.stats
         assert stats["uptime_s"] > 0.0
-        summary = validate_serve_stats(stats, "stats")
-        assert summary["has_health"] is True
+        check(stats, SERVE_STATS, "stats")
+        assert "health" in stats
         for tenant_health in stats["health"].values():
             assert tenant_health["shards_absorbed"] > 0
             assert tenant_health["slo"]["state"] in ("ok", "breached")
@@ -549,7 +546,7 @@ class TestServeHealth:
         )
         report = run(run_fleet(fleet, ServiceConfig(n_workers=1, max_batch=2)))
         assert "health" not in report.stats
-        assert validate_serve_stats(report.stats, "stats")["has_health"] is False
+        check(report.stats, SERVE_STATS, "stats")
 
     def test_slo_breach_emits_edge_triggered_alert(self):
         # An impossibly tight p99 budget: the latency SLO must breach once
@@ -735,17 +732,18 @@ class TestHealthReport:
         report = build_health_report({"t": make_summary()})
         path = tmp_path / "health.json"
         path.write_text(json.dumps(report))
-        assert validate_health_report(path) == {"tenants": 1, "alerts": 0}
+        loaded = read_json(path, HEALTH_REPORT)
+        assert len(loaded["tenants"]) == 1 and len(loaded["alerts"]) == 0
 
         broken = dict(report, fleet=dict(report["fleet"], alerts=5))
         path.write_text(json.dumps(broken))
         with pytest.raises(ArtifactError, match="fleet.alerts"):
-            validate_health_report(path)
+            read_json(path, HEALTH_REPORT)
 
         bad_row = dict(report, tenants={"t": {"drift_score": -1}})
         path.write_text(json.dumps(bad_row))
         with pytest.raises(ArtifactError):
-            validate_health_report(path)
+            read_json(path, HEALTH_REPORT)
 
 
 def obs_health(argv):
@@ -830,7 +828,8 @@ class TestHealthCli:
             ]
         )
         assert code == 0
-        assert validate_health_report(out_path) == {"tenants": 1, "alerts": 1}
+        loaded = read_json(out_path, HEALTH_REPORT)
+        assert len(loaded["tenants"]) == 1 and len(loaded["alerts"]) == 1
         capsys.readouterr()
 
     def test_metrics_file_and_fleet_report_shapes_accepted(self, tmp_path, capsys):
@@ -855,6 +854,12 @@ class TestHealthCli:
         no_health.write_text(json.dumps({"metrics": {}}))
         assert obs_health(["--stats", str(no_health)]) == 1
         assert obs_health(["--report", str(tmp_path / "missing.json")]) == 1
+        # An embedded full report is held to the report's shape.
+        future = build_health_report({"t": make_summary()})
+        future["schema"] = "repro.health-report/99"
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({"health": future}))
+        assert obs_health(["--stats", str(stale)]) == 1
         assert "FAILED to load" in capsys.readouterr().err
 
     def test_counter_movers_ride_along_with_drift(self, tmp_path, capsys):
@@ -888,7 +893,7 @@ class TestHealthCli:
         saved = json.loads(out_path.read_text())
         assert saved["counter_movers"][0]["counter"] == "cycles.block"
         # the enriched artifact still validates (extra key tolerated)
-        validate_health_report(out_path)
+        read_json(out_path, HEALTH_REPORT)
 
     def test_counter_flags_come_as_a_pair(self, tmp_path, capsys):
         report = self.write_report(tmp_path)

@@ -3,7 +3,8 @@
 Covers the tracer core (nesting, thread safety, deterministic adoption),
 the metrics registry (instruments, snapshot merge), both trace exporters
 (JSONL + Chrome ``trace_event``, round-tripped through ``json.loads``),
-the run manifest, and the artifact validators the CI smoke job relies on.
+the run manifest, and the artifact checks the readers make (the CI smoke
+job runs them through ``repro-obs check``).
 The end-to-end bit-identity and CLI contracts live in
 ``tests/test_obs_integration.py``.
 """
@@ -22,25 +23,28 @@ from repro.errors import ObsError, UnitExecutionError
 from repro.obs import (
     DEFAULT_BUCKETS,
     TRACE_SCHEMA,
-    ArtifactError,
     Histogram,
     MetricsRegistry,
     Tracer,
-    build_manifest,
     chrome_trace_events,
     current_registry,
     current_tracer,
     metrics_active,
-    require_span_coverage,
     tracing,
-    validate_chrome_trace,
-    validate_metrics_file,
-    validate_trace_jsonl,
     write_chrome_trace,
     write_jsonl,
     write_metrics,
 )
 from repro import obs
+from repro.obs.manifest import build_manifest
+from repro.obs.query import load_run, load_trace
+from repro.obs.validate import (
+    CHROME_TRACE,
+    METRICS_FILE,
+    ArtifactError,
+    read_json,
+    require_span_coverage,
+)
 
 
 class TestTracer:
@@ -299,8 +303,8 @@ class TestExporters:
         ]
         seqs = [s["seq"] for s in spans]
         assert seqs == sorted(seqs)
-        summary = validate_trace_jsonl(path)
-        assert summary["spans"] == 3 and summary["has_manifest"]
+        forest = load_trace(path)
+        assert forest.spans == 3 and forest.manifest is not None
 
     def test_chrome_trace_round_trip_and_monotonic_ts(self, tmp_path):
         tracer = self._traced()
@@ -317,7 +321,7 @@ class TestExporters:
             assert event["ts"] >= last.get(track, -1)
             last[track] = event["ts"]
         assert payload["otherData"] == {"schema_version": 1}
-        validate_chrome_trace(path)
+        read_json(path, CHROME_TRACE)
 
     def test_chrome_events_sorted_across_adopted_processes(self):
         # Fake spans from two "processes" interleaved in adoption order:
@@ -374,8 +378,9 @@ class TestExporters:
         write_metrics(path, registry, manifest=None)
         payload = json.loads(path.read_text())
         assert payload["metrics"]["counters"]["sim.runs"] == 4
-        summary = validate_metrics_file(path)
-        assert summary["counters"] == 1 and summary["histograms"] == 1
+        bundle = load_run(metrics=path)
+        assert len(bundle.metrics["counters"]) == 1
+        assert len(bundle.metrics["histograms"]) == 1
 
 
 class TestManifest:
@@ -408,7 +413,7 @@ class TestValidators:
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ArtifactError, match="not valid JSON"):
-            validate_trace_jsonl(path)
+            load_trace(path)
 
     def test_jsonl_validator_rejects_decreasing_seq(self, tmp_path):
         span = {
@@ -420,7 +425,7 @@ class TestValidators:
             json.dumps({**span, "seq": 1}) + "\n" + json.dumps({**span, "seq": 0}) + "\n"
         )
         with pytest.raises(ArtifactError, match="seq"):
-            validate_trace_jsonl(path)
+            load_trace(path)
 
     def test_chrome_validator_rejects_ts_regression(self, tmp_path):
         event = {"name": "a", "ph": "X", "dur": 1, "pid": 1, "tid": 0}
@@ -429,7 +434,7 @@ class TestValidators:
             json.dumps({"traceEvents": [{**event, "ts": 5}, {**event, "ts": 3}]})
         )
         with pytest.raises(ArtifactError, match="decreases"):
-            validate_chrome_trace(path)
+            read_json(path, CHROME_TRACE)
 
     def test_metrics_validator_rejects_bucket_count_mismatch(self, tmp_path):
         path = tmp_path / "metrics.json"
@@ -447,11 +452,11 @@ class TestValidators:
             )
         )
         with pytest.raises(ArtifactError, match="buckets"):
-            validate_metrics_file(path)
+            load_run(metrics=path)
 
     def test_metrics_validator_rejects_unknown_top_level_keys(self, tmp_path):
         # Regression: the serve embed landed as a new top-level key; the
-        # validator must know the full vocabulary and reject strays instead
+        # reader must know the full vocabulary and reject strays instead
         # of silently ignoring them.
         path = tmp_path / "metrics.json"
         path.write_text(
@@ -463,7 +468,7 @@ class TestValidators:
             )
         )
         with pytest.raises(ArtifactError, match="unknown top-level"):
-            validate_metrics_file(path)
+            load_run(metrics=path)
 
     def test_metrics_validator_accepts_and_checks_serve_embed(self, tmp_path):
         serve = {
@@ -481,23 +486,22 @@ class TestValidators:
             "serve": serve,
         }
         path.write_text(json.dumps(payload))
-        summary = validate_metrics_file(path)
-        assert summary["has_serve"] is True
+        assert "serve" in read_json(path, METRICS_FILE)
 
         bad = dict(serve, schema="repro.serve/999")
         path.write_text(json.dumps({**payload, "serve": bad}))
         with pytest.raises(ArtifactError, match="schema"):
-            validate_metrics_file(path)
+            read_json(path, METRICS_FILE)
 
         bad = {key: value for key, value in serve.items() if key != "totals"}
         path.write_text(json.dumps({**payload, "serve": bad}))
         with pytest.raises(ArtifactError, match="totals"):
-            validate_metrics_file(path)
+            read_json(path, METRICS_FILE)
 
         bad = dict(serve, totals={"accepted": -1, "deferred": 0, "rejected": 0})
         path.write_text(json.dumps({**payload, "serve": bad}))
         with pytest.raises(ArtifactError, match="non-negative"):
-            validate_metrics_file(path)
+            read_json(path, METRICS_FILE)
 
     def test_write_metrics_serve_embed_round_trip(self, tmp_path):
         registry = MetricsRegistry()
@@ -512,8 +516,7 @@ class TestValidators:
             "latency": {"p99_ms": 0.5},
         }
         path = write_metrics(tmp_path / "m.json", registry, serve=serve)
-        summary = validate_metrics_file(path)
-        assert summary["has_serve"] is True
+        assert "serve" in read_json(path, METRICS_FILE)
         assert json.loads(path.read_text())["serve"]["workers"] == 1
 
     def test_span_coverage_requires_all_layers(self):

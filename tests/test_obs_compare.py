@@ -17,7 +17,6 @@ import pytest
 from repro.errors import ObsError
 from repro.obs import obs_cli
 from repro.obs.compare import (
-    OBS_REPORT_SCHEMA,
     compare_runs,
     format_report,
     span_attribution,
@@ -30,9 +29,9 @@ from repro.obs.counters import (
     snapshot_deltas,
 )
 from repro.obs.query import load_run, load_trace
-from repro.obs.validate import validate_obs_report
+from repro.obs.validate import OBS_REPORT, OBS_REPORT_SCHEMA, read_json
 
-from tests.test_obs_query import span_line, write_lines
+from tests.test_obs_query import run_manifest, span_line, write_lines
 
 
 def hw_snapshot(block_cycles=1000, mispredicts=40, energy=12.5):
@@ -77,7 +76,7 @@ def make_run(tmp_path, tag, *, vector_s=0.1, em_mean=4.0, block_cycles=1000):
                         }
                     },
                 },
-                "manifest": {"experiments": {"F1": {"fingerprint": "abc123"}}},
+                "manifest": run_manifest(),
                 "hardware_counters": hw_snapshot(block_cycles=block_cycles),
             }
         )
@@ -193,8 +192,9 @@ class TestCliDeterminism:
             )
             == 0
         )
-        summary = validate_obs_report(out)
-        assert summary["kind"] == "runs" and summary["sections"] == 3
+        report = read_json(out, OBS_REPORT)
+        sections = [report[key] for key in ("spans", "counters", "metrics")]
+        assert report["kind"] == "runs" and None not in sections
         capsys.readouterr()
 
     def test_mixed_artifact_kinds_exit_1(self, run_pair, capsys):
@@ -230,7 +230,7 @@ class TestCliDeterminism:
             == 0
         )
         assert "cycles.block" in capsys.readouterr().out
-        assert validate_obs_report(out)["kind"] == "counters"
+        assert read_json(out, OBS_REPORT)["kind"] == "counters"
 
     @pytest.mark.parametrize(
         "malformed",

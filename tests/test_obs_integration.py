@@ -20,16 +20,10 @@ from repro.experiments.engine import (
     run_experiments,
 )
 from repro.experiments.runner import main
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    metrics_active,
-    require_span_coverage,
-    tracing,
-    validate_chrome_trace,
-    validate_metrics_file,
-    validate_trace_jsonl,
-)
+from repro.obs import MetricsRegistry, Tracer, metrics_active, tracing
+from repro.obs import obs_cli
+from repro.obs.query import load_run, load_trace
+from repro.obs.validate import CHROME_TRACE, read_json, require_span_coverage
 
 QUICK = ExperimentConfig(quick=True, seed=2015, activations=600)
 IDS = ["t1", "f7"]
@@ -211,13 +205,13 @@ class TestCliArtifacts:
         metrics = tmp_path / "metrics.json"
         code = main([*self.BASE, "--trace", str(trace), "--metrics", str(metrics)])
         assert code == 0
-        summary = validate_trace_jsonl(trace)
-        assert summary["has_manifest"]
-        assert "experiment" in summary["names"]
+        forest = load_trace(trace)
+        assert forest.manifest is not None
+        assert "experiment" in {node.name for node in forest.walk()}
         payload = json.loads(metrics.read_text())
         assert payload["manifest"]["config"]["seed"] == 2015
         assert payload["manifest"]["experiments"]["t1"]["ok"] is True
-        validate_metrics_file(metrics)
+        load_run(metrics=metrics)
 
     def test_trace_chrome_format(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -225,8 +219,8 @@ class TestCliArtifacts:
             [*self.BASE, "--trace", str(trace), "--trace-format", "chrome"]
         )
         assert code == 0
-        summary = validate_chrome_trace(trace)
-        assert "experiment" in summary["names"]
+        events = read_json(trace, CHROME_TRACE)["traceEvents"]
+        assert "experiment" in {event["name"] for event in events}
         payload = json.loads(trace.read_text())
         assert payload["otherData"]["schema_version"] == 1
 
@@ -271,9 +265,6 @@ class TestCliArtifacts:
 
 class TestCheckScript:
     def test_check_script_passes_on_real_artifacts(self, capsys, tmp_path):
-        import importlib.util
-        from pathlib import Path
-
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
         assert (
@@ -287,17 +278,10 @@ class TestCheckScript:
         )
         capsys.readouterr()
 
-        script = (
-            Path(__file__).resolve().parent.parent
-            / "scripts"
-            / "check_obs_artifacts.py"
-        )
-        spec = importlib.util.spec_from_file_location("check_obs_artifacts", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
         assert (
-            module.main(
+            obs_cli.main(
                 [
+                    "check",
                     "--trace", str(trace),
                     "--metrics", str(metrics),
                     "--require-coverage",
@@ -310,5 +294,5 @@ class TestCheckScript:
 
         # And it really fails on a broken artifact.
         trace.write_text("not json\n")
-        assert module.main(["--trace", str(trace)]) == 1
+        assert obs_cli.main(["check", "--trace", str(trace)]) == 1
         assert "FAILED" in capsys.readouterr().err

@@ -14,6 +14,8 @@ import json
 import pytest
 
 from repro.errors import ObsError
+from repro.experiments.common import ExperimentConfig
+from repro.obs.manifest import build_manifest
 from repro.obs.query import (
     aggregate,
     critical_path,
@@ -25,7 +27,7 @@ from repro.obs.query import (
     to_collapsed,
 )
 from repro.obs.trace import TRACE_SCHEMA, Tracer, write_jsonl
-from repro.obs.validate import ArtifactError, validate_trace_jsonl
+from repro.obs.validate import ArtifactError
 
 
 def span_line(name, start, end, depth, seq, pid=1, tid=1, attrs=None):
@@ -47,6 +49,13 @@ def span_line(name, start, end, depth, seq, pid=1, tid=1, attrs=None):
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def run_manifest(fingerprint="abc123"):
+    """A real run manifest whose one experiment, F1, has ``fingerprint``."""
+    manifest = build_manifest(ExperimentConfig(quick=True), [])
+    manifest["experiments"] = {"F1": {"fingerprint": fingerprint}}
+    return manifest
 
 
 @pytest.fixture
@@ -94,8 +103,7 @@ class TestLoadTrace:
         assert forest.schema is None  # no header -> legacy
         assert forest.spans == 2
         assert forest.roots[0].children[0].name == "leaf"
-        summary = validate_trace_jsonl(path)
-        assert summary["versioned"] is False and summary["has_manifest"]
+        assert forest.manifest is not None
 
     def test_unknown_header_schema_is_loud(self, tmp_path):
         path = write_lines(
@@ -149,8 +157,8 @@ class TestLoadTrace:
     def test_validator_accepts_versioned_and_rejects_misplaced_header(
         self, traced, tmp_path
     ):
-        summary = validate_trace_jsonl(traced)
-        assert summary["versioned"] is True and summary["spans"] == 4
+        forest = load_trace(traced)
+        assert forest.schema == TRACE_SCHEMA and forest.spans == 4
         bad = write_lines(
             tmp_path / "bad.jsonl",
             [
@@ -159,7 +167,7 @@ class TestLoadTrace:
             ],
         )
         with pytest.raises(ArtifactError, match="header must be the first line"):
-            validate_trace_jsonl(bad)
+            load_trace(bad)
 
 
 class TestAggregate:
@@ -264,7 +272,7 @@ class TestLoadRun:
     def metrics_file(self, tmp_path, fingerprint="abc123", hw=None):
         payload = {
             "metrics": {"counters": {"sim.runs": 3}, "gauges": {}, "histograms": {}},
-            "manifest": {"experiments": {"F1": {"fingerprint": fingerprint}}},
+            "manifest": run_manifest(fingerprint),
         }
         if hw is not None:
             payload["hardware_counters"] = hw
