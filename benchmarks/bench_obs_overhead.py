@@ -11,7 +11,7 @@ absolute slack so sub-second timer noise cannot flake the suite).
 
 The estimator-health layer (docs/health.md) extends the same promise to
 the serve path: attaching an :class:`~repro.obs.health.EstimatorHealthMonitor`
-to every tenant — drift detectors, CI-calibration audit, SLO checks — must
+to every tenant — drift detectors, CI-calibration audit, backlog SLO — must
 keep a fleet ingest run within the same 5% of its health-off baseline, and
 must not perturb a single estimate bit.  The second benchmark pins that.
 
@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.experiments import fig_f1_accuracy
 from repro.obs import MetricsRegistry, Tracer, metrics_active, tracing
-from repro.obs.health import HealthConfig
 from repro.serve.loadgen import build_uploads, default_fleet, run_fleet
 from repro.serve.service import ServiceConfig
 
@@ -106,7 +105,7 @@ def test_serve_health_overhead_under_five_percent(benchmark):
     )
     build_uploads(fleet)  # workload simulation is loadgen's cost, not health's
 
-    def run_arm(health: HealthConfig | None):
+    def run_arm(health: bool):
         # Time the service's own measured window (submit + absorb + drain).
         # Tenant registration and upload generation are the load generator's
         # cost — with health on, registration also computes each tenant's
@@ -121,13 +120,13 @@ def test_serve_health_overhead_under_five_percent(benchmark):
         plain_times, monitored_times = [], []
         plain_report = monitored_report = None
         for _ in range(REPEATS):
-            seconds, plain_report = run_arm(None)
+            seconds, plain_report = run_arm(False)
             plain_times.append(seconds)
-            seconds, monitored_report = run_arm(HealthConfig())
+            seconds, monitored_report = run_arm(True)
             monitored_times.append(seconds)
         return plain_times, monitored_times, plain_report, monitored_report
 
-    run_arm(None)  # warm-up outside the measurement
+    run_arm(False)  # warm-up outside the measurement
 
     plain_times, monitored_times, plain_report, monitored_report = (
         benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -6,8 +6,7 @@ room for per-edge counters.  This script:
 
 1. runs the ``event-detect`` workload under three input regimes (quiet iid,
    bursty, correlated);
-2. estimates its branch profile from end-to-end timing in each regime, with
-   bootstrap confidence intervals on the estimates;
+2. estimates its branch profile from end-to-end timing in each regime;
 3. shows that the optimized placement from the *quiet* profile still helps
    under the other regimes (profiles transfer).
 
@@ -18,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import CodeTomography, EstimationOptions, bootstrap_confidence
+from repro.core import CodeTomography, EstimationOptions
 from repro.mote import MICAZ_LIKE
 from repro.placement import optimize_program_layout
 from repro.profiling import TimingProfiler
-from repro.sim import ProgramTimingModel, run_program
+from repro.sim import run_program
 from repro.util.tables import Table
 from repro.workloads import workload_by_name
 
@@ -78,20 +77,6 @@ def main() -> None:
         )
     print()
     print(table)
-
-    # Bootstrap uncertainty on the quiet-regime estimate of 'main'.
-    run = run_program(
-        program, platform, spec.sensors(rng=10), activations=ACTIVATIONS
-    )
-    dataset = TimingProfiler(platform, rng=11).collect(run.records)
-    model = ProgramTimingModel(program, platform).procedure_model("main", {})
-    ci = bootstrap_confidence(
-        model, dataset.durations("main"), timer=platform.timer,
-        replicates=40, level=0.9, rng=13,
-    )
-    print("\n90% bootstrap intervals for 'main' branch probabilities:")
-    for k, label in enumerate(model.branch_labels):
-        print(f"  {label:12s} {ci.theta[k]:.3f}  [{ci.lower[k]:.3f}, {ci.upper[k]:.3f}]")
 
 
 if __name__ == "__main__":

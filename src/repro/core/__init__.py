@@ -17,9 +17,8 @@ invert the analytic forward model of :mod:`repro.sim.timing`:
   distributions into caller models, and returns per-procedure estimates
   with diagnostics.
 
-Supporting analyses: :mod:`~repro.core.identifiability` (is the inverse
-problem well-posed for this CFG?) and :mod:`~repro.core.confidence`
-(bootstrap confidence intervals).
+Supporting analysis: :mod:`~repro.core.identifiability` (is the inverse
+problem well-posed for this CFG?).
 """
 
 from repro.core.moments_fit import (
@@ -49,7 +48,6 @@ from repro.core.online import (
     ShardEstimate,
     dataset_shards,
 )
-from repro.core.confidence import BootstrapResult, bootstrap_confidence
 from repro.core.drift import DriftTrack, detect_drift, estimate_epochs
 from repro.core.report import estimation_report, render_estimation_report
 
@@ -75,8 +73,6 @@ __all__ = [
     "analyze_identifiability",
     "exchangeable_pairs",
     "practically_invisible_parameters",
-    "bootstrap_confidence",
-    "BootstrapResult",
     "DriftTrack",
     "estimate_epochs",
     "detect_drift",

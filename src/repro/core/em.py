@@ -55,6 +55,16 @@ __all__ = ["EMResult", "EMEstimator"]
 
 _MIN_KERNEL_STD = 0.5
 
+#: Iteration cap per fit.
+MAX_ITERATIONS = 60
+
+#: Convergence: the largest per-branch step of the iterate falls below this.
+TOLERANCE = 1e-4
+
+#: Re-enumerate the path family once the iterate has moved this far (max
+#: per-branch distance) from the theta the family was enumerated under.
+REENUMERATE_SHIFT = 0.05
+
 
 @dataclass(frozen=True)
 class EMResult:
@@ -80,26 +90,10 @@ class EMEstimator:
     """EM over enumerated paths for one procedure."""
 
     def __init__(
-        self,
-        model: ProcedureTimingModel,
-        timer: Optional[TimestampTimer] = None,
-        max_iterations: int = 60,
-        tolerance: float = 1e-4,
-        min_prob: float = 1e-6,
-        max_paths: int = 2000,
-        reenumerate_shift: float = 0.05,
+        self, model: ProcedureTimingModel, timer: Optional[TimestampTimer] = None
     ) -> None:
-        if max_iterations < 1:
-            raise EstimationError(f"max_iterations must be >= 1, got {max_iterations}")
-        if tolerance <= 0:
-            raise EstimationError(f"tolerance must be positive, got {tolerance}")
         self.model = model
         self.timer = timer
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.min_prob = min_prob
-        self.max_paths = max_paths
-        self.reenumerate_shift = reenumerate_shift
 
     def _kernel_variance(self) -> float:
         if self.timer is None:
@@ -142,7 +136,7 @@ class EMEstimator:
         ``family`` seeds the E-step with an already-enumerated family (built
         under compatible reference theta and callee moments — the *caller*
         vouches for that); the fit still re-enumerates internally whenever
-        the iterate drifts past ``reenumerate_shift``.  The family the fit
+        the iterate drifts past :data:`REENUMERATE_SHIFT`.  The family the fit
         ended on is returned alongside the result so incremental callers can
         cache it for the next shard.
         """
@@ -194,9 +188,7 @@ class EMEstimator:
     ) -> tuple[EMResult, PathFamily]:
         """The EM iteration proper (split out so the public entry can trace it)."""
         if family is None:
-            family = enumerate_paths(
-                self.model, theta, min_prob=self.min_prob, max_paths=self.max_paths
-            )
+            family = enumerate_paths(self.model, theta)
         # The E-step runs over distinct durations; ``inverse`` maps each
         # observation to its distinct value's row.
         values, inverse = np.unique(ys, return_inverse=True)
@@ -208,13 +200,11 @@ class EMEstimator:
         dropped = 0
         iterations = 0
         arm_counts = np.zeros(theta.size)
-        for iterations in range(1, self.max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             # Re-enumerate when the iterate has drifted from the family's base.
-            if np.max(np.abs(theta - family_theta)) > self.reenumerate_shift:
+            if np.max(np.abs(theta - family_theta)) > REENUMERATE_SHIFT:
                 obs.inc("estimator.em_reenumerations")
-                family = enumerate_paths(
-                    self.model, theta, min_prob=self.min_prob, max_paths=self.max_paths
-                )
+                family = enumerate_paths(self.model, theta)
                 log_kernel = self._log_kernel(values, family)
                 family_theta = theta.copy()
 
@@ -267,7 +257,7 @@ class EMEstimator:
             new_theta = np.where(denom > 0, a_total / np.maximum(denom, 1e-12), theta)
             new_theta = np.clip(new_theta, 1e-4, 1.0 - 1e-4)
 
-            if np.max(np.abs(new_theta - theta)) < self.tolerance:
+            if np.max(np.abs(new_theta - theta)) < TOLERANCE:
                 theta = new_theta
                 converged = True
                 break

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import EstimationError
-from repro.core.em import EMEstimator
+from repro.core.em import MAX_ITERATIONS, EMEstimator
 from repro.core.identifiability import analyze_identifiability
 from repro.core.moments_fit import (
     fit_moments,
@@ -49,6 +49,13 @@ __all__ = [
 
 _METHODS = ("moments", "em", "hybrid")
 
+#: A robust estimate is flagged ``degraded`` when fewer samples than this
+#: survive the fault screen ...
+MIN_SAMPLES = 8
+
+#: ... or when the screen rejected at least this fraction of the sample.
+DEGRADED_REJECT_FRACTION = 0.25
+
 
 def _full_width_ci(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The honest interval for an estimate we cannot stand behind."""
@@ -64,50 +71,37 @@ def _degradation(opts: "EstimationOptions", name: str, kept: int, rejected: int)
     if not opts.robust:
         return False, None
     total = kept + rejected
-    if kept < opts.min_samples:
+    if kept < MIN_SAMPLES:
         return True, (
             f"{name}: degraded — only {kept} usable sample(s) after fault "
-            f"screening (need {opts.min_samples})"
+            f"screening (need {MIN_SAMPLES})"
         )
-    if total and rejected / total >= opts.degraded_reject_fraction:
+    if total and rejected / total >= DEGRADED_REJECT_FRACTION:
         return True, (
             f"{name}: degraded — fault screening rejected {rejected}/{total} "
-            f"samples (≥ {opts.degraded_reject_fraction:.0%})"
+            f"samples (≥ {DEGRADED_REJECT_FRACTION:.0%})"
         )
     return False, None
 
 
 @dataclass(frozen=True)
 class EstimationOptions:
-    """Tuning knobs shared by all procedures in one estimation run.
+    """The choices one estimation run makes for all its procedures.
 
-    The ``robust`` block controls the fault-tolerant path
-    (:mod:`repro.faults` is the regime it exists for): a model-based
-    outlier screen before fitting (see
-    :func:`repro.core.moments_fit.robust_filter`), plus graceful
+    ``robust`` switches on the fault-tolerant path (:mod:`repro.faults` is
+    the regime it exists for): a model-based outlier screen before fitting
+    (see :func:`repro.core.moments_fit.robust_filter`), plus graceful
     degradation — an estimate is flagged ``degraded`` (full-width
-    confidence interval, never NaN) when fewer than ``min_samples``
+    confidence interval, never NaN) when fewer than :data:`MIN_SAMPLES`
     survive or when the screen rejected at least
-    ``degraded_reject_fraction`` of the sample.  On fault-free data the
+    :data:`DEGRADED_REJECT_FRACTION` of the sample.  On fault-free data the
     robust path rejects nothing and is bit-identical to the classic one.
     """
 
     method: str = "moments"
     moments_used: int = 3
-    prior_weight: float = 1e-3
-    restarts: int = 8
-    em_max_iterations: int = 60
-    em_tolerance: float = 1e-4
-    em_min_prob: float = 1e-6
-    em_max_paths: int = 2000
-    check_identifiability: bool = True
     seed: Optional[int] = None
     robust: bool = False
-    robust_k: float = 8.0
-    robust_floor_mult: float = 25.0
-    max_reject_fraction: float = 0.35
-    min_samples: int = 8
-    degraded_reject_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -268,23 +262,16 @@ class CodeTomography:
                 ci_upper=ci_hi,
             )
 
-        if opts.check_identifiability:
-            report = analyze_identifiability(model, moments_used=opts.moments_used)
-            warnings.extend(report.warnings)
+        report = analyze_identifiability(model, moments_used=opts.moments_used)
+        warnings.extend(report.warnings)
 
         durations = dataset.durations(name)
         timer = self.platform.timer
 
-        robust_args = dict(
-            robust=opts.robust,
-            robust_k=opts.robust_k,
-            robust_floor_mult=opts.robust_floor_mult,
-            max_reject_fraction=opts.max_reject_fraction,
-        )
         if opts.method == "em":
             # Plain EM reports the observed moments of the sample a moments
             # fit would match, and needs no fit.
-            sample, _ = moment_sample(model, durations, timer, **robust_args)
+            sample, _ = moment_sample(model, durations, timer, robust=opts.robust)
             observed = observed_moments(sample, timer)
         else:
             moment_fit = fit_moments(
@@ -292,10 +279,8 @@ class CodeTomography:
                 durations,
                 timer=timer,
                 moments_used=opts.moments_used,
-                prior_weight=opts.prior_weight,
-                restarts=opts.restarts,
                 rng=gen,
-                **robust_args,
+                robust=opts.robust,
             )
             observed = moment_fit.observed_moments
         if opts.method == "moments":
@@ -326,23 +311,9 @@ class CodeTomography:
         em_durations = durations
         em_rejected = 0
         if opts.robust:
-            em_durations, em_rejected = robust_filter(
-                model,
-                durations,
-                timer,
-                robust_k=opts.robust_k,
-                robust_floor_mult=opts.robust_floor_mult,
-                max_reject_fraction=opts.max_reject_fraction,
-            )
+            em_durations, em_rejected = robust_filter(model, durations, timer)
 
-        em = EMEstimator(
-            model,
-            timer=timer,
-            max_iterations=opts.em_max_iterations,
-            tolerance=opts.em_tolerance,
-            min_prob=opts.em_min_prob,
-            max_paths=opts.em_max_paths,
-        )
+        em = EMEstimator(model, timer=timer)
         # EM's likelihood surface is multimodal; "hybrid" races an EM run
         # started from the moments fit against one from the uniform prior and
         # keeps the higher-likelihood solution.
@@ -361,7 +332,7 @@ class CodeTomography:
         assert em_result is not None
         if not em_result.converged:
             warnings.append(
-                f"{name}: EM did not converge within {opts.em_max_iterations} iterations"
+                f"{name}: EM did not converge within {MAX_ITERATIONS} iterations"
             )
         if em_result.dropped_observations:
             warnings.append(

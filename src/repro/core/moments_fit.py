@@ -6,7 +6,7 @@ vector ``theta``.  The estimator solves the inverse problem as bounded
 nonlinear least squares:
 
     minimize  || W . (predicted_moments(theta) - observed_moments) ||^2
-              + prior_weight * || theta - 0.5 ||^2
+              + PRIOR_WEIGHT * || theta - 0.5 ||^2
 
 * **Weights** are inverse standard errors of the empirical moments, so a
   moment estimated from few samples cannot dominate the fit.
@@ -31,16 +31,16 @@ textbook median/MAD screen would reject genuine rare-path samples.  The
 robust path (``fit_moments(..., robust=True)``) therefore screens against
 the *model*, not the sample: samples farther from the predicted measured
 mean (anchored at the uninformed prior ``theta = 0.5``) than
-``max(robust_k · σ_pred, robust_floor_mult · mean_pred)`` are rejected —
+``ROBUST_FLOOR_MULT · mean_pred + ROBUST_K · σ_pred`` are rejected —
 see :func:`robust_filter` — and the moment match runs on the survivors.
 
 When nothing is rejected the fit sees the untouched sample with an
 untouched generator, so on clean data the robust path is **bit-identical**
 to the classic one.  Rejection is
-capped at ``max_reject_fraction`` of the sample: that cap is the screen's
-breakdown point — contamination beyond ~35% necessarily leaks fault mass
-into the trimmed fit (the estimator layer flags such fits ``degraded``,
-see :class:`repro.core.estimator.EstimationOptions`).
+capped at :data:`MAX_REJECT_FRACTION` of the sample: that cap is the
+screen's breakdown point — contamination beyond ~35% necessarily leaks
+fault mass into the trimmed fit (the estimator layer flags such fits
+``degraded``, see :class:`repro.core.estimator.EstimationOptions`).
 """
 
 from __future__ import annotations
@@ -69,9 +69,20 @@ __all__ = [
 
 _THETA_EPS = 1e-4
 
+#: Weight of the pull toward the uninformed 0.5 prior.
+PRIOR_WEIGHT = 1e-3
+
 #: Below this many samples the robust screen declines to reject anything —
 #: the anchor fit is too weak to tell an outlier from a rare path.
 ROBUST_MIN_SAMPLES = 8
+
+#: The robust screen's envelope: a sample is rejected beyond
+#: ``ROBUST_FLOOR_MULT · mean_pred + ROBUST_K · σ_pred`` of the predicted mean.
+ROBUST_K = 8.0
+ROBUST_FLOOR_MULT = 25.0
+
+#: The screen's breakdown point: it never rejects more than this fraction.
+MAX_REJECT_FRACTION = 0.35
 
 
 def measurement_noise_variance(timer: TimestampTimer) -> float:
@@ -89,18 +100,14 @@ def robust_filter(
     model: ProcedureTimingModel,
     durations: Sequence[float],
     timer: Optional[TimestampTimer],
-    theta: Optional[np.ndarray] = None,
-    robust_k: float = 8.0,
-    robust_floor_mult: float = 25.0,
-    max_reject_fraction: float = 0.35,
 ) -> tuple[np.ndarray, int]:
     """Screen ``durations`` against the model's predicted measurement.
 
     Distances are measured from the predicted mean at the uninformed prior
     (``theta = 0.5``); a sample is rejected when it lies beyond an envelope
     of plausible execution regimes: the max over probe parameter vectors
-    (0.5 and the loop-heavy 0.9) of ``robust_floor_mult · mean_pred +
-    robust_k · σ_pred``, with ``σ_pred`` including the timer's noise
+    (0.5 and the loop-heavy 0.9) of ``ROBUST_FLOOR_MULT · mean_pred +
+    ROBUST_K · σ_pred``, with ``σ_pred`` including the timer's noise
     variance and everything floored at the timer resolution.  Anchoring on
     fixed probes instead of a data-driven fit is deliberate twice over: a
     fit on contaminated data can be dragged to a bound (a loop probability
@@ -111,10 +118,7 @@ def robust_filter(
     rare long path sits within a few tens of predicted means, while
     glitches and corrupted uploads land hundreds to thousands out.
 
-    ``theta``, when given, replaces the probe set with that single vector
-    (the anchor for both distance and envelope).
-
-    Rejection is capped at ``max_reject_fraction`` of the sample (the
+    Rejection is capped at :data:`MAX_REJECT_FRACTION` of the sample (the
     documented breakdown point); past the cap only the most extreme
     samples go.  Returns ``(survivors, n_rejected)``; with nothing
     rejected, the *original* array object is returned so callers can cheaply
@@ -125,7 +129,7 @@ def robust_filter(
     if n < ROBUST_MIN_SAMPLES:
         return xs, 0
     k = model.n_parameters
-    probes = [theta] if theta is not None else [np.full(k, p) for p in (0.5, 0.9)]
+    probes = [np.full(k, p) for p in (0.5, 0.9)]
     resolution = float(timer.resolution_cycles) if timer is not None else 1.0
     noise = timer.noise_variance() if timer is not None else 0.0
     mean_anchor = 0.0
@@ -137,14 +141,14 @@ def robust_filter(
         sigma = max(math.sqrt(max(moments.variance, 0.0) + noise), resolution)
         threshold = max(
             threshold,
-            robust_floor_mult * max(moments.mean, resolution) + robust_k * sigma,
+            ROBUST_FLOOR_MULT * max(moments.mean, resolution) + ROBUST_K * sigma,
         )
     dist = np.abs(xs - mean_anchor)
     reject = dist > threshold
     n_reject = int(reject.sum())
     if n_reject == 0:
         return xs, 0
-    cap = int(math.floor(max_reject_fraction * n))
+    cap = int(math.floor(MAX_REJECT_FRACTION * n))
     if cap == 0:
         return xs, 0
     if n_reject > cap:
@@ -201,13 +205,9 @@ def fit_moments(
     durations: Sequence[float],
     timer: Optional[TimestampTimer] = None,
     moments_used: int = 3,
-    prior_weight: float = 1e-3,
     restarts: int = 8,
     rng: RngSource = None,
     robust: bool = False,
-    robust_k: float = 8.0,
-    robust_floor_mult: float = 25.0,
-    max_reject_fraction: float = 0.35,
 ) -> MomentFitResult:
     """Estimate ``theta`` from measured end-to-end ``durations``.
 
@@ -250,18 +250,8 @@ def fit_moments(
         # The screen consumes no randomness.  Zero rejections hand the *same*
         # array to the same fit with the same generator state, so the robust
         # path is bit-identical to the classic one on clean data.
-        sample, n_rejected = moment_sample(
-            model,
-            xs,
-            timer,
-            robust=robust,
-            robust_k=robust_k,
-            robust_floor_mult=robust_floor_mult,
-            max_reject_fraction=max_reject_fraction,
-        )
-        return _fit_core(
-            model, sample, timer, moments_used, prior_weight, restarts, gen, n_rejected
-        )
+        sample, n_rejected = moment_sample(model, xs, timer, robust=robust)
+        return _fit_core(model, sample, timer, moments_used, restarts, gen, n_rejected)
 
 
 def moment_sample(
@@ -269,9 +259,6 @@ def moment_sample(
     durations: Sequence[float],
     timer: Optional[TimestampTimer] = None,
     robust: bool = False,
-    robust_k: float = 8.0,
-    robust_floor_mult: float = 25.0,
-    max_reject_fraction: float = 0.35,
 ) -> tuple[np.ndarray, int]:
     """The sample :func:`fit_moments` matches, as ``(durations, n_rejected)``.
 
@@ -286,14 +273,7 @@ def moment_sample(
         xs = xs / timer.drift_scale
     if not robust or model.n_parameters == 0:
         return xs, 0
-    return robust_filter(
-        model,
-        xs,
-        timer,
-        robust_k=robust_k,
-        robust_floor_mult=robust_floor_mult,
-        max_reject_fraction=max_reject_fraction,
-    )
+    return robust_filter(model, xs, timer)
 
 
 def observed_moments(
@@ -318,7 +298,6 @@ def _fit_core(
     xs: np.ndarray,
     timer: Optional[TimestampTimer],
     moments_used: int,
-    prior_weight: float,
     restarts: int,
     gen: np.random.Generator,
     n_rejected: int,
@@ -342,7 +321,7 @@ def _fit_core(
 
     scales = _moment_scales(mean, variance, int(xs.size), moments_used)
     target = observed[:moments_used]
-    sqrt_prior = np.sqrt(max(prior_weight, 0.0))
+    sqrt_prior = np.sqrt(PRIOR_WEIGHT)
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         m = model.moments(theta)

@@ -10,9 +10,10 @@ of re-running EM cold (0.5 prior, fresh path enumeration) the way
 * **warm-starts** EM from the previous shard's theta, and
 * **reuses** the previously enumerated :class:`~repro.core.path_enum.PathFamily`
   while two invariants hold: the iterate has moved less than
-  ``reenumerate_shift`` from the family's reference theta, *and* the
-  procedure's reward means (which embed folded callee moments — family
-  durations are baked against them) have not drifted past ``callee_shift``.
+  :data:`~repro.core.em.REENUMERATE_SHIFT` from the family's reference
+  theta, *and* the procedure's reward means (which embed folded callee
+  moments — family durations are baked against them) have not drifted past
+  :data:`CALLEE_SHIFT`.
   Either violation rebuilds the family; leaf procedures, whose reward means
   never move, reuse indefinitely.
 
@@ -36,14 +37,14 @@ the trajectory is a pure function of the shard sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import obs
 from repro.errors import EstimationError
-from repro.core.em import EMEstimator
+from repro.core.em import REENUMERATE_SHIFT, EMEstimator
 from repro.core.path_enum import PathFamily
 from repro.ir.program import Program
 from repro.markov.moments import RewardMoments
@@ -65,52 +66,40 @@ __all__ = [
     "merge_shards",
 ]
 
-#: Two-sided 95% normal quantile, the default CI width.
-_Z_95 = 1.959963984540054
+#: Two-sided 95% normal quantile: the Wald CI half-width multiplier.
+CI_Z = 1.959963984540054
 
 #: A parameter with zero effective arm counts gets the honest half-width.
 _FULL_HALF_WIDTH = 0.5
 
+#: Pseudo-count ``n0`` that shrinks each warm start toward the uninformative
+#: 0.5 prior in proportion to how little data the previous iterate was fit
+#: on: ``theta0 = (n_prev·theta_prev + n0·0.5) / (n_prev + n0)``.  Early
+#: shards are small, and EM iterates fit on 50 samples can land at extremes
+#: that poison every subsequent warm re-fit; the shrinkage washes out
+#: exactly when the accumulated evidence (``n_prev``) dwarfs ``n0``.  Zero
+#: would disable shrinkage (raw previous iterate).
+WARM_PSEUDO_COUNT = 100.0
+
+#: A cached path family is rebuilt once the procedure's reward means move
+#: by more than this fraction of their largest magnitude.
+CALLEE_SHIFT = 0.01
+
 
 @dataclass(frozen=True)
 class OnlineOptions:
-    """Tuning knobs for one streaming estimation run.
+    """The stopping policy of one streaming estimation run.
 
     ``epsilon=None`` disables the CI stopping criterion (the trajectory is
-    still tracked); ``budget=None`` disables the budget criterion.  The EM
-    knobs mirror :class:`~repro.core.estimator.EstimationOptions`.
-
-    ``warm_pseudo_count`` shrinks each warm start toward the uninformative
-    0.5 prior in proportion to how little data the previous iterate was fit
-    on: ``theta0 = (n_prev·theta_prev + n0·0.5) / (n_prev + n0)``.  Early
-    shards are small, and EM iterates fit on 50 samples can land at
-    extremes that poison every subsequent warm re-fit; the shrinkage washes
-    out exactly when the accumulated evidence (``n_prev``) dwarfs ``n0``.
-    Zero disables shrinkage (raw previous iterate).
+    still tracked); ``budget=None`` disables the budget criterion.
     """
 
     epsilon: Optional[float] = 0.02
-    ci_z: float = _Z_95
     budget: Optional[SampleBudget] = None
-    em_max_iterations: int = 60
-    em_tolerance: float = 1e-4
-    em_min_prob: float = 1e-6
-    em_max_paths: int = 2000
-    reenumerate_shift: float = 0.05
-    callee_shift: float = 0.01
-    warm_pseudo_count: float = 100.0
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise EstimationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.ci_z <= 0:
-            raise EstimationError(f"ci_z must be positive, got {self.ci_z}")
-        if self.callee_shift < 0:
-            raise EstimationError(f"callee_shift must be >= 0, got {self.callee_shift}")
-        if self.warm_pseudo_count < 0:
-            raise EstimationError(
-                f"warm_pseudo_count must be >= 0, got {self.warm_pseudo_count}"
-            )
 
 
 @dataclass(frozen=True)
@@ -237,9 +226,7 @@ class OnlineEstimator:
             # this shard touches the fit — the drift detectors' input.
             from repro.obs.health import residual_signals
 
-            signals = residual_signals(
-                self._moments, arrays, self._health.config.min_signal_samples
-            )
+            signals = residual_signals(self._moments, arrays)
         prev_counts = {name: int(xs.size) for name, xs in self._samples.items()}
         for name, xs in arrays.items():
             held = self._samples.get(name)
@@ -291,7 +278,6 @@ class OnlineEstimator:
         shard — the evidence behind the previous iterate, which sets the
         warm-start shrinkage weight.
         """
-        opts = self.options
         callee_moments: dict[str, RewardMoments] = {}
         arm_counts: dict[str, np.ndarray] = {}
         em_iterations = 0
@@ -319,20 +305,12 @@ class OnlineEstimator:
                 theta0 = None
             if theta0 is not None:
                 n_prev = float(prev_counts.get(name, 0))
-                n0 = opts.warm_pseudo_count
+                n0 = WARM_PSEUDO_COUNT
                 if n0 > 0.0:
                     theta0 = (n_prev * theta0 + n0 * 0.5) / (n_prev + n0)
             means = np.asarray(model.reward_means, dtype=float)
             cached = self._reusable_family(name, means, theta0)
-            em = EMEstimator(
-                model,
-                timer=self.platform.timer,
-                max_iterations=opts.em_max_iterations,
-                tolerance=opts.em_tolerance,
-                min_prob=opts.em_min_prob,
-                max_paths=opts.em_max_paths,
-                reenumerate_shift=opts.reenumerate_shift,
-            )
+            em = EMEstimator(model, timer=self.platform.timer)
             result, family = em.fit_with_family(ys, theta0=theta0, family=cached)
             em_iterations += result.iterations
             if cached is not None and family is cached:
@@ -340,7 +318,7 @@ class OnlineEstimator:
             else:
                 rebuilt += 1
                 # Anchor the drift check at build time, not at every reuse —
-                # otherwise slow callee drift could creep past callee_shift
+                # otherwise slow callee drift could creep past CALLEE_SHIFT
                 # without ever tripping it.
                 self._family_means[name] = means.copy()
             self._theta[name] = result.theta
@@ -371,13 +349,13 @@ class OnlineEstimator:
         # EM clips its start the same way before comparing against the
         # family's (already clipped) reference theta.
         start = np.clip(theta0, 0.02, 0.98)
-        if np.max(np.abs(start - reference)) > self.options.reenumerate_shift:
+        if np.max(np.abs(start - reference)) > REENUMERATE_SHIFT:
             return None
         anchor = self._family_means.get(name)
         if anchor is None or anchor.shape != reward_means.shape:
             return None
         scale = max(float(np.max(np.abs(anchor))), 1.0)
-        if np.max(np.abs(reward_means - anchor)) > self.options.callee_shift * scale:
+        if np.max(np.abs(reward_means - anchor)) > CALLEE_SHIFT * scale:
             return None
         return family
 
@@ -387,7 +365,7 @@ class OnlineEstimator:
         """Wald half-width per branch from EM's effective arm counts."""
         if arm_counts is None or arm_counts.shape != theta.shape:
             return np.full(theta.shape, _FULL_HALF_WIDTH)
-        width = self.options.ci_z * np.sqrt(
+        width = CI_Z * np.sqrt(
             theta * (1.0 - theta) / np.maximum(arm_counts, 1e-12)
         )
         return np.where(arm_counts > 0, np.minimum(width, _FULL_HALF_WIDTH), _FULL_HALF_WIDTH)

@@ -47,7 +47,7 @@ from repro.lang import compile_source
 from repro.markov.builders import BranchParameterization
 from repro.mote.platform import Platform
 from repro.mote.sensors import IIDSensor, SensorSuite
-from repro.pgo import PGOConfig, PGOController, SegmentMetrics
+from repro.pgo import PGOController, SegmentMetrics
 from repro.placement.layout import ProgramLayout
 from repro.placement.refine import optimize_refined_program_layout
 from repro.sim.interpreter import Interpreter
@@ -107,7 +107,7 @@ _REGIMES: dict[str, dict[str, dict[str, tuple[float, float]]]] = {
 
 #: Drift schedules: (segment count, regime) phases, in order.  The probe
 #: spike (3 segments of B) is exactly as long as the loop's reaction
-#: latency — one segment to alarm plus ``relearn_shards`` to refit — so the
+#: latency — one segment to alarm plus ``RELEARN_SHARDS`` to refit — so the
 #: swap lands one segment *after* the regime has snapped back to A: the
 #: stale-evidence trap.  The final sustained B phase is the same shift held
 #: long enough that re-placing for it is correct.
@@ -272,9 +272,7 @@ def workload_unit(name: str, config: ExperimentConfig) -> UnitResult:
         program, platform, name, seed, activations, regimes, lambda i: oracle_layouts[i]
     )
 
-    controller = PGOController(
-        program, platform, config=PGOConfig(), initial_layout=static_layout
-    )
+    controller = PGOController(program, platform, initial_layout=static_layout)
     for i, channels in enumerate(regimes):
         controller.run_segment(
             _sensors(channels, seed, name, i),

@@ -20,13 +20,15 @@ Three instruments, all streaming, all deterministic given the shard sequence:
   whether the Wald interval ``theta ± half_width`` actually contains the
   simulator's ground-truth branch probability — only for parameters whose
   effective arm count makes the Wald approximation honest.  The running
-  empirical coverage is compared against nominal (95% by default) and a
+  empirical coverage is compared against :data:`NOMINAL_COVERAGE` and a
   sustained gap raises a calibration alert.
 
-* **Staleness + SLO monitors.**  Wall-age since the last absorbed shard,
-  shards since the last path-family rebuild, and (for the ingestion
-  service) p99 ingest latency / backlog depth / deferral rate, each with a
-  configurable threshold.
+* **Staleness gauges.**  Wall-age since the last absorbed shard and shards
+  since the last path-family rebuild, reported in every summary (the
+  ingestion service adds its backlog SLO on top).
+
+The thresholds are module constants; the only per-monitor choice is the
+warm-up length (the serve default, or 4 shards in :mod:`repro.pgo`).
 
 Everything is **observational**: a monitor never feeds back into the
 estimator, so attaching one cannot perturb thetas, half-widths, batch
@@ -52,7 +54,6 @@ from repro.obs import trace as _trace
 from repro.obs.validate import ALERT, ALERT_SCHEMA, REPORT_SCHEMA, check, read_jsonl
 
 __all__ = [
-    "HealthConfig",
     "PageHinkley",
     "Cusum",
     "CoverageAudit",
@@ -64,73 +65,26 @@ __all__ = [
     "build_health_report",
 ]
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Thresholds for one :class:`EstimatorHealthMonitor`.
+#: Drift-detector thresholds, in *standardized* units (the detectors see
+#: signals scaled by the warm-up baseline's std): ``PH_DELTA``/``CUSUM_K``
+#: are the drift magnitudes to ignore, ``PH_THRESHOLD``/``CUSUM_H`` the
+#: alarm levels.
+PH_DELTA = 0.1
+PH_THRESHOLD = 28.0
+CUSUM_K = 0.5
+CUSUM_H = 14.0
 
-    The drift knobs are in *standardized* units (the detectors see signals
-    scaled by the warmup baseline's std): ``ph_delta``/``cusum_k`` are the
-    drift magnitudes to ignore, ``ph_threshold``/``cusum_h`` the alarm
-    levels.  ``None`` disables an individual check (staleness and SLO checks
-    default off — they only make sense where a clock or a service exists).
-    """
+#: A shard needs this many samples of a procedure to yield a drift signal.
+MIN_SIGNAL_SAMPLES = 2
 
-    warmup_shards: int = 8
-    ph_delta: float = 0.1
-    ph_threshold: float = 28.0
-    cusum_k: float = 0.5
-    cusum_h: float = 14.0
-    min_signal_samples: int = 2
-    nominal_coverage: float = 0.95
-    coverage_tolerance: float = 0.05
-    min_coverage_checks: int = 200
-    min_effective_count: float = 25.0
-    max_staleness_s: Optional[float] = None
-    max_shards_since_rebuild: Optional[int] = None
-    slo_p99_ms: Optional[float] = None
-    slo_backlog_frac: Optional[float] = 0.8
-    slo_deferral_rate: Optional[float] = None
-    min_slo_shards: int = 8
+#: The coverage the Wald intervals claim, and the gap that raises an alert
+#: once the audit holds ``MIN_COVERAGE_CHECKS`` checks.
+NOMINAL_COVERAGE = 0.95
+COVERAGE_TOLERANCE = 0.05
+MIN_COVERAGE_CHECKS = 200
 
-    def __post_init__(self) -> None:
-        if self.warmup_shards < 1:
-            raise ObsError(f"warmup_shards must be >= 1, got {self.warmup_shards}")
-        if self.ph_threshold <= 0 or self.cusum_h <= 0:
-            raise ObsError("detector thresholds must be positive")
-        if self.ph_delta < 0 or self.cusum_k < 0:
-            raise ObsError("detector drift allowances must be >= 0")
-        if not 0.0 < self.nominal_coverage < 1.0:
-            raise ObsError(
-                f"nominal_coverage must lie in (0, 1), got {self.nominal_coverage}"
-            )
-        if not 0.0 < self.coverage_tolerance < 1.0:
-            raise ObsError(
-                f"coverage_tolerance must lie in (0, 1), got {self.coverage_tolerance}"
-            )
-        if self.min_coverage_checks < 1:
-            raise ObsError(
-                f"min_coverage_checks must be >= 1, got {self.min_coverage_checks}"
-            )
-        if self.min_effective_count <= 0:
-            raise ObsError(
-                f"min_effective_count must be positive, got {self.min_effective_count}"
-            )
-        for name, value in (
-            ("max_staleness_s", self.max_staleness_s),
-            ("slo_p99_ms", self.slo_p99_ms),
-            ("slo_backlog_frac", self.slo_backlog_frac),
-            ("slo_deferral_rate", self.slo_deferral_rate),
-        ):
-            if value is not None and value <= 0:
-                raise ObsError(f"{name} must be positive or None, got {value}")
-        if (
-            self.max_shards_since_rebuild is not None
-            and self.max_shards_since_rebuild < 1
-        ):
-            raise ObsError(
-                f"max_shards_since_rebuild must be >= 1 or None, "
-                f"got {self.max_shards_since_rebuild}"
-            )
+#: Parameters with fewer effective arm counts are not audited.
+MIN_EFFECTIVE_COUNT = 25.0
 
 
 # --------------------------------------------------------------------------
@@ -142,25 +96,20 @@ class PageHinkley:
     """Two-sided Page–Hinkley test over a scalar stream.
 
     Classic two-accumulator form: the *up* test tracks the cumulative
-    deviation from the running mean minus the allowance ``delta`` against
-    its running minimum, the *down* test the deviation plus ``delta``
-    against its running maximum.  Under stationarity each accumulator
-    drifts *away* from its own extremum's alarm side at rate ``delta``, so
-    the statistic stays bounded on arbitrarily long quiet streams; a
-    sustained shift in either direction walks one gap past ``threshold``.
+    deviation from the running mean minus the allowance :data:`PH_DELTA`
+    against its running minimum, the *down* test the deviation plus
+    ``PH_DELTA`` against its running maximum.  Under stationarity each
+    accumulator drifts *away* from its own extremum's alarm side at rate
+    ``PH_DELTA``, so the statistic stays bounded on arbitrarily long quiet
+    streams; a sustained shift in either direction walks one gap past
+    :data:`PH_THRESHOLD`.
     After an alarm the statistic resets so the next episode is detected
     afresh.
     """
 
-    __slots__ = ("delta", "threshold", "_n", "_mean", "_up", "_up_min", "_down", "_down_max")
+    __slots__ = ("_n", "_mean", "_up", "_up_min", "_down", "_down_max")
 
-    def __init__(self, delta: float = 0.1, threshold: float = 28.0) -> None:
-        if threshold <= 0:
-            raise ObsError(f"threshold must be positive, got {threshold}")
-        if delta < 0:
-            raise ObsError(f"delta must be >= 0, got {delta}")
-        self.delta = delta
-        self.threshold = threshold
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -178,19 +127,19 @@ class PageHinkley:
 
     @property
     def score(self) -> float:
-        """``statistic / threshold`` — >= 1.0 means the alarm level."""
-        return self.statistic / self.threshold
+        """``statistic / PH_THRESHOLD`` — >= 1.0 means the alarm level."""
+        return self.statistic / PH_THRESHOLD
 
     def update(self, x: float) -> bool:
         """Feed one value; True means *alarm* (the detector has reset)."""
         self._n += 1
         self._mean += (x - self._mean) / self._n
         deviation = x - self._mean
-        self._up += deviation - self.delta
+        self._up += deviation - PH_DELTA
         self._up_min = min(self._up_min, self._up)
-        self._down += deviation + self.delta
+        self._down += deviation + PH_DELTA
         self._down_max = max(self._down_max, self._down)
-        if self.statistic > self.threshold:
+        if self.statistic > PH_THRESHOLD:
             self.reset()
             return True
         return False
@@ -201,20 +150,14 @@ class Cusum:
 
     Classic tabular form: ``S+ = max(0, S+ + x - k)`` catches upward shifts,
     ``S- = max(0, S- - x - k)`` downward ones; either exceeding ``h`` is an
-    alarm (and resets both accumulators).  With ~N(0, 1) inputs, ``k`` is
-    half the shift (in sigmas) worth detecting and ``h`` sets the
-    false-alarm/delay trade-off.
+    alarm (and resets both accumulators).  With ~N(0, 1) inputs, ``k``
+    (:data:`CUSUM_K`) is half the shift (in sigmas) worth detecting and
+    ``h`` (:data:`CUSUM_H`) sets the false-alarm/delay trade-off.
     """
 
-    __slots__ = ("k", "h", "_pos", "_neg")
+    __slots__ = ("_pos", "_neg")
 
-    def __init__(self, k: float = 0.5, h: float = 14.0) -> None:
-        if h <= 0:
-            raise ObsError(f"h must be positive, got {h}")
-        if k < 0:
-            raise ObsError(f"k must be >= 0, got {k}")
-        self.k = k
-        self.h = h
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -227,22 +170,20 @@ class Cusum:
 
     @property
     def score(self) -> float:
-        return self.statistic / self.h
+        return self.statistic / CUSUM_H
 
     def update(self, x: float) -> bool:
         """Feed one value; True means *alarm* (the detector has reset)."""
-        self._pos = max(0.0, self._pos + x - self.k)
-        self._neg = max(0.0, self._neg - x - self.k)
-        if self.statistic > self.h:
+        self._pos = max(0.0, self._pos + x - CUSUM_K)
+        self._neg = max(0.0, self._neg - x - CUSUM_K)
+        if self.statistic > CUSUM_H:
             self.reset()
             return True
         return False
 
 
 def residual_signals(
-    moments: Mapping[str, object],
-    samples: Mapping[str, object],
-    min_samples: int = 2,
+    moments: Mapping[str, object], samples: Mapping[str, object]
 ) -> dict[str, float]:
     """Per-procedure standardized innovations for one shard.
 
@@ -251,8 +192,9 @@ def residual_signals(
     :class:`~repro.markov.moments.RewardMoments`); ``samples`` maps name to
     the shard's raw duration array.  The signal is the z-score of the shard
     mean under the prediction: ``(x̄ - mu) / (sigma / sqrt(n))``.  Procedures
-    without a prediction, or with fewer than ``min_samples`` observations
-    (one duration says nothing about a mean shift), are skipped.
+    without a prediction, or with fewer than :data:`MIN_SIGNAL_SAMPLES`
+    observations (one duration says nothing about a mean shift), are
+    skipped.
     """
     signals: dict[str, float] = {}
     for name in sorted(samples):
@@ -261,7 +203,7 @@ def residual_signals(
             continue
         xs = samples[name]
         n = len(xs)
-        if n < min_samples:
+        if n < MIN_SIGNAL_SAMPLES:
             continue
         sigma = math.sqrt(max(float(predicted.variance), 1e-12))
         mean = sum(float(x) for x in xs) / n
@@ -279,12 +221,14 @@ class _ProcDrift:
     detected relative to the first's level, not the original one.
     """
 
-    __slots__ = ("config", "_count", "_mean", "_m2", "_mu0", "_sd0", "ph", "cusum", "alarms")
+    __slots__ = (
+        "warmup_shards", "_count", "_mean", "_m2", "_mu0", "_sd0", "ph", "cusum", "alarms"
+    )
 
-    def __init__(self, config: HealthConfig) -> None:
-        self.config = config
-        self.ph = PageHinkley(config.ph_delta, config.ph_threshold)
-        self.cusum = Cusum(config.cusum_k, config.cusum_h)
+    def __init__(self, warmup_shards: int) -> None:
+        self.warmup_shards = warmup_shards
+        self.ph = PageHinkley()
+        self.cusum = Cusum()
         self.alarms = 0
         self._restart()
 
@@ -312,7 +256,7 @@ class _ProcDrift:
             delta = x - self._mean
             self._mean += delta / self._count
             self._m2 += delta * (x - self._mean)
-            if self._count >= self.config.warmup_shards:
+            if self._count >= self.warmup_shards:
                 self._mu0 = self._mean
                 variance = self._m2 / max(self._count - 1, 1)
                 # The raw signal is already ~unit-scale by construction; the
@@ -344,17 +288,12 @@ class CoverageAudit:
 
     One ``(procedure, parameter, shard)`` triple is one check: did
     ``|theta - truth| <= half_width`` hold?  Only parameters whose effective
-    arm count reaches ``min_effective_count`` are checked — below that the
-    Wald interval is not an honest 95% interval and auditing it would
+    arm count reaches :data:`MIN_EFFECTIVE_COUNT` are checked — below that
+    the Wald interval is not an honest 95% interval and auditing it would
     measure the approximation, not the calibration.
     """
 
-    def __init__(self, min_effective_count: float = 25.0) -> None:
-        if min_effective_count <= 0:
-            raise ObsError(
-                f"min_effective_count must be positive, got {min_effective_count}"
-            )
-        self.min_effective_count = min_effective_count
+    def __init__(self) -> None:
         self._covered: dict[str, int] = {}
         self._total: dict[str, int] = {}
 
@@ -375,7 +314,7 @@ class CoverageAudit:
         recorded = 0
         for i, theta in enumerate(thetas):
             if arm_counts is not None and (
-                i >= len(arm_counts) or arm_counts[i] < self.min_effective_count
+                i >= len(arm_counts) or arm_counts[i] < MIN_EFFECTIVE_COUNT
             ):
                 continue
             if arm_counts is None and half_widths[i] >= 0.5:
@@ -432,7 +371,7 @@ class AlertEvent:
     ``severity`` from its ``SEVERITIES``; ``source`` names the stream
     (tenant key, or ``"estimator"`` for a bare monitor); ``value`` crossed
     ``threshold``; ``shard`` is the trajectory index at emission (-1 when
-    the alert is not tied to a shard, e.g. staleness).
+    the alert is not tied to a shard, e.g. the service's backlog SLO).
     """
 
     kind: str
@@ -513,21 +452,25 @@ class EstimatorHealthMonitor:
     estimator to keep its detector state (the ingestion service does this
     on rebalance).
 
-    ``truth`` (per-procedure ground-truth branch probabilities, when the
-    workload is simulated and they are known) enables the coverage audit;
-    without it the audit stays empty.  ``sink`` is an optional callable
-    receiving every :class:`AlertEvent` as it fires.
+    ``warmup_shards`` is how many signals each procedure's drift baseline
+    learns from before the detectors arm.  ``truth`` (per-procedure
+    ground-truth branch probabilities, when the workload is simulated and
+    they are known) enables the coverage audit; without it the audit stays
+    empty.  ``sink`` is an optional callable receiving every
+    :class:`AlertEvent` as it fires.
     """
 
     def __init__(
         self,
-        config: Optional[HealthConfig] = None,
+        warmup_shards: int = 8,
         source: str = "estimator",
         truth: Optional[Mapping[str, Sequence[float]]] = None,
         clock: Callable[[], float] = time.monotonic,
         sink: Optional[Callable[[AlertEvent], None]] = None,
     ) -> None:
-        self.config = config or HealthConfig()
+        if warmup_shards < 1:
+            raise ObsError(f"warmup_shards must be >= 1, got {warmup_shards}")
+        self.warmup_shards = warmup_shards
         self.source = source
         self.truth = (
             {name: [float(x) for x in xs] for name, xs in truth.items()}
@@ -536,7 +479,7 @@ class EstimatorHealthMonitor:
         )
         self._clock = clock
         self._sink = sink
-        self.audit = CoverageAudit(self.config.min_effective_count)
+        self.audit = CoverageAudit()
         self._drift: dict[str, _ProcDrift] = {}
         self._alerts: list[AlertEvent] = []
         self._shards = 0
@@ -544,7 +487,6 @@ class EstimatorHealthMonitor:
         self._last_absorb_t: Optional[float] = None
         self._shards_since_rebuild = 0
         self._coverage_breached = False
-        self._stale = False
 
     # -- observation --------------------------------------------------------
 
@@ -565,7 +507,6 @@ class EstimatorHealthMonitor:
         self._shards += 1
         self._samples = point.total_samples
         self._last_absorb_t = self._clock()
-        self._stale = False
         if point.families_rebuilt > 0:
             self._shards_since_rebuild = 0
         else:
@@ -573,7 +514,7 @@ class EstimatorHealthMonitor:
         for proc in sorted(signals):
             state = self._drift.get(proc)
             if state is None:
-                state = self._drift[proc] = _ProcDrift(self.config)
+                state = self._drift[proc] = _ProcDrift(self.warmup_shards)
             detector = state.update(float(signals[proc]))
             if detector is not None:
                 fired.append(
@@ -607,10 +548,10 @@ class EstimatorHealthMonitor:
 
     def _check_coverage(self, shard: int) -> list[AlertEvent]:
         coverage = self.audit.coverage()
-        if coverage is None or self.audit.checks < self.config.min_coverage_checks:
+        if coverage is None or self.audit.checks < MIN_COVERAGE_CHECKS:
             return []
-        gap = abs(coverage - self.config.nominal_coverage)
-        breached = gap > self.config.coverage_tolerance
+        gap = abs(coverage - NOMINAL_COVERAGE)
+        breached = gap > COVERAGE_TOLERANCE
         if breached and not self._coverage_breached:
             self._coverage_breached = True
             return [
@@ -618,12 +559,12 @@ class EstimatorHealthMonitor:
                     kind="coverage",
                     severity="warning",
                     value=coverage,
-                    threshold=self.config.nominal_coverage,
+                    threshold=NOMINAL_COVERAGE,
                     shard=shard,
                     detail=(
                         f"empirical coverage {coverage:.3f} off nominal "
-                        f"{self.config.nominal_coverage:.2f} by {gap:.3f} "
-                        f"(> {self.config.coverage_tolerance:.3f}, "
+                        f"{NOMINAL_COVERAGE:.2f} by {gap:.3f} "
+                        f"(> {COVERAGE_TOLERANCE:.3f}, "
                         f"{self.audit.checks} checks)"
                     ),
                 )
@@ -631,44 +572,6 @@ class EstimatorHealthMonitor:
         if not breached:
             self._coverage_breached = False
         return []
-
-    def check_staleness(self, now: Optional[float] = None) -> list[AlertEvent]:
-        """Evaluate the age thresholds; edge-triggered staleness alerts."""
-        fired: list[AlertEvent] = []
-        limit = self.config.max_staleness_s
-        age = self.staleness_s(now)
-        shard_limit = self.config.max_shards_since_rebuild
-        stale_now = (limit is not None and age is not None and age > limit) or (
-            shard_limit is not None and self._shards_since_rebuild > shard_limit
-        )
-        if stale_now and not self._stale:
-            self._stale = True
-            if limit is not None and age is not None and age > limit:
-                fired.append(
-                    self._emit(
-                        kind="staleness",
-                        severity="warning",
-                        value=age,
-                        threshold=limit,
-                        detail=f"no shard absorbed for {age:.1f}s",
-                    )
-                )
-            else:
-                fired.append(
-                    self._emit(
-                        kind="staleness",
-                        severity="warning",
-                        value=float(self._shards_since_rebuild),
-                        threshold=float(shard_limit),
-                        detail=(
-                            f"{self._shards_since_rebuild} shards since the "
-                            "last path-family rebuild"
-                        ),
-                    )
-                )
-        elif not stale_now:
-            self._stale = False
-        return fired
 
     def emit(
         self,
@@ -680,7 +583,7 @@ class EstimatorHealthMonitor:
         procedure: Optional[str] = None,
         detail: str = "",
     ) -> AlertEvent:
-        """Emit one externally evaluated alert (the service's SLO checks)."""
+        """Emit one externally evaluated alert (the service's backlog SLO)."""
         return self._emit(kind, severity, value, threshold, shard, procedure, detail)
 
     def _emit(
@@ -766,9 +669,7 @@ class EstimatorHealthMonitor:
 
 
 def build_health_report(
-    tenants: Mapping[str, dict],
-    alerts: Sequence[AlertEvent] = (),
-    nominal_coverage: float = 0.95,
+    tenants: Mapping[str, dict], alerts: Sequence[AlertEvent] = ()
 ) -> dict:
     """Assemble the fleet health report (``repro-obs health``'s artifact).
 
@@ -801,7 +702,7 @@ def build_health_report(
     }
     return {
         "schema": REPORT_SCHEMA,
-        "nominal_coverage": nominal_coverage,
+        "nominal_coverage": NOMINAL_COVERAGE,
         "tenants": rows,
         "fleet": fleet,
         "alerts": [event.to_json() for event in alerts],

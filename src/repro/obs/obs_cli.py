@@ -48,7 +48,7 @@ breached SLO).  ``--expect-drift`` flips the drift clause for
 injected-drift drills: the gate *fails unless* at least one drift alarm
 fired (coverage alerts are tolerated too — degraded coverage against
 base-regime truth is exactly what an injected drift causes), while
-staleness/SLO alerts still fail.
+backlog SLO alerts still fail.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from repro.obs.compare import (
 from repro.obs.counters import SNAPSHOT_SCHEMA, snapshot_deltas
 from repro.obs.health import build_health_report, read_alert_log
 from repro.obs.query import (
-    RunBundle,
     aggregate,
     critical_path,
     format_aggregate,
@@ -90,6 +89,7 @@ from repro.obs.validate import (
     ArtifactError,
     check,
     read_json,
+    read_text,
     require_span_coverage,
 )
 
@@ -104,7 +104,7 @@ def _sniff(path: Path) -> str:
     tag or top-level vocabulary (a Chrome export holds ``traceEvents``).
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError:
         return "trace"  # JSON-lines: many documents, one per line
     if not isinstance(payload, dict):
@@ -416,6 +416,8 @@ def _cmd_check(args) -> int:
             "nothing to check; pass --trace, --metrics, --hw-counters, "
             "--health, --alerts and/or --report"
         )
+    if args.require_coverage and args.trace is None:
+        args.usage_error("--require-coverage checks a trace; pass --trace")
     if args.trace is not None:
         if _sniff(args.trace) == "chrome":
             events = read_json(args.trace, CHROME_TRACE)["traceEvents"]

@@ -54,14 +54,7 @@ SERVE_SCHEMA = "repro.serve/1"
 SEVERITIES = ("warning", "critical")
 
 #: Alert kinds the health monitor can emit (the vocabulary is closed).
-ALERT_KINDS = (
-    "drift",
-    "coverage",
-    "staleness",
-    "slo-latency",
-    "slo-backlog",
-    "slo-deferral",
-)
+ALERT_KINDS = ("drift", "coverage", "slo-backlog")
 
 #: Span-name prefixes that prove the trace covered a pipeline layer.
 LAYER_PREFIXES = {
@@ -197,10 +190,19 @@ def _parse(text: str, where: str) -> Any:
         raise ArtifactError(f"{where}: not valid JSON: {exc}") from exc
 
 
+def read_text(path: Union[str, Path]) -> str:
+    """An artifact's text; bytes that are not UTF-8 raise :class:`ArtifactError`."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path.name}: not UTF-8 text: {exc}") from exc
+
+
 def read_json(path: Union[str, Path], shape: Any = ANY) -> Any:
     """Parse a one-document JSON artifact and check it against ``shape``."""
     path = Path(path)
-    value = _parse(path.read_text(), path.name)
+    value = _parse(read_text(path), path.name)
     check(value, shape, path.name)
     return value
 
@@ -208,7 +210,7 @@ def read_json(path: Union[str, Path], shape: Any = ANY) -> Any:
 def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[str, Any]]:
     """Yield ``(where, record)`` for every non-blank line of a JSONL artifact."""
     path = Path(path)
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if line.strip():
             where = f"{path.name}:{lineno}"
             yield where, _parse(line, where)

@@ -15,7 +15,6 @@ against a frozen static placement and an oracle re-placer.
 from repro.pgo.controller import (
     ACTIONS,
     PGOCheckpoint,
-    PGOConfig,
     PGOController,
     SegmentMetrics,
     SegmentReport,
@@ -27,7 +26,6 @@ __all__ = [
     "EVENT_KINDS",
     "LayoutRegistry",
     "PGOCheckpoint",
-    "PGOConfig",
     "PGOController",
     "SegmentMetrics",
     "SegmentReport",

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import obs
@@ -53,7 +53,7 @@ from repro.ir.program import Program
 from repro.mote.platform import Platform
 from repro.mote.radio import Packet
 from repro.mote.sensors import SensorSuite
-from repro.obs.health import AlertEvent, EstimatorHealthMonitor, HealthConfig
+from repro.obs.health import AlertEvent, EstimatorHealthMonitor
 from repro.pgo.registry import LayoutRegistry, SwapEvent
 from repro.placement.layout import ProgramLayout
 from repro.placement.refine import optimize_refined_program_layout
@@ -63,7 +63,6 @@ from repro.sim.trace import ExecutionCounters
 from repro.util.rng import RngSource
 
 __all__ = [
-    "PGOConfig",
     "SegmentMetrics",
     "SegmentReport",
     "PGOCheckpoint",
@@ -77,6 +76,29 @@ ACTIONS = ("hold", "alarm", "relearn", "swap", "commit", "rollback")
 #: State-machine phases.
 _STEADY, _RELEARN, _TRIAL = "steady", "relearn", "trial"
 
+#: The loop's estimator tracks every segment and never stops on its own.
+ONLINE_OPTIONS = OnlineOptions(epsilon=None)
+
+#: Drift warm-up in shards: a controller segment carries hundreds of
+#: samples, so the innovation baseline settles faster than the serve
+#: default.
+WARMUP_SHARDS = 4
+
+#: Post-alarm segments the fresh estimator absorbs before a candidate
+#: layout is proposed.
+RELEARN_SHARDS = 3
+
+#: The rollback gate fires when the trial segment's mispredict rate exceeds
+#: the pre-swap reference by more than ``ROLLBACK_Z`` pooled standard
+#: errors, **or** its compute (CPU + ADC) energy per activation exceeds the
+#: reference by more than ``ENERGY_RTOL`` relatively.
+ROLLBACK_Z = 1.96
+ENERGY_RTOL = 0.05
+
+#: Segments that ignore new drift alarms right after a rollback or an
+#: unchanged re-placement, so the loop cannot flap.
+COOLDOWN_SEGMENTS = 2
+
 
 def _zero_clock() -> float:
     """Deterministic stand-in for the monitor's wall clock.
@@ -86,43 +108,6 @@ def _zero_clock() -> float:
     state stays picklable.
     """
     return 0.0
-
-
-@dataclass(frozen=True)
-class PGOConfig:
-    """Policy knobs for one closed-loop run.
-
-    ``health`` tunes the drift detectors (the default shortens warmup to 4
-    shards — a controller segment carries hundreds of samples, so the
-    innovation baseline settles fast).  ``relearn_shards`` is how many
-    post-alarm segments feed the fresh estimator before a candidate layout
-    is proposed.  The rollback gate fires when the trial segment's
-    mispredict rate exceeds the pre-swap reference by more than
-    ``rollback_z`` pooled standard errors, **or** its compute (CPU + ADC)
-    energy per activation exceeds the reference by more than
-    ``energy_rtol`` relatively.
-    ``cooldown_segments`` suppresses new drift alarms right after a
-    rollback or an unchanged re-placement, so the loop cannot flap.
-    """
-
-    online: OnlineOptions = field(default_factory=lambda: OnlineOptions(epsilon=None))
-    health: HealthConfig = field(default_factory=lambda: HealthConfig(warmup_shards=4))
-    relearn_shards: int = 3
-    rollback_z: float = 1.96
-    energy_rtol: float = 0.05
-    cooldown_segments: int = 2
-
-    def __post_init__(self) -> None:
-        if self.relearn_shards < 1:
-            raise PgoError(f"relearn_shards must be >= 1, got {self.relearn_shards}")
-        if self.rollback_z <= 0:
-            raise PgoError(f"rollback_z must be positive, got {self.rollback_z}")
-        if self.energy_rtol < 0:
-            raise PgoError(f"energy_rtol must be >= 0, got {self.energy_rtol}")
-        if self.cooldown_segments < 0:
-            raise PgoError(
-                f"cooldown_segments must be >= 0, got {self.cooldown_segments}"
-            )
 
 
 @dataclass(frozen=True)
@@ -185,7 +170,6 @@ class PGOCheckpoint:
     """
 
     program_name: str
-    config: PGOConfig
     layouts: dict[str, ProgramLayout]
     layout_order: tuple[str, ...]
     events: tuple[SwapEvent, ...]
@@ -244,12 +228,10 @@ class PGOController:
         self,
         program: Program,
         platform: Platform,
-        config: Optional[PGOConfig] = None,
         initial_layout: Optional[ProgramLayout] = None,
     ) -> None:
         self.program = program
         self.platform = platform
-        self.config = config or PGOConfig()
         layout = initial_layout or ProgramLayout.source_order(program)
         self.registry = LayoutRegistry()
         self.current_key = self.registry.add(layout)
@@ -289,19 +271,18 @@ class PGOController:
         estimator = OnlineEstimator(
             self.program,
             self.platform,
-            options=self.config.online,
+            options=ONLINE_OPTIONS,
             layout=self._current_layout(),
         )
-        monitor = EstimatorHealthMonitor(
-            self.config.health,
-            source="pgo",
-            clock=_zero_clock,
-            sink=self._on_alert,
-        )
-        estimator.attach_health(monitor)
+        estimator.attach_health(self._monitor())
         self.shards_since_reset = 0
         obs.inc("pgo.estimator_resets")
         return estimator
+
+    def _monitor(self) -> EstimatorHealthMonitor:
+        return EstimatorHealthMonitor(
+            WARMUP_SHARDS, source="pgo", clock=_zero_clock, sink=self._on_alert
+        )
 
     def _ensure_interpreter(self, sensors: SensorSuite) -> Interpreter:
         if self._interp is None:
@@ -419,11 +400,10 @@ class PGOController:
         if self.phase == _TRIAL:
             return self._judge_trial(metrics)
         if self.phase == _RELEARN:
-            if self.shards_since_reset >= self.config.relearn_shards:
+            if self.shards_since_reset >= RELEARN_SHARDS:
                 return self._propose(metrics)
             return "relearn", (
-                f"relearning ({self.shards_since_reset}/"
-                f"{self.config.relearn_shards} shards)"
+                f"relearning ({self.shards_since_reset}/{RELEARN_SHARDS} shards)"
             )
         # Steady state: watch for drift, honour the cooldown.
         if self.cooldown > 0:
@@ -454,7 +434,7 @@ class PGOController:
         if key == self.current_key:
             # The drift did not move any placement decision; stand down.
             self.phase = _STEADY
-            self.cooldown = self.config.cooldown_segments
+            self.cooldown = COOLDOWN_SEGMENTS
             return "hold", "re-placement unchanged; no swap"
         previous = self.current_key
         self._swap_to(key, metrics.segment, kind="swap", detail="post-drift candidate")
@@ -477,7 +457,7 @@ class PGOController:
             self.pre_swap_key = None
             self.reference = None
             self.phase = _STEADY
-            self.cooldown = self.config.cooldown_segments
+            self.cooldown = COOLDOWN_SEGMENTS
             obs.inc("pgo.rollbacks")
             obs.instant("pgo.rollback", segment=metrics.segment, key=restored[:12])
             return "rollback", why
@@ -493,31 +473,30 @@ class PGOController:
         """Did the trial segment measure worse than the pre-swap segment?
 
         The mispredict gate is a one-sided two-proportion Wald test at
-        ``rollback_z``; the energy gate a relative threshold on *compute*
+        :data:`ROLLBACK_Z`; the energy gate a relative threshold on *compute*
         energy (CPU + ADC) — radio transmissions are decided by the data
         path, not the layout, so total energy would let packet-count noise
         between segments fake or mask a regression.  Both gates compare
         *measured* segments — the controller audits reality, not the model
         that proposed the swap.
         """
-        cfg = self.config
         r_t, r_r = trial.mispredict_rate, reference.mispredict_rate
         if trial.branches and reference.branches:
             se = math.sqrt(
                 r_t * (1.0 - r_t) / trial.branches
                 + r_r * (1.0 - r_r) / reference.branches
             )
-            if r_t - r_r > cfg.rollback_z * se:
+            if r_t - r_r > ROLLBACK_Z * se:
                 return True, (
                     f"mispredict rate {r_t:.4f} vs pre-swap {r_r:.4f} "
-                    f"(> {cfg.rollback_z:g} SE = {cfg.rollback_z * se:.4f})"
+                    f"(> {ROLLBACK_Z:g} SE = {ROLLBACK_Z * se:.4f})"
                 )
         e_t = trial.compute_per_activation
         e_r = reference.compute_per_activation
-        if e_r > 0 and e_t > e_r * (1.0 + cfg.energy_rtol):
+        if e_r > 0 and e_t > e_r * (1.0 + ENERGY_RTOL):
             return True, (
                 f"compute energy {e_t:.6f} mJ/act vs pre-swap {e_r:.6f} "
-                f"(> +{cfg.energy_rtol:.0%})"
+                f"(> +{ENERGY_RTOL:.0%})"
             )
         return False, (
             f"mispredict rate {r_t:.4f} vs pre-swap {r_r:.4f}; swap kept"
@@ -587,7 +566,6 @@ class PGOController:
         assert monitor is not None  # _fresh_estimator always attaches one
         return PGOCheckpoint(
             program_name=self.program.name,
-            config=self.config,
             layouts={k: self.registry.get(k) for k in self.registry.keys},
             layout_order=self.registry.keys,
             events=self.registry.events,
@@ -633,7 +611,6 @@ class PGOController:
         self = cls.__new__(cls)
         self.program = program
         self.platform = platform
-        self.config = checkpoint.config
         self.registry = LayoutRegistry()
         for key in checkpoint.layout_order:
             restored = self.registry.add(checkpoint.layouts[key])
@@ -658,15 +635,10 @@ class PGOController:
             program,
             platform,
             checkpoint.estimator,
-            options=self.config.online,
+            options=ONLINE_OPTIONS,
             layout=self.registry.get(self.current_key),
         )
-        monitor = EstimatorHealthMonitor(
-            self.config.health,
-            source="pgo",
-            clock=_zero_clock,
-            sink=self._on_alert,
-        )
+        monitor = self._monitor()
         _restore_monitor(monitor, checkpoint.monitor_state)
         self.estimator.attach_health(monitor)
         self.shards_since_reset = checkpoint.shards_since_reset

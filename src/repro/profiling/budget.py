@@ -43,43 +43,18 @@ __all__ = ["SampleBudget", "HookPlan", "plan_hooks", "apply_plan"]
 class SampleBudget:
     """Cap on how many timing samples a profiling campaign may spend.
 
-    ``max_total`` bounds the sum over all procedures; ``max_per_procedure``
-    is exhausted only once *every* measured procedure has reached it (a cold
-    procedure that never reaches the cap cannot, by itself, keep collection
-    running forever — the total cap exists for exactly that).  At least one
-    cap must be set.
+    ``max_total`` bounds the sum over all procedures.
     """
 
-    max_total: Optional[int] = None
-    max_per_procedure: Optional[int] = None
+    max_total: int
 
     def __post_init__(self) -> None:
-        if self.max_total is None and self.max_per_procedure is None:
-            raise ProfilingError("SampleBudget needs max_total, max_per_procedure, or both")
-        for name in ("max_total", "max_per_procedure"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ProfilingError(f"{name} must be >= 1, got {value}")
+        if self.max_total < 1:
+            raise ProfilingError(f"max_total must be >= 1, got {self.max_total}")
 
     def exhausted(self, counts: Mapping[str, int]) -> bool:
-        """True once the per-procedure sample ``counts`` hit either cap."""
-        if self.max_total is not None and sum(counts.values()) >= self.max_total:
-            return True
-        if self.max_per_procedure is not None and counts:
-            if min(counts.values()) >= self.max_per_procedure:
-                return True
-        return False
-
-    def remaining(self, counts: Mapping[str, int]) -> Optional[int]:
-        """Samples left under the *total* cap, or ``None`` when uncapped.
-
-        The ingestion service (:mod:`repro.serve`) uses this to size its
-        retry-after hints: a tenant whose budget is spent is told how far
-        over it is rather than being silently throttled.  Never negative.
-        """
-        if self.max_total is None:
-            return None
-        return max(0, self.max_total - sum(counts.values()))
+        """True once the per-procedure sample ``counts`` sum to the cap."""
+        return sum(counts.values()) >= self.max_total
 
 
 @dataclass(frozen=True)

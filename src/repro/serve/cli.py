@@ -53,7 +53,7 @@ from repro.obs import (
     write_jsonl,
     write_metrics,
 )
-from repro.obs.health import HealthConfig, build_health_report, write_alert_log
+from repro.obs.health import build_health_report, write_alert_log
 from repro.profiling.budget import SampleBudget
 from repro.serve.loadgen import FleetReport, default_fleet, run_fleet
 from repro.serve.service import IngestionService, ServiceConfig
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     health.add_argument(
         "--health", action="store_true",
         help="attach an estimator-health monitor to every tenant (drift "
-        "detectors, CI-calibration audit, SLO alerts)",
+        "detectors, CI-calibration audit, backlog SLO alert)",
     )
     health.add_argument(
         "--alert-log", type=Path, default=None, metavar="PATH", dest="alert_log",
@@ -250,7 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_batch=args.batch,
             flush_interval_s=args.flush_interval,
             max_backlog=args.max_backlog,
-            health=HealthConfig() if health_on else None,
+            health=health_on,
         )
     except ReproError as exc:
         print(str(exc), file=sys.stderr)

@@ -323,8 +323,8 @@ async def run_fleet(
             options=spec.options(),
             # The simulated fleet knows its own ground truth, which is what
             # makes the CI-calibration audit possible; real deployments
-            # register without it and still get drift/staleness/SLO checks.
-            truth=tenant_truth(fleet, spec) if svc.config.health is not None else None,
+            # register without it and still get drift and backlog checks.
+            truth=tenant_truth(fleet, spec) if svc.config.health else None,
         )
     uploads = build_uploads(fleet)
     accepted = deferred = 0

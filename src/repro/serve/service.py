@@ -15,9 +15,9 @@ The design splits hot-path decisions from absorption:
   and backlog cap, buffers the shard in the service-level
   :class:`~repro.serve.batcher.MicroBatcher`, and answers with a
   :class:`~repro.serve.protocol.Receipt` immediately.  Budget or backlog
-  pressure yields ``deferred`` (with ``retry_after_s``) — **deferral, not
-  drop**: the shard is not absorbed, the estimator is untouched, and the
-  mote is told to retry.
+  pressure yields ``deferred`` (with :data:`RETRY_AFTER_S`) — **deferral,
+  not drop**: the shard is not absorbed, the estimator is untouched, and
+  the mote is told to retry.
 * Full batches are enqueued to the owning worker's FIFO queue; worker tasks
   absorb them (one EM sweep per batch) off the hot path.
 
@@ -48,7 +48,7 @@ from repro.core.online import OnlineOptions
 from repro.errors import ProtocolError, ServeError
 from repro.ir.program import Program
 from repro.mote.platform import Platform
-from repro.obs.health import AlertEvent, EstimatorHealthMonitor, HealthConfig
+from repro.obs.health import AlertEvent, EstimatorHealthMonitor
 from repro.placement.layout import ProgramLayout
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import (
@@ -67,6 +67,16 @@ from repro.serve.worker import AbsorbResult, EstimatorWorker
 
 __all__ = ["ServiceConfig", "TenantStats", "IngestionService"]
 
+#: The retry hint a deferred upload carries.
+RETRY_AFTER_S = 0.5
+
+#: The backlog SLO: a tenant whose unabsorbed shards exceed this fraction of
+#: ``max_backlog`` after an absorbed batch raises an ``slo-backlog`` alert ...
+SLO_BACKLOG_FRAC = 0.8
+
+#: ... once it has had this many shards accepted.
+MIN_SLO_SHARDS = 8
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -78,16 +88,15 @@ class ServiceConfig:
     caps each tenant's unabsorbed shards (buffered + queued); beyond it,
     uploads defer.  ``health`` attaches an
     :class:`~repro.obs.health.EstimatorHealthMonitor` to every tenant's
-    estimator (drift detection, CI-calibration audit, SLO alerts) — purely
-    observational, so estimates stay bit-identical with it on or off.
+    estimator (drift detection, CI-calibration audit, the backlog SLO) —
+    purely observational, so estimates stay bit-identical with it on or off.
     """
 
     n_workers: int = 1
     max_batch: int = 8
     flush_interval_s: Optional[float] = None
     max_backlog: int = 256
-    retry_after_s: float = 0.5
-    health: Optional[HealthConfig] = None
+    health: bool = False
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -98,8 +107,6 @@ class ServiceConfig:
             raise ServeError(
                 f"flush_interval_s must be positive or None, got {self.flush_interval_s}"
             )
-        if self.retry_after_s <= 0:
-            raise ServeError(f"retry_after_s must be positive, got {self.retry_after_s}")
 
 
 @dataclass
@@ -125,7 +132,7 @@ class _Registration:
     # resumed estimator) because monitors are not part of checkpoints.
     monitor: Optional[EstimatorHealthMonitor] = None
     latencies_s: list = field(default_factory=list)
-    slo_breached: dict = field(default_factory=dict)
+    backlog_breached: bool = False
 
 
 class IngestionService:
@@ -221,12 +228,9 @@ class IngestionService:
             raise ServeError(f"tenant {tenant} already registered")
         opts = options or OnlineOptions()
         monitor = None
-        if self.config.health is not None:
+        if self.config.health:
             monitor = EstimatorHealthMonitor(
-                config=self.config.health,
-                source=str(tenant),
-                truth=truth,
-                clock=self._clock,
+                source=str(tenant), truth=truth, clock=self._clock
             )
         self._registry[tenant] = _Registration(
             program=program,
@@ -306,7 +310,7 @@ class IngestionService:
             tenant=tenant,
             pending=self._registry[tenant].in_flight,
             reason=reason,
-            retry_after_s=self.config.retry_after_s,
+            retry_after_s=RETRY_AFTER_S,
         )
 
     def _enqueue(self, tenant: TenantKey, batch) -> None:
@@ -331,56 +335,37 @@ class IngestionService:
         self._latencies.extend(result.latencies_s)
         registration.latencies_s.extend(result.latencies_s)
         if registration.monitor is not None:
-            self._check_slo(result.tenant, registration)
+            self._check_backlog(result.tenant, registration)
 
-    def _check_slo(self, tenant: TenantKey, registration: _Registration) -> None:
-        """Evaluate the tenant's serve SLOs; emit edge-triggered alerts.
+    def _check_backlog(self, tenant: TenantKey, registration: _Registration) -> None:
+        """Evaluate the tenant's backlog SLO; emit an edge-triggered alert.
 
         Runs after every absorbed batch (drift/coverage checks already ran
-        inside the estimator's absorb).  Each SLO alerts once per breach
+        inside the estimator's absorb).  The SLO alerts once per breach
         episode: crossing back under the threshold re-arms it.
         """
-        health = self.config.health
         monitor = registration.monitor
-        assert health is not None and monitor is not None
-        stats = self._tenant_stats[tenant]
-        if stats.accepted < health.min_slo_shards:
+        assert monitor is not None
+        if self._tenant_stats[tenant].accepted < MIN_SLO_SHARDS:
             return
-        checks: list[tuple[str, float, float]] = []
-        if health.slo_p99_ms is not None and registration.latencies_s:
-            lat = np.asarray(registration.latencies_s, dtype=float) * 1e3
-            checks.append(
-                ("slo-latency", float(np.percentile(lat, 99)), health.slo_p99_ms)
+        frac = registration.in_flight / self.config.max_backlog
+        breached = frac > SLO_BACKLOG_FRAC
+        if breached and not registration.backlog_breached:
+            monitor.emit(
+                "slo-backlog",
+                "critical",
+                value=frac,
+                threshold=SLO_BACKLOG_FRAC,
+                detail=f"slo-backlog breached for {tenant}",
             )
-        if health.slo_backlog_frac is not None:
-            frac = registration.in_flight / self.config.max_backlog
-            checks.append(("slo-backlog", frac, health.slo_backlog_frac))
-        if health.slo_deferral_rate is not None:
-            total = stats.accepted + stats.deferred
-            if total:
-                checks.append(
-                    ("slo-deferral", stats.deferred / total, health.slo_deferral_rate)
-                )
-        for kind, value, threshold in checks:
-            breached = value > threshold
-            if breached and not registration.slo_breached.get(kind, False):
-                monitor.emit(
-                    kind,
-                    "critical",
-                    value=value,
-                    threshold=threshold,
-                    detail=f"{kind} breached for {tenant}",
-                )
-            registration.slo_breached[kind] = breached
+        registration.backlog_breached = breached
 
     def _slo_state(self, tenant: TenantKey, registration: _Registration) -> dict:
         """The tenant's live SLO readout for the stats/health embeds."""
         stats = self._tenant_stats[tenant]
         total = stats.accepted + stats.deferred
         state: dict = {
-            "state": "breached"
-            if any(registration.slo_breached.values())
-            else "ok",
+            "state": "breached" if registration.backlog_breached else "ok",
             "backlog_frac": registration.in_flight / self.config.max_backlog,
             "deferral_rate": stats.deferred / total if total else 0.0,
         }

@@ -25,7 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.em import EMEstimator, EMResult
+from repro.core.em import (
+    MAX_ITERATIONS,
+    REENUMERATE_SHIFT,
+    TOLERANCE,
+    EMEstimator,
+    EMResult,
+)
 from repro.core.moments_fit import robust_filter
 from repro.errors import (
     EstimationError,
@@ -202,9 +208,7 @@ def oracle_fit(
     theta = np.clip(theta, 0.02, 0.98)
 
     def enumerate_at(t):
-        return oracle_enumerate_paths(
-            em.model, t, min_prob=em.min_prob, max_paths=em.max_paths
-        )
+        return oracle_enumerate_paths(em.model, t)
 
     def log_kernel(fam: OracleFamily) -> np.ndarray:
         var = em._kernel_variance() + fam.duration_variances()
@@ -223,8 +227,8 @@ def oracle_fit(
     dropped = 0
     iterations = 0
     arm_counts = np.zeros(theta.size)
-    for iterations in range(1, em.max_iterations + 1):
-        if np.max(np.abs(theta - family_theta)) > em.reenumerate_shift:
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        if np.max(np.abs(theta - family_theta)) > REENUMERATE_SHIFT:
             family = enumerate_at(theta)
             kernel = log_kernel(family)
             a_mat, b_mat = family.then_counts(), family.else_counts()
@@ -264,7 +268,7 @@ def oracle_fit(
         new_theta = np.where(denom > 0, a_total / np.maximum(denom, 1e-12), theta)
         new_theta = np.clip(new_theta, 1e-4, 1.0 - 1e-4)
 
-        if np.max(np.abs(new_theta - theta)) < em.tolerance:
+        if np.max(np.abs(new_theta - theta)) < TOLERANCE:
             theta = new_theta
             converged = True
             break

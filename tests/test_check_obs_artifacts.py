@@ -206,9 +206,13 @@ def _metrics(counters=None, histogram=None, **embeds):
     return {"metrics": registry, **embeds}
 
 
-#: One verdict per malformed artifact: (check flag, JSONL records or one
-#: JSON document).  Each case once passed ``check`` or the subcommand that
-#: consumes the artifact, or crashed one of them with a traceback.
+#: Bytes that are not UTF-8 text, whatever the artifact kind.
+NOT_UTF8 = b"\xff\xfe\x00garbage"
+
+#: One verdict per malformed artifact: (check flag, JSONL records, one JSON
+#: document, or raw bytes).  Each case once passed ``check`` or the
+#: subcommand that consumes the artifact, or crashed one of them with a
+#: traceback.
 MALFORMED = {
     "trace-ends-before-it-starts": ("--trace", [dict(SPAN, start=5.0, end=0.0)]),
     "trace-array-line": ("--trace", [SPAN, [1, 2]]),
@@ -236,13 +240,19 @@ MALFORMED = {
     ),
     "metrics-negative-bucket": ("--metrics", _metrics(histogram={"counts": [-1, 2]})),
     "metrics-bool-counter": ("--metrics", _metrics(counters={"x": True})),
+    "metrics-not-utf8": ("--metrics", NOT_UTF8),
+    "trace-not-utf8": ("--trace", NOT_UTF8),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_artifact_fails_check_and_its_consumer(case, tmp_path, capsys):
     flag, content = MALFORMED[case]
-    if isinstance(content, list):  # JSONL: the last line is the bad one
+    if isinstance(content, bytes):
+        bad = tmp_path / ("bad.jsonl" if flag == "--trace" else "bad.json")
+        bad.write_bytes(content)
+        named = bad.name
+    elif isinstance(content, list):  # JSONL: the last line is the bad one
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(json.dumps(record) + "\n" for record in content))
         named = f"bad.jsonl:{len(content)}"
@@ -277,3 +287,12 @@ class TestExitTwo:
         with pytest.raises(SystemExit) as excinfo:
             check(["--trace", str(good["--trace"]), "--frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_require_coverage_without_trace_is_a_usage_error(self, good, capsys):
+        # Coverage is a property of a trace: without one the flag would
+        # check nothing and the run would still print OK.
+        with pytest.raises(SystemExit) as excinfo:
+            check(["--metrics", str(good["--metrics"]), "--require-coverage"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--trace" in captured.err and "OK" not in captured.out

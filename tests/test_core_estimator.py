@@ -1,4 +1,4 @@
-"""Tests for the CodeTomography facade, identifiability, and bootstrap CIs."""
+"""Tests for the CodeTomography facade and identifiability."""
 
 from __future__ import annotations
 
@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import program_estimation_error
-from repro.core import (
-    CodeTomography,
-    EstimationOptions,
-    analyze_identifiability,
-    bootstrap_confidence,
-)
+from repro.core import CodeTomography, EstimationOptions, analyze_identifiability
 from repro.errors import EstimationError
 from repro.lang import compile_source
-from repro.markov.sampling import sample_rewards
 from repro.mote import MICAZ_LIKE, SensorSuite, UniformSensor
 from repro.placement.layout import Layout
 from repro.profiling import TimingDataset, TimingProfiler
@@ -136,42 +130,3 @@ class TestIdentifiability:
         report = analyze_identifiability(model)
         values = list(report.singular_values)
         assert values == sorted(values, reverse=True)
-
-
-class TestBootstrap:
-    def test_interval_covers_truth(self):
-        proc, _ = build_diamond_procedure(then_cost_pad=5, else_cost_pad=60)
-        model = ProcedureTimingModel(proc, MICAZ_LIKE, Layout.source_order(proc.cfg))
-        truth = np.array([0.35])
-        xs = sample_rewards(model.chain(truth), 1500, rng=3)
-        result = bootstrap_confidence(model, xs, replicates=30, rng=4)
-        assert result.contains(truth)[0]
-        assert result.lower[0] < result.theta[0] < result.upper[0]
-
-    def test_more_samples_narrow_interval(self):
-        proc, _ = build_diamond_procedure(then_cost_pad=5, else_cost_pad=60)
-        model = ProcedureTimingModel(proc, MICAZ_LIKE, Layout.source_order(proc.cfg))
-        truth = np.array([0.5])
-        small = sample_rewards(model.chain(truth), 100, rng=5)
-        large = sample_rewards(model.chain(truth), 5000, rng=6)
-        narrow = bootstrap_confidence(model, large, replicates=25, rng=7)
-        wide = bootstrap_confidence(model, small, replicates=25, rng=8)
-        assert narrow.width()[0] < wide.width()[0]
-
-    def test_rejects_bad_parameters(self):
-        proc, _ = build_diamond_procedure()
-        model = ProcedureTimingModel(proc, MICAZ_LIKE, Layout.source_order(proc.cfg))
-        with pytest.raises(EstimationError):
-            bootstrap_confidence(model, [1.0], replicates=1)
-        with pytest.raises(EstimationError):
-            bootstrap_confidence(model, [1.0], level=1.5)
-        with pytest.raises(EstimationError):
-            bootstrap_confidence(model, [])
-
-    def test_contains_validates_shape(self):
-        proc, _ = build_diamond_procedure()
-        model = ProcedureTimingModel(proc, MICAZ_LIKE, Layout.source_order(proc.cfg))
-        xs = sample_rewards(model.chain([0.5]), 200, rng=9)
-        result = bootstrap_confidence(model, xs, replicates=10, rng=10)
-        with pytest.raises(EstimationError):
-            result.contains([0.5, 0.5])

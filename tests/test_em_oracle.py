@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import repro.core.estimator as estimator_module
-from repro.core import CodeTomography, EMEstimator, EstimationOptions, OnlineOptions
+from repro.core import CodeTomography, EMEstimator, EstimationOptions
+from repro.core.online import WARM_PSEUDO_COUNT
 from repro.markov.sampling import sample_rewards
 from repro.mote import MICAZ_LIKE, TimestampTimer
 from repro.placement.layout import ProgramLayout
@@ -31,9 +32,6 @@ from tests.estimation_oracle import (
 
 ACTIVATIONS = 200
 WORKLOADS = [spec.name for spec in all_workloads()]
-
-#: The online estimator's shrinkage pseudo-count for warm starts.
-WARM_PSEUDO_COUNT = OnlineOptions().warm_pseudo_count
 
 
 def assert_same_result(result, oracle):

@@ -3,7 +3,7 @@
 Four layers of coverage:
 
 * detector unit tests — Page–Hinkley / CUSUM alarm-and-reset mechanics,
-  config validation, innovation-signal math;
+  innovation-signal math;
 * a synthetic binomial calibration check — the coverage audit, fed honest
   Wald intervals over draws with a *known* generating probability, must
   read back ~nominal coverage;
@@ -13,7 +13,7 @@ Four layers of coverage:
   and empirical CI coverage against the analytic generating probability
   must sit within three points of nominal;
 * serve integration — per-tenant monitors in the ingestion service
-  (uptime/health stats embeds, SLO breaches, causal trace ids, monitor
+  (uptime/health stats embeds, backlog SLO breaches, causal trace ids, monitor
   survival across rebalance, bit-identity at any worker count), the
   fleet report/alert-log readers, and the ``repro-obs health`` CLI gate.
 """
@@ -33,13 +33,13 @@ from repro.errors import ObsError
 from repro.lang import compile_source
 from repro.mote.platform import MICAZ_LIKE
 from repro.obs import MetricsRegistry, Tracer, metrics_active, tracing
+from repro.obs import health as health_module
 from repro.obs import obs_cli
 from repro.obs.health import (
     AlertEvent,
     CoverageAudit,
     Cusum,
     EstimatorHealthMonitor,
-    HealthConfig,
     PageHinkley,
     build_health_report,
     read_alert_log,
@@ -47,7 +47,6 @@ from repro.obs.health import (
     write_alert_log,
 )
 from repro.obs.validate import (
-    ALERT_KINDS,
     HEALTH_REPORT,
     SERVE_STATS,
     ArtifactError,
@@ -62,6 +61,7 @@ from repro.serve.loadgen import (
     run_fleet,
     tenant_truth,
 )
+from repro.serve.service import MIN_SLO_SHARDS
 from repro.sim import run_program
 from repro.workloads.inputs import build_sensors
 from repro.workloads.registry import workload_by_name
@@ -166,36 +166,6 @@ class TestDetectors:
                 episodes += 1
         assert episodes >= 2
 
-    def test_constructor_validation(self):
-        with pytest.raises(ObsError, match="positive"):
-            PageHinkley(threshold=0.0)
-        with pytest.raises(ObsError, match=">= 0"):
-            PageHinkley(delta=-0.1)
-        with pytest.raises(ObsError, match="positive"):
-            Cusum(h=-1.0)
-        with pytest.raises(ObsError, match=">= 0"):
-            Cusum(k=-0.5)
-
-    @pytest.mark.parametrize(
-        "kwargs,match",
-        [
-            ({"warmup_shards": 0}, "warmup_shards"),
-            ({"ph_threshold": 0.0}, "positive"),
-            ({"cusum_h": -3.0}, "positive"),
-            ({"ph_delta": -0.1}, ">= 0"),
-            ({"nominal_coverage": 1.0}, "nominal_coverage"),
-            ({"coverage_tolerance": 0.0}, "coverage_tolerance"),
-            ({"min_coverage_checks": 0}, "min_coverage_checks"),
-            ({"min_effective_count": 0.0}, "min_effective_count"),
-            ({"max_staleness_s": -1.0}, "max_staleness_s"),
-            ({"slo_p99_ms": 0.0}, "slo_p99_ms"),
-            ({"max_shards_since_rebuild": 0}, "max_shards_since_rebuild"),
-        ],
-    )
-    def test_config_validation(self, kwargs, match):
-        with pytest.raises(ObsError, match=match):
-            HealthConfig(**kwargs)
-
 
 class TestResidualSignals:
     class _Moments:
@@ -211,9 +181,7 @@ class TestResidualSignals:
 
     def test_skips_unpredicted_and_underpopulated_procedures(self):
         moments = {"p": self._Moments(10.0, 4.0)}
-        signals = residual_signals(
-            moments, {"p": [10.0], "ghost": [1.0, 2.0]}, min_samples=2
-        )
+        signals = residual_signals(moments, {"p": [10.0], "ghost": [1.0, 2.0]})
         assert signals == {}  # "p" too small, "ghost" has no prediction
 
     def test_zero_variance_prediction_does_not_divide_by_zero(self):
@@ -233,7 +201,7 @@ class TestCoverageAudit:
         # read back ~95% empirical coverage — the audit measures calibration,
         # it must not distort it.
         rng = np.random.default_rng(2015)
-        audit = CoverageAudit(min_effective_count=25.0)
+        audit = CoverageAudit()
         n, p = 200, 0.3
         for _ in range(2000):
             theta = rng.binomial(n, p) / n
@@ -243,7 +211,7 @@ class TestCoverageAudit:
         assert audit.coverage() == pytest.approx(0.95, abs=0.02)
 
     def test_low_effective_count_is_not_audited(self):
-        audit = CoverageAudit(min_effective_count=25.0)
+        audit = CoverageAudit()
         recorded = audit.record("p", [0.5], [0.1], [0.5], [10.0])
         assert recorded == 0 and audit.checks == 0
         assert audit.coverage() is None
@@ -271,10 +239,6 @@ class TestCoverageAudit:
         assert rows["p"] == {"covered": 1, "total": 2, "coverage": 0.5}
         assert rows["q"]["coverage"] == 1.0
 
-    def test_invalid_min_effective_count(self):
-        with pytest.raises(ObsError, match="min_effective_count"):
-            CoverageAudit(min_effective_count=0.0)
-
 
 # ---------------------------------------------------------------------------
 # Alert events and logs
@@ -295,15 +259,15 @@ class TestAlerts:
                 threshold=1.0, shard=7, procedure="main", detail="cusum alarm #1",
             ),
             AlertEvent(
-                kind="staleness", severity="warning", source="t", value=30.0,
-                threshold=10.0,
+                kind="slo-backlog", severity="critical", source="t", value=0.9,
+                threshold=0.8,
             ),
         ]
         path = write_alert_log(tmp_path / "alerts.jsonl", events)
         assert read_alert_log(path) == events
         alerts = read_alert_log(path)
         assert len(alerts) == 2
-        assert {alert.kind for alert in alerts} == {"drift", "staleness"}
+        assert {alert.kind for alert in alerts} == {"drift", "slo-backlog"}
 
     def test_empty_log_is_valid(self, tmp_path):
         path = write_alert_log(tmp_path / "alerts.jsonl", [])
@@ -344,8 +308,7 @@ class FakePoint:
 
 class TestMonitor:
     def test_drift_alarm_after_warmup(self):
-        config = HealthConfig(warmup_shards=4)
-        monitor = EstimatorHealthMonitor(config=config)
+        monitor = EstimatorHealthMonitor(warmup_shards=4)
         fired = []
         for i in range(20):
             signal = 0.1 if i < 4 else 6.0
@@ -359,9 +322,13 @@ class TestMonitor:
         assert monitor.alarmed_procedures == ("p",)
         assert "alarm #1" in fired[0].detail
 
-    def test_coverage_alert_is_edge_triggered(self):
-        config = HealthConfig(min_coverage_checks=5, coverage_tolerance=0.05)
-        monitor = EstimatorHealthMonitor(config=config, truth={"p": [0.5]})
+    def test_warmup_must_be_at_least_one_shard(self):
+        with pytest.raises(ObsError, match="warmup_shards"):
+            EstimatorHealthMonitor(warmup_shards=0)
+
+    def test_coverage_alert_is_edge_triggered(self, monkeypatch):
+        monkeypatch.setattr(health_module, "MIN_COVERAGE_CHECKS", 5)
+        monitor = EstimatorHealthMonitor(truth={"p": [0.5]})
         point = FakePoint(0, thetas={"p": [0.9]}, half_widths={"p": [0.01]})
         fired = []
         for i in range(10):
@@ -376,25 +343,23 @@ class TestMonitor:
 
     def test_staleness_edge_triggered_with_fake_clock(self):
         now = [0.0]
-        config = HealthConfig(max_staleness_s=10.0)
-        monitor = EstimatorHealthMonitor(config=config, clock=lambda: now[0])
+        monitor = EstimatorHealthMonitor(clock=lambda: now[0])
+        assert monitor.staleness_s(now=5.0) is None  # nothing absorbed yet
         monitor.observe_absorb(FakePoint(0), signals={})
-        assert monitor.check_staleness(now=5.0) == []
-        stale = monitor.check_staleness(now=20.0)
-        assert len(stale) == 1 and stale[0].kind == "staleness"
-        assert monitor.check_staleness(now=25.0) == []  # still stale, no repeat
+        assert monitor.staleness_s(now=20.0) == 20.0
+        assert monitor.staleness_s() == 0.0  # the injected clock
         now[0] = 30.0
         monitor.observe_absorb(FakePoint(1), signals={})  # fresh again
         assert monitor.staleness_s(now=30.0) == 0.0
-        assert len(monitor.check_staleness(now=45.0)) == 1  # new breach re-fires
+        assert monitor.staleness_s(now=45.0) == 15.0
+        assert monitor.summary(now=45.0)["staleness_s"] == 15.0
 
     def test_shards_since_rebuild_resets_on_rebuild(self):
-        config = HealthConfig(max_shards_since_rebuild=3)
-        monitor = EstimatorHealthMonitor(config=config)
+        monitor = EstimatorHealthMonitor()
         for i in range(4):
             monitor.observe_absorb(FakePoint(i), signals={})
         assert monitor.shards_since_rebuild == 4
-        assert len(monitor.check_staleness(now=0.0)) == 1
+        assert monitor.summary()["shards_since_rebuild"] == 4
         monitor.observe_absorb(FakePoint(4, families_rebuilt=1), signals={})
         assert monitor.shards_since_rebuild == 0
 
@@ -403,14 +368,14 @@ class TestMonitor:
         monitor = EstimatorHealthMonitor(sink=seen.append)
         registry, tracer = MetricsRegistry(), Tracer()
         with metrics_active(registry), tracing(tracer):
-            monitor.emit("slo-latency", "critical", value=9.0, threshold=5.0)
-        assert [a.kind for a in seen] == ["slo-latency"]
+            monitor.emit("slo-backlog", "critical", value=0.9, threshold=0.8)
+        assert [a.kind for a in seen] == ["slo-backlog"]
         assert monitor.alerts == tuple(seen)
         counters = registry.snapshot()["counters"]
         assert counters["health.alerts"] == 1
-        assert counters["health.alerts.slo-latency"] == 1
-        (span,) = [s for s in tracer.spans if s.name == "health.alert.slo-latency"]
-        assert span.attrs["value"] == 9.0 and span.attrs["source"] == "estimator"
+        assert counters["health.alerts.slo-backlog"] == 1
+        (span,) = [s for s in tracer.spans if s.name == "health.alert.slo-backlog"]
+        assert span.attrs["value"] == 0.9 and span.attrs["source"] == "estimator"
 
     def test_summary_is_json_clean_and_validates(self):
         monitor = EstimatorHealthMonitor(truth={"p": [0.5]})
@@ -451,7 +416,7 @@ class TestDriftSuite:
         assert abs(weighted / checks - 0.95) <= 0.03
 
     def test_injected_drift_detected_within_two_warmup_windows(self, probe_program):
-        window = HealthConfig().warmup_shards  # the detector's blind spot
+        window = EstimatorHealthMonitor().warmup_shards  # the detector's blind spot
         delays = []
         for seed in (200, 201, 202):
             base = probe_durations(probe_program, 620.0, seed, activations=1200)
@@ -516,7 +481,7 @@ class TestServeHealth:
         reports = {}
         for n_workers in (1, 3):
             config = ServiceConfig(
-                n_workers=n_workers, max_batch=4, health=HealthConfig()
+                n_workers=n_workers, max_batch=4, health=True
             )
             reports[n_workers] = run(run_fleet(fleet, config))
         a, b = reports[1].estimates, reports[3].estimates
@@ -530,7 +495,7 @@ class TestServeHealth:
         fleet = default_fleet(
             n_tenants=2, n_motes=4, shards_per_mote=4, samples_per_proc=4, seed=31
         )
-        config = ServiceConfig(n_workers=2, max_batch=4, health=HealthConfig())
+        config = ServiceConfig(n_workers=2, max_batch=4, health=True)
         report = run(run_fleet(fleet, config))
         stats = report.stats
         assert stats["uptime_s"] > 0.0
@@ -549,20 +514,44 @@ class TestServeHealth:
         check(report.stats, SERVE_STATS, "stats")
 
     def test_slo_breach_emits_edge_triggered_alert(self):
-        # An impossibly tight p99 budget: the latency SLO must breach once
-        # the per-tenant shard count clears the arming threshold.
+        # Concurrent uploads fill the backlog before the worker runs: once
+        # the tenant clears the arming threshold, the first absorbed batch
+        # leaves the backlog above SLO_BACKLOG_FRAC of max_backlog.  Each
+        # burst is one breach episode and alerts exactly once.
         fleet = default_fleet(
-            n_tenants=2, n_motes=4, shards_per_mote=4, samples_per_proc=4, seed=31
+            n_tenants=1, n_motes=10, shards_per_mote=2, samples_per_proc=4, seed=31
         )
-        config = ServiceConfig(
-            n_workers=1,
-            max_batch=4,
-            health=HealthConfig(slo_p99_ms=1e-6, min_slo_shards=4),
-        )
-        report = run(run_fleet(fleet, config))
-        for tenant_health in report.stats["health"].values():
-            assert tenant_health["slo"]["state"] == "breached"
-            assert tenant_health["alerts"] >= 1
+        spec = fleet.tenants[0]
+        uploads = build_uploads(fleet)
+        assert len(uploads) == 20 and MIN_SLO_SHARDS <= 10
+
+        async def two_bursts():
+            service = IngestionService(
+                ServiceConfig(n_workers=1, max_batch=1, max_backlog=10, health=True)
+            )
+            service.register_tenant(
+                spec.deployment_id,
+                spec.program_version,
+                workload_by_name(spec.workload).program(),
+                fleet.platform,
+                options=spec.options(),
+            )
+            await service.start()
+            states = []
+            for burst in (uploads[:10], uploads[10:]):
+                receipts = await asyncio.gather(*map(service.submit, burst))
+                assert all(r.status == "accepted" for r in receipts)
+                await service.drain()
+                states.append(service.stats_payload()["health"][str(spec.tenant)])
+            await service.stop()
+            return service.alert_events(), states
+
+        alerts, states = run(two_bursts())
+        assert [a.kind for a in alerts] == ["slo-backlog", "slo-backlog"]
+        assert all(a.value > a.threshold == 0.8 for a in alerts)
+        # Drained, the backlog is back under the threshold: re-armed.
+        assert [s["slo"]["state"] for s in states] == ["ok", "ok"]
+        assert [s["alerts"] for s in states] == [1, 2]
 
     def test_serve_drift_drill_alarms_and_degrades_coverage(self):
         # The CI drill in miniature: one tenant, regime change at shard 20.
@@ -574,7 +563,7 @@ class TestServeHealth:
             seed=78,
             drift_at_shard=20,
         )
-        config = ServiceConfig(n_workers=2, max_batch=8, health=HealthConfig())
+        config = ServiceConfig(n_workers=2, max_batch=8, health=True)
         report = run(run_fleet(fleet, config))
         health = report.stats["health"]["site-0@1.0"]
         assert health["drift_alarms"] >= 1
@@ -643,7 +632,7 @@ class TestServeHealth:
 
         async def scenario():
             service = IngestionService(
-                ServiceConfig(n_workers=1, max_batch=4, health=HealthConfig())
+                ServiceConfig(n_workers=1, max_batch=4, health=True)
             )
             for spec in fleet.tenants:
                 service.register_tenant(

@@ -23,7 +23,6 @@ from repro.pgo import (
     ACTIONS,
     EVENT_KINDS,
     LayoutRegistry,
-    PGOConfig,
     PGOController,
     SwapEvent,
 )
@@ -183,10 +182,6 @@ class TestControllerStateMachine:
             ctl.run_segment(probe_sensors("A", 7, 0), 0)
         with pytest.raises(PgoError, match="cannot checkpoint"):
             ctl.checkpoint()
-        with pytest.raises(PgoError, match="relearn_shards"):
-            PGOConfig(relearn_shards=0)
-        with pytest.raises(PgoError, match="rollback_z"):
-            PGOConfig(rollback_z=0.0)
 
 
 class TestCheckpointResume:

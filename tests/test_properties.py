@@ -308,17 +308,18 @@ class TestFaultLayerProperties:
     @settings(max_examples=40, deadline=None)
     def test_robust_filter_never_exceeds_its_breakdown_budget(self, seed, raw):
         # Whatever garbage arrives, the screen keeps at least
-        # ceil((1 - max_reject_fraction) * n) samples and accounts exactly.
+        # ceil((1 - MAX_REJECT_FRACTION) * n) samples and accounts exactly.
         import math
 
         from repro.core import robust_filter
+        from repro.core.moments_fit import MAX_REJECT_FRACTION
         from repro.sim import ProcedureTimingModel
 
         proc, _ = random_estimation_problem(rng=seed, n_branches=2)
         model = ProcedureTimingModel(proc, MICAZ_LIKE, Layout.source_order(proc.cfg))
         kept, rejected = robust_filter(model, raw, MICAZ_LIKE.timer)
         assert kept.size + rejected == len(raw)
-        assert rejected <= math.floor(0.35 * len(raw))
+        assert rejected <= math.floor(MAX_REJECT_FRACTION * len(raw))
 
 
 class TestShardedStatsAgree:

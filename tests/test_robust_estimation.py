@@ -8,7 +8,7 @@ Two properties carry the whole design (see ``repro.core.moments_fit``):
   classic estimator, not merely close.
 * **Bounded influence.** Under contamination the screen rejects samples
   implausibly far from any model-predicted measurement, never more than
-  the ``max_reject_fraction`` breakdown budget; when too little survives
+  the ``MAX_REJECT_FRACTION`` breakdown budget; when too little survives
   (or too much was rejected) the estimate is flagged ``degraded`` and
   carries the honest full-width confidence interval instead of NaN.
 """
@@ -24,7 +24,7 @@ from repro.core import (
     fit_moments,
     robust_filter,
 )
-from repro.core.moments_fit import ROBUST_MIN_SAMPLES
+from repro.core.moments_fit import MAX_REJECT_FRACTION, ROBUST_MIN_SAMPLES
 from repro.faults import FaultInjector, FaultModel, collect_timing
 from repro.mote import MICAZ_LIKE, TimestampTimer
 from repro.placement import Layout
@@ -87,17 +87,15 @@ class TestRobustFilter:
 
     def test_rejection_respects_the_breakdown_budget(self):
         # Even when most of the sample is garbage, at most
-        # max_reject_fraction of it may be discarded: beyond the breakdown
+        # MAX_REJECT_FRACTION of it may be discarded: beyond the breakdown
         # point a robust estimator must not silently invent a clean sample.
         proc, _ = random_estimation_problem(rng=3, n_branches=3)
         model = model_for(proc)
         clean = np.full(10, model.moments(np.full(3, 0.5)).mean)
         garbage = np.full(30, 1e9)
         xs = np.concatenate([clean, garbage])
-        kept, rejected = robust_filter(
-            model, xs, MICAZ_LIKE.timer, max_reject_fraction=0.35
-        )
-        assert rejected == int(0.35 * xs.size)
+        kept, rejected = robust_filter(model, xs, MICAZ_LIKE.timer)
+        assert rejected == int(MAX_REJECT_FRACTION * xs.size) == 14
         assert kept.size == xs.size - rejected
         # The worst offenders go first: every clean sample survives.
         assert (kept == clean[0]).sum() == clean.size
