@@ -42,7 +42,6 @@ from repro.core.identifiability import (
     practically_invisible_parameters,
 )
 from repro.core.online import (
-    OnlineCheckpoint,
     OnlineEstimator,
     OnlineOptions,
     ShardEstimate,
@@ -66,7 +65,6 @@ __all__ = [
     "ProcedureEstimate",
     "OnlineEstimator",
     "OnlineOptions",
-    "OnlineCheckpoint",
     "ShardEstimate",
     "dataset_shards",
     "IdentifiabilityReport",

@@ -26,19 +26,18 @@ CI half-widths drop below ``epsilon``, or when the
 comes first (procedures with *no* samples yet are excluded from the CI
 criterion: they are unobservable, and the budget governs them).
 
-Checkpoints are picklable and carry the raw shards, so the experiment
-engine can fan shard streams out across processes and reassemble them in
-request+index order: :meth:`OnlineEstimator.merge` replays every
-checkpoint's shards in argument order, making the merged trajectory
-bit-identical to one estimator absorbing the same shards sequentially —
-at any ``--jobs``.  Everything here is deterministic: EM uses no RNG, so
-the trajectory is a pure function of the shard sequence.
+Everything here is deterministic: EM uses no RNG, so the trajectory is a
+pure function of the shard sequence.  That is why the streaming
+experiments (F2, F9) are byte-identical at any ``--jobs``: each streams one
+workload's shards through one estimator inside one engine unit, and a
+unit's shards come from its own profiled run, seeded by the experiment
+config rather than by the schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "OnlineOptions",
     "ShardEstimate",
-    "OnlineCheckpoint",
     "OnlineEstimator",
     "dataset_shards",
     "merge_shards",
@@ -133,24 +131,6 @@ class ShardEstimate:
         return max(widths) if widths else 0.0
 
 
-@dataclass(frozen=True)
-class OnlineCheckpoint:
-    """Picklable snapshot of a streaming estimation in progress.
-
-    Carries both the fitted state (so :meth:`OnlineEstimator.resume` is
-    O(1) — no replay) and the raw shards (so :meth:`OnlineEstimator.merge`
-    can replay streams deterministically in request order).
-    """
-
-    program_name: str
-    shards: tuple[dict[str, np.ndarray], ...]
-    thetas: dict[str, np.ndarray]
-    families: dict[str, PathFamily]
-    family_means: dict[str, np.ndarray]
-    half_widths: dict[str, np.ndarray]
-    trajectory: tuple[ShardEstimate, ...]
-
-
 class OnlineEstimator:
     """Absorbs timing shards and re-fits the whole program incrementally."""
 
@@ -166,7 +146,6 @@ class OnlineEstimator:
         self.options = options or OnlineOptions()
         self.layout = layout or ProgramLayout.source_order(program)
         self._timing = ProgramTimingModel(program, platform, self.layout)
-        self._shards: list[dict[str, np.ndarray]] = []
         self._samples: dict[str, np.ndarray] = {}
         self._theta: dict[str, np.ndarray] = {}
         self._family: dict[str, PathFamily] = {}
@@ -189,10 +168,7 @@ class OnlineEstimator:
         The monitor observes every subsequent :meth:`absorb`: pre-refit
         innovation signals (shard means vs. the previous iterate's predicted
         moments) feed its drift detectors, and the post-refit point feeds
-        its coverage audit and staleness gauges.  Monitors are not part of
-        :meth:`checkpoint` — re-attach after :meth:`resume` to keep detector
-        state across a handoff (the first post-resume shard has no stored
-        moments, so it contributes no drift signal).
+        its coverage audit and staleness gauges.
         """
         self._health = monitor
         return monitor
@@ -218,8 +194,7 @@ class OnlineEstimator:
             for name, xs in data.items()
             if len(xs)
         }
-        index = len(self._shards)
-        self._shards.append(arrays)
+        index = len(self._trajectory)
         signals: dict[str, float] = {}
         if self._health is not None and self._moments:
             # Innovations against the *previous* iterate's predictions, before
@@ -424,96 +399,6 @@ class OnlineEstimator:
     def should_stop(self) -> bool:
         """True once the last shard satisfied the convergence policy."""
         return bool(self._trajectory) and self._trajectory[-1].should_stop
-
-    # -- checkpoint / resume / merge ----------------------------------------
-
-    def checkpoint(self) -> OnlineCheckpoint:
-        """Snapshot the run; picklable, independent of this instance."""
-        return OnlineCheckpoint(
-            program_name=self.program.name,
-            shards=tuple(
-                {name: xs.copy() for name, xs in shard.items()}
-                for shard in self._shards
-            ),
-            thetas={name: t.copy() for name, t in self._theta.items()},
-            families=dict(self._family),
-            family_means={name: m.copy() for name, m in self._family_means.items()},
-            half_widths={name: hw.copy() for name, hw in self._half_width.items()},
-            trajectory=tuple(self._trajectory),
-        )
-
-    @classmethod
-    def resume(
-        cls,
-        program: Program,
-        platform: Platform,
-        checkpoint: OnlineCheckpoint,
-        options: Optional[OnlineOptions] = None,
-        layout: Optional[ProgramLayout] = None,
-    ) -> "OnlineEstimator":
-        """Rebuild an estimator from a checkpoint without replaying shards.
-
-        Subsequent :meth:`absorb` calls continue exactly where the
-        checkpointed run left off — same thetas, same cached families —
-        so resumed and uninterrupted runs produce bit-identical
-        trajectories.
-        """
-        if checkpoint.program_name != program.name:
-            raise EstimationError(
-                f"checkpoint belongs to program {checkpoint.program_name!r}, "
-                f"not {program.name!r}"
-            )
-        est = cls(program, platform, options=options, layout=layout)
-        est._shards = [
-            {name: xs.copy() for name, xs in shard.items()}
-            for shard in checkpoint.shards
-        ]
-        for shard in est._shards:
-            for name, xs in shard.items():
-                held = est._samples.get(name)
-                est._samples[name] = (
-                    xs.copy() if held is None else np.concatenate([held, xs])
-                )
-        est._theta = {name: t.copy() for name, t in checkpoint.thetas.items()}
-        est._family = dict(checkpoint.families)
-        est._family_means = {
-            name: m.copy() for name, m in checkpoint.family_means.items()
-        }
-        est._half_width = {
-            name: hw.copy() for name, hw in checkpoint.half_widths.items()
-        }
-        est._trajectory = list(checkpoint.trajectory)
-        obs.inc("online.resumes")
-        return est
-
-    @classmethod
-    def merge(
-        cls,
-        program: Program,
-        platform: Platform,
-        checkpoints: Iterable[OnlineCheckpoint],
-        options: Optional[OnlineOptions] = None,
-        layout: Optional[ProgramLayout] = None,
-    ) -> "OnlineEstimator":
-        """Reassemble fanned-out shard streams, in request order.
-
-        Replays every checkpoint's shards in the order the checkpoints are
-        given (request+index order when they come back from the engine), so
-        the merged estimator is bit-identical to one that absorbed all those
-        shards sequentially — the property that makes the streaming
-        experiments byte-identical at any ``--jobs``.
-        """
-        est = cls(program, platform, options=options, layout=layout)
-        for ckpt in checkpoints:
-            if ckpt.program_name != program.name:
-                raise EstimationError(
-                    f"cannot merge checkpoint for program {ckpt.program_name!r} "
-                    f"into {program.name!r}"
-                )
-            for shard in ckpt.shards:
-                est.absorb(shard)
-        obs.inc("online.merges")
-        return est
 
 
 def merge_shards(

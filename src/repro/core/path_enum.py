@@ -18,8 +18,8 @@ multiplies the reference probability down.  The EM estimator re-enumerates
 under its current iterate, so coverage follows the estimate.
 
 A :class:`PathFamily` holds those statistics as read-only arrays, one row per
-path, so it can be shared — across EM iterations, the online estimator's
-cache, checkpoints and serve hand-offs — without anyone mutating it.
+path, so it can be shared — across EM iterations and the online
+estimator's cache — without anyone mutating it.
 """
 
 from __future__ import annotations

@@ -294,8 +294,8 @@ class CoverageAudit:
     """
 
     def __init__(self) -> None:
-        self._covered: dict[str, int] = {}
-        self._total: dict[str, int] = {}
+        self._covered = 0
+        self._total = 0
 
     def record(
         self,
@@ -320,42 +320,20 @@ class CoverageAudit:
             if arm_counts is None and half_widths[i] >= 0.5:
                 continue  # the honest-ignorance width; nothing to audit
             covered = abs(float(theta) - float(truth[i])) <= float(half_widths[i])
-            self._total[proc] = self._total.get(proc, 0) + 1
-            if covered:
-                self._covered[proc] = self._covered.get(proc, 0) + 1
+            self._total += 1
+            self._covered += int(covered)
             recorded += 1
         return recorded
 
     @property
     def checks(self) -> int:
-        return sum(self._total.values())
+        return self._total
 
     def coverage(self) -> Optional[float]:
         """Overall empirical coverage, or None before any check."""
-        total = self.checks
-        if total == 0:
+        if self._total == 0:
             return None
-        return sum(self._covered.values()) / total
-
-    def per_procedure(self) -> dict[str, dict[str, Union[int, float]]]:
-        """Per-procedure ``{covered, total, coverage}`` rows (sorted)."""
-        rows = {}
-        for proc in sorted(self._total):
-            total = self._total[proc]
-            covered = self._covered.get(proc, 0)
-            rows[proc] = {
-                "covered": covered,
-                "total": total,
-                "coverage": covered / total,
-            }
-        return rows
-
-    def merge(self, other: "CoverageAudit") -> None:
-        """Fold another audit in (fleet rollup): counts add."""
-        for proc, total in other._total.items():
-            self._total[proc] = self._total.get(proc, 0) + total
-        for proc, covered in other._covered.items():
-            self._covered[proc] = self._covered.get(proc, 0) + covered
+        return self._covered / self._total
 
 
 # --------------------------------------------------------------------------
@@ -447,10 +425,7 @@ class EstimatorHealthMonitor:
     Attach via :meth:`repro.core.online.OnlineEstimator.attach_health`; the
     estimator then calls :meth:`observe_absorb` after every trajectory
     point.  The monitor is **purely observational** — it never mutates the
-    estimator — and it is *not* part of checkpoints: after a
-    checkpoint/resume handoff, re-attach the same monitor to the resumed
-    estimator to keep its detector state (the ingestion service does this
-    on rebalance).
+    estimator.
 
     ``warmup_shards`` is how many signals each procedure's drift baseline
     learns from before the detectors arm.  ``truth`` (per-procedure

@@ -14,7 +14,6 @@ against a frozen static placement and an oracle re-placer.
 
 from repro.pgo.controller import (
     ACTIONS,
-    PGOCheckpoint,
     PGOController,
     SegmentMetrics,
     SegmentReport,
@@ -25,7 +24,6 @@ __all__ = [
     "ACTIONS",
     "EVENT_KINDS",
     "LayoutRegistry",
-    "PGOCheckpoint",
     "PGOController",
     "SegmentMetrics",
     "SegmentReport",

@@ -33,25 +33,22 @@ unit at which sensors may change regime).  Per segment the controller:
    measured mispredict rate and energy decide commit vs rollback.
 
 Everything is deterministic given the sensor streams and profiler seeds:
-the health monitor runs on an injected zero clock, EM uses no RNG, and
-segment metrics come from exact counter deltas — so controller runs are
-bit-reproducible and checkpoint/resume (:meth:`PGOController.checkpoint` /
-:meth:`PGOController.resume`) continues byte-identically.
+EM uses no RNG, the health monitor's clock feeds no decision, and segment
+metrics come from exact counter deltas — so controller runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro import obs
-from repro.core.online import OnlineCheckpoint, OnlineEstimator, OnlineOptions
+from repro.core.online import OnlineEstimator, OnlineOptions
 from repro.errors import PgoError
 from repro.ir.program import Program
 from repro.mote.platform import Platform
-from repro.mote.radio import Packet
 from repro.mote.sensors import SensorSuite
 from repro.obs.health import AlertEvent, EstimatorHealthMonitor
 from repro.pgo.registry import LayoutRegistry, SwapEvent
@@ -59,13 +56,11 @@ from repro.placement.layout import ProgramLayout
 from repro.placement.refine import optimize_refined_program_layout
 from repro.profiling.timing_profiler import TimingProfiler
 from repro.sim.interpreter import Interpreter
-from repro.sim.trace import ExecutionCounters
 from repro.util.rng import RngSource
 
 __all__ = [
     "SegmentMetrics",
     "SegmentReport",
-    "PGOCheckpoint",
     "PGOController",
     "ACTIONS",
 ]
@@ -98,16 +93,6 @@ ENERGY_RTOL = 0.05
 #: Segments that ignore new drift alarms right after a rollback or an
 #: unchanged re-placement, so the loop cannot flap.
 COOLDOWN_SEGMENTS = 2
-
-
-def _zero_clock() -> float:
-    """Deterministic stand-in for the monitor's wall clock.
-
-    The controller never uses wall-age staleness checks, and a real clock
-    would leak nondeterminism into checkpoints.  Module-level so monitor
-    state stays picklable.
-    """
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -157,68 +142,6 @@ class SegmentReport:
     action: str  # one of ACTIONS, decided at the segment boundary
     metrics: SegmentMetrics
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class PGOCheckpoint:
-    """Picklable snapshot of a controller mid-run.
-
-    Carries the registry contents (layouts + event log), the full
-    interpreter RAM/counter state, the online estimator's checkpoint, and
-    the health monitor's detector state — everything
-    :meth:`PGOController.resume` needs to continue bit-identically.
-    """
-
-    program_name: str
-    layouts: dict[str, ProgramLayout]
-    layout_order: tuple[str, ...]
-    events: tuple[SwapEvent, ...]
-    current_key: str
-    pre_swap_key: Optional[str]
-    phase: str
-    cooldown: int
-    shards_since_reset: int
-    segment_index: int
-    reference: Optional[SegmentMetrics]
-    reports: tuple[SegmentReport, ...]
-    alarms: tuple[AlertEvent, ...]
-    estimator: OnlineCheckpoint
-    monitor_state: dict
-    # Interpreter RAM + bookkeeping (the mote's volatile state).
-    globals_: dict[str, int]
-    arrays: dict[str, list[int]]
-    leds: int
-    cycle: int
-    counters: ExecutionCounters
-    radio_packets: tuple[Packet, ...]
-    radio_dropped: int
-    radio_corrupted: int
-
-
-def _monitor_state(monitor: EstimatorHealthMonitor) -> dict:
-    """Extract the monitor's picklable detector/audit state (deep copies)."""
-    return {
-        "drift": copy.deepcopy(monitor._drift),
-        "alerts": tuple(monitor._alerts),
-        "shards": monitor._shards,
-        "samples": monitor._samples,
-        "shards_since_rebuild": monitor._shards_since_rebuild,
-        "coverage_breached": monitor._coverage_breached,
-        "audit_covered": dict(monitor.audit._covered),
-        "audit_total": dict(monitor.audit._total),
-    }
-
-
-def _restore_monitor(monitor: EstimatorHealthMonitor, state: dict) -> None:
-    """Transplant detector/audit state captured by :func:`_monitor_state`."""
-    monitor._drift = copy.deepcopy(state["drift"])
-    monitor._alerts = list(state["alerts"])
-    monitor._shards = state["shards"]
-    monitor._samples = state["samples"]
-    monitor._shards_since_rebuild = state["shards_since_rebuild"]
-    monitor._coverage_breached = state["coverage_breached"]
-    monitor.audit._covered = dict(state["audit_covered"])
-    monitor.audit._total = dict(state["audit_total"])
 
 
 class PGOController:
@@ -274,15 +197,12 @@ class PGOController:
             options=ONLINE_OPTIONS,
             layout=self._current_layout(),
         )
-        estimator.attach_health(self._monitor())
+        estimator.attach_health(
+            EstimatorHealthMonitor(WARMUP_SHARDS, source="pgo", sink=self._on_alert)
+        )
         self.shards_since_reset = 0
         obs.inc("pgo.estimator_resets")
         return estimator
-
-    def _monitor(self) -> EstimatorHealthMonitor:
-        return EstimatorHealthMonitor(
-            WARMUP_SHARDS, source="pgo", clock=_zero_clock, sink=self._on_alert
-        )
 
     def _ensure_interpreter(self, sensors: SensorSuite) -> Interpreter:
         if self._interp is None:
@@ -292,10 +212,6 @@ class PGOController:
                 sensors,
                 layout=self._current_layout(),
             )
-            if hasattr(self, "_restore_ram"):
-                # First segment after a resume: re-inject the checkpointed
-                # mote RAM and bookkeeping into the fresh interpreter.
-                self._ensure_interpreter_resumed(self._interp)
         else:
             self._interp.set_sensors(sensors)
         return self._interp
@@ -550,110 +466,3 @@ class PGOController:
             energy_mj=sum(r.metrics.energy_mj for r in self.reports),
             compute_mj=sum(r.metrics.compute_mj for r in self.reports),
         )
-
-    # -- checkpoint / resume ---------------------------------------------------
-
-    def checkpoint(self) -> PGOCheckpoint:
-        """Snapshot the whole loop; picklable, independent of this instance.
-
-        Requires the interpreter to exist (at least one segment run) — a
-        brand-new controller has nothing worth snapshotting.
-        """
-        if self._interp is None:
-            raise PgoError("cannot checkpoint before the first segment has run")
-        interp = self._interp
-        monitor = self.estimator.health
-        assert monitor is not None  # _fresh_estimator always attaches one
-        return PGOCheckpoint(
-            program_name=self.program.name,
-            layouts={k: self.registry.get(k) for k in self.registry.keys},
-            layout_order=self.registry.keys,
-            events=self.registry.events,
-            current_key=self.current_key,
-            pre_swap_key=self.pre_swap_key,
-            phase=self.phase,
-            cooldown=self.cooldown,
-            shards_since_reset=self.shards_since_reset,
-            segment_index=self.segment_index,
-            reference=self.reference,
-            reports=tuple(self.reports),
-            alarms=tuple(self.alarms),
-            estimator=self.estimator.checkpoint(),
-            monitor_state=_monitor_state(monitor),
-            globals_=dict(interp.globals),
-            arrays={name: list(xs) for name, xs in interp.arrays.items()},
-            leds=interp.leds,
-            cycle=interp.cycle,
-            counters=copy.deepcopy(interp.counters),
-            radio_packets=tuple(interp.radio.packets),
-            radio_dropped=interp.radio.dropped_packets,
-            radio_corrupted=interp.radio.corrupted_packets,
-        )
-
-    @classmethod
-    def resume(
-        cls,
-        program: Program,
-        platform: Platform,
-        checkpoint: PGOCheckpoint,
-    ) -> "PGOController":
-        """Rebuild a controller from a checkpoint, bit-identically.
-
-        The resumed controller's subsequent :meth:`run_segment` calls
-        produce the same reports, swaps, and rollbacks as the original
-        would have — given the same sensor suites and profiler seeds.
-        """
-        if checkpoint.program_name != program.name:
-            raise PgoError(
-                f"checkpoint belongs to program {checkpoint.program_name!r}, "
-                f"not {program.name!r}"
-            )
-        self = cls.__new__(cls)
-        self.program = program
-        self.platform = platform
-        self.registry = LayoutRegistry()
-        for key in checkpoint.layout_order:
-            restored = self.registry.add(checkpoint.layouts[key])
-            if restored != key:
-                raise PgoError(
-                    f"layout {key[:16]}... re-fingerprinted as "
-                    f"{restored[:16]}... on resume"
-                )
-        for event in checkpoint.events:
-            self.registry.record(event)
-        self.current_key = checkpoint.current_key
-        self.pre_swap_key = checkpoint.pre_swap_key
-        self.phase = checkpoint.phase
-        self.cooldown = checkpoint.cooldown
-        self.segment_index = checkpoint.segment_index
-        self.reference = checkpoint.reference
-        self.reports = list(checkpoint.reports)
-        self.alarms = list(checkpoint.alarms)
-        self._pending_alarms = []
-        self._interp = None
-        self.estimator = OnlineEstimator.resume(
-            program,
-            platform,
-            checkpoint.estimator,
-            options=ONLINE_OPTIONS,
-            layout=self.registry.get(self.current_key),
-        )
-        monitor = self._monitor()
-        _restore_monitor(monitor, checkpoint.monitor_state)
-        self.estimator.attach_health(monitor)
-        self.shards_since_reset = checkpoint.shards_since_reset
-        self._restore_ram = checkpoint  # applied when the interpreter exists
-        obs.inc("pgo.resumes")
-        return self
-
-    def _ensure_interpreter_resumed(self, interp: Interpreter) -> None:
-        ckpt: PGOCheckpoint = self._restore_ram
-        interp.globals = dict(ckpt.globals_)
-        interp.arrays = {name: list(xs) for name, xs in ckpt.arrays.items()}
-        interp.leds = ckpt.leds
-        interp.cycle = ckpt.cycle
-        interp.counters = copy.deepcopy(ckpt.counters)
-        interp.radio.packets = list(ckpt.radio_packets)
-        interp.radio.dropped_packets = ckpt.radio_dropped
-        interp.radio.corrupted_packets = ckpt.radio_corrupted
-        del self._restore_ram

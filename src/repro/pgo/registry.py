@@ -6,9 +6,8 @@ the layouts' structural keys.  Content addressing buys two properties the
 loop depends on:
 
 * **rollback is a lookup**, not a recomputation: the pre-swap key is enough
-  to restore the exact layout that was running, even after a
-  checkpoint/resume handoff (structurally identical layouts rebuilt from a
-  pickle map to the same digest);
+  to restore the exact layout that was running, and a re-optimized layout
+  that is structurally identical to a stored one maps to the same digest;
 * **post-hoc attribution is possible**: the event log records which layout
   was live over which segment range, so a regression found later can be
   pinned to the swap that introduced it.
@@ -83,10 +82,10 @@ class LayoutRegistry:
     def add(self, layout: ProgramLayout) -> str:
         """Store a layout under its fingerprint; returns the key.
 
-        Idempotent: adding a structurally identical layout (including one
-        rebuilt from a checkpoint) returns the existing key and keeps the
-        first object — so identity checks against registry contents stay
-        stable across re-adds.
+        Idempotent: adding a structurally identical layout (such as the
+        optimizer re-proposing the live one) returns the existing key and
+        keeps the first object — so identity checks against registry
+        contents stay stable across re-adds.
         """
         key = layout.fingerprint()
         self._layouts.setdefault(key, layout)

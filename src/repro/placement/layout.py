@@ -159,7 +159,7 @@ class Layout:
         and their CFGs agree structurally — same entry, same blocks in source
         order, same instructions, same terminators.  Object identity of the
         CFG is deliberately *not* part of the key: a layout that crossed a
-        pickle/checkpoint boundary must still compare (and hash) equal to the
+        pickle boundary must still compare (and hash) equal to the
         original.  The key is computed once per layout; layouts are built on
         finished CFGs, which never mutate afterwards.
         """
@@ -223,8 +223,8 @@ class ProgramLayout:
         """Content address over every procedure's layout, in program order.
 
         This is what :class:`~repro.pgo.registry.LayoutRegistry` keys on:
-        structurally identical program layouts — including ones rebuilt from
-        a checkpoint — map to the same digest.
+        structurally identical program layouts — including ones the
+        optimizer rebuilt from scratch — map to the same digest.
         """
         digest = hashlib.sha256(self.program.name.encode())
         for proc in self.program:

@@ -13,8 +13,6 @@ Modules
 
 :mod:`~repro.serve.protocol`
     The JSONL wire protocol: requests, receipts, structured error codes.
-:mod:`~repro.serve.router`
-    SHA-256 stable tenant → worker routing with explicit rebalance plans.
 :mod:`~repro.serve.batcher`
     Count/age micro-batching; batch composition is worker-count-independent.
 :mod:`~repro.serve.worker`
@@ -22,13 +20,14 @@ Modules
 :mod:`~repro.serve.query`
     Estimate snapshots (theta, half-widths, convergence verdict).
 :mod:`~repro.serve.service`
-    The asyncio :class:`IngestionService` tying it all together.
+    The asyncio :class:`IngestionService` tying it all together, with
+    SHA-256 stable tenant → worker routing (:func:`worker_for`).
 :mod:`~repro.serve.loadgen`
     The simulated fleet driver / load generator (``repro-serve`` CLI).
 
 Everything is deterministic where it matters: for a given upload sequence
-the final estimates are bit-identical at any worker count, and rebalancing
-mid-stream (checkpoint handoff) changes nothing.  See ``docs/serving.md``.
+the final estimates are bit-identical at any worker count.  See
+``docs/serving.md``.
 """
 
 from repro.serve.batcher import MicroBatcher, PendingShard
@@ -54,7 +53,6 @@ from repro.serve.protocol import (
     parse_request_line,
 )
 from repro.serve.query import TenantEstimate, snapshot_estimate
-from repro.serve.router import RebalancePlan, ShardRouter
 from repro.serve.service import IngestionService, ServiceConfig, TenantStats
 from repro.serve.worker import AbsorbResult, EstimatorWorker
 
@@ -72,8 +70,6 @@ __all__ = [
     "encode",
     "MicroBatcher",
     "PendingShard",
-    "ShardRouter",
-    "RebalancePlan",
     "EstimatorWorker",
     "AbsorbResult",
     "TenantEstimate",

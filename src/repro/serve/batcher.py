@@ -13,10 +13,7 @@ tenant** and releases them as batches when either trigger fires:
 
 Batch composition is a pure function of each tenant's upload order and
 ``max_batch``: the batcher holds no clocks and no randomness, which is
-what makes service output bit-identical at any worker count — and why
-checkpoint handoff leaves pending shards *in the batcher* rather than
-force-flushing partial batches (an early flush would change the batch
-boundaries and with them the refit trajectory).
+what makes service output bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -76,20 +73,3 @@ class MicroBatcher:
         batches = [(tenant, self._pending[tenant]) for tenant in sorted(self._pending)]
         self._pending.clear()
         return batches
-
-    def pending_count(self, tenant: TenantKey) -> int:
-        """How many shards ``tenant`` has buffered (0 if none)."""
-        return len(self._pending.get(tenant, ()))
-
-    def pending_samples(self, tenant: TenantKey) -> dict[str, int]:
-        """Per-procedure sample counts buffered for ``tenant``.
-
-        The budget check charges these *before* absorption: a tenant must
-        not sail past its :class:`~repro.profiling.budget.SampleBudget`
-        just because the overflow is still sitting in a batch.
-        """
-        counts: dict[str, int] = {}
-        for pending in self._pending.get(tenant, ()):
-            for name, xs in pending.upload.samples.items():
-                counts[name] = counts.get(name, 0) + int(xs.size)
-        return counts

@@ -3,8 +3,8 @@
 :class:`IngestionService` is the tentpole of :mod:`repro.serve` — a
 single-process asyncio service that accepts timing-shard uploads from
 (simulated) motes, routes them by tenant
-(:class:`~repro.serve.protocol.TenantKey`) to a pool of
-:class:`~repro.serve.worker.EstimatorWorker` tasks, micro-batches
+(:class:`~repro.serve.protocol.TenantKey`, hashed by :func:`worker_for`) to
+a pool of :class:`~repro.serve.worker.EstimatorWorker` tasks, micro-batches
 absorption, and answers queries with per-procedure estimates and Wald CI
 half-widths.
 
@@ -28,15 +28,13 @@ deferral is the exception by design: it reflects live absorption lag.)  Each
 tenant's batches are absorbed FIFO by exactly one worker, and absorption
 order *across* tenants doesn't matter (estimators are per-tenant).  Hence
 the same upload sequence yields bit-identical estimates at any worker
-count, and :meth:`rebalance` — checkpoint handoff mid-stream — changes
-nothing: pending shards stay in the service-level batcher (batch boundaries
-survive the move), and the estimator continues from its checkpoint
-bit-for-bit.
+count.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -50,6 +48,7 @@ from repro.ir.program import Program
 from repro.mote.platform import Platform
 from repro.obs.health import AlertEvent, EstimatorHealthMonitor
 from repro.placement.layout import ProgramLayout
+from repro.profiling.budget import SampleBudget
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -62,20 +61,30 @@ from repro.serve.protocol import (
     parse_request_line,
 )
 from repro.serve.query import TenantEstimate, snapshot_estimate
-from repro.serve.router import ShardRouter
 from repro.serve.worker import AbsorbResult, EstimatorWorker
 
-__all__ = ["ServiceConfig", "TenantStats", "IngestionService"]
+__all__ = ["ServiceConfig", "TenantStats", "IngestionService", "worker_for"]
 
 #: The retry hint a deferred upload carries.
 RETRY_AFTER_S = 0.5
 
 #: The backlog SLO: a tenant whose unabsorbed shards exceed this fraction of
-#: ``max_backlog`` after an absorbed batch raises an ``slo-backlog`` alert ...
+#: ``max_backlog`` raises an ``slo-backlog`` alert, judged after every
+#: absorbed batch and on every ``backlog-full`` deferral.
 SLO_BACKLOG_FRAC = 0.8
 
-#: ... once it has had this many shards accepted.
-MIN_SLO_SHARDS = 8
+
+def worker_for(tenant: TenantKey, n_workers: int) -> int:
+    """The worker index that owns ``tenant`` among ``n_workers``.
+
+    Derived from the tenant key through SHA-256, never :func:`hash` (which
+    is salted per process), so every process and run computes the same
+    assignment and a tenant's stream is absorbed by one estimator, in order.
+    """
+    digest = hashlib.sha256(
+        f"{tenant.deployment_id}\x00{tenant.program_version}".encode("utf-8")
+    ).digest()
+    return int.from_bytes(digest[:8], "little") % n_workers
 
 
 @dataclass(frozen=True)
@@ -121,15 +130,11 @@ class TenantStats:
 
 @dataclass
 class _Registration:
-    program: Program
-    platform: Platform
-    options: OnlineOptions
-    layout: Optional[ProgramLayout]
+    worker: int
+    budget: Optional[SampleBudget]
     accepted_counts: dict[str, int] = field(default_factory=dict)
     in_flight: int = 0
-    # Health monitoring (None when ServiceConfig.health is off).  The monitor
-    # is service-owned — it survives rebalance handoffs (re-attached to the
-    # resumed estimator) because monitors are not part of checkpoints.
+    # Health monitoring (None when ServiceConfig.health is off).
     monitor: Optional[EstimatorHealthMonitor] = None
     latencies_s: list = field(default_factory=list)
     backlog_breached: bool = False
@@ -145,7 +150,6 @@ class IngestionService:
     ) -> None:
         self.config = config or ServiceConfig()
         self._clock = clock
-        self._router = ShardRouter(self.config.n_workers)
         self._workers = [
             EstimatorWorker(i, clock) for i in range(self.config.n_workers)
         ]
@@ -232,18 +236,16 @@ class IngestionService:
             monitor = EstimatorHealthMonitor(
                 source=str(tenant), truth=truth, clock=self._clock
             )
+        worker = worker_for(tenant, self.config.n_workers)
         self._registry[tenant] = _Registration(
-            program=program,
-            platform=platform,
-            options=opts,
-            layout=layout,
-            monitor=monitor,
+            worker=worker, budget=opts.budget, monitor=monitor
         )
         self._tenant_stats[tenant] = TenantStats()
-        worker = self._workers[self._router.worker_for(tenant)]
-        worker.adopt(tenant, program, platform, options=opts, layout=layout)
+        estimator = self._workers[worker].adopt(
+            tenant, program, platform, options=opts, layout=layout
+        )
         if monitor is not None:
-            worker.estimator(tenant).attach_health(monitor)
+            estimator.attach_health(monitor)
         obs.inc("serve.tenants_registered")
         return tenant
 
@@ -276,10 +278,12 @@ class IngestionService:
             seq=upload.seq,
             causal=upload.causal_id,
         ):
-            budget = registration.options.budget
+            budget = registration.budget
             if budget is not None and budget.exhausted(registration.accepted_counts):
                 return self._defer(tenant, stats, "budget-exhausted")
             if registration.in_flight >= self.config.max_backlog:
+                if registration.monitor is not None:
+                    self._check_backlog(tenant, registration)
                 return self._defer(tenant, stats, "backlog-full")
             for name, xs in upload.samples.items():
                 registration.accepted_counts[name] = registration.accepted_counts.get(
@@ -314,7 +318,7 @@ class IngestionService:
         )
 
     def _enqueue(self, tenant: TenantKey, batch) -> None:
-        self._queues[self._router.worker_for(tenant)].put_nowait((tenant, batch))
+        self._queues[self._registry[tenant].worker].put_nowait((tenant, batch))
 
     async def _worker_loop(self, worker: EstimatorWorker, queue: asyncio.Queue) -> None:
         while True:
@@ -341,13 +345,13 @@ class IngestionService:
         """Evaluate the tenant's backlog SLO; emit an edge-triggered alert.
 
         Runs after every absorbed batch (drift/coverage checks already ran
-        inside the estimator's absorb).  The SLO alerts once per breach
-        episode: crossing back under the threshold re-arms it.
+        inside the estimator's absorb) and on every ``backlog-full``
+        deferral, where the backlog is full and so over the threshold.  The
+        SLO alerts once per breach episode: an absorbed batch that leaves
+        the backlog at or under the threshold re-arms it.
         """
         monitor = registration.monitor
         assert monitor is not None
-        if self._tenant_stats[tenant].accepted < MIN_SLO_SHARDS:
-            return
         frac = registration.in_flight / self.config.max_backlog
         breached = frac > SLO_BACKLOG_FRAC
         if breached and not registration.backlog_breached:
@@ -399,15 +403,15 @@ class IngestionService:
         self, tenant: TenantKey, trace_id: Optional[str] = None
     ) -> TenantEstimate:
         """The tenant's estimate as of the last absorbed batch."""
-        self._registration(tenant)
+        registration = self._registration(tenant)
         self._queries += 1
         attrs = {"tenant": str(tenant)}
         if trace_id is not None:
             attrs["causal"] = trace_id
         with obs.span("serve.query", **attrs):
-            estimator = self._workers[self._router.worker_for(tenant)].estimator(tenant)
+            estimator = self._workers[registration.worker].estimator(tenant)
             snapshot = snapshot_estimate(
-                tenant, estimator, pending=self._registry[tenant].in_flight
+                tenant, estimator, pending=registration.in_flight
             )
         obs.inc("serve.queries")
         return snapshot
@@ -466,7 +470,7 @@ class IngestionService:
         payload = {
             "op": "stats",
             "schema": PROTOCOL_VERSION,
-            "workers": self._router.n_workers,
+            "workers": self.config.n_workers,
             "uptime_s": (
                 0.0
                 if self._started_at is None
@@ -487,71 +491,6 @@ class IngestionService:
         if health:
             payload["health"] = health
         return payload
-
-    # -- rebalance / handoff ------------------------------------------------
-
-    async def rebalance(self, n_workers: int) -> int:
-        """Re-shard to ``n_workers`` via lossless checkpoint handoff.
-
-        Queued absorption finishes first (so every checkpoint reflects all
-        released batches), then each moving tenant's estimator is
-        checkpointed on its old worker and resumed on its new one.  Shards
-        still buffered in the batcher are untouched — batch boundaries
-        survive, which is what keeps the post-rebalance trajectory
-        bit-identical to an uninterrupted run.  Returns the number of
-        tenants moved.
-        """
-        self._require_started()
-        await asyncio.gather(*(queue.join() for queue in self._queues))
-        plan = self._router.plan_rebalance(n_workers, list(self._registry))
-        handoffs = []
-        for tenant, old, _new in plan.moves:
-            runtime, checkpoint = self._workers[old].release(tenant)
-            handoffs.append((tenant, runtime, checkpoint))
-        if n_workers > len(self._workers):
-            self._workers.extend(
-                EstimatorWorker(i, self._clock)
-                for i in range(len(self._workers), n_workers)
-            )
-            for _ in range(n_workers - len(self._queues)):
-                queue: asyncio.Queue = asyncio.Queue()
-                self._queues.append(queue)
-                self._tasks.append(
-                    asyncio.create_task(
-                        self._worker_loop(self._workers[len(self._queues) - 1], queue)
-                    )
-                )
-        elif n_workers < len(self._workers):
-            for index in range(n_workers, len(self._workers)):
-                if self._workers[index].tenants:
-                    raise ServeError(
-                        f"worker {index} still owns tenants after planning"
-                    )
-                self._queues[index].put_nowait(None)
-            await asyncio.gather(*self._tasks[n_workers:])
-            self._workers = self._workers[:n_workers]
-            self._queues = self._queues[:n_workers]
-            self._tasks = self._tasks[:n_workers]
-        self._router.apply(plan)
-        for tenant, runtime, checkpoint in handoffs:
-            worker = self._workers[self._router.worker_for(tenant)]
-            worker.adopt(
-                tenant,
-                runtime.program,
-                runtime.platform,
-                options=runtime.options,
-                layout=runtime.layout,
-                checkpoint=checkpoint,
-            )
-            monitor = self._registry[tenant].monitor
-            if monitor is not None:
-                # Monitors are service-owned and not checkpointed: the same
-                # instance re-attaches to the resumed estimator, keeping
-                # alert history and detector state across the handoff.
-                worker.estimator(tenant).attach_health(monitor)
-        obs.inc("serve.rebalances")
-        obs.inc("serve.tenants_moved", len(handoffs))
-        return len(handoffs)
 
     # -- wire protocol ------------------------------------------------------
 

@@ -5,10 +5,8 @@ of the tenants routed to it and does exactly one thing with them: absorb
 released micro-batches via
 :meth:`~repro.core.online.OnlineEstimator.absorb_batch` (one warm-started
 EM sweep per batch).  Everything stateful about a tenant lives in its
-estimator, which is why worker topology is invisible in the output —
-moving a tenant between workers is
-:meth:`~repro.core.online.OnlineEstimator.checkpoint` on one side and
-``resume`` on the other, and the estimate continues bit-for-bit.
+estimator, and each tenant's batches reach its one worker in submit order,
+which is why worker topology is invisible in the output.
 
 Workers are plain synchronous objects; the service's asyncio loop decides
 *when* they run.  That keeps every absorption observable (``serve.absorb``
@@ -22,12 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import obs
-from repro.core.online import (
-    OnlineCheckpoint,
-    OnlineEstimator,
-    OnlineOptions,
-    ShardEstimate,
-)
+from repro.core.online import OnlineEstimator, OnlineOptions, ShardEstimate
 from repro.errors import ServeError
 from repro.ir.program import Program
 from repro.mote.platform import Platform
@@ -35,18 +28,7 @@ from repro.placement.layout import ProgramLayout
 from repro.serve.batcher import PendingShard
 from repro.serve.protocol import TenantKey
 
-__all__ = ["TenantRuntime", "AbsorbResult", "EstimatorWorker"]
-
-
-@dataclass
-class TenantRuntime:
-    """One tenant's estimator plus the bindings needed to rebuild it."""
-
-    program: Program
-    platform: Platform
-    options: OnlineOptions
-    layout: Optional[ProgramLayout]
-    estimator: OnlineEstimator
+__all__ = ["AbsorbResult", "EstimatorWorker"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +50,7 @@ class EstimatorWorker:
     ) -> None:
         self.index = index
         self._clock = clock
-        self._tenants: dict[TenantKey, TenantRuntime] = {}
+        self._estimators: dict[TenantKey, OnlineEstimator] = {}
 
     # -- tenant lifecycle ---------------------------------------------------
 
@@ -79,49 +61,19 @@ class EstimatorWorker:
         platform: Platform,
         options: Optional[OnlineOptions] = None,
         layout: Optional[ProgramLayout] = None,
-        checkpoint: Optional[OnlineCheckpoint] = None,
-    ) -> None:
-        """Start (or, given a checkpoint, continue) serving ``tenant`` here."""
-        if tenant in self._tenants:
+    ) -> OnlineEstimator:
+        """Start serving ``tenant`` here with a fresh estimator."""
+        if tenant in self._estimators:
             raise ServeError(f"worker {self.index} already serves {tenant}")
-        opts = options or OnlineOptions()
-        if checkpoint is not None:
-            estimator = OnlineEstimator.resume(
-                program, platform, checkpoint, options=opts, layout=layout
-            )
-        else:
-            estimator = OnlineEstimator(program, platform, options=opts, layout=layout)
-        self._tenants[tenant] = TenantRuntime(
-            program=program,
-            platform=platform,
-            options=opts,
-            layout=layout,
-            estimator=estimator,
-        )
-
-    def release(self, tenant: TenantKey) -> tuple[TenantRuntime, OnlineCheckpoint]:
-        """Stop serving ``tenant``; return its bindings + final checkpoint.
-
-        The pair is everything the next worker's :meth:`adopt` needs for a
-        lossless handoff.
-        """
-        runtime = self._tenants.pop(tenant, None)
-        if runtime is None:
-            raise ServeError(f"worker {self.index} does not serve {tenant}")
-        return runtime, runtime.estimator.checkpoint()
-
-    def owns(self, tenant: TenantKey) -> bool:
-        return tenant in self._tenants
-
-    @property
-    def tenants(self) -> tuple[TenantKey, ...]:
-        return tuple(sorted(self._tenants))
+        estimator = OnlineEstimator(program, platform, options=options, layout=layout)
+        self._estimators[tenant] = estimator
+        return estimator
 
     def estimator(self, tenant: TenantKey) -> OnlineEstimator:
-        runtime = self._tenants.get(tenant)
-        if runtime is None:
+        estimator = self._estimators.get(tenant)
+        if estimator is None:
             raise ServeError(f"worker {self.index} does not serve {tenant}")
-        return runtime.estimator
+        return estimator
 
     # -- absorption ---------------------------------------------------------
 
@@ -132,9 +84,7 @@ class EstimatorWorker:
         i.e. one EM sweep — regardless of batch size; the ``serve.absorb``
         span and the ``serve.absorb_latency_s`` histogram carry the cost.
         """
-        runtime = self._tenants.get(tenant)
-        if runtime is None:
-            raise ServeError(f"worker {self.index} does not serve {tenant}")
+        estimator = self.estimator(tenant)
         if not batch:
             raise ServeError(f"empty micro-batch for {tenant}")
         shards = [pending.upload.samples for pending in batch]
@@ -147,7 +97,7 @@ class EstimatorWorker:
             samples=n_samples,
             causal=[pending.upload.causal_id for pending in batch],
         ) as handle:
-            point = runtime.estimator.absorb_batch(shards)
+            point = estimator.absorb_batch(shards)
             handle.set(em_iterations=point.em_iterations, converged=point.converged)
         done = self._clock()
         latencies = tuple(done - pending.submitted_at for pending in batch)

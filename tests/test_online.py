@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -144,77 +142,6 @@ class TestConvergencePolicy:
             OnlineOptions(epsilon=0.0)
         with pytest.raises(EstimationError):
             OnlineOptions(epsilon=1.5)
-
-
-class TestCheckpointing:
-    def test_checkpoint_resume_matches_uninterrupted_run(
-        self, sense_run, shards
-    ):
-        solo = OnlineEstimator(
-            sense_run.program, CONFIG.platform, OnlineOptions(epsilon=None)
-        )
-        split = OnlineEstimator(
-            sense_run.program, CONFIG.platform, OnlineOptions(epsilon=None)
-        )
-        for shard in shards[:2]:
-            solo.absorb(shard)
-            split.absorb(shard)
-        blob = pickle.dumps(split.checkpoint())
-        resumed = OnlineEstimator.resume(
-            sense_run.program,
-            CONFIG.platform,
-            pickle.loads(blob),
-            OnlineOptions(epsilon=None),
-        )
-        for shard in shards[2:]:
-            solo.absorb(shard)
-            resumed.absorb(shard)
-        assert _thetas_equal(solo.thetas, resumed.thetas)
-        assert _thetas_equal(solo.half_widths, resumed.half_widths)
-        assert len(resumed.trajectory) == len(solo.trajectory)
-
-    def test_resume_rejects_foreign_program(self, sense_run):
-        est = OnlineEstimator(sense_run.program, CONFIG.platform)
-        ckpt = est.checkpoint()
-        other = profiled_run(workload_by_name("blink"), CONFIG)
-        with pytest.raises(EstimationError, match="belongs to"):
-            OnlineEstimator.resume(other.program, CONFIG.platform, ckpt)
-
-    def test_merge_replays_bit_identically(self, sense_run, shards):
-        sequential = OnlineEstimator(
-            sense_run.program, CONFIG.platform, OnlineOptions(epsilon=None)
-        )
-        for shard in shards:
-            sequential.absorb(shard)
-        first = OnlineEstimator(
-            sense_run.program, CONFIG.platform, OnlineOptions(epsilon=None)
-        )
-        second = OnlineEstimator(
-            sense_run.program, CONFIG.platform, OnlineOptions(epsilon=None)
-        )
-        for shard in shards[:2]:
-            first.absorb(shard)
-        for shard in shards[2:]:
-            second.absorb(shard)
-        merged = OnlineEstimator.merge(
-            sense_run.program,
-            CONFIG.platform,
-            [first.checkpoint(), second.checkpoint()],
-            OnlineOptions(epsilon=None),
-        )
-        assert _thetas_equal(sequential.thetas, merged.thetas)
-        assert _thetas_equal(sequential.half_widths, merged.half_widths)
-        traj_a = [p.thetas for p in sequential.trajectory]
-        traj_b = [p.thetas for p in merged.trajectory]
-        assert all(_thetas_equal(a, b) for a, b in zip(traj_a, traj_b))
-
-    def test_merge_rejects_foreign_checkpoint(self, sense_run):
-        other = profiled_run(workload_by_name("blink"), CONFIG)
-        foreign = OnlineEstimator(other.program, CONFIG.platform).checkpoint()
-        with pytest.raises(EstimationError, match="cannot merge"):
-            OnlineEstimator.merge(
-                sense_run.program, CONFIG.platform, [foreign]
-            )
 
 
 class TestDatasetShards:

@@ -3,15 +3,11 @@
 The controller tests drive real segment streams through the F10 probe
 workload (the engineered staleness-hazard program): its regimes are tuned so
 drift detection, re-placement, hot swap, commit, and rollback all trigger at
-known segment boundaries — which makes checkpoint/resume byte-identity
-checkable across exactly those transitions.
+known segment boundaries.
 """
 
 from __future__ import annotations
 
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.errors import PgoError
@@ -180,59 +176,3 @@ class TestControllerStateMachine:
         ctl = PGOController(probe, MICAZ_LIKE)
         with pytest.raises(PgoError, match="activations"):
             ctl.run_segment(probe_sensors("A", 7, 0), 0)
-        with pytest.raises(PgoError, match="cannot checkpoint"):
-            ctl.checkpoint()
-
-
-class TestCheckpointResume:
-    @pytest.mark.parametrize("cut", [5, 11, 13])
-    def test_resume_is_byte_identical_across_transitions(self, probe, cut):
-        """Cutting before the alarm (5), mid-relearn (11), or right at the
-        swap (13) must not change a byte of the remaining run."""
-        initial = optimize_refined_program_layout(
-            probe, {"main": [0.889, 0.115, 0.001]}, MICAZ_LIKE
-        )
-        straight = PGOController(probe, MICAZ_LIKE, initial_layout=initial)
-        run_schedule(straight, TRAP)
-
-        ctl = PGOController(probe, MICAZ_LIKE, initial_layout=initial)
-        run_schedule(ctl, TRAP[:cut])
-        blob = pickle.dumps(ctl.checkpoint())
-        resumed = PGOController.resume(probe, MICAZ_LIKE, pickle.loads(blob))
-        tail = run_schedule(resumed, TRAP[cut:], start=cut)
-
-        assert resumed.reports == straight.reports
-        assert tail == straight.reports[cut:]
-        assert resumed.registry.events == straight.registry.events
-        assert resumed.current_key == straight.current_key
-        # Byte-identical observable stream: every report (metrics included)
-        # renders to the same bytes, and the estimator landed on the same
-        # fit.  (Raw pickle bytes are NOT compared: pickle's memo encodes
-        # object sharing, which differs after a resume even when every
-        # value is identical.)
-        assert repr(tuple(resumed.reports)) == repr(tuple(straight.reports))
-        for name, theta in straight.estimator.thetas.items():
-            np.testing.assert_array_equal(resumed.estimator.thetas[name], theta)
-        assert resumed.phase == straight.phase
-        assert resumed.cooldown == straight.cooldown
-        assert resumed.shards_since_reset == straight.shards_since_reset
-
-    def test_resume_restores_interpreter_ram_exactly(self, probe):
-        ctl = PGOController(probe, MICAZ_LIKE)
-        run_schedule(ctl, ["B"] * 3)  # regime B accumulates acc and transmits
-        ckpt = ctl.checkpoint()
-        resumed = PGOController.resume(probe, MICAZ_LIKE, pickle.loads(pickle.dumps(ckpt)))
-        # RAM is applied lazily; run one segment on both and compare state.
-        run_schedule(ctl, ["B"], start=3)
-        run_schedule(resumed, ["B"], start=3)
-        assert resumed._interp.globals == ctl._interp.globals
-        assert resumed._interp.cycle == ctl._interp.cycle
-        assert resumed._interp.counters == ctl._interp.counters
-        assert resumed._interp.radio.packets == ctl._interp.radio.packets
-
-    def test_resume_rejects_wrong_program(self, probe):
-        ctl = PGOController(probe, MICAZ_LIKE)
-        run_schedule(ctl, ["A"])
-        other = compile_source(PROBE_SOURCE, name="other", entry="main")
-        with pytest.raises(PgoError, match="belongs to program"):
-            PGOController.resume(other, MICAZ_LIKE, ctl.checkpoint())

@@ -179,7 +179,7 @@ class TestLayoutIdentity:
 
     def test_equal_across_separately_compiled_cfgs(self):
         # Regression: object-identity equality made a layout rebuilt from the
-        # same source (or from a checkpoint) compare unequal to the original,
+        # same source (or unpickled) compare unequal to the original,
         # so the registry re-added layouts it already had.
         a = Layout.source_order(compile_source(DIAMOND_SRC).procedure("main").cfg)
         b = Layout.source_order(compile_source(DIAMOND_SRC).procedure("main").cfg)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.online import OnlineOptions
-from repro.errors import ProtocolError, ServeError
+from repro.errors import ProtocolError
+from repro.obs import Tracer, tracing
 from repro.profiling.budget import SampleBudget
 from repro.serve import (
     ERROR_CODES,
@@ -18,7 +19,6 @@ from repro.serve import (
     MicroBatcher,
     Receipt,
     ServiceConfig,
-    ShardRouter,
     ShardUpload,
     TenantKey,
     TenantSpec,
@@ -29,6 +29,7 @@ from repro.serve import (
     parse_request_line,
     run_fleet,
 )
+from repro.serve.service import worker_for
 from repro.workloads.registry import workload_by_name
 
 BLINK = workload_by_name("blink")
@@ -109,30 +110,36 @@ class TestProtocol:
 
 class TestRouter:
     def test_routing_is_stable_and_in_range(self):
-        router = ShardRouter(4)
         tenants = [TenantKey(f"d{i}", "1.0") for i in range(40)]
-        first = [router.worker_for(t) for t in tenants]
-        assert first == [router.worker_for(t) for t in tenants]
+        first = [worker_for(t, 4) for t in tenants]
+        assert first == [worker_for(t, 4) for t in tenants]
         assert all(0 <= w < 4 for w in first)
         assert len(set(first)) > 1  # hash actually spreads
 
-    def test_rebalance_plan_moves_everyone_on_topology_change(self):
-        router = ShardRouter(2)
-        tenants = [TenantKey(f"d{i}", "1.0") for i in range(6)]
-        plan = router.plan_rebalance(3, tenants)
-        assert {t for t, _, _ in plan.moves} == set(tenants)
-        router.apply(plan)
-        assert router.n_workers == 3
-        assert all(router.worker_for(t) < 3 for t in tenants)
+    @pytest.mark.parametrize(
+        "n_workers,expected", [(2, [1, 1, 1, 1, 1, 1]), (3, [2, 0, 2, 2, 0, 1])]
+    )
+    def test_default_fleet_assignment_is_pinned(self, n_workers, expected):
+        # SHA-256 of the tenant key decides the worker; these indices are
+        # part of the contract (a process restart must not move a tenant).
+        tenants = [spec.tenant for spec in default_fleet().tenants]
+        assert [worker_for(t, n_workers) for t in tenants] == expected
 
-    def test_pin_overrides_hash(self):
-        router = ShardRouter(3)
-        tenant = TenantKey("d", "v")
-        target = (router.worker_for(tenant) + 1) % 3
-        router.pin(tenant, target)
-        assert router.worker_for(tenant) == target
-        with pytest.raises(ServeError):
-            router.pin(tenant, 7)
+    def test_service_absorbs_each_tenant_on_its_hashed_worker(self):
+        fleet = default_fleet(
+            n_tenants=6, n_motes=1, shards_per_mote=1, samples_per_proc=1
+        )
+        tracer = Tracer()
+        with tracing(tracer):
+            run(run_fleet(fleet, ServiceConfig(n_workers=3, max_batch=4)))
+        workers = {
+            span.attrs["tenant"]: span.attrs["worker"]
+            for span in tracer.spans
+            if span.name == "serve.absorb"
+        }
+        assert workers == {
+            str(spec.tenant): worker_for(spec.tenant, 3) for spec in fleet.tenants
+        }
 
 
 class TestBatcher:
@@ -143,7 +150,7 @@ class TestBatcher:
         assert batcher.add(make_upload(tenant, seq=1), 0.0) is None
         batch = batcher.add(make_upload(tenant, seq=2), 0.0)
         assert batch is not None and len(batch) == 3
-        assert batcher.pending_count(tenant) == 0
+        assert batcher.take_all() == []  # the full batch left nothing behind
         batcher.add(make_upload(tenant, seq=3), 0.0)
         (drained_tenant, leftovers), = batcher.take_all()
         assert drained_tenant == tenant and len(leftovers) == 1
@@ -275,49 +282,6 @@ class TestBudgetBackpressure:
         assert all(
             r.reason == "backlog-full" for r in receipts if r.status == "deferred"
         )
-
-
-class TestHandoff:
-    def test_mid_stream_rebalance_is_bit_identical(self):
-        fleet = default_fleet(n_tenants=2, n_motes=3, shards_per_mote=6, seed=11)
-        uploads = build_uploads(fleet)
-        cut = len(uploads) // 2
-
-        async def uninterrupted():
-            service = IngestionService(ServiceConfig(n_workers=2, max_batch=3))
-            _register_fleet(service, fleet)
-            return (await _serve_uploads_open(service, uploads))
-
-        async def with_rebalance():
-            service = IngestionService(ServiceConfig(n_workers=2, max_batch=3))
-            _register_fleet(service, fleet)
-            async with service:
-                for upload in uploads[:cut]:
-                    await service.submit(upload)
-                moved = await service.rebalance(4)  # mid-stream topology change
-                assert moved == len(fleet.tenants)
-                for upload in uploads[cut:]:
-                    await service.submit(upload)
-                await service.drain()
-                return {str(t): service.query(t) for t in service.tenants}
-
-        async def _serve_uploads_open(service, ups):
-            async with service:
-                for upload in ups:
-                    await service.submit(upload)
-                await service.drain()
-                return {str(t): service.query(t) for t in service.tenants}
-
-        plain = run(uninterrupted())
-        moved = run(with_rebalance())
-        assert set(plain) == set(moved)
-        for name in plain:
-            a, b = plain[name], moved[name]
-            assert a.shards_absorbed == b.shards_absorbed
-            assert a.total_samples == b.total_samples
-            for proc in a.thetas:
-                assert np.array_equal(a.thetas[proc], b.thetas[proc])
-                assert np.array_equal(a.half_widths[proc], b.half_widths[proc])
 
 
 class TestWireProtocol:
