@@ -1,23 +1,16 @@
-"""Engine — parallel fan-out and result-cache speedups.
+"""Engine — result-cache speedup.
 
-Not a paper figure: this regenerates the two performance claims the
-experiment engine itself makes (EXPERIMENTS.md "engine" section): a warm
-cache serves a completed configuration at least 5x faster than computing
-it, and the batched simulation driver produces bit-identical results when
-fanned over a process pool.
+Not a paper figure: this regenerates the performance claim the experiment
+engine itself makes (EXPERIMENTS.md "engine" section): a warm cache serves
+a completed configuration at least 5x faster than computing it.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.engine import ResultCache, run_experiments
-from repro.sim import run_program_batched
-from repro.workloads.inputs import build_sensors
-from repro.workloads.registry import workload_by_name
 
 # Quick-size config: the engine's overheads don't depend on problem size,
 # and the cache-speedup ratio only gets *more* favourable at full size.
@@ -50,28 +43,3 @@ def test_engine_warm_cache_speedup(benchmark, tmp_path):
         f"warm cache must be >=5x faster: cold {cold_seconds:.2f}s, "
         f"warm {warm_seconds:.2f}s"
     )
-
-
-def test_engine_parallel_batches_bit_identical(benchmark):
-    spec = workload_by_name("sense")
-    factory = partial(build_sensors, dict(spec.channels), "default")
-    kwargs = dict(
-        program=spec.program(),
-        platform=ENGINE_CONFIG.platform,
-        sensor_factory=factory,
-        activations=1200,
-        batch_size=150,
-        rng=2015,
-    )
-    serial = run_program_batched(**kwargs)
-
-    with ProcessPoolExecutor(max_workers=4) as pool:
-        parallel = benchmark.pedantic(
-            run_program_batched,
-            kwargs={**kwargs, "map_fn": pool.map},
-            rounds=1,
-            iterations=1,
-        )
-    assert parallel.records == serial.records
-    assert parallel.counters.edge_counts == serial.counters.edge_counts
-    assert parallel.total_cycles == serial.total_cycles

@@ -1,33 +1,18 @@
 """F4 — regenerate the misprediction-rate-by-placement figure.
 
-Quick mode (``REPRO_BENCH_QUICK=1``, as CI's vectorized-differential job
-runs it) parametrizes the run over both execution engines via
-:data:`~repro.sim.ENGINE_ENV_VAR`, so each engine passes the figure's shape
-checks on its own; ``tests/test_hw_counters.py`` holds the two engines'
-counters bit-identical.  The full-size golden run keeps the driver's own
-``auto`` dispatch, exactly what a user gets.
+The evaluation runs batched on the compiled interpreter, the simulator's
+one engine; ``tests/test_hw_counters.py`` holds its counters bit-identical
+to the oracle interpreter's and across worker counts.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.experiments import fig_f4_mispredict
-from repro.sim import ENGINE_ENV_VAR
-
-_QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-ENGINES = ("vectorized", "scalar") if _QUICK else ("auto",)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_f4_mispredict_by_placement(
-    benchmark, experiment_config, save_result, monkeypatch, engine
-):
-    if engine != "auto":
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+def test_f4_mispredict_by_placement(benchmark, experiment_config, save_result):
     result = benchmark.pedantic(
         fig_f4_mispredict.run, args=(experiment_config,), rounds=1, iterations=1
     )

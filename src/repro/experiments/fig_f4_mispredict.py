@@ -66,10 +66,8 @@ def pair_unit(pair: tuple[str, str], config: ExperimentConfig) -> UnitResult:
         # simulator's ground-truth bookkeeping.  A per-strategy registry
         # takes a clean delta; counts still fold into any ambient registry
         # (e.g. the CLI's --counters aggregate) on exit.  Evaluation is a
-        # fleet, not a single mote: batched over fresh input streams, it
-        # rides the vectorized engine wherever the program is eligible
-        # (REPRO_SIM_ENGINE forces either engine; results are bit-identical
-        # both ways).
+        # fleet, not a single mote: batches over fresh input streams, each
+        # a fresh mote running the program compiled once for this layout.
         with hwc.counters_active(hwc.HardwareCounters()) as hw:
             run_program_batched(
                 profile_data.program,

@@ -44,11 +44,6 @@ class Program:
         except KeyError:
             raise IRError(f"program {self.name!r} has no procedure {name!r}") from None
 
-    @property
-    def entry_procedure(self) -> Procedure:
-        """The procedure run once per activation."""
-        return self.procedure(self.entry)
-
     def __iter__(self) -> Iterator[Procedure]:
         return iter(self.procedures.values())
 

@@ -7,7 +7,7 @@ one deterministic attribution report (schema ``repro.obs-report/1``):
 
 * **Span attribution** — per-span-name exclusive (self) wall-clock deltas,
   ranked by contribution to the total regression, so "the run grew 2.3s"
-  localizes to "``sim.vector_run`` cohort regrouping grew 2.1×".
+  localizes to "``sim.run`` self time grew 2.1×".
 * **Counter attribution** — per-counter deltas (cycles by instruction
   class, mispredicts, flash fetches, radio µJ) with relative movement and
   a group rollup naming the responsible subsystem, plus per-procedure

@@ -69,9 +69,8 @@ SNAPSHOT_SCHEMA = "repro.hwcounters/1"
 #: Relative tolerance applied to float-valued counters (``radio.energy_uj``,
 #: ``timer.quantization_error_cycles``) in the snapshot algebra.  Float
 #: addition is not associative, so merging the same events in a different
-#: grouping (scalar vs. vectorized engine, different ``--jobs``) can leave
-#: the accumulated energy a few ULPs apart; the PR-7 caveat.  Integer
-#: counters stay exact.
+#: grouping (different ``--jobs``) can leave the accumulated energy a few
+#: ULPs apart.  Integer counters stay exact.
 FLOAT_COUNTER_RTOL = 1e-9
 
 Number = Union[int, float]
@@ -112,17 +111,6 @@ class HardwareCounters:
         if self._proc_stack:
             row = self.per_proc.setdefault(self._proc_stack[-1], {})
             row[key] = row.get(key, 0) + amount
-
-    def add_proc(self, proc: str, key: str, amount: Number) -> None:
-        """Attribute ``amount`` to ``proc``'s row directly (no open scope).
-
-        The scalar interpreter attributes through the
-        :meth:`push_proc`/:meth:`pop_proc` stack; batch engines that execute
-        whole cohorts of one procedure at a time know the procedure
-        statically and attribute here, producing the same rows.
-        """
-        row = self.per_proc.setdefault(proc, {})
-        row[key] = row.get(key, 0) + amount
 
     # -- procedure attribution (driven by the interpreter) -------------------
 

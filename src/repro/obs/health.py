@@ -245,10 +245,6 @@ class _ProcDrift:
     def score(self) -> float:
         return max(self.ph.score, self.cusum.score)
 
-    @property
-    def warmed_up(self) -> bool:
-        return self._mu0 is not None
-
     def update(self, x: float) -> Optional[str]:
         """Feed one raw signal; returns the alarming detector name, if any."""
         if self._mu0 is None:

@@ -123,10 +123,6 @@ class SegmentMetrics:
         return self.mispredicts / self.branches if self.branches else 0.0
 
     @property
-    def energy_per_activation(self) -> float:
-        return self.energy_mj / self.activations if self.activations else 0.0
-
-    @property
     def compute_per_activation(self) -> float:
         """Layout-attributable (CPU + ADC) energy per activation."""
         return self.compute_mj / self.activations if self.activations else 0.0
@@ -447,10 +443,6 @@ class PGOController:
     @property
     def commits(self) -> int:
         return sum(1 for r in self.reports if r.action == "commit")
-
-    @property
-    def drift_alarm_count(self) -> int:
-        return sum(1 for r in self.reports if r.action == "alarm")
 
     def totals(self) -> SegmentMetrics:
         """Cumulative measured cost over every segment run so far."""

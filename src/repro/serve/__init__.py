@@ -21,7 +21,7 @@ Modules
     Estimate snapshots (theta, half-widths, convergence verdict).
 :mod:`~repro.serve.service`
     The asyncio :class:`IngestionService` tying it all together, with
-    SHA-256 stable tenant → worker routing (:func:`worker_for`).
+    round-robin tenant → worker assignment in registration order.
 :mod:`~repro.serve.loadgen`
     The simulated fleet driver / load generator (``repro-serve`` CLI).
 

@@ -3,8 +3,9 @@
 :class:`IngestionService` is the tentpole of :mod:`repro.serve` — a
 single-process asyncio service that accepts timing-shard uploads from
 (simulated) motes, routes them by tenant
-(:class:`~repro.serve.protocol.TenantKey`, hashed by :func:`worker_for`) to
-a pool of :class:`~repro.serve.worker.EstimatorWorker` tasks, micro-batches
+(:class:`~repro.serve.protocol.TenantKey`; the k-th registered tenant
+belongs to worker ``k mod n_workers``) to a pool of
+:class:`~repro.serve.worker.EstimatorWorker` tasks, micro-batches
 absorption, and answers queries with per-procedure estimates and Wald CI
 half-widths.
 
@@ -34,7 +35,6 @@ count.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -63,7 +63,7 @@ from repro.serve.protocol import (
 from repro.serve.query import TenantEstimate, snapshot_estimate
 from repro.serve.worker import AbsorbResult, EstimatorWorker
 
-__all__ = ["ServiceConfig", "TenantStats", "IngestionService", "worker_for"]
+__all__ = ["ServiceConfig", "TenantStats", "IngestionService"]
 
 #: The retry hint a deferred upload carries.
 RETRY_AFTER_S = 0.5
@@ -72,19 +72,6 @@ RETRY_AFTER_S = 0.5
 #: ``max_backlog`` raises an ``slo-backlog`` alert, judged after every
 #: absorbed batch and on every ``backlog-full`` deferral.
 SLO_BACKLOG_FRAC = 0.8
-
-
-def worker_for(tenant: TenantKey, n_workers: int) -> int:
-    """The worker index that owns ``tenant`` among ``n_workers``.
-
-    Derived from the tenant key through SHA-256, never :func:`hash` (which
-    is salted per process), so every process and run computes the same
-    assignment and a tenant's stream is absorbed by one estimator, in order.
-    """
-    digest = hashlib.sha256(
-        f"{tenant.deployment_id}\x00{tenant.program_version}".encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "little") % n_workers
 
 
 @dataclass(frozen=True)
@@ -236,7 +223,9 @@ class IngestionService:
             monitor = EstimatorHealthMonitor(
                 source=str(tenant), truth=truth, clock=self._clock
             )
-        worker = worker_for(tenant, self.config.n_workers)
+        # Round robin in registration order: tenants spread evenly over the
+        # workers, and a tenant keeps its worker for the service's life.
+        worker = len(self._registry) % self.config.n_workers
         self._registry[tenant] = _Registration(
             worker=worker, budget=opts.budget, monitor=monitor
         )
@@ -511,25 +500,3 @@ class IngestionService:
         except ProtocolError as exc:
             self.count_rejected()
             return error_response(exc)
-
-    async def serve_stream(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One JSONL connection: request line in, response line out.
-
-        Pass this to :func:`asyncio.start_server` to expose the service on
-        a socket; the load generator drives :meth:`submit` in-process
-        instead (same code path minus the transport).
-        """
-        from repro.serve.protocol import encode
-
-        try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                response = await self.handle_line(raw.decode("utf-8"))
-                writer.write((encode(response) + "\n").encode("utf-8"))
-                await writer.drain()
-        finally:
-            writer.close()

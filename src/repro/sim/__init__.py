@@ -3,15 +3,13 @@
 :mod:`repro.sim.interpreter` executes programs block-by-block, charging
 cycles per the platform's cost model and layout-resolved control transfers,
 and recording ground-truth counters (block visits, edge traversals, taken
-branches, mispredictions) plus exact per-invocation entry/exit cycles.
+branches, mispredictions) plus exact per-invocation entry/exit cycles.  It
+compiles each procedure once per (program, layout, platform) into a
+generated Python function; the dict-walking interpreter it replaced is the
+differential-testing oracle in ``tests/sim_oracle.py``.
 
-:mod:`repro.sim.vectorized` compiles a program once and steps *fleets* of
-independent motes in numpy lockstep — bit-identical to the scalar
-interpreter per mote, an order of magnitude faster per fleet.
-
-:mod:`repro.sim.runner` drives batches of activations and aggregates
-results, dispatching eligible programs to the vectorized engine (the
-scalar interpreter stays available as the differential-testing oracle).
+:mod:`repro.sim.runner` drives single-mote runs and batches of
+activations, and aggregates their results.
 
 :mod:`repro.sim.timing` builds the *analytic* timing model of a procedure —
 an absorbing chain over blocks and branch-arm pseudo-states whose total
@@ -23,15 +21,12 @@ inverts.
 from repro.sim.trace import ExecutionCounters, InvocationRecord, RunResult
 from repro.sim.interpreter import Interpreter
 from repro.sim.runner import (
-    ENGINE_ENV_VAR,
     merge_run_results,
-    resolve_engine,
     run_program,
     run_program_batched,
     split_activations,
 )
 from repro.sim.timing import ProcedureTimingModel, ProgramTimingModel
-from repro.sim.vectorized import run_motes, run_motes_merged, vectorize_eligible
 
 __all__ = [
     "ExecutionCounters",
@@ -42,11 +37,6 @@ __all__ = [
     "run_program_batched",
     "split_activations",
     "merge_run_results",
-    "resolve_engine",
-    "ENGINE_ENV_VAR",
-    "run_motes",
-    "run_motes_merged",
-    "vectorize_eligible",
     "ProcedureTimingModel",
     "ProgramTimingModel",
 ]

@@ -8,29 +8,36 @@ platform's :class:`~repro.mote.cpu.CpuModel` exactly, with control-transfer
 costs resolved against the active :class:`~repro.placement.Layout` — so
 re-running the same program under a different layout yields different cycle
 counts and misprediction totals, which is the effect the paper measures.
+
+A block's straight-line cost is fixed at compile time, and so is
+everything else that does not depend on run-time values: how each branch
+arm is priced under the layout and the static predictor (taken, predicted,
+mispredicted, extra jump), whether a jump is elided, and whether an operand
+lives in the invocation's frame or in the globals.  :func:`_compile`
+resolves all of it once per (program, layout, platform) and turns each
+procedure into one generated Python function whose locals are the
+procedure's registers, so executing a block is a run of straight-line
+statements.  IR strings (labels, names, channels) enter the generated
+source only through ``repr()``.  The dict-walking interpreter this was
+compiled from is kept as the test oracle (``tests/sim_oracle.py``), and
+``tests/test_sim_differential.py`` holds the two bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.ir.instructions import (
-    BinaryOp,
-    Branch,
-    Instruction,
-    Jump,
-    Opcode,
-    Return,
-    UnaryOp,
-)
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import BinaryOp, Branch, Instruction, Jump, Opcode, Return, UnaryOp
 from repro.ir.procedure import Procedure
 from repro.ir.program import Program
+from repro.mote.cpu import CpuModel
 from repro.mote.platform import Platform
 from repro.mote.radio import Radio
 from repro.mote.sensors import SensorSuite
 from repro.obs import counters as hwc
-from repro.placement.layout import ProgramLayout
+from repro.placement.layout import Layout, ProgramLayout
 from repro.sim.trace import ExecutionCounters, InvocationRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
@@ -38,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
 
 __all__ = ["Interpreter"]
 
-_INT_MIN, _INT_MAX = -(1 << 15), (1 << 15) - 1
 _DEFAULT_MAX_STEPS = 200_000
 
 
@@ -51,6 +57,440 @@ def _trunc_div(a: int, b: int) -> int:
     """C-style integer division (truncates toward zero)."""
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+# -- run-time helpers the generated code calls --------------------------------
+
+
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        raise SimulationError("division by zero")
+    return _trunc_div(a, b)
+
+
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise SimulationError("modulo by zero")
+    return a - b * _trunc_div(a, b)
+
+
+def _unbound(name: str) -> None:
+    raise SimulationError(f"read of unbound variable {name!r}")
+
+
+def _undeclared(name: str) -> None:
+    raise SimulationError(f"access to undeclared array {name!r}")
+
+
+def _out_of_bounds(name: str, idx: int, arr: list[int]) -> None:
+    raise SimulationError(f"array index out of bounds: {name}[{idx}] (size {len(arr)})")
+
+
+def _wrong_arity(name: str, expected: int, got: int) -> None:
+    raise SimulationError(f"{name!r} expects {expected} args, got {got}")
+
+
+def _exceeded(name: str, limit: int) -> None:
+    raise SimulationError(f"{name!r} exceeded {limit} blocks in one invocation")
+
+
+# -- compilation --------------------------------------------------------------
+
+_WRAP = "((({}) + 32768) & 65535) - 32768"  # _wrap16 as an expression
+
+_ARITHMETIC = {
+    BinaryOp.ADD: "{} + {}",
+    BinaryOp.SUB: "{} - {}",
+    BinaryOp.MUL: "{} * {}",
+    BinaryOp.DIV: "_div({}, {})",
+    BinaryOp.MOD: "_mod({}, {})",
+    BinaryOp.AND: "{} & {}",
+    BinaryOp.OR: "{} | {}",
+    BinaryOp.XOR: "{} ^ {}",
+    BinaryOp.SHL: "{} << ({} & 15)",
+    BinaryOp.SHR: "{} >> ({} & 15)",
+}
+
+# Comparisons yield 0/1, which the 16-bit wrap leaves alone.
+_COMPARISON = {
+    BinaryOp.LT: "<",
+    BinaryOp.LE: "<=",
+    BinaryOp.GT: ">",
+    BinaryOp.GE: ">=",
+    BinaryOp.EQ: "==",
+    BinaryOp.NE: "!=",
+}
+
+
+def _definitely_assigned(
+    entry: str, blocks: list[BasicBlock], locals_: set[str]
+) -> dict[str, set[str]]:
+    """Frame registers bound on every path into each block (must-analysis).
+
+    A read of a register outside this set may find it unbound, so only such
+    reads get a run-time check.  Unreachable blocks keep the full set; the
+    entry starts from nothing because it is entered from the call.
+    """
+    writes = {
+        block.label: {i.dst for i in block.instructions if i.dst in locals_}
+        for block in blocks
+    }
+    preds: dict[str, list[str]] = {block.label: [] for block in blocks}
+    for block in blocks:
+        if block.terminator is not None:
+            for succ in block.terminator.successors():
+                if succ in preds:
+                    preds[succ].append(block.label)
+    into = {block.label: set(locals_) for block in blocks}
+    into[entry] = set()
+    changed = True
+    while changed:
+        changed = False
+        for block in blocks:
+            if block.label == entry:
+                continue
+            incoming = set(locals_)
+            for pred in preds[block.label]:
+                incoming &= into[pred] | writes[pred]
+            if incoming != into[block.label]:
+                into[block.label] = incoming
+                changed = True
+    return into
+
+
+class _ProcedureSource:
+    """Generated source for one procedure under one layout on one CPU."""
+
+    def __init__(
+        self,
+        name: str,
+        proc: Procedure,
+        layout: Layout,
+        program: Program,
+        cpu: CpuModel,
+    ) -> None:
+        self.name = name
+        self.proc = proc
+        self.layout = layout
+        self.program = program
+        self.cpu = cpu
+        self.lines: list[str] = []
+        self.constants: dict[str, object] = {}
+        self.globals_ = set(program.globals_)
+        self.params = set(proc.params)
+        self.blocks = list(proc.cfg)
+        self.index = {block.label: i for i, block in enumerate(self.blocks)}
+        self.missing: list[str] = []  # jump targets with no block
+        self.registers: dict[str, str] = {}
+        for register in proc.params:
+            self._register(register)
+        locals_ = set()
+        for block in self.blocks:
+            for instr in block.instructions:
+                for register in (*instr.srcs, *instr.args, instr.dst):
+                    if register is not None and register not in self.globals_:
+                        self._register(register)
+                        locals_.add(register)
+            term = block.terminator
+            if isinstance(term, Branch):
+                read: Optional[str] = term.cond
+            else:
+                read = term.value if isinstance(term, Return) else None
+            if read is not None and read not in self.globals_:
+                self._register(read)
+                locals_.add(read)
+        self.bound = _definitely_assigned(proc.cfg.entry, self.blocks, locals_ - self.params)
+        self.maybe_unbound: set[str] = set()
+        self.resolved = layout.resolve_all_branches()
+
+    # -- literals and operands -------------------------------------------------
+
+    def _register(self, name: str) -> str:
+        if name not in self.registers:
+            self.registers[name] = f"r{len(self.registers)}"
+        return self.registers[name]
+
+    def literal(self, value: object) -> str:
+        """Source for ``value``: inline when ``repr`` round-trips, else a name."""
+        if value is None or type(value) in (int, str, bool):
+            return repr(value)
+        if type(value) is tuple and all(type(v) is str for v in value):
+            return repr(value)
+        name = f"_k{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    def read(self, name: str, bound: set[str], out: list[str]) -> str:
+        """Expression for a register read; appends its unbound check to ``out``.
+
+        Parameters always sit in the frame (the interpreter reads the frame
+        before the globals, so a parameter shadows a global of its name);
+        other names are globals or frame registers, fixed per program.
+        """
+        if name in self.params:
+            return self.registers[name]
+        if name in self.globals_:
+            return f"G[{self.literal(name)}]"
+        register = self.registers[name]
+        if name not in bound:
+            self.maybe_unbound.add(name)
+            out.append(f"if {register} is None:")
+            out.append(f"    _unbound({self.literal(name)})")
+        return register
+
+    def write(self, name: str, expr: str, bound: set[str], out: list[str]) -> None:
+        """Writes go to the global of that name if one exists, else the frame."""
+        if name in self.globals_:
+            out.append(f"G[{self.literal(name)}] = {expr}")
+        else:
+            out.append(f"{self.registers[name]} = {expr}")
+            bound.add(name)
+
+    def wrapped_read(self, name: str, bound: set[str], out: list[str]) -> str:
+        """A read whose value must pass ``_wrap16`` (frame values already did)."""
+        expr = self.read(name, bound, out)
+        return _WRAP.format(expr) if name in self.globals_ and name not in self.params else expr
+
+    # -- blocks ------------------------------------------------------------------
+
+    def instruction(self, instr: Instruction, bound: set[str], out: list[str]) -> None:
+        op = instr.opcode
+        if op is Opcode.CONST:
+            self.write(instr.dst, self.literal(_wrap16(int(instr.imm))), bound, out)
+        elif op is Opcode.MOV:
+            self.write(instr.dst, self.wrapped_read(instr.srcs[0], bound, out), bound, out)
+        elif op is Opcode.BINOP:
+            a = self.read(instr.srcs[0], bound, out)
+            b = self.read(instr.srcs[1], bound, out)
+            if instr.imm in _COMPARISON:
+                expr = f"(1 if {a} {_COMPARISON[instr.imm]} {b} else 0)"
+            else:
+                expr = _WRAP.format(_ARITHMETIC[instr.imm].format(a, b))
+            self.write(instr.dst, expr, bound, out)
+        elif op is Opcode.UNOP:
+            a = self.read(instr.srcs[0], bound, out)
+            if instr.imm is UnaryOp.NEG:
+                expr = _WRAP.format(f"-{a}")
+            else:
+                expr = f"(1 if {a} == 0 else 0)"
+            self.write(instr.dst, expr, bound, out)
+        elif op is Opcode.LOAD or op is Opcode.STORE:
+            out.append(f"_i = {self.read(instr.srcs[0], bound, out)}")
+            array = instr.imm
+            if array not in self.program.arrays:
+                out.append(f"_undeclared({self.literal(array)})")
+                return
+            out.append(f"_a = A[{self.literal(array)}]")
+            out.append("if not 0 <= _i < len(_a):")
+            out.append(f"    _out_of_bounds({self.literal(array)}, _i, _a)")
+            if op is Opcode.LOAD:
+                self.write(instr.dst, _WRAP.format("_a[_i]"), bound, out)
+            else:
+                out.append(f"_a[_i] = {self.wrapped_read(instr.srcs[1], bound, out)}")
+        elif op is Opcode.SENSE:
+            expr = _WRAP.format(f"interp.sensors.read({self.literal(instr.imm)})")
+            self.write(instr.dst, expr, bound, out)
+            out.append("C.sense_reads += 1")
+        elif op is Opcode.SEND:
+            value = self.read(instr.srcs[0], bound, out)
+            out.append(f"interp.radio.transmit({value}, interp.cycle)")
+            out.append("C.sends += 1")
+        elif op is Opcode.LED:
+            out.append(f"interp.leds = {self.read(instr.srcs[0], bound, out)} & 7")
+        elif op is Opcode.CALL:
+            args = "".join(f"{self.read(a, bound, out)}, " for a in instr.args)
+            if instr.imm in self.program.procedures:
+                call = f"_F[{self.literal(instr.imm)}](interp, ({args}), depth + 1)"
+            else:  # the public entry point raises the unknown-procedure error
+                call = f"interp.invoke({self.literal(instr.imm)}, ({args}), depth + 1)"
+            if instr.dst is None:
+                out.append(call)
+            else:
+                self.write(instr.dst, _WRAP.format(call), bound, out)
+        elif op is Opcode.NOP or op is Opcode.HALT:
+            pass
+        else:  # pragma: no cover - exhaustive over Opcode
+            raise SimulationError(f"unknown opcode {op}")
+
+    def target(self, label: str) -> int:
+        if label in self.index:
+            return self.index[label]
+        if label not in self.missing:
+            self.missing.append(label)
+        return len(self.blocks) + self.missing.index(label)
+
+    def charge(self, cycles: int, out: list[str]) -> None:
+        if not (type(cycles) is int and cycles == 0):
+            out.append(f"interp.cycle += {self.literal(cycles)}")
+
+    def branch_arm(self, block: BasicBlock, arm: str, out: list[str]) -> None:
+        cpu = self.cpu
+        term = block.terminator
+        site = self.resolved[block.label]
+        taken = site.arm_taken(arm)
+        backward = site.backward_taken_target
+        predicted = cpu.predictor.predicts_taken(backward_target=backward)
+        cycles = cpu.branch_cost(taken=taken, backward_target=backward)
+        extra = arm == site.extra_jump_arm
+        self.charge(cycles, out)
+        if extra:
+            self.charge(cpu.jump_cycles, out)
+        lit = self.literal
+        out.append("if hw is not None:")
+        out.append(f"    hw.prediction({lit(cpu.predictor.name)}, {lit(predicted)})")
+        out.append(
+            f"    hw.branch(taken={lit(taken)}, predicted_taken={lit(predicted)}, "
+            f"backward_target={lit(backward)}, cycles={lit(cycles)})"
+        )
+        if extra:
+            out.append(f"    hw.extra_jump({lit(cpu.jump_cycles)})")
+        out.append(f"EC[{lit((self.name, block.label, arm))}] += 1")
+        out.append("C.branches_executed += 1")
+        key = lit((self.name, block.label))
+        if taken:
+            out.append(f"BT[{key}] += 1")
+            out.append("C.taken_total += 1")
+        if taken != predicted:
+            out.append(f"BM[{key}] += 1")
+            out.append("C.mispredict_total += 1")
+        dest = term.then_target if arm == "then" else term.else_target
+        out.append(f"b = {self.target(dest)}")
+
+    def block(self, block: BasicBlock) -> list[str]:
+        out: list[str] = []
+        bound = set(self.bound[block.label])
+        cycles = self.cpu.cost_model.block_cycles(block)
+        out.append(f"BV[{self.literal((self.name, block.label))}] += 1")
+        out.append("if path is not None:")
+        out.append(f"    path.append({self.literal(block.label)})")
+        self.charge(cycles, out)
+        out.append("if hw is not None:")
+        out.append(f"    hw.block({self.literal(cycles)})")
+        for instr in block.instructions:
+            self.instruction(instr, bound, out)
+        term = block.terminator
+        if isinstance(term, Return):
+            cost = self.cpu.return_cost()
+            self.charge(cost, out)
+            out.append("if hw is not None:")
+            out.append(f"    hw.ret({self.literal(cost)})")
+            value = "0" if term.value is None else self.read(term.value, bound, out)
+            out.append(f"rv = {value}")
+            out.append("break")
+        elif isinstance(term, Jump):
+            cost = self.cpu.jump_cost(fallthrough=self.layout.jump_is_elided(block.label))
+            self.charge(cost, out)
+            out.append("if hw is not None:")
+            out.append(f"    hw.jump({self.literal(cost)})")
+            out.append(f"EC[{self.literal((self.name, block.label, 'jump'))}] += 1")
+            out.append(f"b = {self.target(term.target)}")
+        elif isinstance(term, Branch):
+            cond = self.read(term.cond, bound, out)
+            out.append(f"if {cond} != 0:")
+            then_arm: list[str] = []
+            self.branch_arm(block, "then", then_arm)
+            out.extend("    " + line for line in then_arm)
+            out.append("else:")
+            else_arm: list[str] = []
+            self.branch_arm(block, "else", else_arm)
+            out.extend("    " + line for line in else_arm)
+        else:  # an unterminated block, as the oracle's assert reports it
+            out.append("raise AssertionError()")
+        return out
+
+    def dispatch(self, bodies: list[list[str]], lo: int, hi: int, indent: str) -> None:
+        """A balanced comparison tree on the block index ``b``."""
+        if hi - lo == 1:
+            self.lines.extend(indent + line for line in bodies[lo])
+            return
+        mid = (lo + hi) // 2
+        self.lines.append(f"{indent}if b < {mid}:")
+        self.dispatch(bodies, lo, mid, indent + "    ")
+        self.lines.append(f"{indent}else:")
+        self.dispatch(bodies, mid, hi, indent + "    ")
+
+    def source(self) -> str:
+        name = self.literal(self.name)
+        entry = self.target(self.proc.cfg.entry)
+        bodies = [self.block(block) for block in self.blocks]
+        # A transfer to a label the CFG lacks fails the way the oracle's
+        # block lookup does, when (and only if) it executes.
+        for label in self.missing:
+            bodies.append([f"{self.literal(self.proc.cfg)}.block({self.literal(label)})"])
+
+        lines = self.lines
+        params = self.proc.params
+        lines.append("def run(interp, args, depth):")
+        lines.append(f"    if len(args) != {len(params)}:")
+        lines.append(f"        _wrong_arity({name}, {len(params)}, len(args))")
+        for i, param in enumerate(params):
+            lines.append(f"    {self.registers[param]} = {_WRAP.format(f'int(args[{i}])')}")
+        for register in sorted(self.maybe_unbound, key=self.registers.__getitem__):
+            lines.append(f"    {self.registers[register]} = None")
+        lines.append("    C = interp.counters")
+        lines.append("    BV = C.block_visits")
+        lines.append("    EC = C.edge_counts")
+        lines.append("    BT = C.branch_taken")
+        lines.append("    BM = C.branch_mispredicts")
+        lines.append("    G = interp.globals")
+        lines.append("    A = interp.arrays")
+        lines.append("    limit = interp.max_steps")
+        lines.append("    entry = interp.cycle")
+        lines.append("    path = [] if interp.record_paths else None")
+        lines.append("    hw = _active()")
+        lines.append("    if hw is not None:")
+        lines.append(f"        hw.push_proc({name})")
+        lines.append("    try:")
+        lines.append(f"        b = {entry}")
+        lines.append("        steps = 0")
+        lines.append("        while True:")
+        lines.append("            if steps >= limit:")
+        lines.append(f"                _exceeded({name}, limit)")
+        lines.append("            steps += 1")
+        self.dispatch(bodies, 0, len(bodies), " " * 12)
+        lines.append("    finally:")
+        lines.append("        if hw is not None:")
+        lines.append("            hw.pop_proc()")
+        lines.append(f"    C.invocations[{name}] += 1")
+        lines.append(
+            f"    interp.records.append(_Record(procedure={name}, entry_cycle=entry, "
+            "exit_cycle=interp.cycle, depth=depth, "
+            "path=tuple(path) if path is not None else None))"
+        )
+        lines.append("    return rv")
+        return "\n".join(lines) + "\n"
+
+
+_RUNTIME = {
+    "_active": hwc.active,
+    "_Record": InvocationRecord,
+    "_div": _div,
+    "_mod": _mod,
+    "_unbound": _unbound,
+    "_undeclared": _undeclared,
+    "_out_of_bounds": _out_of_bounds,
+    "_wrong_arity": _wrong_arity,
+    "_exceeded": _exceeded,
+}
+
+
+def _compile(
+    program: Program, layout: ProgramLayout, platform: Platform
+) -> dict[str, Callable[..., int]]:
+    """Every procedure of ``program``, compiled for ``layout`` and ``platform``.
+
+    Maps a procedure name to ``run(interp, args, depth)``, which executes
+    one invocation against ``interp``'s state.  Compiled calls reach their
+    callees through the same mapping, so recursion needs nothing special.
+    """
+    functions: dict[str, Callable[..., int]] = {}
+    for name, proc in program.procedures.items():
+        generated = _ProcedureSource(name, proc, layout.layout(name), program, platform.cpu)
+        source = generated.source()
+        namespace = {**_RUNTIME, **generated.constants, "_F": functions}
+        exec(compile(source, f"<repro.sim {name}>", "exec"), namespace)
+        functions[name] = namespace["run"]
+    return functions
 
 
 class Interpreter:
@@ -89,128 +529,9 @@ class Interpreter:
         self.cycle = 0
         self.counters = ExecutionCounters()
         self.records: list[InvocationRecord] = []
-        self._resolved = {
-            proc.name: self.layout.layout(proc.name).resolve_all_branches()
-            for proc in program
-        }
-
-    # -- value plumbing -------------------------------------------------------
-
-    def _read(self, frame: dict[str, int], name: str) -> int:
-        if name in frame:
-            return frame[name]
-        if name in self.globals:
-            return self.globals[name]
-        raise SimulationError(f"read of unbound variable {name!r}")
-
-    def _write(self, frame: dict[str, int], name: str, value: int) -> None:
-        value = _wrap16(value)
-        if name in self.globals:
-            self.globals[name] = value
-        else:
-            frame[name] = value
-
-    def _array(self, name: str) -> list[int]:
-        try:
-            return self.arrays[name]
-        except KeyError:
-            raise SimulationError(f"access to undeclared array {name!r}") from None
-
-    def _index(self, name: str, idx: int) -> int:
-        arr = self._array(name)
-        if not 0 <= idx < len(arr):
-            raise SimulationError(
-                f"array index out of bounds: {name}[{idx}] (size {len(arr)})"
-            )
-        return idx
-
-    # -- instruction execution ----------------------------------------------------
-
-    def _binop(self, op: BinaryOp, a: int, b: int) -> int:
-        if op is BinaryOp.ADD:
-            return a + b
-        if op is BinaryOp.SUB:
-            return a - b
-        if op is BinaryOp.MUL:
-            return a * b
-        if op is BinaryOp.DIV:
-            if b == 0:
-                raise SimulationError("division by zero")
-            return _trunc_div(a, b)
-        if op is BinaryOp.MOD:
-            if b == 0:
-                raise SimulationError("modulo by zero")
-            return a - b * _trunc_div(a, b)
-        if op is BinaryOp.AND:
-            return a & b
-        if op is BinaryOp.OR:
-            return a | b
-        if op is BinaryOp.XOR:
-            return a ^ b
-        if op is BinaryOp.SHL:
-            return a << (b & 15)
-        if op is BinaryOp.SHR:
-            return a >> (b & 15)
-        if op is BinaryOp.LT:
-            return int(a < b)
-        if op is BinaryOp.LE:
-            return int(a <= b)
-        if op is BinaryOp.GT:
-            return int(a > b)
-        if op is BinaryOp.GE:
-            return int(a >= b)
-        if op is BinaryOp.EQ:
-            return int(a == b)
-        if op is BinaryOp.NE:
-            return int(a != b)
-        raise SimulationError(f"unknown binary operator {op}")  # pragma: no cover
-
-    def _execute_instruction(
-        self, instr: Instruction, frame: dict[str, int], depth: int
-    ) -> None:
-        op = instr.opcode
-        if op is Opcode.CONST:
-            assert instr.dst is not None
-            self._write(frame, instr.dst, int(instr.imm))  # type: ignore[arg-type]
-        elif op is Opcode.MOV:
-            assert instr.dst is not None
-            self._write(frame, instr.dst, self._read(frame, instr.srcs[0]))
-        elif op is Opcode.BINOP:
-            assert instr.dst is not None and isinstance(instr.imm, BinaryOp)
-            a = self._read(frame, instr.srcs[0])
-            b = self._read(frame, instr.srcs[1])
-            self._write(frame, instr.dst, self._binop(instr.imm, a, b))
-        elif op is Opcode.UNOP:
-            assert instr.dst is not None and isinstance(instr.imm, UnaryOp)
-            a = self._read(frame, instr.srcs[0])
-            self._write(frame, instr.dst, -a if instr.imm is UnaryOp.NEG else int(a == 0))
-        elif op is Opcode.LOAD:
-            assert instr.dst is not None and isinstance(instr.imm, str)
-            idx = self._index(instr.imm, self._read(frame, instr.srcs[0]))
-            self._write(frame, instr.dst, self._array(instr.imm)[idx])
-        elif op is Opcode.STORE:
-            assert isinstance(instr.imm, str)
-            idx = self._index(instr.imm, self._read(frame, instr.srcs[0]))
-            self._array(instr.imm)[idx] = _wrap16(self._read(frame, instr.srcs[1]))
-        elif op is Opcode.SENSE:
-            assert instr.dst is not None and isinstance(instr.imm, str)
-            self._write(frame, instr.dst, self.sensors.read(instr.imm))
-            self.counters.sense_reads += 1
-        elif op is Opcode.SEND:
-            self.radio.transmit(self._read(frame, instr.srcs[0]), self.cycle)
-            self.counters.sends += 1
-        elif op is Opcode.LED:
-            self.leds = self._read(frame, instr.srcs[0]) & 0x7
-        elif op is Opcode.CALL:
-            assert isinstance(instr.imm, str)
-            args = [self._read(frame, a) for a in instr.args]
-            value = self.invoke(instr.imm, args, depth=depth + 1)
-            if instr.dst is not None:
-                self._write(frame, instr.dst, value)
-        elif op in (Opcode.NOP, Opcode.HALT):
-            pass
-        else:  # pragma: no cover - exhaustive over Opcode
-            raise SimulationError(f"unknown opcode {op}")
+        # Compiled on the first invocation; the interpreters of one batched
+        # run share one compilation (see repro.sim.runner).
+        self._compiled: Optional[dict[str, Callable[..., int]]] = None
 
     # -- procedure invocation -----------------------------------------------------
 
@@ -220,89 +541,15 @@ class Interpreter:
         Records an :class:`InvocationRecord` with exact entry/exit cycles and
         updates the ground-truth counters as execution proceeds.
         """
-        proc = self.program.procedure(proc_name)
-        if len(args) != len(proc.params):
-            raise SimulationError(
-                f"{proc_name!r} expects {len(proc.params)} args, got {len(args)}"
-            )
-        frame = {p: _wrap16(int(a)) for p, a in zip(proc.params, args)}
-        layout = self.layout.layout(proc_name)
-        resolved = self._resolved[proc_name]
-        cpu = self.platform.cpu
-        entry_cycle = self.cycle
-        path: Optional[list[str]] = [] if self.record_paths else None
-
-        # Hardware counters: bracket the invocation so cycle/branch events
-        # attribute to this procedure (exclusive counts; nested calls open
-        # their own scope).  ``hw is None`` is the disabled fast path.
-        hw = hwc.active()
-        if hw is not None:
-            hw.push_proc(proc_name)
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = _compile(self.program, self.layout, self.platform)
         try:
-            label = proc.cfg.entry
-            return_value = 0
-            for _ in range(self.max_steps):
-                block = proc.cfg.block(label)
-                self.counters.record_block(proc_name, label)
-                if path is not None:
-                    path.append(label)
-                self.cycle += cpu.block_cycles(block)
-                for instr in block.instructions:
-                    self._execute_instruction(instr, frame, depth)
-
-                term = block.terminator
-                if isinstance(term, Return):
-                    cost = cpu.return_cost()
-                    self.cycle += cost
-                    if hw is not None:
-                        hw.ret(cost)
-                    if term.value is not None:
-                        return_value = self._read(frame, term.value)
-                    break
-                if isinstance(term, Jump):
-                    cost = cpu.jump_cost(fallthrough=layout.jump_is_elided(label))
-                    self.cycle += cost
-                    if hw is not None:
-                        hw.jump(cost)
-                    self.counters.record_edge(proc_name, label, "jump")
-                    label = term.target
-                    continue
-                assert isinstance(term, Branch)
-                arm = "then" if self._read(frame, term.cond) != 0 else "else"
-                site = resolved[label]
-                timing = cpu.branch_outcome(
-                    taken=site.arm_taken(arm),
-                    backward_target=site.backward_taken_target,
-                )
-                self.cycle += timing.cycles
-                if arm == site.extra_jump_arm:
-                    self.cycle += cpu.jump_cycles
-                    if hw is not None:
-                        hw.extra_jump(cpu.jump_cycles)
-                self.counters.record_edge(proc_name, label, arm)
-                self.counters.record_branch(
-                    proc_name, label, taken=timing.taken, mispredicted=timing.mispredicted
-                )
-                label = term.then_target if arm == "then" else term.else_target
-            else:
-                raise SimulationError(
-                    f"{proc_name!r} exceeded {self.max_steps} blocks in one invocation"
-                )
-        finally:
-            if hw is not None:
-                hw.pop_proc()
-
-        self.counters.invocations[proc_name] += 1
-        self.records.append(
-            InvocationRecord(
-                procedure=proc_name,
-                entry_cycle=entry_cycle,
-                exit_cycle=self.cycle,
-                depth=depth,
-                path=tuple(path) if path is not None else None,
-            )
-        )
-        return return_value
+            run = compiled[proc_name]
+        except KeyError:
+            self.program.procedure(proc_name)  # raises the unknown-procedure error
+            raise
+        return run(self, args, depth)
 
     def run_activation(self) -> int:
         """One top-level activation of the program's entry procedure."""
@@ -325,10 +572,7 @@ class Interpreter:
                 "hot-swapped layout does not cover this interpreter's program"
             )
         self.layout = layout
-        self._resolved = {
-            proc.name: layout.layout(proc.name).resolve_all_branches()
-            for proc in self.program
-        }
+        self._compiled = _compile(self.program, layout, self.platform)
 
     def set_sensors(self, sensors: SensorSuite) -> None:
         """Swap the sensor suite between activations (environment segments)."""

@@ -9,29 +9,26 @@ Two entry points:
   engine builds on: activations are split into self-contained batches, each
   with its own interpreter and its own RNG stream spawned *up front* in
   index order (see :mod:`repro.util.rng`), then merged in index order.
-  Because a batch depends only on its index — never on which worker ran it
-  or when — executing the batches serially, on a thread pool, or on a
-  process pool produces bit-identical merged results.
+  Because a batch depends only on its index, the merged result is a pure
+  function of ``(program, platform, factory, activations, batch_size, rng)``.
+  The program is compiled once per call and every batch runs that code.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.errors import SimulationError
 from repro.obs import counters as hwc
 from repro.faults.model import FaultInjector, FaultModel
 from repro.mote.platform import Platform
 from repro.mote.sensors import SensorSuite
 from repro.ir.program import Program
 from repro.placement.layout import ProgramLayout
-from repro.sim.interpreter import Interpreter
+from repro.sim.interpreter import Interpreter, _compile
 from repro.sim.trace import ExecutionCounters, InvocationRecord, RunResult
-from repro.sim.vectorized import run_motes_merged, vectorize_eligible
 from repro.util.rng import RngSource, spawn_seed_sequences
 
 __all__ = [
@@ -39,16 +36,7 @@ __all__ = [
     "run_program_batched",
     "split_activations",
     "merge_run_results",
-    "resolve_engine",
-    "ENGINE_ENV_VAR",
 ]
-
-#: Environment override for the batched driver's engine choice — set to
-#: ``"scalar"`` or ``"vectorized"`` to force one engine on every
-#: ``engine="auto"`` call (benchmarks and CI use this to exercise both).
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-_ENGINES = ("auto", "scalar", "vectorized")
 
 SensorFactory = Callable[[np.random.Generator], SensorSuite]
 
@@ -87,6 +75,12 @@ def run_program(
         record_paths=record_paths,
         faults=faults,
     )
+    return _run(interp, activations)
+
+
+def _run(interp: Interpreter, activations: int) -> RunResult:
+    """Drive ``activations`` activations on ``interp`` and price the run."""
+    program, platform, faults = interp.program, interp.platform, interp.faults
     # Telemetry (strict no-op when off): the span brackets the whole run;
     # fault counters report only this run's firings (the injector's tallies
     # may span several calls), diffed after the loop so the hot path stays
@@ -197,130 +191,6 @@ def merge_run_results(results: Sequence[RunResult]) -> RunResult:
     )
 
 
-def _run_batch(
-    program: Program,
-    platform: Platform,
-    sensor_factory: SensorFactory,
-    seed_seq: np.random.SeedSequence,
-    activations: int,
-    layout: Optional[ProgramLayout],
-    record_paths: bool,
-    fault_model: Optional[FaultModel],
-) -> RunResult:
-    """One self-contained batch: fresh interpreter, pre-spawned RNG stream.
-
-    The sensor generator consumes ``seed_seq`` directly (as it always has);
-    the fault injector, when enabled, derives from a *spawned child* of the
-    same sequence — a disjoint key space — so enabling faults never shifts
-    the batch's sensor value stream.
-    """
-    sensors = sensor_factory(np.random.default_rng(seed_seq))
-    faults = None
-    if fault_model is not None and fault_model.enabled:
-        faults = FaultInjector(fault_model, seed_seq.spawn(1)[0])
-    with obs.span("sim.batch", program=program.name, activations=activations):
-        obs.inc("sim.batches")
-        return run_program(
-            program,
-            platform,
-            sensors,
-            activations=activations,
-            layout=layout,
-            record_paths=record_paths,
-            faults=faults,
-        )
-
-
-def resolve_engine(engine: str, program: Program) -> str:
-    """Decide which engine a batched run uses (``"scalar"``/``"vectorized"``).
-
-    ``engine="auto"`` (the default everywhere) consults the
-    :data:`ENGINE_ENV_VAR` environment override first, then picks the
-    vectorized engine whenever :func:`vectorize_eligible` accepts the
-    program, falling back to the scalar oracle otherwise.  Requesting
-    ``"vectorized"`` explicitly for an ineligible program is a loud
-    :class:`SimulationError` — silent fallback would invalidate a
-    differential test that believes it exercised the vector path.
-    """
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "auto":
-        override = os.environ.get(ENGINE_ENV_VAR, "")
-        if override:
-            if override not in ("scalar", "vectorized"):
-                raise SimulationError(
-                    f"{ENGINE_ENV_VAR} must be 'scalar' or 'vectorized', "
-                    f"got {override!r}"
-                )
-            engine = override
-    if engine == "auto":
-        return "scalar" if vectorize_eligible(program) is not None else "vectorized"
-    if engine == "vectorized":
-        reason = vectorize_eligible(program)
-        if reason is not None:
-            raise SimulationError(
-                f"program {program.name!r} is not vectorizable: {reason}"
-            )
-    return engine
-
-
-def _run_batches_vectorized(
-    program: Program,
-    platform: Platform,
-    sensor_factory: SensorFactory,
-    seqs: Sequence[np.random.SeedSequence],
-    sizes: Sequence[int],
-    layout: Optional[ProgramLayout],
-    record_paths: bool,
-    fault_model: Optional[FaultModel],
-) -> RunResult:
-    """Run every batch as one mote of a vectorized fleet, merged.
-
-    Peripheral construction mirrors :func:`_run_batch` exactly — sensors
-    from the batch's seed sequence, the injector from a spawned child — so
-    batch ``i`` sees the same random streams on either engine.  The fleet
-    assembles the merged result directly (no per-batch intermediates);
-    :func:`repro.sim.vectorized.run_motes_merged` guarantees it equals the
-    scalar path's ``merge_run_results`` output bit for bit.
-    """
-    suites = []
-    injectors = []
-    for seq in seqs:
-        suites.append(sensor_factory(np.random.default_rng(seq)))
-        if fault_model is not None and fault_model.enabled:
-            injectors.append(FaultInjector(fault_model, seq.spawn(1)[0]))
-        else:
-            injectors.append(None)
-    with obs.span(
-        "sim.vector_run",
-        program=program.name,
-        motes=len(sizes),
-        activations=sum(sizes),
-    ) as span:
-        merged = run_motes_merged(
-            program,
-            platform,
-            suites,
-            sizes,
-            layout=layout,
-            record_paths=record_paths,
-            fault_injectors=injectors,
-        )
-        span.set(cycles=merged.total_cycles, records=len(merged.records))
-    # Metric parity with the scalar per-batch path: the same counters end
-    # at the same values (inc(name, n) == n inc(name) calls).
-    obs.inc("sim.batches", len(sizes))
-    obs.inc("sim.runs", len(sizes))
-    obs.inc("sim.activations", sum(sizes))
-    obs.inc("sim.cycles", merged.total_cycles)
-    for injector in injectors:
-        if injector is not None:
-            for kind, count in injector.counts.items():
-                if count:
-                    obs.inc(f"faults.injected.{kind}", count)
-    return merged
-
-
 def run_program_batched(
     program: Program,
     platform: Platform,
@@ -330,35 +200,21 @@ def run_program_batched(
     rng: RngSource = None,
     layout: Optional[ProgramLayout] = None,
     record_paths: bool = False,
-    map_fn: Callable[..., Iterable[RunResult]] = map,
     fault_model: Optional[FaultModel] = None,
-    engine: str = "auto",
 ) -> RunResult:
     """Run activations in independent batches and merge the results.
 
     ``sensor_factory`` builds a fresh :class:`SensorSuite` from the batch's
-    generator (e.g. ``lambda g: build_sensors(channels, scenario, rng=g)``;
-    pass a picklable callable when using a process pool).  ``map_fn``
-    injects the execution strategy — the builtin ``map`` runs serially, an
-    ``Executor.map`` fans batches out over workers — and MUST preserve
-    input order, which every ``concurrent.futures`` executor does.
-
-    ``engine`` selects the execution engine (see :func:`resolve_engine`):
-    ``"auto"`` dispatches eligible programs to the vectorized fleet engine
-    (:mod:`repro.sim.vectorized`), which runs every batch as one mote of a
-    lockstep fleet in this process — ``map_fn`` is not consulted on that
-    path because the fleet replaces the fan-out entirely.  ``"scalar"``
-    forces the original per-batch interpreter sweep.  Both engines produce
-    bit-identical merged results; ``tests/test_vectorized_differential.py``
-    holds them to it.
+    generator (e.g. ``lambda g: build_sensors(channels, scenario, rng=g)``).
+    The program is compiled for ``layout`` once per call, and every batch
+    runs that compiled code on a fresh interpreter.
 
     Determinism: batch RNG streams are spawned from ``rng`` in index order
     *before* anything runs, and merging happens in index order, so the
-    merged :class:`RunResult` is bit-identical for any ``map_fn`` and any
-    engine.  A ``fault_model`` (a frozen, picklable description — each
-    batch builds its own injector from its own spawned stream) keeps that
-    property: fault decisions depend on the batch index only, never on the
-    schedule.
+    merged :class:`RunResult` depends only on the batch indices.  A
+    ``fault_model`` (a frozen description — each batch builds its own
+    injector from its own spawned stream) keeps that property: fault
+    decisions depend on the batch index only.
 
     Note the semantics differ from :func:`run_program`: globals reset at
     batch boundaries and each batch draws from its own sensor stream, so a
@@ -367,48 +223,33 @@ def run_program_batched(
     ``(activations, batch_size, rng)``.
     """
     sizes = split_activations(activations, batch_size)
-    if not sizes:
-        # Zero activations produce zero batches, and merge_run_results
-        # (correctly) refuses an empty list — so build the empty aggregate
-        # from one degenerate zero-activation batch instead of fanning out.
-        # The seed spawn keeps the sensor construction path identical to a
-        # real batch so factories that validate or pre-draw still work.
-        return _run_batch(
-            program,
-            platform,
-            sensor_factory,
-            spawn_seed_sequences(rng, 1)[0],
-            0,
-            layout,
-            record_paths,
-            fault_model,
-        )
-    resolved = resolve_engine(engine, program)
-    seqs = spawn_seed_sequences(rng, len(sizes))
-    if resolved == "vectorized":
-        # The fleet merges in index order internally; no separate merge pass.
-        return _run_batches_vectorized(
-            program,
-            platform,
-            sensor_factory,
-            seqs,
-            sizes,
-            layout,
-            record_paths,
-            fault_model,
-        )
-    results = list(
-        map_fn(
-            _run_batch,
-            [program] * len(sizes),
-            [platform] * len(sizes),
-            [sensor_factory] * len(sizes),
-            seqs,
-            sizes,
-            [layout] * len(sizes),
-            [record_paths] * len(sizes),
-            [fault_model] * len(sizes),
-        )
-    )
+    layout = layout or ProgramLayout.source_order(program)
+    compiled = _compile(program, layout, platform)
+    # Zero activations produce zero batches, and merge_run_results
+    # (correctly) refuses an empty list — so the empty aggregate comes from
+    # one degenerate zero-activation batch, built like a real one so sensor
+    # factories that validate or pre-draw still work.
+    sizes = sizes or [0]
+    results = []
+    for seq, size in zip(spawn_seed_sequences(rng, len(sizes)), sizes):
+        # The sensor generator consumes the batch's sequence directly; the
+        # fault injector derives from a spawned child of it — a disjoint key
+        # space — so enabling faults never shifts the sensor value stream.
+        sensors = sensor_factory(np.random.default_rng(seq))
+        faults = None
+        if fault_model is not None and fault_model.enabled:
+            faults = FaultInjector(fault_model, seq.spawn(1)[0])
+        with obs.span("sim.batch", program=program.name, activations=size):
+            obs.inc("sim.batches")
+            interp = Interpreter(
+                program,
+                platform,
+                sensors,
+                layout=layout,
+                record_paths=record_paths,
+                faults=faults,
+            )
+            interp._compiled = compiled
+            results.append(_run(interp, size))
     with obs.span("sim.merge_batches", program=program.name, batches=len(results)):
         return merge_run_results(results)

@@ -1,14 +1,12 @@
 """Differential tests: the batched driver against a hand-rolled reference.
 
 ``run_program_batched`` promises that its merged result is a pure function
-of ``(program, platform, factory, activations, batch_size, rng)`` — the
-execution strategy (serial, thread pool, process pool) and everything else
-about the schedule must be invisible.  These tests pin that promise
-differentially: an independent reimplementation (spawn the streams up
-front, run each batch through plain ``run_program``, merge in index order)
-must agree *bit for bit* with the driver, for every workload in the
-registry and across batch sizes spanning one-activation batches to a
-single batch holding the whole run.
+of ``(program, platform, factory, activations, batch_size, rng)``.  These
+tests pin that promise differentially: an independent reimplementation
+(spawn the streams up front, run each batch through plain ``run_program``,
+merge in index order) must agree *bit for bit* with the driver, for every
+workload in the registry and across batch sizes spanning one-activation
+batches to a single batch holding the whole run.
 
 The zero-activation edge also lives here: no batches at all must still
 produce a well-formed empty aggregate, not a crash from merging nothing.
@@ -16,7 +14,6 @@ produce a well-formed empty aggregate, not a crash from merging nothing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -78,23 +75,6 @@ class TestBatchedMatchesReference:
         )
         assert driver == reference
 
-    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-    def test_thread_pool_is_invisible(self, name):
-        spec = workload_by_name(name)
-        factory = factory_for(spec)
-        args = dict(
-            program=spec.program(),
-            platform=MICAZ_LIKE,
-            sensor_factory=factory,
-            activations=ACTIVATIONS,
-            batch_size=7,
-            rng=2015,
-        )
-        serial = run_program_batched(**args)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            fanned = run_program_batched(**args, map_fn=pool.map)
-        assert fanned == serial
-
     def test_batch_size_changes_the_samples_but_not_the_contract(self):
         # Different batch sizes legitimately produce different runs (each
         # batch has its own stream); the invariant is determinism *within*
@@ -133,7 +113,7 @@ class TestZeroActivations:
         assert result.energy_mj == 0.0
         assert result.program_name == spec.program().name
 
-    def test_empty_run_is_deterministic_and_pool_safe(self):
+    def test_empty_run_is_deterministic(self):
         spec = workload_by_name("blink")
         args = dict(
             program=spec.program(),
@@ -143,10 +123,7 @@ class TestZeroActivations:
             batch_size=4,
             rng=9,
         )
-        serial = run_program_batched(**args)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fanned = run_program_batched(**args, map_fn=pool.map)
-        assert serial == fanned == run_program_batched(**args)
+        assert run_program_batched(**args) == run_program_batched(**args)
 
     def test_zero_activations_with_faults_still_works(self):
         spec = workload_by_name("sense")

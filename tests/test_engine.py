@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from functools import partial
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from repro.experiments.engine import (
     config_fingerprint,
     run_experiments,
 )
-from repro.sim import merge_run_results, run_program, run_program_batched, split_activations
+from repro.sim import merge_run_results, run_program, split_activations
 from repro.util.rng import derive_rng, derive_seed_sequence, spawn_seed_sequences
 from repro.workloads.inputs import build_sensors
 from repro.workloads.registry import workload_by_name
@@ -68,26 +66,6 @@ class TestBatchedSimulation:
         assert split_activations(0, 4) == []
         with pytest.raises(ValueError):
             split_activations(10, 0)
-
-    def test_serial_and_parallel_batches_are_identical(self):
-        spec = workload_by_name("sense")
-        factory = partial(build_sensors, dict(spec.channels), "default")
-        args = dict(
-            program=spec.program(),
-            platform=QUICK.platform,
-            sensor_factory=factory,
-            activations=120,
-            batch_size=32,
-            rng=2015,
-        )
-        serial = run_program_batched(**args)
-        with ProcessPoolExecutor(max_workers=4) as pool:
-            parallel = run_program_batched(**args, map_fn=pool.map)
-        assert serial.total_cycles == parallel.total_cycles
-        assert serial.activations == parallel.activations == 120
-        assert serial.counters.edge_counts == parallel.counters.edge_counts
-        assert serial.records == parallel.records
-        assert serial.energy_mj == parallel.energy_mj
 
     def test_merge_restamps_records_onto_one_axis(self):
         spec = workload_by_name("blink")

@@ -14,7 +14,6 @@ estimators lean on (see ``repro.faults.model``'s module docstring):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -255,22 +254,6 @@ class TestFaultSemantics:
 
 
 class TestBatchedFaultDeterminism:
-    def test_pool_map_matches_serial(self):
-        spec = workload_by_name("event-detect")
-        kwargs = dict(
-            activations=50,
-            batch_size=8,
-            rng=21,
-            fault_model=ALL_KINDS,
-        )
-        factory = sensor_factory(spec)
-        serial = run_program_batched(spec.program(), MICAZ_LIKE, factory, **kwargs)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            fanned = run_program_batched(
-                spec.program(), MICAZ_LIKE, factory, map_fn=pool.map, **kwargs
-            )
-        assert fanned == serial
-
     def test_batched_faults_are_seed_deterministic(self):
         spec = workload_by_name("sense")
         runs = [

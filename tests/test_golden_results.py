@@ -25,14 +25,14 @@ from repro.experiments.common import ExperimentConfig
 from repro.util.tables import Table
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-# obs.txt / obs_health.txt (telemetry overhead ratios), serve.txt (ingest
-# throughput + latency percentiles), and fleet.txt (engine speedup timings)
-# record wall-clock, host-dependent numbers — they are not seed-determined
-# renders and cannot be pinned byte-for-byte.
+# obs.txt / obs_health.txt (telemetry overhead ratios) and serve.txt (ingest
+# throughput + latency percentiles) record wall-clock, host-dependent
+# numbers — they are not seed-determined renders and cannot be pinned
+# byte-for-byte.
 GOLDEN_FILES = sorted(
     p
     for p in RESULTS_DIR.glob("*.txt")
-    if p.stem not in ("obs", "obs_health", "serve", "fleet")
+    if p.stem not in ("obs", "obs_health", "serve")
 )
 GOLDEN_CONFIG = ExperimentConfig(activations=3000, seed=2015, quick=False)
 

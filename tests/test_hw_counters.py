@@ -33,7 +33,8 @@ from repro.obs.counters import (
     empty_snapshot,
     merge_snapshots,
 )
-from repro.sim import ENGINE_ENV_VAR, run_program, run_program_batched
+from repro.sim import run_program, run_program_batched
+from tests.sim_oracle import oracle_engine
 
 # --------------------------------------------------------------------------
 # Snapshot algebra (hypothesis)
@@ -208,9 +209,7 @@ QUICK = ExperimentConfig(quick=True, seed=2015, activations=600)
 
 
 class TestScheduleIndependence:
-    def _with_counters(self, exp_id, jobs, engine=None, monkeypatch=None):
-        if engine is not None:
-            monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+    def _with_counters(self, exp_id, jobs):
         hw = HardwareCounters()
         with counters_active(hw):
             (outcome,) = run_experiments([exp_id], QUICK, jobs=jobs, counters=True)
@@ -232,29 +231,26 @@ class TestScheduleIndependence:
         # the run really produced branch events to aggregate
         assert hwc.branches_executed(serial_snap) > 0
 
-    def test_f4_counters_bit_identical_across_engines(self, monkeypatch):
-        """jobs=1 == jobs=4 == forced-scalar == forced-vectorized.
+    def test_f4_counters_bit_identical_across_engines(self):
+        """jobs=1 == jobs=4 == the oracle interpreter.
 
         The counter registers a fleet reports cannot depend on which engine
         stepped the motes any more than on how many workers ran the units.
         """
         serial_result, serial_snap = self._with_counters("f4", jobs=1)
-        scalar_result, scalar_snap = self._with_counters(
-            "f4", jobs=1, engine="scalar", monkeypatch=monkeypatch
-        )
-        vector_result, vector_snap = self._with_counters(
-            "f4", jobs=4, engine="vectorized", monkeypatch=monkeypatch
-        )
-        assert serial_snap == scalar_snap == vector_snap
+        parallel_result, parallel_snap = self._with_counters("f4", jobs=4)
+        with oracle_engine():
+            oracle_result, oracle_snap = self._with_counters("f4", jobs=1)
+        assert serial_snap == parallel_snap == oracle_snap
         assert (
             serial_result.render()
-            == scalar_result.render()
-            == vector_result.render()
+            == parallel_result.render()
+            == oracle_result.render()
         )
 
 
 # --------------------------------------------------------------------------
-# Vectorized engine: real snapshots obey the algebra, and match the oracle
+# Compiled engine: real snapshots obey the algebra, and match the oracle
 # --------------------------------------------------------------------------
 
 BATCHED_PROGRAM_SOURCE = """
@@ -272,7 +268,7 @@ proc main() {
 """
 
 
-def _batched_snapshot(engine, activations=40, rng=11):
+def _batched_snapshot(activations=40, rng=11):
     program = compile_source(BATCHED_PROGRAM_SOURCE)
     factory = lambda g: SensorSuite({"a": UniformSensor()}, rng=g)
     hw = HardwareCounters()
@@ -284,32 +280,31 @@ def _batched_snapshot(engine, activations=40, rng=11):
             activations=activations,
             batch_size=8,
             rng=rng,
-            engine=engine,
         )
     return result, hw.snapshot()
 
 
-class TestVectorizedPath:
-    def test_vectorized_snapshot_equals_scalar_snapshot(self):
-        scalar_result, scalar_snap = _batched_snapshot("scalar")
-        vector_result, vector_snap = _batched_snapshot("vectorized")
-        assert scalar_result == vector_result
-        assert scalar_snap == vector_snap
-        assert hwc.total_cycles(vector_snap) == vector_result.total_cycles
+class TestCompiledPath:
+    def test_compiled_snapshot_equals_oracle_snapshot(self):
+        compiled_result, compiled_snap = _batched_snapshot()
+        with oracle_engine():
+            oracle_result, oracle_snap = _batched_snapshot()
+        assert compiled_result == oracle_result
+        assert compiled_snap == oracle_snap
+        assert hwc.total_cycles(compiled_snap) == compiled_result.total_cycles
 
-    def test_real_vectorized_snapshots_obey_the_monoid_laws(self):
+    def test_real_compiled_snapshots_obey_the_monoid_laws(self):
         """The algebra holds on *emitted* snapshots, not just synthetic ones.
 
-        Vectorized emission adds in cohort-sized strides (and floats for
-        radio energy), so these runs exercise merge/diff on exactly the
-        value shapes the engine produces.  Integer counters are exactly
-        associative; the one float counter (``radio.energy_uj``) is
-        associative only up to IEEE rounding, so it is compared
-        approximately — the same caveat the scalar path carries.
+        These runs exercise merge/diff on exactly the value shapes the
+        engine produces, radio energy floats included.  Integer counters
+        are exactly associative; the one float counter
+        (``radio.energy_uj``) is associative only up to IEEE rounding, so
+        it is compared approximately.
         """
-        _, a = _batched_snapshot("vectorized", activations=24, rng=1)
-        _, b = _batched_snapshot("vectorized", activations=40, rng=2)
-        _, c = _batched_snapshot("vectorized", activations=16, rng=3)
+        _, a = _batched_snapshot(activations=24, rng=1)
+        _, b = _batched_snapshot(activations=40, rng=2)
+        _, c = _batched_snapshot(activations=16, rng=3)
         assert merge_snapshots(a, b) == merge_snapshots(b, a)
 
         left = merge_snapshots(merge_snapshots(a, b), c)
@@ -320,14 +315,14 @@ class TestVectorizedPath:
         assert left == right
         assert merge_snapshots(a, empty_snapshot())["totals"] == a["totals"]
 
-    def test_diff_recovers_a_vectorized_run_from_an_aggregate(self):
+    def test_diff_recovers_a_compiled_run_from_an_aggregate(self):
         """Inverse law on real data: diff(a, merge(a, b)) == b."""
-        _, a = _batched_snapshot("vectorized", activations=24, rng=5)
-        _, b = _batched_snapshot("vectorized", activations=40, rng=6)
+        _, a = _batched_snapshot(activations=24, rng=5)
+        _, b = _batched_snapshot(activations=40, rng=6)
         assert diff_snapshots(a, merge_snapshots(a, b)) == b
 
-    def test_vectorized_runs_fold_into_ambient_registry(self):
-        """Nested-scope folding works when the inner scope ran vectorized."""
+    def test_compiled_runs_fold_into_ambient_registry(self):
+        """Nested-scope folding works for a batched run."""
         program = compile_source(BATCHED_PROGRAM_SOURCE)
         factory = lambda g: SensorSuite({"a": UniformSensor()}, rng=g)
         outer = HardwareCounters()
@@ -341,7 +336,6 @@ class TestVectorizedPath:
                     activations=24,
                     batch_size=8,
                     rng=4,
-                    engine="vectorized",
                 )
             inner_snap = inner.snapshot()
         assert outer.snapshot() == inner_snap

@@ -29,7 +29,6 @@ from repro.serve import (
     parse_request_line,
     run_fleet,
 )
-from repro.serve.service import worker_for
 from repro.workloads.registry import workload_by_name
 
 BLINK = workload_by_name("blink")
@@ -108,37 +107,50 @@ class TestProtocol:
         assert payload["retry_after_s"] == 0.5
 
 
+def _absorbing_workers(fleet, n_workers) -> dict[str, int]:
+    """Tenant → the worker whose ``serve.absorb`` spans carried it."""
+    tracer = Tracer()
+    with tracing(tracer):
+        run(run_fleet(fleet, ServiceConfig(n_workers=n_workers, max_batch=4)))
+    return {
+        span.attrs["tenant"]: span.attrs["worker"]
+        for span in tracer.spans
+        if span.name == "serve.absorb"
+    }
+
+
+def _tiny_fleet(n_tenants=6):
+    return default_fleet(
+        n_tenants=n_tenants, n_motes=1, shards_per_mote=1, samples_per_proc=1
+    )
+
+
 class TestRouter:
     def test_routing_is_stable_and_in_range(self):
-        tenants = [TenantKey(f"d{i}", "1.0") for i in range(40)]
-        first = [worker_for(t, 4) for t in tenants]
-        assert first == [worker_for(t, 4) for t in tenants]
-        assert all(0 <= w < 4 for w in first)
-        assert len(set(first)) > 1  # hash actually spreads
+        fleet = _tiny_fleet()
+        first = _absorbing_workers(fleet, 4)
+        assert first == _absorbing_workers(fleet, 4)
+        assert all(0 <= w < 4 for w in first.values())
+        assert set(first.values()) == {0, 1, 2, 3}  # every worker gets a tenant
 
     @pytest.mark.parametrize(
-        "n_workers,expected", [(2, [1, 1, 1, 1, 1, 1]), (3, [2, 0, 2, 2, 0, 1])]
+        "n_workers,expected", [(2, [0, 1, 0, 1, 0, 1]), (3, [0, 1, 2, 0, 1, 2])]
     )
     def test_default_fleet_assignment_is_pinned(self, n_workers, expected):
-        # SHA-256 of the tenant key decides the worker; these indices are
-        # part of the contract (a process restart must not move a tenant).
-        tenants = [spec.tenant for spec in default_fleet().tenants]
-        assert [worker_for(t, n_workers) for t in tenants] == expected
+        # The k-th registered tenant belongs to worker k mod n_workers, so
+        # the default fleet fills every worker evenly.
+        fleet = _tiny_fleet()
+        assert [spec.tenant for spec in fleet.tenants] == [
+            spec.tenant for spec in default_fleet().tenants
+        ]
+        workers = _absorbing_workers(fleet, n_workers)
+        assert [workers[str(spec.tenant)] for spec in fleet.tenants] == expected
 
     def test_service_absorbs_each_tenant_on_its_hashed_worker(self):
-        fleet = default_fleet(
-            n_tenants=6, n_motes=1, shards_per_mote=1, samples_per_proc=1
-        )
-        tracer = Tracer()
-        with tracing(tracer):
-            run(run_fleet(fleet, ServiceConfig(n_workers=3, max_batch=4)))
-        workers = {
-            span.attrs["tenant"]: span.attrs["worker"]
-            for span in tracer.spans
-            if span.name == "serve.absorb"
-        }
-        assert workers == {
-            str(spec.tenant): worker_for(spec.tenant, 3) for spec in fleet.tenants
+        """Every batch of the k-th tenant is absorbed by worker k mod 3."""
+        fleet = _tiny_fleet()
+        assert _absorbing_workers(fleet, 3) == {
+            str(spec.tenant): k % 3 for k, spec in enumerate(fleet.tenants)
         }
 
 
@@ -203,20 +215,21 @@ class TestServiceDeterminism:
         fleet = default_fleet(n_tenants=3, n_motes=3, shards_per_mote=4, seed=7)
         uploads = build_uploads(fleet)
         results = []
-        for n_workers in (1, 3):
+        for n_workers in (1, 2, 3):
             service = IngestionService(ServiceConfig(n_workers=n_workers, max_batch=4))
             _register_fleet(service, fleet)
             _, estimates, _ = run(_serve_uploads(service, uploads))
             results.append(estimates)
-        one, many = results
-        assert set(one) == set(many)
-        for name in one:
-            a, b = one[name], many[name]
-            assert a.shards_absorbed == b.shards_absorbed
-            assert a.n_samples == b.n_samples
-            for proc in a.thetas:
-                assert np.array_equal(a.thetas[proc], b.thetas[proc])
-                assert np.array_equal(a.half_widths[proc], b.half_widths[proc])
+        one = results[0]
+        for many in results[1:]:
+            assert set(one) == set(many)
+            for name in one:
+                a, b = one[name], many[name]
+                assert a.shards_absorbed == b.shards_absorbed
+                assert a.n_samples == b.n_samples
+                for proc in a.thetas:
+                    assert np.array_equal(a.thetas[proc], b.thetas[proc])
+                    assert np.array_equal(a.half_widths[proc], b.half_widths[proc])
 
     def test_build_uploads_is_deterministic(self):
         fleet = _fleet(faults=None)
