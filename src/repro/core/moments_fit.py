@@ -176,11 +176,6 @@ class MomentFitResult:
     restarts_used: int
     n_rejected: int = 0
 
-    @property
-    def moment_residuals(self) -> tuple[float, float, float]:
-        """Predicted minus observed, per moment."""
-        return tuple(p - o for p, o in zip(self.predicted_moments, self.observed_moments))
-
 
 def _moment_scales(
     mean: float, variance: float, n_samples: int, moments_used: int

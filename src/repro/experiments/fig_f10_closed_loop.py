@@ -202,6 +202,7 @@ def _run_arm(
         )
         for _ in range(activations):
             interp.run_activation()
+        interp.report_counters()
         interp.records.clear()
         d_cycles = interp.cycle - before[3]
         d_senses = c.sense_reads - before[4]

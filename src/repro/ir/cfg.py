@@ -34,10 +34,6 @@ class Edge:
     dst: str
     kind: str
 
-    def is_branch_arm(self) -> bool:
-        """True when the edge is one arm of a conditional branch."""
-        return self.kind in ("then", "else")
-
     def __str__(self) -> str:
         return f"{self.src} -[{self.kind}]-> {self.dst}"
 
@@ -122,10 +118,6 @@ class CFG:
             elif isinstance(term, Jump):
                 result.append(Edge(block.label, term.target, "jump"))
         return result
-
-    def branch_edges(self) -> list[Edge]:
-        """Only the conditional-branch arms (what tomography estimates)."""
-        return [e for e in self.edges() if e.is_branch_arm()]
 
     def branch_blocks(self) -> list[BasicBlock]:
         """Blocks ending in a conditional branch, in source order."""

@@ -338,12 +338,5 @@ class AbsorbingChain:
 
     # -- housekeeping --------------------------------------------------------
 
-    def with_rewards(
-        self,
-        rewards: Union[Sequence[float], tuple[Sequence[float], Sequence[float], Sequence[float]]],
-    ) -> "AbsorbingChain":
-        """Same structure, different reward specification."""
-        return AbsorbingChain(self.states, self._matrix.copy(), rewards, self.start)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AbsorbingChain(n={self.n}, start={self.start!r})"

@@ -23,7 +23,7 @@ from repro.mote.predictor import (
     StaticPredictor,
     predictor_by_name,
 )
-from repro.mote.cpu import BranchTiming, CpuModel
+from repro.mote.cpu import CpuModel
 from repro.mote.timer import TimestampTimer
 from repro.mote.energy import EnergyModel
 from repro.mote.memory import MemoryMap
@@ -47,7 +47,6 @@ __all__ = [
     "AlwaysTakenPredictor",
     "BTFNPredictor",
     "predictor_by_name",
-    "BranchTiming",
     "CpuModel",
     "TimestampTimer",
     "EnergyModel",

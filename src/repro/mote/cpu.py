@@ -11,8 +11,10 @@ The control-transfer half is what placement optimizes:
   ``mispredict_penalty_cycles`` (pipeline refill);
 * **returns** pay the cost model's return overhead.
 
-:class:`BranchTiming` is the record the simulator emits per dynamic branch so
-profilers and the evaluation can count taken branches and mispredictions.
+Every price here is a constant of the branch site and the layout, which is
+why the simulator resolves them once per compiled procedure and derives
+its hardware counters from execution counts (see
+:mod:`repro.sim.interpreter`).
 """
 
 from __future__ import annotations
@@ -20,30 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.ir.block import BasicBlock
 from repro.mote.predictor import BTFNPredictor, StaticPredictor
-from repro.obs import counters as hwc
 
-__all__ = ["BranchTiming", "CpuModel"]
-
-
-@dataclass(frozen=True)
-class BranchTiming:
-    """Outcome and cost of one dynamic conditional-branch execution."""
-
-    taken: bool
-    predicted_taken: bool
-    cycles: int
-
-    @property
-    def mispredicted(self) -> bool:
-        """True when the static guess disagreed with the outcome."""
-        return self.taken != self.predicted_taken
+__all__ = ["CpuModel"]
 
 
 @dataclass(frozen=True)
 class CpuModel:
-    """An in-order mote MCU's cycle accounting."""
+    """An in-order mote MCU's cycle accounting.
+
+    Straight-line block costs come from :attr:`cost_model`
+    (``cpu.cost_model.block_cycles(block)``).
+    """
 
     cost_model: CostModel = DEFAULT_COST_MODEL
     predictor: StaticPredictor = None  # type: ignore[assignment]
@@ -56,25 +46,6 @@ class CpuModel:
         if self.predictor is None:
             object.__setattr__(self, "predictor", BTFNPredictor())
 
-    # -- straight-line ------------------------------------------------------
-
-    def block_cycles(self, block: BasicBlock) -> int:
-        """Deterministic cost of a block's instructions (no terminator).
-
-        This is the *execution* entry point: it reports a flash block fetch
-        to the hardware counters when they are enabled.  Analytic callers
-        that only price a block (the Markov timing model, the sampling-
-        profiler estimator) go through ``cpu.cost_model.block_cycles``
-        directly so predicted work never pollutes the counters.
-        """
-        cycles = self.cost_model.block_cycles(block)
-        hw = hwc.active()
-        if hw is not None:
-            hw.block(cycles)
-        return cycles
-
-    # -- control transfer -----------------------------------------------------
-
     def jump_cost(self, *, fallthrough: bool) -> int:
         """Cost of an unconditional transfer (0 when elided by layout)."""
         return 0 if fallthrough else self.jump_cycles
@@ -83,38 +54,16 @@ class CpuModel:
         """Cost of leaving a procedure."""
         return self.cost_model.return_overhead
 
-    def branch_outcome(self, *, taken: bool, backward_target: bool) -> BranchTiming:
-        """Price one dynamic conditional branch.
+    def branch_cost(self, *, taken: bool, backward_target: bool) -> int:
+        """Cycle cost of one conditional branch.
 
         ``taken`` is layout-relative (control left the fall-through path);
         ``backward_target`` describes where the taken-target sits in flash,
         which is what a static BTFN scheme keys on.
         """
-        predicted = self.predictor.predict(backward_target=backward_target)
         cycles = self.branch_base_cycles
         if taken:
             cycles += self.taken_extra_cycles
-        if taken != predicted:
+        if taken != self.predictor.predicts_taken(backward_target=backward_target):
             cycles += self.mispredict_penalty_cycles
-        hw = hwc.active()
-        if hw is not None:
-            hw.branch(
-                taken=taken,
-                predicted_taken=predicted,
-                backward_target=backward_target,
-                cycles=cycles,
-            )
-        return BranchTiming(taken=taken, predicted_taken=predicted, cycles=cycles)
-
-    def branch_cost(self, *, taken: bool, backward_target: bool) -> int:
-        """Cycle cost only, for analytic pricing (never touches counters)."""
-        return self._branch_timing(taken=taken, backward_target=backward_target).cycles
-
-    def _branch_timing(self, *, taken: bool, backward_target: bool) -> BranchTiming:
-        predicted = self.predictor.predicts_taken(backward_target=backward_target)
-        cycles = self.branch_base_cycles
-        if taken:
-            cycles += self.taken_extra_cycles
-        if taken != predicted:
-            cycles += self.mispredict_penalty_cycles
-        return BranchTiming(taken=taken, predicted_taken=predicted, cycles=cycles)
+        return cycles

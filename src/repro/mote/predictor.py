@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import abc
 
-from repro.obs import counters as hwc
-
 __all__ = [
     "StaticPredictor",
     "AlwaysNotTakenPredictor",
@@ -38,23 +36,7 @@ class StaticPredictor(abc.ABC):
 
         ``backward_target`` is True when the branch target sits at a lower
         flash address than the branch (a loop-closing shape).
-
-        This is the *pure* query — analytic callers (the Markov timing
-        model, placement scoring) use it freely without leaving a trace.
         """
-
-    def predict(self, *, backward_target: bool) -> bool:
-        """Issue a prediction on the live execution path.
-
-        Same answer as :meth:`predicts_taken`, but records the guess in the
-        hardware counters (``predict.<scheme>.taken|not_taken``) when they
-        are enabled, so prediction mixes per scheme are observable.
-        """
-        predicted = self.predicts_taken(backward_target=backward_target)
-        hw = hwc.active()
-        if hw is not None:
-            hw.prediction(self.name, predicted)
-        return predicted
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

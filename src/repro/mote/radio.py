@@ -76,11 +76,6 @@ class Radio:
         """Number of packets *sent*, delivered or not (what energy charges)."""
         return self.packet_count + self.dropped_packets
 
-    @property
-    def bytes_sent(self) -> int:
-        """Total bytes on air (attempts; lost packets still radiate)."""
-        return self.transmissions * self.bytes_per_packet
-
     def values(self) -> list[int]:
         """Payload values in transmission order."""
         return [p.value for p in self.packets]

@@ -19,11 +19,18 @@ Design follows the :mod:`repro.obs` house rules:
   produces a plain-JSON dict; :func:`merge_snapshots` is associative and
   commutative (integer sums), and ``diff_snapshots(a, merge_snapshots(a,
   b)) == b`` — the algebra the engine's deterministic merge leans on.
-* **Per-procedure attribution.**  The interpreter brackets each procedure
-  invocation with :meth:`push_proc`/:meth:`pop_proc`; events attribute
-  their *exclusive* (self) counts to the innermost open procedure, so the
-  per-procedure table answers "where did the cycles go" the same way a
-  sampling profiler would.
+* **Per-procedure attribution.**  Each procedure's row holds its
+  *exclusive* (self) counts, so the per-procedure table answers "where did
+  the cycles go" the same way a sampling profiler would.
+
+CPU-side counters (cycle classes, flash fetches, branch outcomes and
+predictions, the per-procedure rows) are not counted event by event: the
+interpreter keeps only its ground-truth execution counts and, when a driver
+reports (:meth:`repro.sim.interpreter.Interpreter.report_counters`), prices
+them through the layout's compiled weights and merges the result here.
+``invocations`` therefore counts completed invocations.  Peripheral
+counters (radio, sensors, timer, scheduler) are added as their events
+happen.
 
 Scoping: :func:`counters_active` installs a registry for the ``with``
 body.  By default a nested registry *folds its counts into the outer one
@@ -46,7 +53,6 @@ __all__ = [
     "FLOAT_COUNTER_RTOL",
     "HardwareCounters",
     "active",
-    "current_counters",
     "counters_active",
     "empty_snapshot",
     "merge_snapshots",
@@ -93,85 +99,16 @@ class HardwareCounters:
     monotonically non-decreasing while the registry is installed.
     """
 
-    __slots__ = ("totals", "per_proc", "_proc_stack")
+    __slots__ = ("totals", "per_proc")
 
     def __init__(self) -> None:
         self.totals: dict[str, Number] = {}
         self.per_proc: dict[str, dict[str, Number]] = {}
-        self._proc_stack: list[str] = []
-
-    # -- low-level increments ------------------------------------------------
 
     def add(self, name: str, amount: Number = 1) -> None:
         """Increment total counter ``name`` (creating it at zero)."""
         totals = self.totals
         totals[name] = totals.get(name, 0) + amount
-
-    def _proc_add(self, key: str, amount: Number) -> None:
-        if self._proc_stack:
-            row = self.per_proc.setdefault(self._proc_stack[-1], {})
-            row[key] = row.get(key, 0) + amount
-
-    # -- procedure attribution (driven by the interpreter) -------------------
-
-    def push_proc(self, name: str) -> None:
-        """Open a procedure scope; events now attribute to ``name``."""
-        self._proc_stack.append(name)
-        row = self.per_proc.setdefault(name, {})
-        row["invocations"] = row.get("invocations", 0) + 1
-
-    def pop_proc(self) -> None:
-        """Close the innermost procedure scope."""
-        self._proc_stack.pop()
-
-    # -- CPU -----------------------------------------------------------------
-
-    def block(self, cycles: int) -> None:
-        """One basic block fetched from flash and executed."""
-        self.add("cycles.block", cycles)
-        self.add("flash.fetches")
-        self._proc_add("cycles", cycles)
-
-    def jump(self, cycles: int) -> None:
-        """One unconditional-jump terminator (counts as a dynamic edge)."""
-        self.add("control.jumps")
-        if cycles:
-            self.add("cycles.jump", cycles)
-        self._proc_add("cycles", cycles)
-
-    def extra_jump(self, cycles: int) -> None:
-        """A layout-inserted jump on a branch arm (cycles, not an edge)."""
-        self.add("cycles.jump", cycles)
-        self._proc_add("cycles", cycles)
-
-    def ret(self, cycles: int) -> None:
-        """One procedure return."""
-        self.add("cycles.return", cycles)
-        self._proc_add("cycles", cycles)
-
-    def branch(
-        self, *, taken: bool, predicted_taken: bool, backward_target: bool, cycles: int
-    ) -> None:
-        """One dynamic conditional branch, fully classified."""
-        self.add("branch.taken" if taken else "branch.not_taken")
-        self.add("cycles.branch", cycles)
-        self._proc_add("cycles", cycles)
-        self._proc_add("branches", 1)
-        if taken:
-            self._proc_add("taken", 1)
-        if taken != predicted_taken:
-            self.add("branch.mispredict.taken" if taken else "branch.mispredict.not_taken")
-            self.add(
-                "branch.mispredict.backward_target"
-                if backward_target
-                else "branch.mispredict.forward_target"
-            )
-            self._proc_add("mispredicts", 1)
-
-    def prediction(self, scheme: str, predicted_taken: bool) -> None:
-        """One static prediction issued by ``scheme`` on the live path."""
-        arm = "taken" if predicted_taken else "not_taken"
-        self.add(f"predict.{scheme}.{arm}")
 
     # -- peripherals ---------------------------------------------------------
 
@@ -458,14 +395,9 @@ def active() -> Optional[HardwareCounters]:
     """The installed registry, or ``None`` when counters are off.
 
     This is the single enable flag: every emission site in the mote model
-    and the interpreter reads it and bails out on ``None`` before doing any
-    work at all.
+    and the simulation drivers reads it and bails out on ``None`` before
+    doing any work at all.
     """
-    return _ACTIVE
-
-
-def current_counters() -> Optional[HardwareCounters]:
-    """Alias of :func:`active`, matching the tracer/metrics naming."""
     return _ACTIVE
 
 

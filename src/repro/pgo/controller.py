@@ -240,6 +240,7 @@ class PGOController:
             with obs.span("sim.segment", segment=segment, activations=activations):
                 for _ in range(activations):
                     interp.run_activation()
+                interp.report_counters()
             metrics = self._segment_metrics(segment, activations, interp, before)
             shard = TimingProfiler(self.platform, rng=profiler_rng).collect(
                 interp.records

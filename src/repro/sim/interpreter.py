@@ -21,11 +21,20 @@ statements.  IR strings (labels, names, channels) enter the generated
 source only through ``repr()``.  The dict-walking interpreter this was
 compiled from is kept as the test oracle (``tests/sim_oracle.py``), and
 ``tests/test_sim_differential.py`` holds the two bit-identical.
+
+The generated code counts only :class:`ExecutionCounters`.  Under a fixed
+layout, every CPU-side hardware counter (each cycle class, flash fetches,
+branch outcomes and predictions, the per-procedure rows) is a compile-time
+constant times one of those counts, so :func:`_compile` also returns that
+weight table, and :meth:`Interpreter.report_counters` folds the counts
+since its last report through it into the active
+:class:`~repro.obs.counters.HardwareCounters` registry.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.ir.block import BasicBlock
@@ -43,9 +52,15 @@ from repro.sim.trace import ExecutionCounters, InvocationRecord
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
     from repro.faults.model import FaultInjector
 
-__all__ = ["Interpreter"]
+__all__ = ["Interpreter", "MAX_CALL_DEPTH"]
 
 _DEFAULT_MAX_STEPS = 200_000
+
+#: Nested invocations one top-level call may open.  A call deeper than this
+#: raises :class:`SimulationError`, as a mote's stack would overflow; only
+#: hand-built IR can recurse (the front end and ``validate_program`` reject
+#: call cycles).
+MAX_CALL_DEPTH = 256
 
 
 def _wrap16(value: int) -> int:
@@ -92,6 +107,10 @@ def _wrong_arity(name: str, expected: int, got: int) -> None:
 
 def _exceeded(name: str, limit: int) -> None:
     raise SimulationError(f"{name!r} exceeded {limit} blocks in one invocation")
+
+
+def _too_deep(name: str) -> None:
+    raise SimulationError(f"call to {name!r} exceeds the call-depth limit of {MAX_CALL_DEPTH}")
 
 
 # -- compilation --------------------------------------------------------------
@@ -158,6 +177,14 @@ def _definitely_assigned(
     return into
 
 
+# An ExecutionCounters key: an invocation ``proc``, a block visit
+# ``(proc, label)`` or an edge ``(proc, label, arm)``.
+_Key = Union[str, tuple[str, ...]]
+# What one count of a key adds to the hardware counters: the procedure, its
+# ``totals`` increments and its per-procedure row increments.
+_Weight = tuple[str, tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]
+
+
 class _ProcedureSource:
     """Generated source for one procedure under one layout on one CPU."""
 
@@ -202,6 +229,9 @@ class _ProcedureSource:
         self.bound = _definitely_assigned(proc.cfg.entry, self.blocks, locals_ - self.params)
         self.maybe_unbound: set[str] = set()
         self.resolved = layout.resolve_all_branches()
+        # What one count of each ExecutionCounters key the code bumps adds
+        # to the hardware counters.
+        self.weights: dict[_Key, _Weight] = {}
 
     # -- literals and operands -------------------------------------------------
 
@@ -335,54 +365,62 @@ class _ProcedureSource:
         self.charge(cycles, out)
         if extra:
             self.charge(cpu.jump_cycles, out)
-        lit = self.literal
-        out.append("if hw is not None:")
-        out.append(f"    hw.prediction({lit(cpu.predictor.name)}, {lit(predicted)})")
-        out.append(
-            f"    hw.branch(taken={lit(taken)}, predicted_taken={lit(predicted)}, "
-            f"backward_target={lit(backward)}, cycles={lit(cycles)})"
-        )
-        if extra:
-            out.append(f"    hw.extra_jump({lit(cpu.jump_cycles)})")
-        out.append(f"EC[{lit((self.name, block.label, arm))}] += 1")
+        key = (self.name, block.label, arm)
+        out.append(f"EC[{self.literal(key)}] += 1")
         out.append("C.branches_executed += 1")
-        key = lit((self.name, block.label))
         if taken:
-            out.append(f"BT[{key}] += 1")
             out.append("C.taken_total += 1")
         if taken != predicted:
-            out.append(f"BM[{key}] += 1")
             out.append("C.mispredict_total += 1")
         dest = term.then_target if arm == "then" else term.else_target
         out.append(f"b = {self.target(dest)}")
+
+        totals = [
+            (f"predict.{cpu.predictor.name}.{'taken' if predicted else 'not_taken'}", 1),
+            ("branch.taken" if taken else "branch.not_taken", 1),
+            ("cycles.branch", cycles),
+        ]
+        row = [("cycles", cycles + (cpu.jump_cycles if extra else 0)), ("branches", 1)]
+        if extra:
+            totals.append(("cycles.jump", cpu.jump_cycles))
+        if taken:
+            row.append(("taken", 1))
+        if taken != predicted:
+            totals.append(("branch.mispredict.taken" if taken else "branch.mispredict.not_taken", 1))
+            where = "backward" if backward else "forward"
+            totals.append((f"branch.mispredict.{where}_target", 1))
+            row.append(("mispredicts", 1))
+        self.weights[key] = (self.name, tuple(totals), tuple(row))
 
     def block(self, block: BasicBlock) -> list[str]:
         out: list[str] = []
         bound = set(self.bound[block.label])
         cycles = self.cpu.cost_model.block_cycles(block)
-        out.append(f"BV[{self.literal((self.name, block.label))}] += 1")
+        key = (self.name, block.label)
+        self.weights[key] = (
+            self.name, (("cycles.block", cycles), ("flash.fetches", 1)), (("cycles", cycles),)
+        )
+        out.append(f"BV[{self.literal(key)}] += 1")
         out.append("if path is not None:")
         out.append(f"    path.append({self.literal(block.label)})")
         self.charge(cycles, out)
-        out.append("if hw is not None:")
-        out.append(f"    hw.block({self.literal(cycles)})")
         for instr in block.instructions:
             self.instruction(instr, bound, out)
         term = block.terminator
         if isinstance(term, Return):
-            cost = self.cpu.return_cost()
-            self.charge(cost, out)
-            out.append("if hw is not None:")
-            out.append(f"    hw.ret({self.literal(cost)})")
+            # The value is read before the return is paid, so a return is
+            # charged exactly when its invocation completes.
             value = "0" if term.value is None else self.read(term.value, bound, out)
             out.append(f"rv = {value}")
+            self.charge(self.cpu.return_cost(), out)
             out.append("break")
         elif isinstance(term, Jump):
             cost = self.cpu.jump_cost(fallthrough=self.layout.jump_is_elided(block.label))
             self.charge(cost, out)
-            out.append("if hw is not None:")
-            out.append(f"    hw.jump({self.literal(cost)})")
-            out.append(f"EC[{self.literal((self.name, block.label, 'jump'))}] += 1")
+            key = (self.name, block.label, "jump")
+            jumps = (("control.jumps", 1), ("cycles.jump", cost)) if cost else (("control.jumps", 1),)
+            self.weights[key] = (self.name, jumps, (("cycles", cost),))
+            out.append(f"EC[{self.literal(key)}] += 1")
             out.append(f"b = {self.target(term.target)}")
         elif isinstance(term, Branch):
             cond = self.read(term.cond, bound, out)
@@ -421,6 +459,8 @@ class _ProcedureSource:
         lines = self.lines
         params = self.proc.params
         lines.append("def run(interp, args, depth):")
+        lines.append(f"    if depth >= {MAX_CALL_DEPTH}:")
+        lines.append(f"        _too_deep({name})")
         lines.append(f"    if len(args) != {len(params)}:")
         lines.append(f"        _wrong_arity({name}, {len(params)}, len(args))")
         for i, param in enumerate(params):
@@ -430,27 +470,22 @@ class _ProcedureSource:
         lines.append("    C = interp.counters")
         lines.append("    BV = C.block_visits")
         lines.append("    EC = C.edge_counts")
-        lines.append("    BT = C.branch_taken")
-        lines.append("    BM = C.branch_mispredicts")
         lines.append("    G = interp.globals")
         lines.append("    A = interp.arrays")
         lines.append("    limit = interp.max_steps")
         lines.append("    entry = interp.cycle")
         lines.append("    path = [] if interp.record_paths else None")
-        lines.append("    hw = _active()")
-        lines.append("    if hw is not None:")
-        lines.append(f"        hw.push_proc({name})")
-        lines.append("    try:")
-        lines.append(f"        b = {entry}")
-        lines.append("        steps = 0")
-        lines.append("        while True:")
-        lines.append("            if steps >= limit:")
-        lines.append(f"                _exceeded({name}, limit)")
-        lines.append("            steps += 1")
-        self.dispatch(bodies, 0, len(bodies), " " * 12)
-        lines.append("    finally:")
-        lines.append("        if hw is not None:")
-        lines.append("            hw.pop_proc()")
+        lines.append(f"    b = {entry}")
+        lines.append("    steps = 0")
+        lines.append("    while True:")
+        lines.append("        if steps >= limit:")
+        lines.append(f"            _exceeded({name}, limit)")
+        lines.append("        steps += 1")
+        self.dispatch(bodies, 0, len(bodies), " " * 8)
+        cost = self.cpu.return_cost()  # a completed invocation paid its return
+        self.weights[self.name] = (
+            self.name, (("cycles.return", cost),), (("invocations", 1), ("cycles", cost))
+        )
         lines.append(f"    C.invocations[{name}] += 1")
         lines.append(
             f"    interp.records.append(_Record(procedure={name}, entry_cycle=entry, "
@@ -462,7 +497,6 @@ class _ProcedureSource:
 
 
 _RUNTIME = {
-    "_active": hwc.active,
     "_Record": InvocationRecord,
     "_div": _div,
     "_mod": _mod,
@@ -471,26 +505,54 @@ _RUNTIME = {
     "_out_of_bounds": _out_of_bounds,
     "_wrong_arity": _wrong_arity,
     "_exceeded": _exceeded,
+    "_too_deep": _too_deep,
 }
 
 
-def _compile(
-    program: Program, layout: ProgramLayout, platform: Platform
-) -> dict[str, Callable[..., int]]:
-    """Every procedure of ``program``, compiled for ``layout`` and ``platform``.
+class _Compiled(NamedTuple):
+    """A program compiled for one layout and platform.
 
-    Maps a procedure name to ``run(interp, args, depth)``, which executes
-    one invocation against ``interp``'s state.  Compiled calls reach their
-    callees through the same mapping, so recursion needs nothing special.
+    ``functions`` maps a procedure name to ``run(interp, args, depth)``,
+    which executes one invocation against ``interp``'s state; compiled
+    calls reach their callees through the same mapping, so recursion needs
+    nothing special.  ``weights`` maps every ExecutionCounters key the code
+    can count to what one count adds to the hardware counters.
     """
-    functions: dict[str, Callable[..., int]] = {}
+
+    functions: dict[str, Callable[..., int]]
+    weights: dict[_Key, _Weight]
+
+
+def _compile(program: Program, layout: ProgramLayout, platform: Platform) -> _Compiled:
+    """Every procedure of ``program``, compiled for ``layout`` and ``platform``."""
+    compiled = _Compiled({}, {})
     for name, proc in program.procedures.items():
         generated = _ProcedureSource(name, proc, layout.layout(name), program, platform.cpu)
         source = generated.source()
-        namespace = {**_RUNTIME, **generated.constants, "_F": functions}
+        namespace = {**_RUNTIME, **generated.constants, "_F": compiled.functions}
         exec(compile(source, f"<repro.sim {name}>", "exec"), namespace)
-        functions[name] = namespace["run"]
-    return functions
+        compiled.functions[name] = namespace["run"]
+        compiled.weights.update(generated.weights)
+    return compiled
+
+
+def _project(weights: dict[_Key, _Weight], counts: Sequence[Counter]) -> dict:
+    """The hardware-counter snapshot that ``counts`` amount to under ``weights``.
+
+    A counter or row field appears once a count that adds to it is
+    positive, even when the amount it adds is zero.
+    """
+    totals: dict[str, int] = {}
+    per_proc: dict[str, dict[str, int]] = {}
+    for table in counts:
+        for key, n in table.items():
+            proc, adds, row_adds = weights[key]
+            for name, amount in adds:
+                totals[name] = totals.get(name, 0) + amount * n
+            row = per_proc.setdefault(proc, {})
+            for name, amount in row_adds:
+                row[name] = row.get(name, 0) + amount * n
+    return {"schema": hwc.SNAPSHOT_SCHEMA, "totals": totals, "per_proc": per_proc}
 
 
 class Interpreter:
@@ -531,7 +593,9 @@ class Interpreter:
         self.records: list[InvocationRecord] = []
         # Compiled on the first invocation; the interpreters of one batched
         # run share one compilation (see repro.sim.runner).
-        self._compiled: Optional[dict[str, Callable[..., int]]] = None
+        self._compiled: Optional[_Compiled] = None
+        # The counters object and its counts as of the last report.
+        self._reported: tuple[Optional[ExecutionCounters], tuple[Counter, ...]] = (None, ())
 
     # -- procedure invocation -----------------------------------------------------
 
@@ -545,7 +609,7 @@ class Interpreter:
         if compiled is None:
             compiled = self._compiled = _compile(self.program, self.layout, self.platform)
         try:
-            run = compiled[proc_name]
+            run = compiled.functions[proc_name]
         except KeyError:
             self.program.procedure(proc_name)  # raises the unknown-procedure error
             raise
@@ -555,6 +619,29 @@ class Interpreter:
         """One top-level activation of the program's entry procedure."""
         return self.invoke(self.program.entry, ())
 
+    def report_counters(self) -> None:
+        """Fold the counts since the last report into the active registry.
+
+        The compiled code counts only :attr:`counters`.  This prices the
+        block visits, edges and completed invocations counted since the
+        previous report (or since :attr:`counters` was replaced) through the
+        compiled weight table, and merges the result into the installed
+        :class:`~repro.obs.counters.HardwareCounters`; with none installed,
+        those counts are dropped.  Drivers call it where a run or segment
+        ends, and :meth:`hot_swap_layout` calls it before the weights change.
+        """
+        counters = self.counters
+        counts = (counters.block_visits, counters.edge_counts, counters.invocations)
+        owner, before = self._reported
+        hw = hwc.active()
+        if hw is not None and self._compiled is not None:
+            if owner is counters:
+                since = [now - then for now, then in zip(counts, before)]
+            else:  # a fresh baseline: every count so far is new
+                since = list(counts)
+            hw.merge_snapshot(_project(self._compiled.weights, since))
+        self._reported = (counters, tuple(Counter(c) for c in counts))
+
     def hot_swap_layout(self, layout: ProgramLayout) -> None:
         """Re-flash the code image mid-run: adopt a new block layout.
 
@@ -563,7 +650,8 @@ class Interpreter:
         state (globals, arrays), the cycle counter, counters, and records
         all survive: the swap changes *where code sits in flash*, not what
         it computes, so subsequent activations pay the new layout's
-        control-transfer costs on the same program state.
+        control-transfer costs on the same program state.  Counts so far
+        are reported first, priced under the layout they ran on.
         """
         if layout.program is not self.program and set(layout.layouts) != set(
             self.program.procedures
@@ -571,6 +659,7 @@ class Interpreter:
             raise SimulationError(
                 "hot-swapped layout does not cover this interpreter's program"
             )
+        self.report_counters()
         self.layout = layout
         self._compiled = _compile(self.program, layout, self.platform)
 

@@ -89,12 +89,15 @@ def _run(interp: Interpreter, activations: int) -> RunResult:
     with obs.span(
         "sim.run", program=program.name, activations=activations
     ) as sim_span:
-        for _ in range(activations):
-            mark = len(interp.records)
-            interp.run_activation()
-            if faults is not None and faults.reboot_during_activation():
-                del interp.records[mark:]
-                interp.reboot()
+        try:
+            for _ in range(activations):
+                mark = len(interp.records)
+                interp.run_activation()
+                if faults is not None and faults.reboot_during_activation():
+                    del interp.records[mark:]
+                    interp.reboot()
+        finally:
+            interp.report_counters()
         sim_span.set(cycles=interp.cycle, records=len(interp.records))
     obs.inc("sim.runs")
     obs.inc("sim.activations", activations)

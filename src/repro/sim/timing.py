@@ -306,26 +306,6 @@ class ProcedureTimingModel:
         i = self._start
         return central_reward_moments(float(m1[i]), float(m2[i]), float(m3[i]))
 
-    def measured_moments(self, theta: Sequence[float], timer) -> RewardMoments:
-        """Moments of the duration as a ``TimestampTimer`` would *measure* it.
-
-        A drifting crystal scales every duration by ``timer.drift_scale``
-        (mean ×s, variance ×s², third central ×s³); quantization and jitter
-        then add ``timer.noise_variance()`` to the variance, leaving mean
-        and skew essentially untouched.  This is the forward model of the
-        *measurement*, where :meth:`moments` is the forward model of the
-        execution — estimators invert the difference by rescaling observed
-        durations and subtracting the noise variance
-        (:func:`repro.core.moments_fit.fit_moments`).
-        """
-        s = timer.drift_scale
-        m = self.moments(theta)
-        return RewardMoments(
-            mean=s * m.mean,
-            variance=s * s * m.variance + timer.noise_variance(),
-            third_central=s * s * s * m.third_central,
-        )
-
 
 class ProgramTimingModel:
     """Whole-program timing: composes procedure models over the call graph."""

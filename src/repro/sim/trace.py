@@ -3,7 +3,10 @@
 The interpreter emits one :class:`InvocationRecord` per procedure invocation
 (the timestamps tomography will degrade and consume) and maintains an
 :class:`ExecutionCounters` with the exact dynamic counts a full-instrumentation
-profiler would gather — the oracle every estimator is judged against.
+profiler would gather — the oracle every estimator is judged against.  They
+are also the only counts the interpreter keeps: its CPU-side hardware
+counters are these counts priced through the compiled layout (see
+:meth:`repro.sim.interpreter.Interpreter.report_counters`).
 """
 
 from __future__ import annotations
@@ -40,38 +43,19 @@ class InvocationRecord:
 class ExecutionCounters:
     """Exact dynamic execution counts, the profiling ground truth.
 
-    Keys are ``(procedure, block_label)`` for visits and branch events, and
-    ``(procedure, block_label, arm)`` for edges, where ``arm`` is ``"then"``,
-    ``"else"`` or ``"jump"``.
+    Keys are ``(procedure, block_label)`` for visits, ``(procedure,
+    block_label, arm)`` for edges, where ``arm`` is ``"then"``, ``"else"``
+    or ``"jump"``, and the procedure name for completed invocations.
     """
 
     block_visits: Counter = field(default_factory=Counter)
     edge_counts: Counter = field(default_factory=Counter)
-    branch_taken: Counter = field(default_factory=Counter)
-    branch_mispredicts: Counter = field(default_factory=Counter)
     branches_executed: int = 0
     taken_total: int = 0
     mispredict_total: int = 0
     sense_reads: int = 0
     sends: int = 0
     invocations: Counter = field(default_factory=Counter)
-
-    # -- recording (called by the interpreter) ------------------------------
-
-    def record_block(self, proc: str, label: str) -> None:
-        self.block_visits[(proc, label)] += 1
-
-    def record_edge(self, proc: str, label: str, arm: str) -> None:
-        self.edge_counts[(proc, label, arm)] += 1
-
-    def record_branch(self, proc: str, label: str, taken: bool, mispredicted: bool) -> None:
-        self.branches_executed += 1
-        if taken:
-            self.branch_taken[(proc, label)] += 1
-            self.taken_total += 1
-        if mispredicted:
-            self.branch_mispredicts[(proc, label)] += 1
-            self.mispredict_total += 1
 
     def merge(self, other: "ExecutionCounters") -> None:
         """Fold another batch's counts into this one (in place).
@@ -82,8 +66,6 @@ class ExecutionCounters:
         """
         self.block_visits.update(other.block_visits)
         self.edge_counts.update(other.edge_counts)
-        self.branch_taken.update(other.branch_taken)
-        self.branch_mispredicts.update(other.branch_mispredicts)
         self.branches_executed += other.branches_executed
         self.taken_total += other.taken_total
         self.mispredict_total += other.mispredict_total

@@ -69,13 +69,6 @@ class RunningStats:
         return self._m2 / self.count
 
     @property
-    def sample_variance(self) -> float:
-        """Unbiased sample variance (0.0 until two samples arrive)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
     def std(self) -> float:
         """Population standard deviation."""
         return math.sqrt(self.variance)
@@ -127,10 +120,6 @@ class RunningStats:
         merged.min = min(self.min, other.min)
         merged.max = max(self.max, other.max)
         return merged
-
-    def to_moments(self) -> tuple[float, float, float]:
-        """Return ``(mean, variance, third_central_moment)``."""
-        return (self.mean, self.variance, self.third_central_moment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -557,12 +557,3 @@ class OracleTimingModel:
 
     def moments(self, theta) -> RewardMoments:
         return oracle_reward_moments(self.chain(theta))
-
-    def measured_moments(self, theta, timer) -> RewardMoments:
-        s = timer.drift_scale
-        m = oracle_reward_moments(self.chain(theta))
-        return RewardMoments(
-            mean=s * m.mean,
-            variance=s * s * m.variance + timer.noise_variance(),
-            third_central=s * s * s * m.third_central,
-        )

@@ -1,13 +1,15 @@
 """Reference CFG interpreter, kept for tests.
 
 This is the dict-walking interpreter :mod:`repro.sim.interpreter` was
-compiled from, unchanged: every block execution re-sums its instruction
-costs, re-resolves its terminator against the layout, and dispatches each
+compiled from: every block execution re-sums its instruction costs,
+re-resolves its terminator against the layout, and dispatches each
 instruction through an if-chain over :class:`~repro.ir.Opcode` with
-dictionary reads and writes per operand.  ``tests/test_sim_differential.py``
-holds the compiled engine bit-identical to it — results, final state,
-counters, hardware-counter snapshots, fault fates, and the type and
-message of every exception.
+dictionary reads and writes per operand.  It counts every hardware-counter
+event as it happens, with the helpers below, where the compiled engine
+derives the same snapshot from its execution counts when a driver reports.
+``tests/test_sim_differential.py`` holds the compiled engine bit-identical
+to it — results, final state, counters, hardware-counter snapshots, fault
+fates, and the type and message of every exception.
 
 Semantics mirror a 16-bit MCU: all scalar values wrap to signed 16-bit,
 division truncates toward zero (C semantics), shifts mask their count to
@@ -41,6 +43,7 @@ from repro.mote.radio import Radio
 from repro.mote.sensors import SensorSuite
 from repro.obs import counters as hwc
 from repro.placement.layout import ProgramLayout
+from repro.sim.interpreter import MAX_CALL_DEPTH
 from repro.sim.trace import ExecutionCounters, InvocationRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
@@ -61,6 +64,72 @@ def _trunc_div(a: int, b: int) -> int:
     """C-style integer division (truncates toward zero)."""
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+# -- hardware counters, one event at a time -----------------------------------
+# Each event adds to the totals and to the exclusive row of the procedure
+# executing it; a row's ``invocations`` counts completed invocations.
+
+
+def _proc_add(hw: hwc.HardwareCounters, proc: str, key: str, amount: int) -> None:
+    row = hw.per_proc.setdefault(proc, {})
+    row[key] = row.get(key, 0) + amount
+
+
+def _hw_block(hw: hwc.HardwareCounters, proc: str, cycles: int) -> None:
+    """One basic block fetched from flash and executed."""
+    hw.add("cycles.block", cycles)
+    hw.add("flash.fetches")
+    _proc_add(hw, proc, "cycles", cycles)
+
+
+def _hw_jump(hw: hwc.HardwareCounters, proc: str, cycles: int) -> None:
+    """One unconditional-jump terminator (counts as a dynamic edge)."""
+    hw.add("control.jumps")
+    if cycles:
+        hw.add("cycles.jump", cycles)
+    _proc_add(hw, proc, "cycles", cycles)
+
+
+def _hw_extra_jump(hw: hwc.HardwareCounters, proc: str, cycles: int) -> None:
+    """A layout-inserted jump on a branch arm (cycles, not an edge)."""
+    hw.add("cycles.jump", cycles)
+    _proc_add(hw, proc, "cycles", cycles)
+
+
+def _hw_return(hw: hwc.HardwareCounters, proc: str, cycles: int) -> None:
+    """One procedure return, which completes its invocation."""
+    hw.add("cycles.return", cycles)
+    _proc_add(hw, proc, "cycles", cycles)
+    _proc_add(hw, proc, "invocations", 1)
+
+
+def _hw_branch(
+    hw: hwc.HardwareCounters,
+    proc: str,
+    *,
+    scheme: str,
+    taken: bool,
+    predicted_taken: bool,
+    backward_target: bool,
+    cycles: int,
+) -> None:
+    """One dynamic conditional branch and the static prediction it met."""
+    hw.add(f"predict.{scheme}.{'taken' if predicted_taken else 'not_taken'}")
+    hw.add("branch.taken" if taken else "branch.not_taken")
+    hw.add("cycles.branch", cycles)
+    _proc_add(hw, proc, "cycles", cycles)
+    _proc_add(hw, proc, "branches", 1)
+    if taken:
+        _proc_add(hw, proc, "taken", 1)
+    if taken != predicted_taken:
+        hw.add("branch.mispredict.taken" if taken else "branch.mispredict.not_taken")
+        hw.add(
+            "branch.mispredict.backward_target"
+            if backward_target
+            else "branch.mispredict.forward_target"
+        )
+        _proc_add(hw, proc, "mispredicts", 1)
 
 
 class Interpreter:
@@ -231,6 +300,10 @@ class Interpreter:
         updates the ground-truth counters as execution proceeds.
         """
         proc = self.program.procedure(proc_name)
+        if depth >= MAX_CALL_DEPTH:
+            raise SimulationError(
+                f"call to {proc_name!r} exceeds the call-depth limit of {MAX_CALL_DEPTH}"
+            )
         if len(args) != len(proc.params):
             raise SimulationError(
                 f"{proc_name!r} expects {len(proc.params)} args, got {len(args)}"
@@ -242,65 +315,75 @@ class Interpreter:
         entry_cycle = self.cycle
         path: Optional[list[str]] = [] if self.record_paths else None
 
-        # Hardware counters: bracket the invocation so cycle/branch events
-        # attribute to this procedure (exclusive counts; nested calls open
-        # their own scope).  ``hw is None`` is the disabled fast path.
+        # Hardware counters: events attribute to this procedure (exclusive
+        # counts; nested calls attribute to themselves).  ``hw is None`` is
+        # the disabled fast path.
         hw = hwc.active()
-        if hw is not None:
-            hw.push_proc(proc_name)
-        try:
-            label = proc.cfg.entry
-            return_value = 0
-            for _ in range(self.max_steps):
-                block = proc.cfg.block(label)
-                self.counters.record_block(proc_name, label)
-                if path is not None:
-                    path.append(label)
-                self.cycle += cpu.block_cycles(block)
-                for instr in block.instructions:
-                    self._execute_instruction(instr, frame, depth)
-
-                term = block.terminator
-                if isinstance(term, Return):
-                    cost = cpu.return_cost()
-                    self.cycle += cost
-                    if hw is not None:
-                        hw.ret(cost)
-                    if term.value is not None:
-                        return_value = self._read(frame, term.value)
-                    break
-                if isinstance(term, Jump):
-                    cost = cpu.jump_cost(fallthrough=layout.jump_is_elided(label))
-                    self.cycle += cost
-                    if hw is not None:
-                        hw.jump(cost)
-                    self.counters.record_edge(proc_name, label, "jump")
-                    label = term.target
-                    continue
-                assert isinstance(term, Branch)
-                arm = "then" if self._read(frame, term.cond) != 0 else "else"
-                site = resolved[label]
-                timing = cpu.branch_outcome(
-                    taken=site.arm_taken(arm),
-                    backward_target=site.backward_taken_target,
-                )
-                self.cycle += timing.cycles
-                if arm == site.extra_jump_arm:
-                    self.cycle += cpu.jump_cycles
-                    if hw is not None:
-                        hw.extra_jump(cpu.jump_cycles)
-                self.counters.record_edge(proc_name, label, arm)
-                self.counters.record_branch(
-                    proc_name, label, taken=timing.taken, mispredicted=timing.mispredicted
-                )
-                label = term.then_target if arm == "then" else term.else_target
-            else:
-                raise SimulationError(
-                    f"{proc_name!r} exceeded {self.max_steps} blocks in one invocation"
-                )
-        finally:
+        label = proc.cfg.entry
+        return_value = 0
+        for _ in range(self.max_steps):
+            block = proc.cfg.block(label)
+            self.counters.block_visits[(proc_name, label)] += 1
+            if path is not None:
+                path.append(label)
+            cycles = cpu.cost_model.block_cycles(block)
+            self.cycle += cycles
             if hw is not None:
-                hw.pop_proc()
+                _hw_block(hw, proc_name, cycles)
+            for instr in block.instructions:
+                self._execute_instruction(instr, frame, depth)
+
+            term = block.terminator
+            if isinstance(term, Return):
+                if term.value is not None:
+                    return_value = self._read(frame, term.value)
+                cost = cpu.return_cost()
+                self.cycle += cost
+                if hw is not None:
+                    _hw_return(hw, proc_name, cost)
+                break
+            if isinstance(term, Jump):
+                cost = cpu.jump_cost(fallthrough=layout.jump_is_elided(label))
+                self.cycle += cost
+                if hw is not None:
+                    _hw_jump(hw, proc_name, cost)
+                self.counters.edge_counts[(proc_name, label, "jump")] += 1
+                label = term.target
+                continue
+            assert isinstance(term, Branch)
+            arm = "then" if self._read(frame, term.cond) != 0 else "else"
+            site = resolved[label]
+            taken = site.arm_taken(arm)
+            backward = site.backward_taken_target
+            predicted = cpu.predictor.predicts_taken(backward_target=backward)
+            cycles = cpu.branch_cost(taken=taken, backward_target=backward)
+            self.cycle += cycles
+            if hw is not None:
+                _hw_branch(
+                    hw,
+                    proc_name,
+                    scheme=cpu.predictor.name,
+                    taken=taken,
+                    predicted_taken=predicted,
+                    backward_target=backward,
+                    cycles=cycles,
+                )
+            if arm == site.extra_jump_arm:
+                self.cycle += cpu.jump_cycles
+                if hw is not None:
+                    _hw_extra_jump(hw, proc_name, cpu.jump_cycles)
+            counters = self.counters
+            counters.edge_counts[(proc_name, label, arm)] += 1
+            counters.branches_executed += 1
+            if taken:
+                counters.taken_total += 1
+            if taken != predicted:
+                counters.mispredict_total += 1
+            label = term.then_target if arm == "then" else term.else_target
+        else:
+            raise SimulationError(
+                f"{proc_name!r} exceeded {self.max_steps} blocks in one invocation"
+            )
 
         self.counters.invocations[proc_name] += 1
         self.records.append(
@@ -317,6 +400,9 @@ class Interpreter:
     def run_activation(self) -> int:
         """One top-level activation of the program's entry procedure."""
         return self.invoke(self.program.entry, ())
+
+    def report_counters(self) -> None:
+        """Nothing to fold: this interpreter counts hardware events as they happen."""
 
     def hot_swap_layout(self, layout: ProgramLayout) -> None:
         """Re-flash the code image mid-run: adopt a new block layout.

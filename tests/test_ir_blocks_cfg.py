@@ -176,11 +176,6 @@ class TestCFG:
         assert Edge("t", "join", "jump") in edges
         assert len(edges) == 4
 
-    def test_branch_edges_only_arms(self):
-        arms = _diamond_cfg().branch_edges()
-        assert all(e.is_branch_arm() for e in arms)
-        assert len(arms) == 2
-
     def test_predecessors(self):
         preds = _diamond_cfg().predecessors()
         assert {e.src for e in preds["join"]} == {"t", "e"}

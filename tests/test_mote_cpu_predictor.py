@@ -54,26 +54,27 @@ class TestCpuModel:
         assert isinstance(CpuModel().predictor, BTFNPredictor)
 
     def test_not_taken_correct_prediction_is_cheap(self):
-        timing = self.cpu.branch_outcome(taken=False, backward_target=False)
-        assert timing.cycles == 1
-        assert not timing.mispredicted
+        assert self.cpu.branch_cost(taken=False, backward_target=False) == 1
+        assert not self.cpu.predictor.predicts_taken(backward_target=False)
 
     def test_taken_with_not_taken_scheme_pays_both_penalties(self):
-        timing = self.cpu.branch_outcome(taken=True, backward_target=False)
-        assert timing.cycles == 1 + 1 + 3
-        assert timing.mispredicted
+        assert self.cpu.branch_cost(taken=True, backward_target=False) == 1 + 1 + 3
+        assert not self.cpu.predictor.predicts_taken(backward_target=False)
 
     def test_btfn_backward_taken_is_correct(self):
         cpu = CpuModel(predictor=BTFNPredictor())
-        timing = cpu.branch_outcome(taken=True, backward_target=True)
-        assert not timing.mispredicted
+        assert cpu.predictor.predicts_taken(backward_target=True)
         # Pays taken redirect but no mispredict refill.
-        assert timing.cycles == cpu.branch_base_cycles + cpu.taken_extra_cycles
+        assert cpu.branch_cost(taken=True, backward_target=True) == (
+            cpu.branch_base_cycles + cpu.taken_extra_cycles
+        )
 
     def test_btfn_backward_not_taken_mispredicts(self):
         cpu = CpuModel(predictor=BTFNPredictor())
-        timing = cpu.branch_outcome(taken=False, backward_target=True)
-        assert timing.mispredicted
+        assert cpu.predictor.predicts_taken(backward_target=True)
+        assert cpu.branch_cost(taken=False, backward_target=True) == (
+            cpu.branch_base_cycles + cpu.mispredict_penalty_cycles
+        )
 
     def test_jump_cost_elided_on_fallthrough(self):
         assert self.cpu.jump_cost(fallthrough=True) == 0
@@ -87,11 +88,4 @@ class TestCpuModel:
         b.emit(const("x", 1), const("y", 2), binop(BinaryOp.ADD, "z", "x", "y"))
         b.ret()
         proc = b.build()
-        assert self.cpu.block_cycles(proc.cfg.entry_block) == 3
-
-    def test_branch_cost_matches_outcome_cycles(self):
-        for taken in (False, True):
-            for backward in (False, True):
-                assert self.cpu.branch_cost(
-                    taken=taken, backward_target=backward
-                ) == self.cpu.branch_outcome(taken=taken, backward_target=backward).cycles
+        assert self.cpu.cost_model.block_cycles(proc.cfg.entry_block) == 3

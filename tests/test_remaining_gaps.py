@@ -124,12 +124,6 @@ class TestChainMiscApi:
         matrix = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         return AbsorbingChain(["a", "b"], matrix, [2.0, 3.0], "a")
 
-    def test_with_rewards_keeps_structure(self):
-        chain = self.make_chain()
-        heavier = chain.with_rewards([20.0, 30.0])
-        assert heavier.expected_reward() == pytest.approx(50.0)
-        assert chain.expected_reward() == pytest.approx(5.0)  # original intact
-
     def test_probability_of_unknown_state_raises(self):
         from repro.errors import MarkovError
 

@@ -6,9 +6,10 @@ interpreter it was compiled from.  The compiled engine promises
 *bit-identity* with it: the same :class:`RunResult` (cycles, ground-truth
 counters, invocation records, float energy, packets), the same final state
 (globals, arrays, LEDs, cycle counter, radio and sensor tallies), the same
-fault fates, the same hardware-counter snapshot, and — when a program goes
-wrong — the same exception type and message, raised at the same point.
-These tests hold it to that, comparing with ``==``:
+fault fates, the same hardware-counter snapshot (counted event by event by
+the oracle, derived from execution counts by the compiled engine), and —
+when a program goes wrong — the same exception type and message, raised at
+the same point.  These tests hold it to that, comparing with ``==``:
 
 * the registry matrix — every workload × fault configuration × seed,
   through ``run_program_batched`` and ``run_program`` with the drivers'
@@ -19,13 +20,14 @@ These tests hold it to that, comparing with ``==``:
 * property tests over *synthetic* programs (``random_workload``), so the
   compiler sees control-flow shapes nobody hand-picked;
 * hand-built programs the language front-end would not produce or that go
-  wrong at run time: recursion, a parameterized entry, a parameter
-  shadowing a global, a possibly-unbound register, an undeclared array, an
-  out-of-bounds index, division and modulo by zero, an arity mismatch, an
-  unknown callee or sensor channel and the ``max_steps`` guard;
+  wrong at run time: recursion, bounded and runaway, a parameterized entry,
+  a parameter shadowing a global, a possibly-unbound register or return
+  value, an undeclared array, an out-of-bounds index, division and modulo
+  by zero, an arity mismatch, an unknown callee or sensor channel and the
+  ``max_steps`` guard;
 * the methods PGO and F10 drive mid-run — ``hot_swap_layout``, ``reboot``
-  and ``set_sensors`` — and the PGO controller's drift → swap →
-  commit/rollback loop itself.
+  and ``set_sensors`` — the PGO controller's drift → swap →
+  commit/rollback loop itself, and F10's open-loop arms.
 
 Counterexamples found by the property tests can be recorded as replayable
 fixtures: set ``REPRO_DIFF_RECORD=1`` and failing synthetic cases are
@@ -46,6 +48,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.fig_f10_closed_loop as f10
 import repro.pgo.controller as pgo_controller
 from repro.errors import IRError, MoteError, SimulationError
 from repro.experiments.fig_f10_closed_loop import PROBE_SOURCE, _REGIMES
@@ -69,8 +72,9 @@ from repro.lang import compile_source
 from repro.mote import MICAZ_LIKE, TELOSB_LIKE, ConstantSensor, IIDSensor, Radio, SensorSuite
 from repro.obs.counters import HardwareCounters, counters_active
 from repro.pgo import PGOController
-from repro.placement import optimize_program_layout, random_program_layout
+from repro.placement import ProgramLayout, optimize_program_layout, random_program_layout
 from repro.sim import ExecutionCounters, Interpreter, run_program, run_program_batched
+from repro.sim.interpreter import MAX_CALL_DEPTH
 from repro.util.rng import derive_rng
 from repro.workloads.inputs import build_sensors
 from repro.workloads.registry import all_workloads
@@ -105,13 +109,7 @@ def _ordered(counters) -> list:
     """First-visit key order of every counter, which renderings iterate."""
     return [
         list(c)
-        for c in (
-            counters.block_visits,
-            counters.edge_counts,
-            counters.branch_taken,
-            counters.branch_mispredicts,
-            counters.invocations,
-        )
+        for c in (counters.block_visits, counters.edge_counts, counters.invocations)
     ]
 
 
@@ -120,8 +118,10 @@ def observe(cls, build, act) -> dict:
 
     ``build(cls)`` must make fresh peripherals on every call, so both
     engines start from identical random streams.  Hardware counters are
-    captured around ``act``; an exception ends ``act`` and is recorded by
-    type and message, with the state as the exception left it.
+    captured around ``act`` and reported after it (the oracle counts them
+    event by event, the compiled engine derives them from its execution
+    counts); an exception ends ``act`` and is recorded by type and message,
+    with the state as the exception left it.
     """
     interp = build(cls)
     hw = HardwareCounters()
@@ -131,6 +131,7 @@ def observe(cls, build, act) -> dict:
             act(interp)
         except Exception as exc:  # noqa: BLE001 - the exception is the datum
             error = (type(exc), str(exc))
+        interp.report_counters()
     snapshot = hw.snapshot()
     return {
         "error": error,
@@ -148,7 +149,6 @@ def observe(cls, build, act) -> dict:
         "sensor_dropouts": interp.sensors.dropout_count,
         "fates": dict(interp.faults.counts) if interp.faults is not None else None,
         "hw": snapshot,
-        "hw_order": list(snapshot["totals"]),
     }
 
 
@@ -491,6 +491,21 @@ class TestHandBuiltPrograms:
         assert seen["error"] is None
         assert max(rec.depth for rec in seen["records"]) == 4
 
+    def test_runaway_recursion(self):
+        """Unbounded recursion ends at the call-depth limit, on both engines."""
+        f = CFGBuilder("f")
+        f.emit(call("f"))
+        f.ret()
+        program = _program("runaway", f.build(), _main(call("f")))
+        seen = assert_engines_agree(_fixed(program), activations(1))
+        assert _error(seen) == (
+            SimulationError, f"call to 'f' exceeds the call-depth limit of {MAX_CALL_DEPTH}"
+        )
+        visits = seen["counters"].block_visits
+        assert sum(n for (proc, _), n in visits.items() if proc == "f") == MAX_CALL_DEPTH - 1
+        # Nothing returned, so no row counts an invocation.
+        assert all("invocations" not in row for row in seen["hw"]["per_proc"].values())
+
     def test_recursive_program_batched(self):
         program = _bounded_recursive_program()
         factory = partial(build_sensors, {"ch": (512.0, 295.0)}, "uniform")
@@ -541,6 +556,25 @@ class TestHandBuiltPrograms:
         assert seen["error"] is None and seen["leds"] == 1
         seen = assert_engines_agree(_fixed(program, value=5), activations(3))
         assert _error(seen) == (SimulationError, "read of unbound variable 'x'")
+
+    def test_possibly_unbound_return_value(self):
+        """A return is paid once its value is read, so a failed read pays none."""
+        b = CFGBuilder("main")
+        b.emit(sense("v", "ch"), const("t", 100), binop(BinaryOp.GT, "hot", "v", "t"))
+        then_blk, else_blk = b.branch("hot")
+        b.emit(const("x", 1))
+        b.jump("join")
+        b.switch_to(else_blk)
+        b.jump("join")
+        b.block("join")
+        b.ret("x")
+        program = _program("unbound_return", b.build(returns_value=True))
+        seen = assert_engines_agree(_fixed(program, value=500), activations(3))
+        assert seen["error"] is None
+        assert seen["hw"]["per_proc"]["main"]["invocations"] == 3
+        seen = assert_engines_agree(_fixed(program, value=5), activations(3))
+        assert _error(seen) == (SimulationError, "read of unbound variable 'x'")
+        assert "cycles.return" not in seen["hw"]["totals"]
 
     @pytest.mark.parametrize("op", ("load", "store"))
     def test_undeclared_array(self, op):
@@ -768,6 +802,9 @@ class TestMidRunMethods:
 
         def act(interp):
             activations(10)(interp)
+            # A replaced counters object starts a fresh report baseline, so
+            # what the old one counted is reported first.
+            interp.report_counters()
             interp.counters = ExecutionCounters()
             interp.radio = Radio()
             interp.leds = 5
@@ -845,3 +882,23 @@ class TestMidRunMethods:
             oracle = run()
         assert compiled == oracle
         assert any(report.action == "swap" for report in compiled[0])
+
+    def test_f10_open_loop_arm_matches_the_oracle(self):
+        """F10's static and oracle arms report each segment's counts."""
+        program = f10._program("probe")
+        regimes = f10._segment_regimes("probe")[:4]
+        layouts = (ProgramLayout.source_order(program), random_program_layout(program, rng=3))
+
+        def run():
+            hw = HardwareCounters()
+            with counters_active(hw, isolated=True):
+                metrics, _, swaps = f10._run_arm(
+                    program, MICAZ_LIKE, "probe", 7, 30, regimes, lambda i: layouts[i % 2]
+                )
+            return metrics, swaps, hw.snapshot()
+
+        compiled = run()
+        with mock.patch.object(f10, "Interpreter", OracleInterpreter):
+            oracle = run()
+        assert compiled == oracle
+        assert compiled[1] == 3 and compiled[2]["totals"]["cycles.block"] > 0

@@ -21,7 +21,7 @@ from repro.core import fit_moments
 from repro.errors import MarkovError
 from repro.ir import CFGBuilder, sense
 from repro.markov.moments import RewardMoments, reward_moments
-from repro.mote import MICAZ_LIKE, TimestampTimer
+from repro.mote import MICAZ_LIKE
 from repro.placement.layout import Layout, ProgramLayout
 from repro.profiling import TimingProfiler
 from repro.sim import ProcedureTimingModel, ProgramTimingModel, run_program
@@ -33,7 +33,6 @@ from tests.estimation_oracle import OracleTimingModel, oracle_reward_moments
 CORNERS = (0.0, 1.0, 1e-4, 1.0 - 1e-4, -1e-13, 1.0 + 1e-13, -0.0)
 #: Values the chain rejects or carries through as NaN.
 INVALID = (float("nan"), -0.2, 1.2)
-DRIFTING_TIMER = TimestampTimer(cycles_per_tick=8, jitter_cycles=1.5, drift_ppm=40.0)
 WORKLOADS = [spec.name for spec in all_workloads()]
 
 
@@ -69,10 +68,6 @@ def assert_same_model(model, oracle, thetas):
     checked = 0
     for theta in thetas:
         assert outcome(model.moments, theta) == outcome(oracle.moments, theta), theta
-        for timer in (MICAZ_LIKE.timer, DRIFTING_TIMER):
-            assert outcome(model.measured_moments, theta, timer) == outcome(
-                oracle.measured_moments, theta, timer
-            ), theta
         assert chain_outcome(model, theta) == chain_outcome(oracle, theta), theta
         checked += 1
     return checked

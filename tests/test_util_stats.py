@@ -36,7 +36,6 @@ class TestRunningStats:
         arr = np.asarray(xs)
         assert s.mean == pytest.approx(arr.mean())
         assert s.variance == pytest.approx(arr.var())
-        assert s.sample_variance == pytest.approx(arr.var(ddof=1))
         centered = arr - arr.mean()
         assert s.third_central_moment == pytest.approx(np.mean(centered**3))
 
@@ -86,14 +85,6 @@ class TestRunningStats:
         assert merged.third_central_moment == pytest.approx(
             combined.third_central_moment, rel=1e-5, abs=1.0
         )
-
-    def test_to_moments_matches_properties(self):
-        s = RunningStats()
-        s.extend([1.0, 5.0, 9.0])
-        mean, var, mu3 = s.to_moments()
-        assert mean == s.mean
-        assert var == s.variance
-        assert mu3 == s.third_central_moment
 
 
 class TestEmpiricalMoments:
