@@ -19,6 +19,37 @@ nonlinear least squares:
   not constrain (see :mod:`repro.core.identifiability`), instead of letting
   them wander to a bound.
 
+Solver
+------
+
+Every start runs at once, in lockstep, through one projected
+Levenberg–Marquardt iteration (:func:`_levenberg_marquardt`).  Each round
+evaluates the residuals of all unfinished starts with one call to
+:meth:`ProcedureTimingModel.moments_and_jacobians`, which returns the
+moments with their exact Jacobian (``∂N/∂θ = N·(∂Q/∂θ)·N`` for the
+fundamental matrix N) for the whole stack from one stacked solve.  A step
+solves ``(JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr``, λ starting at 1e-3, over the
+free parameters: a parameter at a bound of the box ``[1e-4, 1 − 1e-4]``
+whose gradient points out of it stays there, and one the step would carry
+out of the box is put on the bound while the rest are solved again
+(:func:`_bounded_step`).  A step that lowers the cost is kept; λ then
+shrinks with the ratio ρ of actual to predicted reduction (Nielsen's
+rule), and grows geometrically after a rejected step.  A start stops when
+
+* an evaluated step lowers the cost by less than ``1e-12`` of it while the
+  quadratic model predicted that decrease well (ρ > 0.25),
+* a step shorter than ``1e-12·(1e-12 + |θ|)`` fails to lower the cost,
+* the largest free gradient component is at most ``1e-12``, or
+* it has spent 400 residual evaluations.
+
+The first two are the relative-cost and step tests, with the same
+tolerances, of the trust-region solver (scipy's ``least_squares``) this
+fit used before; the step test stops only a start that no longer makes
+progress, because a large λ also makes steps short in a narrow valley.
+``tests/estimation_oracle.py`` keeps the former fit as the oracle the
+tests and a CI sweep hold this one's cost to.  The best start wins; ties
+go to the earliest, the uniform 0.5 start first.
+
 Robust path
 -----------
 
@@ -50,10 +81,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro import obs
-from repro.errors import EstimationError
+from repro.errors import EstimationError, ReproError
 from repro.mote.timer import TimestampTimer
 from repro.sim.timing import ProcedureTimingModel
 from repro.util.rng import RngSource, as_rng
@@ -67,7 +97,17 @@ __all__ = [
     "robust_filter",
 ]
 
+#: Every estimate stays this far inside (0, 1).
 _THETA_EPS = 1e-4
+
+#: The solver's relative-cost, step and gradient tolerance.
+_TOLERANCE = 1e-12
+
+#: Residual evaluations one start may spend.
+_MAX_EVALUATIONS = 400
+
+#: Floor of the damping on the unit-diagonal step system.
+_MIN_DAMPING = 1e-15
 
 #: Weight of the pull toward the uninformed 0.5 prior.
 PRIOR_WEIGHT = 1e-3
@@ -317,44 +357,139 @@ def _fit_core(
     scales = _moment_scales(mean, variance, int(xs.size), moments_used)
     target = observed[:moments_used]
     sqrt_prior = np.sqrt(PRIOR_WEIGHT)
+    prior_rows = sqrt_prior * np.eye(k)
 
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        m = model.moments(theta)
-        pred = np.array(m.as_tuple())[:moments_used]
-        data_part = (pred - target) / scales
-        prior_part = sqrt_prior * (theta - 0.5)
-        return np.concatenate([data_part, prior_part])
+    def residuals(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pred, jac = model.moments_and_jacobians(thetas)
+        data_part = (pred[:, :moments_used] - target) / scales
+        prior_part = sqrt_prior * (thetas - 0.5)
+        data_jac = jac[:, :moments_used] / scales[:, None]
+        prior_jac = np.broadcast_to(prior_rows, (len(thetas), k, k))
+        return (
+            np.concatenate([data_part, prior_part], axis=1),
+            np.concatenate([data_jac, prior_jac], axis=1),
+        )
 
     starts = [np.full(k, 0.5)]
     for _ in range(restarts - 1):
         starts.append(gen.uniform(0.15, 0.85, size=k))
 
-    best = None
-    for x0 in starts:
-        try:
-            sol = least_squares(
-                residuals,
-                x0,
-                bounds=(_THETA_EPS, 1.0 - _THETA_EPS),
-                xtol=1e-12,
-                ftol=1e-12,
-                gtol=1e-12,
-                max_nfev=400,
-            )
-        except Exception as exc:  # pragma: no cover - scipy internal failure
-            raise EstimationError(f"least-squares solver failed: {exc}") from exc
-        if best is None or sol.cost < best.cost:
-            best = sol
-
-    assert best is not None
-    theta_hat = np.clip(best.x, 0.0, 1.0)
+    try:
+        thetas, costs = _levenberg_marquardt(residuals, np.array(starts))
+    except (ReproError, np.linalg.LinAlgError) as exc:
+        raise EstimationError(f"moments fit failed: {exc}") from exc
+    best = int(np.argmin(costs))
+    theta_hat = np.clip(thetas[best], 0.0, 1.0)
     predicted = model.moments(theta_hat).as_tuple()
     return MomentFitResult(
         theta=theta_hat,
-        cost=float(best.cost),
+        cost=float(costs[best]),
         observed_moments=(mean, variance, mu3),
         predicted_moments=predicted,
         n_samples=int(xs.size),
         restarts_used=len(starts),
         n_rejected=n_rejected,
     )
+
+
+def _levenberg_marquardt(residuals, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``½|r(θ)|²`` over the box from every row of ``starts`` at once.
+
+    ``residuals`` maps a ``(B, k)`` stack of θ to ``(r, J)``, shaped
+    ``(B, m)`` and ``(B, m, k)``.  Returns the final θ of every start and
+    its cost.  The stopping rules are in the module docstring.
+    """
+    lo, hi = _THETA_EPS, 1.0 - _THETA_EPS
+    theta = np.clip(starts, lo, hi)
+    res, jac = residuals(theta)
+    cost = 0.5 * np.einsum("bm,bm->b", res, res)
+    count = len(theta)
+    damping = np.full(count, 1e-3)
+    growth = np.full(count, 2.0)
+    evaluations = np.ones(count, dtype=int)
+    running = np.ones(count, dtype=bool)
+    while running.any():
+        idx = np.flatnonzero(running)
+        now, r, j = theta[idx], res[idx], jac[idx]
+        grad = np.einsum("bmk,bm->bk", j, r)
+        hess = np.einsum("bmi,bmj->bij", j, j)
+        held = ((now <= lo) & (grad > 0)) | ((now >= hi) & (grad < 0))
+        flat = np.abs(np.where(held, 0.0, grad)).max(axis=1) <= _TOLERANCE
+        step = _bounded_step(now, grad, hess, damping[idx], held, lo, hi)
+        trial = np.clip(now + step, lo, hi)
+        step = trial - now
+        predicted = -np.einsum("bk,bk->b", grad, step) - 0.5 * np.einsum(
+            "bi,bij,bj->b", step, hess, step
+        )
+        res_new, jac_new = residuals(trial)
+        evaluations[idx] += 1
+        cost_new = 0.5 * np.einsum("bm,bm->b", res_new, res_new)
+        cost_new = np.where(np.isfinite(cost_new), cost_new, np.inf)
+        reduction = cost[idx] - cost_new
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = reduction / predicted
+        kept = (reduction > 0) & ~flat
+        # A short step that still lowers the cost is progress along a
+        # narrow valley, where λ has yet to shrink: keep going.
+        short = np.linalg.norm(step, axis=1) < _TOLERANCE * (
+            _TOLERANCE + np.linalg.norm(now, axis=1)
+        )
+        done = (
+            flat
+            | ((predicted > 0) & (ratio > 0.25) & (reduction < _TOLERANCE * cost[idx]))
+            | (short & ~kept)
+            | (evaluations[idx] >= _MAX_EVALUATIONS)
+        )
+        moved = idx[kept]
+        theta[moved] = trial[kept]
+        res[moved] = res_new[kept]
+        jac[moved] = jac_new[kept]
+        cost[moved] = cost_new[kept]
+        damping[moved] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio[kept] - 1.0) ** 3)
+        growth[moved] = 2.0
+        stuck = idx[~kept]
+        damping[stuck] *= growth[stuck]
+        growth[stuck] *= 2.0
+        running[idx[done]] = False
+    return theta, cost
+
+
+def _bounded_step(
+    theta: np.ndarray,
+    grad: np.ndarray,
+    hess: np.ndarray,
+    damping: np.ndarray,
+    held: np.ndarray,
+    lo: float,
+    hi: float,
+) -> np.ndarray:
+    """Damped Gauss–Newton steps that stay in the box, one per row.
+
+    Solves ``(JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr`` over the parameters not
+    ``held``; a held parameter's row is replaced by ``δ_j = fixed_j``
+    (0 for one already at its bound).  A parameter the step would carry
+    out of the box joins the held set with the step that puts it on the
+    bound, and the rest are solved again: at most k + 1 solves.  The
+    system is solved scaled to a unit diagonal, where the damping is
+    ``λ·I`` with λ at least :data:`_MIN_DAMPING`, so it stays nonsingular
+    when one moment's weight swamps the others.
+    """
+    k = theta.shape[1]
+    eye = np.eye(k)
+    held = held.copy()
+    fixed = np.zeros_like(theta)
+    scale = 1.0 / np.sqrt(np.einsum("bii->bi", hess))
+    unit = hess * scale[:, :, None] * scale[:, None, :]
+    lam = np.maximum(damping, _MIN_DAMPING)[:, None]
+    for _ in range(k + 1):
+        diagonal = eye * np.where(held, 1.0, lam)[:, None, :]
+        system = np.where(held[:, :, None], 0.0, unit) + diagonal
+        rhs = np.where(held, fixed / scale, -grad * scale)
+        step = np.linalg.solve(system, rhs[..., None])[..., 0] * scale
+        below = ~held & (theta + step < lo)
+        above = ~held & (theta + step > hi)
+        if not (below | above).any():
+            break
+        fixed = np.where(below, lo - theta, np.where(above, hi - theta, fixed))
+        held |= below | above
+    return step

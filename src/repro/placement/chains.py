@@ -8,6 +8,13 @@ the *head* of another.  The entry block is pinned to the head of its chain
 it.  Remaining chains are emitted after the entry chain in descending total
 heat, which keeps related code close — secondary on a mote (no I-cache) but
 it shortens jump displacement.
+
+Both orderings compare weights rounded to :data:`WEIGHT_GRID`, so weights
+that differ only in the last bits of an estimate tie and break on source
+order.  Rounding does not remove the knife-edge; it moves it to the grid
+boundaries: two weights on either side of one still order by their
+rounded values, and a perturbation that carries a weight across a boundary
+still changes the layout.
 """
 
 from __future__ import annotations
@@ -17,7 +24,16 @@ from typing import Mapping, Sequence
 from repro.errors import PlacementError
 from repro.ir.cfg import CFG
 
-__all__ = ["build_chains", "order_from_chains"]
+__all__ = ["WEIGHT_GRID", "build_chains", "order_from_chains"]
+
+#: Resolution, in expected traversals per invocation, of the weights the
+#: chain orderings compare.
+WEIGHT_GRID = 1e-9
+
+
+def _on_grid(weight: float) -> int:
+    """``weight`` in whole units of :data:`WEIGHT_GRID`."""
+    return round(weight / WEIGHT_GRID)
 
 
 def build_chains(
@@ -28,7 +44,8 @@ def build_chains(
 
     ``edge_weights`` maps ``(src_label, dst_label)`` to expected traversal
     frequency (parallel arms already summed).  Unknown edges weigh zero;
-    edges naming unknown blocks raise.  Deterministic: ties break on the
+    edges naming unknown blocks raise.  Deterministic: edges are taken in
+    descending weight rounded to :data:`WEIGHT_GRID`, ties broken on the
     edge's source-order position.
     """
     labels = cfg.labels
@@ -44,7 +61,11 @@ def build_chains(
     source_pos = {label: i for i, label in enumerate(labels)}
     ordered_edges = sorted(
         edge_weights.items(),
-        key=lambda item: (-item[1], source_pos[item[0][0]], source_pos[item[0][1]]),
+        key=lambda item: (
+            -_on_grid(item[1]),
+            source_pos[item[0][0]],
+            source_pos[item[0][1]],
+        ),
     )
     for (src, dst), weight in ordered_edges:
         if weight <= 0:
@@ -62,14 +83,14 @@ def build_chains(
             chain_of[label] = a
         del chains[b]
 
-    def chain_heat(chain: Sequence[str]) -> float:
+    def chain_heat(chain: Sequence[str]) -> int:
         internal = sum(
             edge_weights.get((chain[i], chain[i + 1]), 0.0) for i in range(len(chain) - 1)
         )
         incident = sum(
             w for (s, d), w in edge_weights.items() if s in chain or d in chain
         )
-        return internal + incident
+        return _on_grid(internal + incident)
 
     entry_chain_id = chain_of[cfg.entry]
     if chains[entry_chain_id][0] != cfg.entry:  # pragma: no cover - guarded above

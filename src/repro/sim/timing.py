@@ -24,9 +24,9 @@ under candidate layouts.
 Compiled once, evaluated per theta
 ----------------------------------
 
-Estimators call :meth:`ProcedureTimingModel.moments` thousands of times
-per fit (every finite-difference Jacobian column is one call), so each
-model resolves what does not depend on ``theta`` when it is built: the
+Estimators, placement and reports call :meth:`ProcedureTimingModel.moments`
+many times per procedure, so each model resolves what does not depend on
+``theta`` when it is built: the
 ``(n, n+1)`` matrix of deterministic and exit edges, the flat positions
 of the branch-arm cells with the index of each arm's probability, and the
 per-state raw reward moments.  The chain's state and reward checks do not
@@ -40,8 +40,8 @@ reachability, fundamental-matrix and moment functions from
 
 Reachability depends only on which entries are positive, and every
 non-arm entry is a fixed 1 or 0, so the reachable mask is a function of
-which arms are positive.  The pattern with every arm positive — all of
-``least_squares``' box, whose bounds keep each theta inside (0, 1) — has
+which arms are positive.  The pattern with every arm positive — every
+theta inside (0, 1), which includes the moments fit's whole box — has
 its mask computed once and kept; any other pattern (an arm at 0 from
 theta ∈ {0, 1}, a clipped ``-1e-13`` or a NaN) recomputes it on the spot,
 and a trapped pattern raises the same :class:`NotAbsorbingError` naming
@@ -54,7 +54,23 @@ the clip, solve and matrix-vector products run on identically laid-out
 arrays, and the raw-to-central conversion is the shared
 :func:`repro.markov.moments.central_reward_moments`.  A direct solve
 against the reward vector, or a different memory layout, moves the last
-bits — and estimates near a placement tie move with them.
+bits.
+
+Batched, with the Jacobian
+--------------------------
+
+The moments fit evaluates a whole stack of θ vectors at once, and needs
+the derivatives too: :meth:`ProcedureTimingModel.moments_and_jacobians`
+returns the moments and their exact ``3 × k`` Jacobian for ``(B, k)``
+thetas strictly inside (0, 1).  It works on the all-arms-positive chain
+restricted to its reachable states, so it skips the per-call checks, and
+makes one stacked ``np.linalg.solve`` for the B fundamental matrices.
+``∂Q/∂θ_p`` has two nonzeros, +1 and −1 at the branch's two arm cells,
+so ``∂N/∂θ_p = N·(∂Q/∂θ_p)·N`` reduces to a column of N times a scalar,
+and differentiating the moment recursion costs a few more products with
+N and Q (see :class:`_BatchPlan`).  The raw moments come from the same
+products as in :meth:`moments` and go through the same
+:func:`central_reward_moments`; the tests hold the two to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -221,6 +237,7 @@ class ProcedureTimingModel:
         # with every arm positive is the one the fitters use, so its mask is
         # kept once computed.
         self._all_arms_mask: Optional[np.ndarray] = None
+        self._batch: Optional[_BatchPlan] = None
 
     @property
     def n_parameters(self) -> int:
@@ -305,6 +322,131 @@ class ProcedureTimingModel:
         m1, m2, m3 = reward_moment_recursion(fundamental, q_matrix, *self._raw)
         i = self._start
         return central_reward_moments(float(m1[i]), float(m2[i]), float(m3[i]))
+
+    def moments_and_jacobians(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Central moments and their exact Jacobian for a stack of θ vectors.
+
+        ``thetas`` is ``(B, k)`` with every entry strictly inside (0, 1).
+        Returns ``(moments, jacobians)``: ``(B, 3)`` rows of (mean,
+        variance, third central moment), equal to :meth:`moments` to
+        rounding, and ``(B, 3, k)`` with ``jacobians[b, j, p]`` the
+        derivative of moment ``j`` by ``θ_p`` at ``thetas[b]``.  The
+        variance is floored at 0 as in :meth:`moments`; its derivative is
+        the unfloored variance's.  All B fundamental matrices come from
+        one stacked solve.
+        """
+        vecs = np.asarray(thetas, dtype=float)
+        k = self.n_parameters
+        if vecs.ndim != 2 or vecs.shape[1] != k:
+            raise SimulationError(f"thetas must have shape (B, {k}), got {vecs.shape}")
+        if not ((vecs > 0.0) & (vecs < 1.0)).all():
+            raise SimulationError("batched moments need every theta strictly inside (0, 1)")
+        if self._raw is None or self._all_arms_mask is None:
+            # Raises what moments() raises on this model; else sets the mask.
+            self.moments(vecs[0])
+        if self._batch is None:
+            self._batch = _BatchPlan(self)
+        return self._batch.evaluate(vecs)
+
+
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrices[b] @ vectors[b]`` for every b."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
+class _BatchPlan:
+    """A model's all-arms-positive chain on its reachable states, for stacks of θ.
+
+    With every arm positive the reachable states are the same for every θ,
+    so the plan keeps only those: their fixed edges, the flat positions of
+    their arm cells, their raw rewards, and per branch whose block is
+    reachable the block (``src``) and its two arm states.  A branch on an
+    unreachable block leaves the moments alone; its Jacobian column is 0.
+
+    ``∂Q/∂θ_p`` is ``+1`` at (src, then-arm) and ``−1`` at (src, else-arm),
+    so for any vector x, ``(∂Q/∂θ_p) x`` is ``x[then] − x[else]`` at ``src``
+    and 0 elsewhere.  Differentiating ``(I − Q) m = b`` gives
+    ``∂m = N (∂Q m + ∂b)``, where ``N = (I − Q)^-1``; for m1, where b is
+    the constant r1, that is column ``src`` of N times ``m1[then] −
+    m1[else]``.
+    """
+
+    def __init__(self, model: ProcedureTimingModel) -> None:
+        mask = model._all_arms_mask
+        assert mask is not None and model._raw is not None
+        live = np.flatnonzero(mask)
+        size = live.size
+        position = np.full(len(model.states), -1, dtype=np.intp)
+        position[live] = np.arange(size)
+        k = model.n_parameters
+        self.n_parameters = k
+        self.base = model._base[np.ix_(live, live)]
+        self.eye = np.eye(size)
+        cells: list[int] = []
+        sources: list[int] = []
+        arm_state: dict[tuple[int, str], int] = {}
+        branch_src: dict[int, int] = {}
+        for src, dst, p, arm in model._arms:
+            if not mask[src]:
+                continue
+            cells.append(position[src] * size + position[dst])
+            sources.append(p if arm == "then" else k + p)
+            arm_state[(p, arm)] = position[dst]
+            branch_src[p] = position[src]
+        self.cells = np.array(cells, dtype=np.intp)
+        self.sources = np.array(sources, dtype=np.intp)
+        self.params = np.array(sorted(branch_src), dtype=np.intp)
+        self.src = np.array([branch_src[p] for p in self.params], dtype=np.intp)
+        self.then = np.array([arm_state[(p, "then")] for p in self.params], dtype=np.intp)
+        self.other = np.array([arm_state[(p, "else")] for p in self.params], dtype=np.intp)
+        self.start = int(position[model._start])
+        self.r1, self.r2, self.r3 = (r[live] for r in model._raw)
+
+    def _at_src(self, vectors: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        """``vectors`` with ``diff[:, j]`` added at (``src[j]``, j), in place."""
+        vectors[:, self.src, np.arange(self.src.size)] += diff
+        return vectors
+
+    def evaluate(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        batch = vecs.shape[0]
+        q = np.repeat(self.base[None], batch, axis=0)
+        q.reshape(batch, -1)[:, self.cells] = np.concatenate((vecs, 1.0 - vecs), axis=1)[
+            :, self.sources
+        ]
+        fundamental = np.linalg.solve(self.eye - q, np.broadcast_to(self.eye, q.shape))
+        r1, r2, r3 = self.r1, self.r2, self.r3
+        m1 = fundamental @ r1
+        qm1 = _matvec(q, m1)
+        m2 = _matvec(fundamental, r2 + 2.0 * r1 * qm1)
+        qm2 = _matvec(q, m2)
+        m3 = _matvec(fundamental, r3 + 3.0 * r2 * qm1 + 3.0 * r1 * qm2)
+        i = self.start
+        mean, raw2, raw3 = m1[:, i], m2[:, i], m3[:, i]
+        moments = np.array(
+            [
+                central_reward_moments(*raw).as_tuple()
+                for raw in zip(mean.tolist(), raw2.tolist(), raw3.tolist())
+            ]
+        )
+
+        # (∂Q/∂θ_p) m is m[then] − m[else] at src_p.  Derivatives are laid
+        # out (B, states, branches on reachable blocks).
+        dq_m1, dq_m2, dq_m3 = (m[:, self.then] - m[:, self.other] for m in (m1, m2, m3))
+        d_m1 = fundamental[:, :, self.src] * dq_m1[:, None, :]
+        d_qm1 = self._at_src(q @ d_m1, dq_m1)
+        d_m2 = fundamental @ self._at_src(2.0 * r1[:, None] * d_qm1, dq_m2)
+        d_qm2 = self._at_src(q @ d_m2, dq_m2)
+        d_b3 = 3.0 * r2[:, None] * d_qm1 + 3.0 * r1[:, None] * d_qm2
+        d_raw3 = np.einsum("bs,bsp->bp", fundamental[:, i], self._at_src(d_b3, dq_m3))
+        d_mean, d_raw2 = d_m1[:, i, :], d_m2[:, i, :]
+        mean_, raw2_ = mean[:, None], raw2[:, None]
+        jacobians = np.zeros((batch, 3, self.n_parameters))
+        jacobians[:, 0, self.params] = d_mean
+        jacobians[:, 1, self.params] = d_raw2 - 2.0 * mean_ * d_mean
+        jacobians[:, 2, self.params] = (
+            d_raw3 - 3.0 * (d_mean * raw2_ + mean_ * d_raw2) + 6.0 * mean_**2 * d_mean
+        )
+        return moments, jacobians
 
 
 class ProgramTimingModel:

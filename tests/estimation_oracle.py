@@ -10,10 +10,13 @@ These are the straightforward forms the production code in
 * an EM loop whose E-step runs over every observation row;
 * a procedure timing model that keeps its transition plan as Python rows
   and builds, validates and solves a whole absorbing chain on every
-  ``moments`` call.
+  ``moments`` call, with a per-θ Jacobian from ``∂N = N·∂Q·N``;
+* the moments fit's former solver: one scipy ``least_squares`` run
+  (trust-region reflective, finite-difference Jacobian) per start.
 
-The oracle tests hold the production code bit-identical to them; the
-helpers after the EM loop are shared by the oracle test modules.
+The oracle tests hold the production code bit-identical to the first
+three (the Jacobian to a tolerance) and the moments fit's cost to the
+last; the helpers after the EM loop are shared by the oracle test modules.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from repro.core.em import (
     MAX_ITERATIONS,
@@ -32,7 +36,15 @@ from repro.core.em import (
     EMEstimator,
     EMResult,
 )
-from repro.core.moments_fit import robust_filter
+from repro.core.moments_fit import (
+    _THETA_EPS,
+    PRIOR_WEIGHT,
+    MomentFitResult,
+    _moment_scales,
+    moment_sample,
+    observed_moments,
+    robust_filter,
+)
 from repro.errors import (
     EstimationError,
     MarkovError,
@@ -45,6 +57,7 @@ from repro.markov.moments import RewardMoments
 from repro.mote import MICAZ_LIKE
 from repro.placement.layout import Layout
 from repro.sim.timing import ProcedureTimingModel
+from repro.util.rng import as_rng
 from repro.workloads.synthetic import random_estimation_problem
 
 
@@ -307,6 +320,64 @@ def oracle_observed_moments(model, durations, timer, robust=False):
     return (mean, variance, mu3)
 
 
+def oracle_fit_moments(
+    model, durations, timer=None, moments_used=3, restarts=8, rng=None, robust=False
+) -> MomentFitResult:
+    """``fit_moments`` on its former solver: one trf ``least_squares`` per start.
+
+    The sample, weights, prior, bounds, ``1e-12`` tolerances and start
+    points are the production fit's; only the solver differs.
+    """
+    gen = as_rng(rng)
+    xs, n_rejected = moment_sample(model, durations, timer, robust=robust)
+    k = model.n_parameters
+    mean, variance, mu3 = observed_moments(xs, timer)
+    if k == 0:
+        return MomentFitResult(
+            theta=np.empty(0),
+            cost=0.0,
+            observed_moments=(mean, variance, mu3),
+            predicted_moments=model.moments(np.empty(0)).as_tuple(),
+            n_samples=int(xs.size),
+            restarts_used=0,
+            n_rejected=n_rejected,
+        )
+    scales = _moment_scales(mean, variance, int(xs.size), moments_used)
+    target = np.array([mean, variance, mu3])[:moments_used]
+    sqrt_prior = np.sqrt(PRIOR_WEIGHT)
+
+    def residuals(theta):
+        pred = np.array(model.moments(theta).as_tuple())[:moments_used]
+        return np.concatenate([(pred - target) / scales, sqrt_prior * (theta - 0.5)])
+
+    starts = [np.full(k, 0.5)]
+    for _ in range(restarts - 1):
+        starts.append(gen.uniform(0.15, 0.85, size=k))
+    best = None
+    for x0 in starts:
+        sol = least_squares(
+            residuals,
+            x0,
+            bounds=(_THETA_EPS, 1.0 - _THETA_EPS),
+            xtol=1e-12,
+            ftol=1e-12,
+            gtol=1e-12,
+            max_nfev=400,
+        )
+        if best is None or sol.cost < best.cost:
+            best = sol
+    theta_hat = np.clip(best.x, 0.0, 1.0)
+    return MomentFitResult(
+        theta=theta_hat,
+        cost=float(best.cost),
+        observed_moments=(mean, variance, mu3),
+        predicted_moments=model.moments(theta_hat).as_tuple(),
+        n_samples=int(xs.size),
+        restarts_used=len(starts),
+        n_rejected=n_rejected,
+    )
+
+
 def assert_same_family(family, oracle):
     assert np.array_equal(family.then_counts, oracle.then_counts())
     assert np.array_equal(family.else_counts, oracle.else_counts())
@@ -557,3 +628,46 @@ class OracleTimingModel:
 
     def moments(self, theta) -> RewardMoments:
         return oracle_reward_moments(self.chain(theta))
+
+    def jacobian(self, theta) -> np.ndarray:
+        """The 3 × k Jacobian of the central moments, one ``∂N = N·∂Q·N`` per θ."""
+        chain = self.chain(theta)
+        fundamental = chain.fundamental_matrix()
+        q_matrix = chain.Q
+        r1 = chain.rewards
+        r2 = chain.reward_variances + r1**2
+        r3 = chain.reward_third_centrals + 3.0 * r1 * chain.reward_variances + r1**3
+        m1 = fundamental @ r1
+        b2 = r2 + 2.0 * r1 * (q_matrix @ m1)
+        m2 = fundamental @ b2
+        b3 = r3 + 3.0 * r2 * (q_matrix @ m1) + 3.0 * r1 * (q_matrix @ m2)
+        m3 = fundamental @ b3
+        i = chain.start_index
+        n = len(self.states)
+        jac = np.zeros((3, self.n_parameters))
+        for p in range(self.n_parameters):
+            d_q = np.zeros((n, n))
+            for src, row in enumerate(self._rows):
+                for entry in row:
+                    if entry[0] == "theta" and entry[2] == p:
+                        d_q[src, entry[1]] += 1.0 if entry[3] == "then" else -1.0
+            d_n = fundamental @ d_q @ fundamental
+            d_m1 = d_n @ r1
+            d_qm1 = d_q @ m1 + q_matrix @ d_m1
+            d_m2 = d_n @ b2 + fundamental @ (2.0 * r1 * d_qm1)
+            d_qm2 = d_q @ m2 + q_matrix @ d_m2
+            d_m3 = d_n @ b3 + fundamental @ (3.0 * r2 * d_qm1 + 3.0 * r1 * d_qm2)
+            mean, raw2 = m1[i], m2[i]
+            jac[0, p] = d_m1[i]
+            jac[1, p] = d_m2[i] - 2.0 * mean * d_m1[i]
+            jac[2, p] = (
+                d_m3[i]
+                - 3.0 * (d_m1[i] * raw2 + mean * d_m2[i])
+                + 6.0 * mean**2 * d_m1[i]
+            )
+        return jac
+
+    def moments_and_jacobians(self, thetas):
+        """:meth:`moments` and :meth:`jacobian` of every row of ``thetas``."""
+        moments = np.array([self.moments(theta).as_tuple() for theta in thetas])
+        return moments, np.array([self.jacobian(theta) for theta in thetas])

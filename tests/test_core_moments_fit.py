@@ -140,3 +140,10 @@ class TestFitInterface:
         # Absurd observations cannot push theta out of [0, 1].
         result = fit_moments(model, [1e6] * 10)
         assert 0.0 <= result.theta[0] <= 1.0
+
+    def test_a_model_that_cannot_absorb_fails_as_an_estimation_error(self):
+        from tests.test_timing_model_oracle import trap_procedure
+
+        model = make_model(trap_procedure())
+        with pytest.raises(EstimationError, match="cannot reach absorption"):
+            fit_moments(model, [40.0, 48.0, 40.0])

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.errors import PlacementError
+from repro.experiments.common import ExperimentConfig, profiled_run, tomography_thetas
 from repro.lang import compile_source
-from repro.mote import MICAZ_LIKE, AlwaysNotTakenPredictor, SensorSuite, UniformSensor
+from repro.mote import (
+    MICAZ_LIKE,
+    AlwaysNotTakenPredictor,
+    BTFNPredictor,
+    SensorSuite,
+    UniformSensor,
+)
 from repro.placement import (
     Layout,
     build_chains,
@@ -15,11 +22,13 @@ from repro.placement import (
     evaluate_program_layout,
     optimize_layout,
     optimize_program_layout,
+    optimize_refined_program_layout,
     source_order_layout,
 )
-from repro.placement.chains import order_from_chains
+from repro.placement.chains import WEIGHT_GRID, order_from_chains
 from repro.placement.optimizer import edge_frequencies
 from repro.sim import run_program
+from repro.workloads.registry import all_workloads
 
 SKEWED_SRC = """
 proc main() {
@@ -90,6 +99,56 @@ class TestBuildChains:
         a = build_chains(skewed_cfg, dict(freqs))
         b = build_chains(skewed_cfg, dict(freqs))
         assert a == b
+
+    def test_weights_within_the_grid_tie_on_source_order(self, skewed_cfg):
+        branch = skewed_cfg.branch_blocks()[0]
+        term = branch.terminator
+        then_edge = (branch.label, term.then_target)
+        else_edge = (branch.label, term.else_target)
+        # The else arm's edge is heavier, but only below the grid: the
+        # then arm comes first in source order and takes the fall-through.
+        weights = {then_edge: 0.5, else_edge: 0.5 + WEIGHT_GRID / 10}
+        chains = build_chains(skewed_cfg, weights)
+        assert Layout(skewed_cfg, order_from_chains(chains)).is_fallthrough(*then_edge)
+        weights[else_edge] = 0.5 + 2 * WEIGHT_GRID
+        chains = build_chains(skewed_cfg, weights)
+        assert Layout(skewed_cfg, order_from_chains(chains)).is_fallthrough(*else_edge)
+
+
+@pytest.fixture(scope="module")
+def f4_profiles():
+    """F4's profiled runs: ``(workload, program, platform, thetas)`` per predictor.
+
+    ``thetas`` holds F4's tomography estimate and the ground truth, at the
+    golden configuration.
+    """
+    cases = []
+    for predictor in (BTFNPredictor(), AlwaysNotTakenPredictor()):
+        config = ExperimentConfig(platform=MICAZ_LIKE.with_predictor(predictor))
+        for spec in all_workloads():
+            run = profiled_run(spec, config)
+            thetas = {"tomography": tomography_thetas(run, config), "truth": run.truth}
+            cases.append((spec.name, run.program, config.platform, thetas))
+    return cases
+
+
+@pytest.mark.parametrize("source", ["tomography", "truth"])
+def test_placement_ignores_last_bit_noise_in_theta(f4_profiles, source):
+    # A solver or summation-order change moves an estimate in its last bits;
+    # without rounding, tinydb-agg's, surge's and event-detect's layouts
+    # flipped under such noise.
+    rng = np.random.default_rng(2015)
+    for name, program, platform, thetas in f4_profiles:
+        theta = thetas[source]
+        chains = optimize_program_layout(program, theta)
+        refined = optimize_refined_program_layout(program, theta, platform)
+        for _ in range(8):
+            nudged = {
+                proc: np.clip(vec + rng.choice((-1e-12, 1e-12), size=len(vec)), 0.0, 1.0)
+                for proc, vec in theta.items()
+            }
+            assert optimize_program_layout(program, nudged) == chains, name
+            assert optimize_refined_program_layout(program, nudged, platform) == refined, name
 
 
 class TestOptimizeProgram:
