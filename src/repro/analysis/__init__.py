@@ -1,25 +1,16 @@
-"""Result analysis: error metrics and aggregation helpers."""
+"""Result analysis: error metrics between estimated and true branch
+probabilities, per vector and pooled over a program's procedures."""
 
 from repro.analysis.metrics import (
-    coverage_fraction,
-    kl_bernoulli,
     max_abs_error,
     mean_abs_error,
     program_estimation_error,
     rms_error,
 )
-from repro.analysis.aggregate import summarize_errors, ErrorSummary
-from repro.analysis.convergence import PowerLawFit, fit_power_law
 
 __all__ = [
     "mean_abs_error",
     "max_abs_error",
     "rms_error",
-    "kl_bernoulli",
-    "coverage_fraction",
     "program_estimation_error",
-    "summarize_errors",
-    "ErrorSummary",
-    "PowerLawFit",
-    "fit_power_law",
 ]

@@ -16,12 +16,8 @@ __all__ = [
     "mean_abs_error",
     "max_abs_error",
     "rms_error",
-    "kl_bernoulli",
-    "coverage_fraction",
     "program_estimation_error",
 ]
-
-_EPS = 1e-9
 
 
 def _pair(estimate: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -54,35 +50,6 @@ def rms_error(estimate: Sequence[float], truth: Sequence[float]) -> float:
     if e.size == 0:
         return 0.0
     return float(np.sqrt(np.mean((e - t) ** 2)))
-
-
-def kl_bernoulli(estimate: Sequence[float], truth: Sequence[float]) -> float:
-    """Mean KL(truth || estimate) over per-branch Bernoulli distributions.
-
-    Probabilities are clipped away from {0, 1} so degenerate branches do not
-    produce infinities; 0.0 for empty vectors.
-    """
-    e, t = _pair(estimate, truth)
-    if e.size == 0:
-        return 0.0
-    e = np.clip(e, _EPS, 1.0 - _EPS)
-    t = np.clip(t, _EPS, 1.0 - _EPS)
-    kl = t * np.log(t / e) + (1.0 - t) * np.log((1.0 - t) / (1.0 - e))
-    return float(np.mean(kl))
-
-
-def coverage_fraction(
-    lower: Sequence[float], upper: Sequence[float], truth: Sequence[float]
-) -> float:
-    """Fraction of true values inside their [lower, upper] intervals."""
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    t = np.asarray(truth, dtype=float)
-    if not lo.shape == hi.shape == t.shape:
-        raise ValueError("lower/upper/truth must share a shape")
-    if t.size == 0:
-        return 1.0
-    return float(np.mean((lo <= t) & (t <= hi)))
 
 
 def program_estimation_error(

@@ -26,13 +26,19 @@ from repro.util.rng import RngSource, as_rng
 
 __all__ = ["DriftTrack", "estimate_epochs", "detect_drift"]
 
+#: A trailing partial epoch is estimated only when it holds at least this
+#: fraction of ``epoch_size`` samples.
+MIN_EPOCH_FRACTION = 0.5
+#: Moment-fit restarts per epoch.
+EPOCH_RESTARTS = 4
+
 
 @dataclass(frozen=True)
 class DriftTrack:
     """Per-epoch estimates of one procedure's branch probabilities.
 
     ``n_dropped`` counts samples that belong to no estimated epoch: a
-    trailing window shorter than ``min_epoch_fraction * epoch_size`` is not
+    trailing window shorter than ``MIN_EPOCH_FRACTION * epoch_size`` is not
     estimated (too little data for a stable fit), and its samples are
     surfaced here instead of vanishing silently — so
     ``sum(n_samples) + n_dropped`` always equals the input length.
@@ -49,12 +55,6 @@ class DriftTrack:
         """Number of estimated epochs."""
         return self.thetas.shape[0]
 
-    def parameter_series(self, k: int) -> np.ndarray:
-        """The trajectory of one branch probability across epochs."""
-        if not 0 <= k < self.thetas.shape[1]:
-            raise EstimationError(f"parameter index {k} out of range")
-        return self.thetas[:, k]
-
     def total_variation(self) -> np.ndarray:
         """Sum of |epoch-to-epoch deltas| per parameter — a drift magnitude."""
         if self.n_epochs < 2:
@@ -67,15 +67,13 @@ def estimate_epochs(
     durations: Sequence[float],
     epoch_size: int,
     timer: Optional[TimestampTimer] = None,
-    min_epoch_fraction: float = 0.5,
-    restarts: int = 4,
     rng: RngSource = None,
 ) -> DriftTrack:
     """Estimate branch probabilities per consecutive window of measurements.
 
     ``durations`` must be in collection order (the profiler preserves it).
     A trailing partial window is kept only if it holds at least
-    ``min_epoch_fraction * epoch_size`` samples; dropped samples are
+    ``MIN_EPOCH_FRACTION * epoch_size`` samples; dropped samples are
     reported on the returned track's ``n_dropped`` (they are in no epoch),
     so epoch coverage is always accountable.
     """
@@ -89,7 +87,7 @@ def estimate_epochs(
     slices: list[np.ndarray] = []
     for start in range(0, xs.size, epoch_size):
         window = xs[start : start + epoch_size]
-        if window.size >= max(2, int(min_epoch_fraction * epoch_size)):
+        if window.size >= max(2, int(MIN_EPOCH_FRACTION * epoch_size)):
             slices.append(window)
     if not slices:
         raise EstimationError("no epoch holds enough samples; reduce epoch_size")
@@ -97,7 +95,7 @@ def estimate_epochs(
     thetas = np.empty((len(slices), model.n_parameters))
     counts = []
     for i, window in enumerate(slices):
-        fit = fit_moments(model, window, timer=timer, restarts=restarts, rng=gen)
+        fit = fit_moments(model, window, timer=timer, restarts=EPOCH_RESTARTS, rng=gen)
         thetas[i] = fit.theta
         counts.append(int(window.size))
     return DriftTrack(

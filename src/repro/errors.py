@@ -23,7 +23,6 @@ __all__ = [
     "SimulationError",
     "ProfilingError",
     "EstimationError",
-    "IdentifiabilityError",
     "PlacementError",
     "PgoError",
     "WorkloadError",
@@ -99,10 +98,6 @@ class ProfilingError(ReproError):
 
 class EstimationError(ReproError):
     """Errors from the Code Tomography estimators (:mod:`repro.core`)."""
-
-
-class IdentifiabilityError(EstimationError):
-    """The requested estimation problem is structurally under-determined."""
 
 
 class PlacementError(ReproError):

@@ -47,7 +47,7 @@ from repro.lang import compile_source
 from repro.markov.builders import BranchParameterization
 from repro.mote.platform import Platform
 from repro.mote.sensors import IIDSensor, SensorSuite
-from repro.pgo import PGOController, SegmentMetrics
+from repro.pgo import PGOController, SegmentMetrics, measure_segment
 from repro.placement.layout import ProgramLayout
 from repro.placement.refine import optimize_refined_program_layout
 from repro.sim.interpreter import Interpreter
@@ -191,40 +191,8 @@ def _run_arm(
                 interp.hot_swap_layout(layout)
                 swaps += 1
         edges_before = Counter(interp.counters.edge_counts)
-        c = interp.counters
-        before = (
-            c.branches_executed,
-            c.taken_total,
-            c.mispredict_total,
-            interp.cycle,
-            c.sense_reads,
-            interp.radio.transmissions,
-        )
-        for _ in range(activations):
-            interp.run_activation()
-        interp.report_counters()
+        metrics.append(measure_segment(interp, i, activations))
         interp.records.clear()
-        d_cycles = interp.cycle - before[3]
-        d_senses = c.sense_reads - before[4]
-        d_txs = interp.radio.transmissions - before[5]
-        metrics.append(
-            SegmentMetrics(
-                segment=i,
-                activations=activations,
-                branches=c.branches_executed - before[0],
-                taken=c.taken_total - before[1],
-                mispredicts=c.mispredict_total - before[2],
-                cycles=d_cycles,
-                sense_reads=d_senses,
-                transmissions=d_txs,
-                energy_mj=platform.energy.total_mj(
-                    cycles=d_cycles, conversions=d_senses, packets=d_txs
-                ),
-                compute_mj=platform.energy.total_mj(
-                    cycles=d_cycles, conversions=d_senses, packets=0
-                ),
-            )
-        )
         truths.append(_segment_truth(program, interp.counters.edge_counts, edges_before))
     return metrics, truths, swaps
 

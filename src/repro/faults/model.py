@@ -27,11 +27,14 @@ import numpy as np
 from repro.errors import FaultError
 from repro.util.rng import derive_seed_sequence
 
-__all__ = ["FaultModel", "FaultInjector", "FAULT_FREE"]
+__all__ = ["FaultModel", "FaultInjector", "FAULT_FREE", "GLITCH_CYCLES"]
 
 _ADC_MAX = 1023  # mirrors repro.mote.sensors.ADC_MAX without the import cycle
 
 _RATE_FIELDS = ("radio_loss", "radio_corrupt", "sensor_dropout", "timer_glitch", "reboot")
+
+#: Mean magnitude (exponential) of one timer glitch, in cycles.
+GLITCH_CYCLES = 100_000.0
 
 
 @dataclass(frozen=True)
@@ -51,13 +54,11 @@ class FaultModel:
         or full scale) instead of the physical reading.
     timer_glitch:
         Probability one timestamped duration is inflated by an interrupt
-        storm / clock glitch of mean :attr:`glitch_cycles` cycles.
+        storm / clock glitch of mean :data:`GLITCH_CYCLES` cycles.
     reboot:
         Probability one top-level activation is interrupted by a node
         reboot: RAM state resets and the activation's invocation records
         are truncated mid-flight (their exit timestamps never upload).
-    glitch_cycles:
-        Mean magnitude (exponential) of one timer glitch, in cycles.
     """
 
     radio_loss: float = 0.0
@@ -65,7 +66,6 @@ class FaultModel:
     sensor_dropout: float = 0.0
     timer_glitch: float = 0.0
     reboot: float = 0.0
-    glitch_cycles: float = 100_000.0
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -77,8 +77,6 @@ class FaultModel:
                 "radio_loss + radio_corrupt must not exceed 1, got "
                 f"{self.radio_loss} + {self.radio_corrupt}"
             )
-        if self.glitch_cycles <= 0:
-            raise FaultError(f"glitch_cycles must be positive, got {self.glitch_cycles}")
 
     @property
     def enabled(self) -> bool:
@@ -220,4 +218,4 @@ class FaultInjector:
 
     def glitch_cycles(self) -> float:
         """Extra cycles one glitched measurement picks up (exponential)."""
-        return float(self._timing.exponential(self.model.glitch_cycles))
+        return float(self._timing.exponential(GLITCH_CYCLES))

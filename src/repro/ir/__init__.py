@@ -21,7 +21,6 @@ from repro.ir.instructions import (
     binop,
     call,
     const,
-    halt_op,
     led,
     load,
     mov,
@@ -39,14 +38,6 @@ from repro.ir.builder import CFGBuilder
 from repro.ir.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.ir.validate import validate_cfg, validate_program
 from repro.ir.dot import cfg_to_dot
-from repro.ir.passes import (
-    fold_constants,
-    remove_unreachable_blocks,
-    simplify_branches,
-    simplify_procedure,
-    simplify_program,
-    thread_jumps,
-)
 
 __all__ = [
     "Opcode",
@@ -60,7 +51,6 @@ __all__ = [
     "binop",
     "call",
     "const",
-    "halt_op",
     "led",
     "load",
     "mov",
@@ -80,10 +70,4 @@ __all__ = [
     "validate_cfg",
     "validate_program",
     "cfg_to_dot",
-    "fold_constants",
-    "simplify_branches",
-    "thread_jumps",
-    "remove_unreachable_blocks",
-    "simplify_procedure",
-    "simplify_program",
 ]

@@ -62,19 +62,6 @@ class CFG:
         """Create, register and return an empty block."""
         return self.add_block(BasicBlock(label))
 
-    def remove_block(self, label: str) -> BasicBlock:
-        """Remove and return a block; refuses to remove the entry.
-
-        The caller is responsible for having rerouted all edges into the
-        block first (``validate_cfg`` catches dangling targets afterwards).
-        """
-        if label == self.entry:
-            raise IRError("cannot remove the entry block")
-        try:
-            return self._blocks.pop(label)
-        except KeyError:
-            raise IRError(f"no block labelled {label!r}") from None
-
     # -- access -----------------------------------------------------------
 
     def block(self, label: str) -> BasicBlock:
@@ -97,11 +84,6 @@ class CFG:
     def labels(self) -> list[str]:
         """Block labels in source order."""
         return list(self._blocks.keys())
-
-    @property
-    def entry_block(self) -> BasicBlock:
-        """The entry block."""
-        return self.block(self.entry)
 
     # -- derived structure --------------------------------------------------
 

@@ -90,16 +90,6 @@ class UnaryOp(enum.Enum):
     NOT = "not"
 
 
-_COMPARISONS = {
-    BinaryOp.LT,
-    BinaryOp.LE,
-    BinaryOp.GT,
-    BinaryOp.GE,
-    BinaryOp.EQ,
-    BinaryOp.NE,
-}
-
-
 @dataclass(frozen=True)
 class Instruction:
     """One straight-line IR instruction.
@@ -114,14 +104,6 @@ class Instruction:
     srcs: tuple[str, ...] = ()
     imm: Union[int, str, BinaryOp, UnaryOp, None] = None
     args: tuple[str, ...] = ()
-
-    def defined_register(self) -> Optional[str]:
-        """The register this instruction writes, if any."""
-        return self.dst
-
-    def used_registers(self) -> tuple[str, ...]:
-        """Registers this instruction reads."""
-        return self.srcs + self.args
 
     def is_call(self) -> bool:
         """True for procedure calls (they nest another CFG's execution)."""
@@ -265,13 +247,3 @@ def call(proc: str, dst: Optional[str] = None, args: Sequence[str] = ()) -> Inst
 def nop() -> Instruction:
     """One idle cycle."""
     return Instruction(Opcode.NOP)
-
-
-def halt_op() -> Instruction:
-    """Stop the mote; only meaningful in a program's top-level driver."""
-    return Instruction(Opcode.HALT)
-
-
-def is_comparison(op: BinaryOp) -> bool:
-    """True for operators producing 0/1 flags."""
-    return op in _COMPARISONS

@@ -12,12 +12,8 @@ probabilities) and the inverse problem (Code Tomography) are built on.
 from repro.markov.chain import AbsorbingChain
 from repro.markov.moments import reward_moments, RewardMoments
 from repro.markov.visits import expected_visits, expected_edge_traversals
-from repro.markov.sampling import sample_path, sample_reward, sample_rewards
-from repro.markov.builders import (
-    BranchParameterization,
-    chain_from_cfg,
-    uniform_branch_probabilities,
-)
+from repro.markov.sampling import sample_rewards
+from repro.markov.builders import BranchParameterization
 
 __all__ = [
     "AbsorbingChain",
@@ -25,10 +21,6 @@ __all__ = [
     "reward_moments",
     "expected_visits",
     "expected_edge_traversals",
-    "sample_path",
-    "sample_reward",
     "sample_rewards",
     "BranchParameterization",
-    "chain_from_cfg",
-    "uniform_branch_probabilities",
 ]

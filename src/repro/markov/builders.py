@@ -20,11 +20,7 @@ from repro.ir.cfg import CFG
 from repro.ir.instructions import Branch, Jump, Return
 from repro.markov.chain import AbsorbingChain
 
-__all__ = [
-    "BranchParameterization",
-    "chain_from_cfg",
-    "uniform_branch_probabilities",
-]
+__all__ = ["BranchParameterization"]
 
 
 class BranchParameterization:
@@ -51,13 +47,6 @@ class BranchParameterization:
     def n_parameters(self) -> int:
         """Number of free branch probabilities."""
         return len(self.branch_labels)
-
-    def branch_index(self, label: str) -> int:
-        """Parameter index of the branch ending block ``label``."""
-        try:
-            return self._branch_index[label]
-        except KeyError:
-            raise MarkovError(f"{label!r} is not a reachable branch block") from None
 
     def validate_theta(self, theta: Sequence[float]) -> np.ndarray:
         """Coerce and bounds-check a parameter vector."""
@@ -105,32 +94,3 @@ class BranchParameterization:
             result[(label, "then")] = float(vec[k])
             result[(label, "else")] = float(1.0 - vec[k])
         return result
-
-    def theta_from_edge_probabilities(
-        self, probs: Mapping[tuple[str, str], float]
-    ) -> np.ndarray:
-        """Inverse of :meth:`edge_probabilities` (reads only the then-arms)."""
-        theta = np.empty(self.n_parameters)
-        for k, label in enumerate(self.branch_labels):
-            key = (label, "then")
-            if key in probs:
-                theta[k] = probs[key]
-            elif (label, "else") in probs:
-                theta[k] = 1.0 - probs[(label, "else")]
-            else:
-                raise MarkovError(f"no probability given for branch {label!r}")
-        return self.validate_theta(theta)
-
-
-def chain_from_cfg(
-    cfg: CFG,
-    theta: Sequence[float],
-    rewards: Mapping[str, float],
-) -> AbsorbingChain:
-    """One-shot convenience: parameterize ``cfg`` and instantiate its chain."""
-    return BranchParameterization(cfg).chain(theta, rewards)
-
-
-def uniform_branch_probabilities(cfg: CFG) -> np.ndarray:
-    """The no-knowledge prior: every branch 50/50 (compilers' default guess)."""
-    return np.full(len(BranchParameterization(cfg).branch_labels), 0.5)

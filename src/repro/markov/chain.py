@@ -310,10 +310,6 @@ class AbsorbingChain:
         """E[visit count of each state], starting from the start state."""
         return self.fundamental_matrix()[self.start_index]
 
-    def expected_reward(self) -> float:
-        """E[total reward until absorption] from the start state."""
-        return float(self.expected_visits_from_start() @ self.rewards)
-
     @property
     def has_random_rewards(self) -> bool:
         """True when any per-visit reward has a nonzero variance or skew."""

@@ -29,13 +29,6 @@ class RewardMoments:
         """Standard deviation."""
         return self.variance**0.5
 
-    @property
-    def skewness(self) -> float:
-        """Standardized skewness (0 when the variance is degenerate)."""
-        if self.variance <= 0:
-            return 0.0
-        return self.third_central / self.variance**1.5
-
     def as_tuple(self) -> tuple[float, float, float]:
         """``(mean, variance, third_central)`` — the fitting target vector."""
         return (self.mean, self.variance, self.third_central)

@@ -1,7 +1,6 @@
-"""Monte-Carlo sampling of absorbing-chain paths and rewards.
+"""Monte-Carlo sampling of absorbing-chain rewards.
 
-Used three ways: as an independent check on the analytic moments, as the
-proposal distribution inside the Monte-Carlo EM estimator, and to generate
+Used as an independent check on the analytic moments and to generate
 synthetic timing datasets when a full mote simulation is unnecessary.
 """
 
@@ -15,7 +14,7 @@ from repro.errors import MarkovError
 from repro.markov.chain import AbsorbingChain
 from repro.util.rng import RngSource, as_rng
 
-__all__ = ["sample_path", "sample_reward", "sample_rewards"]
+__all__ = ["sample_rewards"]
 
 _DEFAULT_MAX_STEPS = 1_000_000
 
@@ -24,53 +23,14 @@ def _transition_rows(chain: AbsorbingChain) -> np.ndarray:
     """Transition rows with EXIT as the final column, renormalized to pmfs.
 
     Chain construction tolerates row sums within ``1 ± 1e-8``, but
-    ``Generator.choice`` rejects anything past its own (tighter in practice)
-    tolerance — and cumulative binning needs exact unit mass anyway.  Both
-    samplers draw from these rows, so the rounding is scrubbed once here.
+    cumulative binning needs exact unit mass, so the rounding is scrubbed
+    once here.
     """
     matrix = np.hstack([chain.Q, chain.exit_probabilities[:, None]])
     row_sums = matrix.sum(axis=1, keepdims=True)
     if np.any(row_sums <= 0.0):
         raise MarkovError("transition matrix has a zero-mass row")
     return matrix / row_sums
-
-
-def sample_path(
-    chain: AbsorbingChain,
-    rng: RngSource = None,
-    max_steps: int = _DEFAULT_MAX_STEPS,
-) -> list[str]:
-    """Sample one state path from start to absorption (EXIT excluded).
-
-    ``max_steps`` bounds pathological runs; exceeding it raises, since a
-    well-formed procedure chain absorbs almost surely long before.
-    """
-    gen = as_rng(rng)
-    matrix = _transition_rows(chain)
-    n = chain.n
-    path: list[str] = []
-    state = chain.start_index
-    for _ in range(max_steps):
-        path.append(chain.states[state])
-        nxt = int(gen.choice(n + 1, p=matrix[state]))
-        if nxt == n:
-            return path
-        state = nxt
-    raise MarkovError(f"path did not absorb within {max_steps} steps")
-
-
-def sample_reward(
-    chain: AbsorbingChain,
-    rng: RngSource = None,
-    max_steps: int = _DEFAULT_MAX_STEPS,
-) -> float:
-    """Sample the total reward of one invocation (deterministic rewards only)."""
-    if chain.has_random_rewards:
-        raise MarkovError("sampling requires deterministic per-state rewards")
-    gen = as_rng(rng)
-    path = sample_path(chain, gen, max_steps)
-    index = {s: i for i, s in enumerate(chain.states)}
-    return float(sum(chain.rewards[index[s]] for s in path))
 
 
 def sample_rewards(
@@ -82,8 +42,9 @@ def sample_rewards(
     """Sample ``count`` invocation rewards (vectorized over invocations).
 
     Walks all pending invocations in lock-step, drawing one transition per
-    live walker per iteration; orders of magnitude faster than calling
-    :func:`sample_reward` in a Python loop for large ``count``.
+    live walker per iteration.  ``max_steps`` bounds pathological runs;
+    exceeding it raises, since a well-formed procedure chain absorbs almost
+    surely long before.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

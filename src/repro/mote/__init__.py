@@ -18,10 +18,8 @@ models exactly the properties the technique depends on:
 
 from repro.mote.predictor import (
     AlwaysNotTakenPredictor,
-    AlwaysTakenPredictor,
     BTFNPredictor,
     StaticPredictor,
-    predictor_by_name,
 )
 from repro.mote.cpu import CpuModel
 from repro.mote.timer import TimestampTimer
@@ -44,9 +42,7 @@ from repro.mote.platform import MICAZ_LIKE, TELOSB_LIKE, Platform
 __all__ = [
     "StaticPredictor",
     "AlwaysNotTakenPredictor",
-    "AlwaysTakenPredictor",
     "BTFNPredictor",
-    "predictor_by_name",
     "CpuModel",
     "TimestampTimer",
     "EnergyModel",

@@ -69,10 +69,3 @@ class MemoryMap:
         data += sum(self.word_bytes * size for size in program.arrays.values())
         data += sum(self.procedure_ram(p) for p in program)
         return data
-
-    def fits(self, program: Program) -> bool:
-        """True when the program fits the device budgets."""
-        return (
-            self.program_rom(program) <= self.flash_bytes
-            and self.program_ram(program) <= self.ram_bytes
-        )

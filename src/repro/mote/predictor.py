@@ -19,9 +19,7 @@ import abc
 __all__ = [
     "StaticPredictor",
     "AlwaysNotTakenPredictor",
-    "AlwaysTakenPredictor",
     "BTFNPredictor",
-    "predictor_by_name",
 ]
 
 
@@ -51,15 +49,6 @@ class AlwaysNotTakenPredictor(StaticPredictor):
         return False
 
 
-class AlwaysTakenPredictor(StaticPredictor):
-    """Predict taken everywhere (included as a stress baseline)."""
-
-    name = "taken"
-
-    def predicts_taken(self, *, backward_target: bool) -> bool:
-        return True
-
-
 class BTFNPredictor(StaticPredictor):
     """Backward-taken / forward-not-taken.
 
@@ -71,19 +60,3 @@ class BTFNPredictor(StaticPredictor):
 
     def predicts_taken(self, *, backward_target: bool) -> bool:
         return backward_target
-
-
-_PREDICTORS: dict[str, type[StaticPredictor]] = {
-    AlwaysNotTakenPredictor.name: AlwaysNotTakenPredictor,
-    AlwaysTakenPredictor.name: AlwaysTakenPredictor,
-    BTFNPredictor.name: BTFNPredictor,
-}
-
-
-def predictor_by_name(name: str) -> StaticPredictor:
-    """Instantiate a predictor from its short name (raises on unknown)."""
-    try:
-        return _PREDICTORS[name]()
-    except KeyError:
-        known = ", ".join(sorted(_PREDICTORS))
-        raise ValueError(f"unknown predictor {name!r}; known: {known}") from None

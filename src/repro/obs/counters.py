@@ -15,10 +15,11 @@ Design follows the :mod:`repro.obs` house rules:
   :data:`_ACTIVE` slot (via :func:`active`) and return immediately when no
   registry is installed: no allocation, no locking, no RNG draws, no
   effect on any rendered table.  The enabled path is plain dict arithmetic.
-* **Mergeable, diffable snapshots.**  :meth:`HardwareCounters.snapshot`
-  produces a plain-JSON dict; :func:`merge_snapshots` is associative and
-  commutative (integer sums), and ``diff_snapshots(a, merge_snapshots(a,
-  b)) == b`` — the algebra the engine's deterministic merge leans on.
+* **Mergeable snapshots.**  :meth:`HardwareCounters.snapshot` produces a
+  plain-JSON dict, and :meth:`HardwareCounters.merge_snapshot` adds one
+  into a registry (integer sums, so the order of merges cannot change an
+  integer counter) — what the engine's deterministic merge leans on.
+  :func:`snapshot_deltas` compares the snapshots of two runs.
 * **Per-procedure attribution.**  Each procedure's row holds its
   *exclusive* (self) counts, so the per-procedure table answers "where did
   the cycles go" the same way a sampling profiler would.
@@ -54,9 +55,6 @@ __all__ = [
     "HardwareCounters",
     "active",
     "counters_active",
-    "empty_snapshot",
-    "merge_snapshots",
-    "diff_snapshots",
     "snapshot_deltas",
     "counter_group",
     "total_cycles",
@@ -73,10 +71,10 @@ __all__ = [
 SNAPSHOT_SCHEMA = "repro.hwcounters/1"
 
 #: Relative tolerance applied to float-valued counters (``radio.energy_uj``,
-#: ``timer.quantization_error_cycles``) in the snapshot algebra.  Float
-#: addition is not associative, so merging the same events in a different
-#: grouping (different ``--jobs``) can leave the accumulated energy a few
-#: ULPs apart.  Integer counters stay exact.
+#: ``timer.quantization_error_cycles``) when two snapshots are compared.
+#: Float addition is not associative, so merging the same events in a
+#: different grouping (different ``--jobs``) can leave the accumulated
+#: energy a few ULPs apart.  Integer counters stay exact.
 FLOAT_COUNTER_RTOL = 1e-9
 
 Number = Union[int, float]
@@ -162,7 +160,7 @@ class HardwareCounters:
 
 
 # --------------------------------------------------------------------------
-# Snapshot algebra (pure functions over plain dicts)
+# Comparing snapshots (pure functions over plain dicts)
 # --------------------------------------------------------------------------
 
 
@@ -173,76 +171,6 @@ def _check_schema(snap: Mapping) -> None:
             f"hardware-counter snapshot schema mismatch: "
             f"expected {SNAPSHOT_SCHEMA!r}, got {schema!r}"
         )
-
-
-def empty_snapshot() -> dict:
-    """The identity element of :func:`merge_snapshots`."""
-    return {"schema": SNAPSHOT_SCHEMA, "totals": {}, "per_proc": {}}
-
-
-def _add_maps(a: Mapping[str, Number], b: Mapping[str, Number]) -> dict[str, Number]:
-    out = dict(a)
-    for key, value in b.items():
-        out[key] = out.get(key, 0) + value
-    return out
-
-
-def merge_snapshots(a: Mapping, b: Mapping) -> dict:
-    """Counter-wise sum of two snapshots (associative and commutative)."""
-    _check_schema(a)
-    _check_schema(b)
-    per_proc = {name: dict(row) for name, row in a.get("per_proc", {}).items()}
-    for name, row in b.get("per_proc", {}).items():
-        per_proc[name] = _add_maps(per_proc.get(name, {}), row)
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "totals": _add_maps(a.get("totals", {}), b.get("totals", {})),
-        "per_proc": per_proc,
-    }
-
-
-def diff_snapshots(before: Mapping, after: Mapping) -> dict:
-    """``after - before``: what happened between two snapshots of one run.
-
-    Zero-valued entries are dropped, so a diff against a fresh registry is
-    canonical: ``diff_snapshots(a, merge_snapshots(a, b)) == b`` for any
-    zero-free ``b``.  Counters only go up, so a negative delta means the
-    snapshots came from different registries — a loud :class:`ObsError` —
-    **except** for float-valued counters, where a delta within
-    :data:`FLOAT_COUNTER_RTOL` of zero (either sign) is merge-order
-    rounding noise and is treated as exactly zero rather than either
-    raising or surviving as a spurious entry.
-    """
-    _check_schema(before)
-    _check_schema(after)
-
-    def sub(b: Mapping[str, Number], a: Mapping[str, Number], where: str) -> dict:
-        out = {}
-        for key in a.keys() | b.keys():
-            delta = a.get(key, 0) - b.get(key, 0)
-            if _float_noise(delta, b.get(key, 0), a.get(key, 0)):
-                continue
-            if delta < 0:
-                raise ObsError(
-                    f"counter {where}{key!r} went backwards ({a.get(key, 0)} < "
-                    f"{b.get(key, 0)}); snapshots are not from one registry"
-                )
-            if delta:
-                out[key] = delta
-        return out
-
-    per_proc = {}
-    before_procs = before.get("per_proc", {})
-    after_procs = after.get("per_proc", {})
-    for proc in before_procs.keys() | after_procs.keys():
-        row = sub(before_procs.get(proc, {}), after_procs.get(proc, {}), f"{proc}.")
-        if row:
-            per_proc[proc] = row
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "totals": sub(before.get("totals", {}), after.get("totals", {}), ""),
-        "per_proc": per_proc,
-    }
 
 
 def counter_group(name: str) -> str:
@@ -260,9 +188,7 @@ def snapshot_deltas(
 ) -> list[dict]:
     """Signed per-counter movement between two runs, biggest movers first.
 
-    Unlike :func:`diff_snapshots` — the monoid inverse over snapshots of
-    *one* registry, where a negative delta is a contract violation — this
-    compares snapshots of two *different* runs, so deltas carry sign in
+    The snapshots come from two *different* runs, so deltas carry sign in
     both directions.  Float counters (``radio.energy_uj``) get the
     :data:`FLOAT_COUNTER_RTOL` treatment: merge-order rounding noise reads
     as exactly zero instead of ranking as a mover.

@@ -606,10 +606,6 @@ class EstimatorHealthMonitor:
     def alarmed_procedures(self) -> tuple[str, ...]:
         return tuple(sorted(p for p, s in self._drift.items() if s.alarms))
 
-    @property
-    def shards_since_rebuild(self) -> int:
-        return self._shards_since_rebuild
-
     def staleness_s(self, now: Optional[float] = None) -> Optional[float]:
         """Seconds since the last absorbed shard (None before the first)."""
         if self._last_absorb_t is None:

@@ -17,6 +17,7 @@ from repro.pgo.controller import (
     PGOController,
     SegmentMetrics,
     SegmentReport,
+    measure_segment,
 )
 from repro.pgo.registry import EVENT_KINDS, LayoutRegistry, SwapEvent
 
@@ -28,4 +29,5 @@ __all__ = [
     "SegmentMetrics",
     "SegmentReport",
     "SwapEvent",
+    "measure_segment",
 ]

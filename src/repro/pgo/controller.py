@@ -60,6 +60,7 @@ from repro.util.rng import RngSource
 
 __all__ = [
     "SegmentMetrics",
+    "measure_segment",
     "SegmentReport",
     "PGOController",
     "ACTIONS",
@@ -126,6 +127,38 @@ class SegmentMetrics:
     def compute_per_activation(self) -> float:
         """Layout-attributable (CPU + ADC) energy per activation."""
         return self.compute_mj / self.activations if self.activations else 0.0
+
+
+def measure_segment(interp: Interpreter, segment: int, activations: int) -> SegmentMetrics:
+    """Run ``activations`` activations on ``interp`` and meter them.
+
+    The metrics are the differences of the interpreter's counts across the
+    run, priced on its platform; the hardware counters are reported when
+    the run ends.  The controller and F10's open-loop arms both meter their
+    segments here, so every policy is measured the same way.
+    """
+    c = interp.counters
+    branches, taken, mispredicts = c.branches_executed, c.taken_total, c.mispredict_total
+    cycle, senses, txs = interp.cycle, c.sense_reads, interp.radio.transmissions
+    for _ in range(activations):
+        interp.run_activation()
+    interp.report_counters()
+    d_cycles = interp.cycle - cycle
+    d_senses = c.sense_reads - senses
+    d_txs = interp.radio.transmissions - txs
+    energy = interp.platform.energy
+    return SegmentMetrics(
+        segment=segment,
+        activations=activations,
+        branches=c.branches_executed - branches,
+        taken=c.taken_total - taken,
+        mispredicts=c.mispredict_total - mispredicts,
+        cycles=d_cycles,
+        sense_reads=d_senses,
+        transmissions=d_txs,
+        energy_mj=energy.total_mj(cycles=d_cycles, conversions=d_senses, packets=d_txs),
+        compute_mj=energy.total_mj(cycles=d_cycles, conversions=d_senses, packets=0),
+    )
 
 
 @dataclass(frozen=True)
@@ -235,13 +268,9 @@ class PGOController:
         with obs.span(
             "pgo.segment", segment=segment, phase=phase, layout=live_key[:12]
         ) as span:
-            before = self._cost_snapshot(interp)
             interp.records.clear()
             with obs.span("sim.segment", segment=segment, activations=activations):
-                for _ in range(activations):
-                    interp.run_activation()
-                interp.report_counters()
-            metrics = self._segment_metrics(segment, activations, interp, before)
+                metrics = measure_segment(interp, segment, activations)
             shard = TimingProfiler(self.platform, rng=profiler_rng).collect(
                 interp.records
             )
@@ -263,49 +292,6 @@ class PGOController:
         self.reports.append(report)
         self.segment_index += 1
         return report
-
-    @staticmethod
-    def _cost_snapshot(interp: Interpreter) -> tuple[int, int, int, int, int, int]:
-        c = interp.counters
-        return (
-            c.branches_executed,
-            c.taken_total,
-            c.mispredict_total,
-            interp.cycle,
-            c.sense_reads,
-            interp.radio.transmissions,
-        )
-
-    def _segment_metrics(
-        self,
-        segment: int,
-        activations: int,
-        interp: Interpreter,
-        before: tuple[int, int, int, int, int, int],
-    ) -> SegmentMetrics:
-        branches, taken, mispredicts, cycle, senses, txs = before
-        c = interp.counters
-        d_cycles = interp.cycle - cycle
-        d_senses = c.sense_reads - senses
-        d_txs = interp.radio.transmissions - txs
-        energy = self.platform.energy.total_mj(
-            cycles=d_cycles, conversions=d_senses, packets=d_txs
-        )
-        compute = self.platform.energy.total_mj(
-            cycles=d_cycles, conversions=d_senses, packets=0
-        )
-        return SegmentMetrics(
-            segment=segment,
-            activations=activations,
-            branches=c.branches_executed - branches,
-            taken=c.taken_total - taken,
-            mispredicts=c.mispredict_total - mispredicts,
-            cycles=d_cycles,
-            sense_reads=d_senses,
-            transmissions=d_txs,
-            energy_mj=energy,
-            compute_mj=compute,
-        )
 
     # -- the state machine ----------------------------------------------------
 
@@ -440,10 +426,6 @@ class PGOController:
     @property
     def rollbacks(self) -> int:
         return sum(1 for e in self.registry.events if e.kind == "rollback")
-
-    @property
-    def commits(self) -> int:
-        return sum(1 for r in self.reports if r.action == "commit")
 
     def totals(self) -> SegmentMetrics:
         """Cumulative measured cost over every segment run so far."""

@@ -21,7 +21,7 @@ from repro.placement.layout import Layout, ProgramLayout, ResolvedBranch
 from repro.placement.baselines import random_program_layout, source_order_layout
 from repro.placement.chains import build_chains
 from repro.placement.optimizer import optimize_layout, optimize_program_layout
-from repro.placement.mispredict import LayoutMetrics, evaluate_layout, evaluate_program_layout
+from repro.placement.mispredict import LayoutMetrics, evaluate_program_layout
 from repro.placement.refine import (
     control_transfer_cost,
     optimize_refined_layout,
@@ -44,7 +44,6 @@ __all__ = [
     "optimize_refined_layout",
     "optimize_refined_program_layout",
     "LayoutMetrics",
-    "evaluate_layout",
     "evaluate_program_layout",
     "LayoutRom",
     "layout_rom",

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import PlacementError
 from repro.ir.procedure import Procedure
 from repro.ir.program import Program
 from repro.markov.builders import BranchParameterization
@@ -24,7 +23,7 @@ from repro.mote.platform import Platform
 from repro.placement.layout import Layout, ProgramLayout
 from repro.sim.timing import ProgramTimingModel
 
-__all__ = ["LayoutMetrics", "evaluate_layout", "evaluate_program_layout"]
+__all__ = ["LayoutMetrics", "evaluate_program_layout"]
 
 
 @dataclass(frozen=True)
@@ -76,34 +75,6 @@ def _branch_event_expectations(
             if arm_taken != predicted:
                 mispredicts += arm_exec
     return branches, taken, mispredicts
-
-
-def evaluate_layout(
-    procedure: Procedure,
-    layout: Layout,
-    theta: Sequence[float],
-    platform: Platform,
-) -> LayoutMetrics:
-    """Per-invocation metrics of one procedure in isolation (callee-free).
-
-    Raises when the procedure calls others — use
-    :func:`evaluate_program_layout` there, which composes over the call
-    graph.
-    """
-    if procedure.callees():
-        raise PlacementError(
-            f"{procedure.name!r} has calls; evaluate it via evaluate_program_layout"
-        )
-    from repro.sim.timing import ProcedureTimingModel
-
-    branches, taken, mispredicts = _branch_event_expectations(
-        procedure, layout, theta, platform
-    )
-    model = ProcedureTimingModel(procedure, platform, layout)
-    cycles = model.moments(np.asarray(theta, dtype=float)).mean
-    return LayoutMetrics(
-        branches=branches, taken=taken, mispredicts=mispredicts, expected_cycles=cycles
-    )
 
 
 def _activation_weights(

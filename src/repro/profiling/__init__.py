@@ -9,12 +9,17 @@ Three ways to learn a program's dynamic branch behaviour on a mote:
   interrupt records the executing block every N cycles; branch
   probabilities are inferred from cost-normalized block occupancy.
 * :mod:`repro.profiling.timing_profiler` — **Code Tomography's collector**:
-  two timestamps per procedure invocation (entry/exit), folded into O(1)
-  running moment accumulators.  The estimation itself happens off-mote in
-  :mod:`repro.core`.
+  two timestamps per procedure invocation (entry/exit), degraded by the
+  platform timer.  The simulated collector keeps every measured duration;
+  the on-mote cost T2 prices is an O(1) moment accumulator per procedure
+  (:mod:`repro.profiling.overhead`).  The estimation itself happens
+  off-mote in :mod:`repro.core`.
 
 :mod:`repro.profiling.overhead` prices each approach's ROM/RAM/runtime/
-energy cost on a given program and run — evaluation table T2.
+energy cost from a run's counts — evaluation table T2.
+:mod:`repro.profiling.budget` caps a campaign's samples, and
+:mod:`repro.profiling.serialize` stores finished experiment results as
+JSON for the engine's cache.
 """
 
 from repro.profiling.timing_profiler import TimingDataset, TimingProfiler
@@ -22,24 +27,12 @@ from repro.profiling.edge_profiler import EdgeProfile, EdgeProfiler
 from repro.profiling.sampling_profiler import SamplingProfile, SamplingProfiler
 from repro.profiling.overhead import (
     OverheadReport,
-    edge_instrumentation_overhead,
     edge_instrumentation_overhead_from_counts,
-    sampling_overhead,
     sampling_overhead_from_counts,
-    timing_overhead,
     timing_overhead_from_counts,
 )
-from repro.profiling.budget import HookPlan, SampleBudget, apply_plan, plan_hooks
-from repro.profiling.serialize import (
-    dataset_from_json,
-    dataset_to_json,
-    estimation_from_json,
-    estimation_to_json,
-    experiment_result_from_json,
-    experiment_result_to_json,
-    layout_from_json,
-    layout_to_json,
-)
+from repro.profiling.budget import SampleBudget
+from repro.profiling.serialize import experiment_result_from_json, experiment_result_to_json
 
 __all__ = [
     "TimingDataset",
@@ -49,22 +42,10 @@ __all__ = [
     "SamplingProfile",
     "SamplingProfiler",
     "OverheadReport",
-    "edge_instrumentation_overhead",
     "edge_instrumentation_overhead_from_counts",
-    "sampling_overhead",
     "sampling_overhead_from_counts",
-    "timing_overhead",
     "timing_overhead_from_counts",
-    "HookPlan",
     "SampleBudget",
-    "plan_hooks",
-    "apply_plan",
-    "dataset_to_json",
-    "dataset_from_json",
-    "estimation_to_json",
-    "estimation_from_json",
-    "layout_to_json",
-    "layout_from_json",
     "experiment_result_to_json",
     "experiment_result_from_json",
 ]

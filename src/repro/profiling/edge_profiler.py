@@ -60,10 +60,3 @@ class EdgeProfiler:
             key: count for key, count in counters.edge_counts.items() if count
         }
         return profile
-
-    def instrumented_edge_sites(self) -> int:
-        """Static count of edges a real instrumentation pass would touch."""
-        total = 0
-        for proc in self.program:
-            total += len(proc.cfg.edges())
-        return total

@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from repro.errors import ProfilingError
 from repro.ir.program import Program
 from repro.mote.platform import Platform
-from repro.sim.trace import ExecutionCounters, RunResult
 
 __all__ = [
     "OverheadReport",
-    "edge_instrumentation_overhead",
     "edge_instrumentation_overhead_from_counts",
-    "timing_overhead",
     "timing_overhead_from_counts",
-    "sampling_overhead",
     "sampling_overhead_from_counts",
 ]
 
@@ -85,19 +81,11 @@ def _upload_packets(payload_bytes: int) -> int:
     return -(-payload_bytes // PAYLOAD_BYTES_PER_PACKET)  # ceil division
 
 
-def edge_instrumentation_overhead(
-    program: Program, result: RunResult, platform: Platform
-) -> OverheadReport:
-    """Cost of the full edge-instrumentation build on ``result``'s run."""
-    return edge_instrumentation_overhead_from_counts(
-        program, sum(result.counters.edge_counts.values()), platform
-    )
-
-
 def edge_instrumentation_overhead_from_counts(
     program: Program, dynamic_edges: int, platform: Platform
 ) -> OverheadReport:
-    """Same pricing from a bare dynamic-edge count.
+    """Cost of the full edge-instrumentation build on a run that traversed
+    ``dynamic_edges`` CFG edges.
 
     The count can come from any observer that saw the run — the simulator's
     ground-truth counters or the hardware-counter telemetry
@@ -120,19 +108,11 @@ def edge_instrumentation_overhead_from_counts(
     )
 
 
-def timing_overhead(
-    program: Program, result: RunResult, platform: Platform
-) -> OverheadReport:
-    """Cost of the Code Tomography collector on ``result``'s run."""
-    return timing_overhead_from_counts(
-        program, sum(result.counters.invocations.values()), platform
-    )
-
-
 def timing_overhead_from_counts(
     program: Program, invocations: int, platform: Platform
 ) -> OverheadReport:
-    """Same pricing from a bare invocation count (any observer's tally)."""
+    """Cost of the Code Tomography collector on a run of ``invocations``
+    procedure invocations (any observer's tally)."""
     procedures = len(program.procedures)
     rom = TIMING_ROM_BYTES + procedures * TIMING_ROM_BYTES_PER_PROC
     ram = procedures * TIMING_RAM_BYTES_PER_PROC
@@ -149,25 +129,14 @@ def timing_overhead_from_counts(
     )
 
 
-def sampling_overhead(
-    program: Program,
-    result: RunResult,
-    platform: Platform,
-    interval_cycles: int,
-) -> OverheadReport:
-    """Cost of PC sampling at ``interval_cycles`` on ``result``'s run."""
-    return sampling_overhead_from_counts(
-        program, result.total_cycles, platform, interval_cycles
-    )
-
-
 def sampling_overhead_from_counts(
     program: Program,
     total_cycles: int,
     platform: Platform,
     interval_cycles: int,
 ) -> OverheadReport:
-    """Same pricing from a bare total-cycle count (any observer's tally)."""
+    """Cost of PC sampling every ``interval_cycles`` on a run of
+    ``total_cycles`` cycles (any observer's tally)."""
     if interval_cycles < 1:
         raise ProfilingError(f"interval_cycles must be >= 1, got {interval_cycles}")
     blocks = sum(p.block_count() for p in program)

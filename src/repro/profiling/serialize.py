@@ -1,10 +1,8 @@
-"""JSON (de)serialization of profiling artifacts.
+"""JSON (de)serialization of finished experiment results.
 
-In a real deployment the three artifacts cross machine boundaries: the mote
-uploads **timing datasets**, the basestation stores **estimation results**,
-and the build server consumes **layouts**.  This module gives each a stable
-JSON representation so the pipeline can be split across processes (and so
-tests can pin the format).
+The experiment engine's result cache stores each :class:`ExperimentResult`
+as JSON and reloads it byte-identically (see
+:mod:`repro.experiments.engine`).
 """
 
 from __future__ import annotations
@@ -15,21 +13,11 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import ProfilingError
-from repro.ir.program import Program
-from repro.placement.layout import Layout, ProgramLayout
-from repro.profiling.timing_profiler import TimingDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles: core/experiments depend on profiling
-    from repro.core.estimator import EstimationResult
     from repro.experiments.common import ExperimentResult
 
 __all__ = [
-    "dataset_to_json",
-    "dataset_from_json",
-    "estimation_to_json",
-    "estimation_from_json",
-    "layout_to_json",
-    "layout_from_json",
     "experiment_result_to_json",
     "experiment_result_from_json",
     "json_default",
@@ -54,72 +42,6 @@ def _check_header(payload: dict[str, Any], kind: str) -> None:
         raise ProfilingError(f"unsupported format {payload.get('format')!r}")
     if payload.get("kind") != kind:
         raise ProfilingError(f"expected kind {kind!r}, got {payload.get('kind')!r}")
-
-
-def dataset_to_json(dataset: TimingDataset) -> str:
-    """Serialize a timing dataset (sample order preserved)."""
-    payload = {
-        "format": _FORMAT,
-        "kind": "timing-dataset",
-        "samples": {name: xs.tolist() for name, xs in dataset.samples.items()},
-    }
-    return json.dumps(payload)
-
-
-def dataset_from_json(text: str) -> TimingDataset:
-    """Inverse of :func:`dataset_to_json`."""
-    payload = json.loads(text)
-    _check_header(payload, "timing-dataset")
-    return TimingDataset(
-        {name: np.asarray(xs, dtype=float) for name, xs in payload["samples"].items()}
-    )
-
-
-def estimation_to_json(result: "EstimationResult") -> str:
-    """Serialize an estimation result with its diagnostics."""
-    estimates = {}
-    for name, est in result.estimates.items():
-        estimates[name] = {
-            "theta": est.theta.tolist(),
-            "n_samples": est.n_samples,
-            "method": est.method,
-            "fit_cost": None if np.isnan(est.fit_cost) else est.fit_cost,
-            "predicted_moments": list(est.predicted_moments),
-            "observed_moments": (
-                list(est.observed_moments) if est.observed_moments else None
-            ),
-            "warnings": list(est.warnings),
-        }
-    payload = {
-        "format": _FORMAT,
-        "kind": "estimation-result",
-        "estimates": estimates,
-        "warnings": list(result.warnings),
-    }
-    return json.dumps(payload)
-
-
-def estimation_from_json(text: str) -> "EstimationResult":
-    """Inverse of :func:`estimation_to_json`."""
-    from repro.core.estimator import EstimationResult, ProcedureEstimate
-
-    payload = json.loads(text)
-    _check_header(payload, "estimation-result")
-    result = EstimationResult(warnings=list(payload["warnings"]))
-    for name, data in payload["estimates"].items():
-        result.estimates[name] = ProcedureEstimate(
-            procedure=name,
-            theta=np.asarray(data["theta"], dtype=float),
-            n_samples=int(data["n_samples"]),
-            method=str(data["method"]),
-            fit_cost=float("nan") if data["fit_cost"] is None else float(data["fit_cost"]),
-            predicted_moments=tuple(data["predicted_moments"]),
-            observed_moments=(
-                tuple(data["observed_moments"]) if data["observed_moments"] else None
-            ),
-            warnings=tuple(data["warnings"]),
-        )
-    return result
 
 
 def experiment_result_to_json(result: "ExperimentResult") -> str:
@@ -172,26 +94,3 @@ def experiment_result_from_json(text: str) -> "ExperimentResult":
         notes=[str(n) for n in payload["notes"]],
         timings={str(k): float(v) for k, v in payload["timings"].items()},
     )
-
-
-def layout_to_json(layout: ProgramLayout) -> str:
-    """Serialize a program layout as per-procedure block orders."""
-    payload = {
-        "format": _FORMAT,
-        "kind": "program-layout",
-        "orders": {name: lay.order for name, lay in layout.layouts.items()},
-    }
-    return json.dumps(payload)
-
-
-def layout_from_json(text: str, program: Program) -> ProgramLayout:
-    """Rebind a serialized layout to ``program`` (validates block sets)."""
-    payload = json.loads(text)
-    _check_header(payload, "program-layout")
-    orders = payload["orders"]
-    layouts = {}
-    for proc in program:
-        if proc.name not in orders:
-            raise ProfilingError(f"layout payload missing procedure {proc.name!r}")
-        layouts[proc.name] = Layout(proc.cfg, orders[proc.name])
-    return ProgramLayout(program, layouts)

@@ -18,7 +18,6 @@ import numpy as np
 from repro.errors import ProfilingError
 from repro.mote.platform import Platform
 from repro.util.rng import RngSource, as_rng
-from repro.util.stats import RunningStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim -> faults -> profiling)
     from repro.sim.trace import InvocationRecord
@@ -55,12 +54,6 @@ class TimingDataset:
         mean = float(xs.mean())
         centered = xs - mean
         return mean, float(np.mean(centered**2)), float(np.mean(centered**3))
-
-    def running_stats(self, proc_name: str) -> RunningStats:
-        """The O(1) accumulator the mote would keep for this procedure."""
-        stats = RunningStats()
-        stats.extend(self.durations(proc_name))
-        return stats
 
     def subsample(self, n: int, rng: RngSource = None) -> "TimingDataset":
         """At most ``n`` samples per procedure, drawn without replacement."""

@@ -8,8 +8,8 @@ compiles each procedure once per (program, layout, platform) into a
 generated Python function; the dict-walking interpreter it replaced is the
 differential-testing oracle in ``tests/sim_oracle.py``.
 
-:mod:`repro.sim.runner` drives single-mote runs and batches of
-activations, and aggregates their results.
+:mod:`repro.sim.runner` drives runs of many activations on one mote,
+optionally split into batches that each reboot it with fresh inputs.
 
 :mod:`repro.sim.timing` builds the *analytic* timing model of a procedure —
 an absorbing chain over blocks and branch-arm pseudo-states whose total
@@ -20,12 +20,7 @@ inverts.
 
 from repro.sim.trace import ExecutionCounters, InvocationRecord, RunResult
 from repro.sim.interpreter import Interpreter
-from repro.sim.runner import (
-    merge_run_results,
-    run_program,
-    run_program_batched,
-    split_activations,
-)
+from repro.sim.runner import run_program, run_program_batched, split_activations
 from repro.sim.timing import ProcedureTimingModel, ProgramTimingModel
 
 __all__ = [
@@ -36,7 +31,6 @@ __all__ = [
     "run_program",
     "run_program_batched",
     "split_activations",
-    "merge_run_results",
     "ProcedureTimingModel",
     "ProgramTimingModel",
 ]

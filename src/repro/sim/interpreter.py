@@ -591,8 +591,7 @@ class Interpreter:
         self.cycle = 0
         self.counters = ExecutionCounters()
         self.records: list[InvocationRecord] = []
-        # Compiled on the first invocation; the interpreters of one batched
-        # run share one compilation (see repro.sim.runner).
+        # Compiled on the first invocation.
         self._compiled: Optional[_Compiled] = None
         # The counters object and its counts as of the last report.
         self._reported: tuple[Optional[ExecutionCounters], tuple[Counter, ...]] = (None, ())

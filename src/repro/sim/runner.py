@@ -1,22 +1,30 @@
-"""Batch execution driver: run many activations, aggregate the results.
+"""Execution drivers: run many activations on one mote, aggregate the results.
 
 Two entry points:
 
-* :func:`run_program` — the original single-interpreter driver: one
-  :class:`~repro.sim.interpreter.Interpreter` executes every activation so
-  program globals persist across the whole run, as on a real mote.
-* :func:`run_program_batched` — the scalable driver the parallel experiment
-  engine builds on: activations are split into self-contained batches, each
-  with its own interpreter and its own RNG stream spawned *up front* in
-  index order (see :mod:`repro.util.rng`), then merged in index order.
-  Because a batch depends only on its index, the merged result is a pure
-  function of ``(program, platform, factory, activations, batch_size, rng)``.
-  The program is compiled once per call and every batch runs that code.
+* :func:`run_program` — one :class:`~repro.sim.interpreter.Interpreter`
+  executes every activation, so program globals persist across the whole
+  run, as on a real mote.
+* :func:`run_program_batched` — the driver the experiments evaluate
+  placements with: activations are split into batches, and every batch
+  after the first reboots the same interpreter and installs its own sensor
+  suite and fault injector, built from an RNG stream spawned *up front* in
+  index order (see :mod:`repro.util.rng`).  A batch therefore sees fresh
+  globals and its own input and fault streams, while counts accumulate in
+  one :class:`~repro.sim.trace.ExecutionCounters` and records land on one
+  cycle axis as they run.  Because a batch depends only on its index, the
+  result is a pure function of ``(program, platform, factory, activations,
+  batch_size, rng)``.
+
+Both drivers report the hardware counters once and price the run's energy
+once, on its totals.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from collections import Counter
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -27,18 +35,19 @@ from repro.mote.platform import Platform
 from repro.mote.sensors import SensorSuite
 from repro.ir.program import Program
 from repro.placement.layout import ProgramLayout
-from repro.sim.interpreter import Interpreter, _compile
-from repro.sim.trace import ExecutionCounters, InvocationRecord, RunResult
+from repro.sim.interpreter import Interpreter
+from repro.sim.trace import RunResult
 from repro.util.rng import RngSource, spawn_seed_sequences
 
 __all__ = [
     "run_program",
     "run_program_batched",
     "split_activations",
-    "merge_run_results",
 ]
 
 SensorFactory = Callable[[np.random.Generator], SensorSuite]
+# One batch: its activation count, sensor suite and fault injector.
+_Batch = tuple[int, SensorSuite, Optional[FaultInjector]]
 
 
 def run_program(
@@ -75,38 +84,47 @@ def run_program(
         record_paths=record_paths,
         faults=faults,
     )
-    return _run(interp, activations)
+    return _run(interp, activations, [(activations, sensors, faults)])
 
 
-def _run(interp: Interpreter, activations: int) -> RunResult:
-    """Drive ``activations`` activations on ``interp`` and price the run."""
-    program, platform, faults = interp.program, interp.platform, interp.faults
+def _run(interp: Interpreter, activations: int, batches: Iterable[_Batch]) -> RunResult:
+    """Drive ``batches`` on ``interp`` and price the run.
+
+    ``interp`` starts with the first batch's sensors and faults; every later
+    batch reboots it and installs its own.
+    """
+    program, platform = interp.program, interp.platform
     # Telemetry (strict no-op when off): the span brackets the whole run;
-    # fault counters report only this run's firings (the injector's tallies
-    # may span several calls), diffed after the loop so the hot path stays
+    # fault counters report only this run's firings (an injector's tallies
+    # may span several calls), diffed per batch so the hot path stays
     # untouched.
-    faults_before = dict(faults.counts) if faults is not None else None
+    fired: Counter = Counter()
     with obs.span(
         "sim.run", program=program.name, activations=activations
     ) as sim_span:
         try:
-            for _ in range(activations):
-                mark = len(interp.records)
-                interp.run_activation()
-                if faults is not None and faults.reboot_during_activation():
-                    del interp.records[mark:]
+            for index, (size, sensors, faults) in enumerate(batches):
+                if index:
                     interp.reboot()
+                    interp.faults = interp.radio.faults = faults
+                    interp.set_sensors(sensors)
+                before = Counter(faults.counts) if faults is not None else None
+                for _ in range(size):
+                    mark = len(interp.records)
+                    interp.run_activation()
+                    if faults is not None and faults.reboot_during_activation():
+                        del interp.records[mark:]
+                        interp.reboot()
+                if faults is not None:
+                    fired.update(faults.counts - before)
         finally:
             interp.report_counters()
         sim_span.set(cycles=interp.cycle, records=len(interp.records))
     obs.inc("sim.runs")
     obs.inc("sim.activations", activations)
     obs.inc("sim.cycles", interp.cycle)
-    if faults is not None:
-        for kind, count in faults.counts.items():
-            fired = count - faults_before.get(kind, 0)
-            if fired:
-                obs.inc(f"faults.injected.{kind}", fired)
+    for kind, count in fired.items():
+        obs.inc(f"faults.injected.{kind}", count)
     energy = platform.energy.total_mj(
         cycles=interp.cycle,
         conversions=interp.counters.sense_reads,
@@ -116,8 +134,7 @@ def _run(interp: Interpreter, activations: int) -> RunResult:
     hw = hwc.active()
     if hw is not None and interp.radio.transmissions:
         # The radio counted attempts as they happened; the energy price is a
-        # platform property, applied once per run (linear in attempts, so
-        # per-run pricing sums to the same total as pricing the merge).
+        # platform property, applied once per run.
         hw.radio_energy(platform.energy.radio_mj(interp.radio.transmissions) * 1000.0)
     return RunResult(
         program_name=program.name,
@@ -147,53 +164,6 @@ def split_activations(total: int, batch_size: int) -> list[int]:
     return sizes
 
 
-def merge_run_results(results: Sequence[RunResult]) -> RunResult:
-    """Combine per-batch results into one aggregate, in the given order.
-
-    Invocation records are re-timestamped onto one continuous cycle axis
-    (batch ``i`` starts where batch ``i-1`` ended) so downstream consumers
-    see a single run; durations are unaffected by the shift.  Energy is a
-    linear function of activity counts, so summing per-batch energies
-    equals pricing the merged counts.
-    """
-    if not results:
-        raise ValueError("cannot merge zero run results")
-    names = {r.program_name for r in results}
-    if len(names) > 1:
-        raise ValueError(f"refusing to merge results from different programs: {names}")
-    counters = ExecutionCounters()
-    records: list[InvocationRecord] = []
-    offset = 0
-    activations = 0
-    energy = 0.0
-    packets = 0
-    for result in results:
-        counters.merge(result.counters)
-        for rec in result.records:
-            records.append(
-                InvocationRecord(
-                    procedure=rec.procedure,
-                    entry_cycle=rec.entry_cycle + offset,
-                    exit_cycle=rec.exit_cycle + offset,
-                    depth=rec.depth,
-                    path=rec.path,
-                )
-            )
-        offset += result.total_cycles
-        activations += result.activations
-        energy += result.energy_mj
-        packets += result.radio_packets
-    return RunResult(
-        program_name=results[0].program_name,
-        activations=activations,
-        total_cycles=offset,
-        counters=counters,
-        records=records,
-        energy_mj=energy,
-        radio_packets=packets,
-    )
-
-
 def run_program_batched(
     program: Program,
     platform: Platform,
@@ -205,19 +175,20 @@ def run_program_batched(
     record_paths: bool = False,
     fault_model: Optional[FaultModel] = None,
 ) -> RunResult:
-    """Run activations in independent batches and merge the results.
+    """Run activations in batches on one rebooted mote.
 
     ``sensor_factory`` builds a fresh :class:`SensorSuite` from the batch's
     generator (e.g. ``lambda g: build_sensors(channels, scenario, rng=g)``).
-    The program is compiled for ``layout`` once per call, and every batch
-    runs that compiled code on a fresh interpreter.
+    One interpreter runs every batch: each batch after the first reboots it
+    (globals and arrays return to their initial images) and installs its
+    own sensor suite and, with an enabled ``fault_model``, its own
+    :class:`FaultInjector` on the interpreter, its radio and its sensors.
 
     Determinism: batch RNG streams are spawned from ``rng`` in index order
-    *before* anything runs, and merging happens in index order, so the
-    merged :class:`RunResult` depends only on the batch indices.  A
-    ``fault_model`` (a frozen description — each batch builds its own
-    injector from its own spawned stream) keeps that property: fault
-    decisions depend on the batch index only.
+    *before* anything runs, so a batch's inputs and fault decisions depend
+    on its index only.  ``fault_model`` is a frozen description; each
+    batch's injector derives from a spawned child of the batch's stream — a
+    disjoint key space — so enabling faults never shifts the sensor values.
 
     Note the semantics differ from :func:`run_program`: globals reset at
     batch boundaries and each batch draws from its own sensor stream, so a
@@ -225,34 +196,26 @@ def run_program_batched(
     interpreter run — only to other batched runs with the same
     ``(activations, batch_size, rng)``.
     """
-    sizes = split_activations(activations, batch_size)
-    layout = layout or ProgramLayout.source_order(program)
-    compiled = _compile(program, layout, platform)
-    # Zero activations produce zero batches, and merge_run_results
-    # (correctly) refuses an empty list — so the empty aggregate comes from
-    # one degenerate zero-activation batch, built like a real one so sensor
-    # factories that validate or pre-draw still work.
-    sizes = sizes or [0]
-    results = []
-    for seq, size in zip(spawn_seed_sequences(rng, len(sizes)), sizes):
-        # The sensor generator consumes the batch's sequence directly; the
-        # fault injector derives from a spawned child of it — a disjoint key
-        # space — so enabling faults never shifts the sensor value stream.
-        sensors = sensor_factory(np.random.default_rng(seq))
-        faults = None
-        if fault_model is not None and fault_model.enabled:
-            faults = FaultInjector(fault_model, seq.spawn(1)[0])
-        with obs.span("sim.batch", program=program.name, activations=size):
-            obs.inc("sim.batches")
-            interp = Interpreter(
-                program,
-                platform,
-                sensors,
-                layout=layout,
-                record_paths=record_paths,
-                faults=faults,
-            )
-            interp._compiled = compiled
-            results.append(_run(interp, size))
-    with obs.span("sim.merge_batches", program=program.name, batches=len(results)):
-        return merge_run_results(results)
+    # Zero activations still run one empty batch, so sensor factories that
+    # validate or pre-draw see the same calls at every size.
+    sizes = split_activations(activations, batch_size) or [0]
+    enabled = fault_model is not None and fault_model.enabled
+    obs.inc("sim.batches", len(sizes))
+
+    def batches() -> Iterator[_Batch]:
+        for seq, size in zip(spawn_seed_sequences(rng, len(sizes)), sizes):
+            sensors = sensor_factory(np.random.default_rng(seq))
+            faults = FaultInjector(fault_model, seq.spawn(1)[0]) if enabled else None
+            yield size, sensors, faults
+
+    pending = batches()
+    first = next(pending)
+    interp = Interpreter(
+        program,
+        platform,
+        first[1],
+        layout=layout,
+        record_paths=record_paths,
+        faults=first[2],
+    )
+    return _run(interp, activations, chain([first], pending))

@@ -57,22 +57,6 @@ class ExecutionCounters:
     sends: int = 0
     invocations: Counter = field(default_factory=Counter)
 
-    def merge(self, other: "ExecutionCounters") -> None:
-        """Fold another batch's counts into this one (in place).
-
-        Used by the batched runner to combine per-batch ground truth into
-        one aggregate; addition is commutative, so the merged counters are
-        identical no matter which worker produced which batch.
-        """
-        self.block_visits.update(other.block_visits)
-        self.edge_counts.update(other.edge_counts)
-        self.branches_executed += other.branches_executed
-        self.taken_total += other.taken_total
-        self.mispredict_total += other.mispredict_total
-        self.sense_reads += other.sense_reads
-        self.sends += other.sends
-        self.invocations.update(other.invocations)
-
     # -- derived ground truth --------------------------------------------------
 
     def true_branch_probabilities(self, proc: Procedure) -> np.ndarray:
@@ -92,13 +76,6 @@ class ExecutionCounters:
             total = then_count + else_count
             theta[k] = then_count / total if total else 0.5
         return theta
-
-    def branch_executions(self, proc_name: str, label: str) -> int:
-        """How many times the branch ending ``label`` executed."""
-        return (
-            self.edge_counts[(proc_name, label, "then")]
-            + self.edge_counts[(proc_name, label, "else")]
-        )
 
     @property
     def mispredict_rate(self) -> float:

@@ -1,32 +1,12 @@
-"""Shared utilities: RNG plumbing, running statistics, tables, validation."""
+"""Shared utilities: RNG plumbing and text tables."""
 
 from repro.util.rng import RngSource, as_rng, spawn_rngs
-from repro.util.stats import (
-    RunningStats,
-    empirical_moments,
-    geometric_mean,
-    weighted_mean,
-)
 from repro.util.tables import Table, format_float
-from repro.util.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-    check_probability_vector,
-)
 
 __all__ = [
     "RngSource",
     "as_rng",
     "spawn_rngs",
-    "RunningStats",
-    "empirical_moments",
-    "geometric_mean",
-    "weighted_mean",
     "Table",
     "format_float",
-    "check_fraction",
-    "check_positive",
-    "check_probability",
-    "check_probability_vector",
 ]

@@ -44,12 +44,12 @@ from repro.mote.sensors import SensorSuite
 from repro.obs import counters as hwc
 from repro.placement.layout import ProgramLayout
 from repro.sim.interpreter import MAX_CALL_DEPTH
-from repro.sim.trace import ExecutionCounters, InvocationRecord
+from repro.sim.trace import ExecutionCounters, InvocationRecord, RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
     from repro.faults.model import FaultInjector
 
-__all__ = ["Interpreter"]
+__all__ = ["Interpreter", "oracle_engine", "merge_batches"]
 
 _INT_MIN, _INT_MAX = -(1 << 15), (1 << 15) - 1
 _DEFAULT_MAX_STEPS = 200_000
@@ -463,3 +463,42 @@ def oracle_engine() -> Iterator[None]:
         yield
     finally:
         runner.Interpreter = saved
+
+
+def merge_batches(results: Sequence[RunResult], platform: Platform) -> RunResult:
+    """Per-batch single-mote runs as one batched run: the batched driver's
+    reference.
+
+    ``run_program_batched`` reboots one interpreter at every batch boundary.
+    Its reference runs each batch on a fresh mote (``run_program``) and
+    joins the results in order: records are re-stamped onto one cycle axis
+    (batch ``i`` starts where batch ``i-1`` ended), counts are summed, and
+    energy is priced once on the summed counts, where every executed
+    ``send`` is one transmission attempt.
+    """
+    counters = ExecutionCounters()
+    records: list[InvocationRecord] = []
+    offset = 0
+    for result in results:
+        for table in ("block_visits", "edge_counts", "invocations"):
+            getattr(counters, table).update(getattr(result.counters, table))
+        for total in ("branches_executed", "taken_total", "mispredict_total", "sense_reads", "sends"):
+            setattr(counters, total, getattr(counters, total) + getattr(result.counters, total))
+        records.extend(
+            InvocationRecord(
+                rec.procedure, rec.entry_cycle + offset, rec.exit_cycle + offset, rec.depth, rec.path
+            )
+            for rec in result.records
+        )
+        offset += result.total_cycles
+    return RunResult(
+        program_name=results[0].program_name,
+        activations=sum(r.activations for r in results),
+        total_cycles=offset,
+        counters=counters,
+        records=records,
+        energy_mj=platform.energy.total_mj(
+            cycles=offset, conversions=counters.sense_reads, packets=counters.sends
+        ),
+        radio_packets=sum(r.radio_packets for r in results),
+    )

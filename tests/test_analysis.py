@@ -1,19 +1,14 @@
-"""Tests for error metrics and aggregation."""
+"""Tests for error metrics."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
-    ErrorSummary,
-    coverage_fraction,
-    kl_bernoulli,
     max_abs_error,
     mean_abs_error,
     program_estimation_error,
     rms_error,
-    summarize_errors,
 )
 
 
@@ -35,21 +30,6 @@ class TestPairwiseMetrics:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             mean_abs_error([0.1], [0.1, 0.2])
-
-    def test_kl_zero_when_equal(self):
-        assert kl_bernoulli([0.3, 0.8], [0.3, 0.8]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_kl_positive_when_different(self):
-        assert kl_bernoulli([0.9], [0.1]) > 0.5
-
-    def test_kl_finite_at_degenerate_probabilities(self):
-        assert np.isfinite(kl_bernoulli([0.0], [1.0]))
-
-    def test_coverage(self):
-        assert coverage_fraction([0.1, 0.5], [0.3, 0.9], [0.2, 1.0]) == pytest.approx(0.5)
-
-    def test_coverage_empty_is_one(self):
-        assert coverage_fraction([], [], []) == 1.0
 
 
 class TestProgramError:
@@ -74,24 +54,3 @@ class TestProgramError:
     def test_unknown_metric_raises(self):
         with pytest.raises(ValueError, match="unknown metric"):
             program_estimation_error({"a": [0.5]}, {"a": [0.5]}, "mape")
-
-
-class TestSummaries:
-    def test_summary_fields(self):
-        s = summarize_errors([0.1, 0.2, 0.3])
-        assert s.mean == pytest.approx(0.2)
-        assert s.median == pytest.approx(0.2)
-        assert s.minimum == pytest.approx(0.1)
-        assert s.maximum == pytest.approx(0.3)
-        assert s.count == 3
-
-    def test_as_row(self):
-        s = summarize_errors([1.0, 3.0])
-        mean, std, maximum, count = s.as_row()
-        assert mean == pytest.approx(2.0)
-        assert maximum == pytest.approx(3.0)
-        assert count == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_errors([])

@@ -1,4 +1,4 @@
-"""Tests for RAM-budgeted hook planning and the estimation report."""
+"""Tests for estimation with an un-instrumented callee and the estimation report."""
 
 from __future__ import annotations
 
@@ -7,14 +7,8 @@ import pytest
 
 from repro.core import CodeTomography, EstimationOptions, render_estimation_report
 from repro.core.report import estimation_report
-from repro.errors import ProfilingError
 from repro.mote import MICAZ_LIKE
-from repro.profiling import (
-    TimingProfiler,
-    apply_plan,
-    plan_hooks,
-)
-from repro.profiling.overhead import TIMING_RAM_BYTES_PER_PROC
+from repro.profiling import TimingDataset, TimingProfiler
 from repro.sim import run_program
 from repro.workloads import workload_by_name
 
@@ -28,72 +22,11 @@ def surge_setup():
     return prog, result, dataset
 
 
-class TestPlanHooks:
-    def test_unlimited_budget_selects_all_branchy_procedures(self, surge_setup):
-        prog, _, _ = surge_setup
-        plan = plan_hooks(prog, ram_budget_bytes=10_000)
-        branchy = {p.name for p in prog if p.branch_count() > 0}
-        assert set(plan.selected) == branchy
-        assert plan.coverage == 1.0
-
-    def test_zero_budget_selects_nothing(self, surge_setup):
-        prog, _, _ = surge_setup
-        plan = plan_hooks(prog, ram_budget_bytes=0)
-        assert plan.selected == ()
-        assert plan.coverage == 0.0
-        assert plan.ram_bytes == 0
-
-    def test_tight_budget_prefers_more_parameters(self, surge_setup):
-        prog, _, _ = surge_setup
-        # Budget for exactly one hook: main (3 branches) beats link_ok (1).
-        plan = plan_hooks(prog, ram_budget_bytes=TIMING_RAM_BYTES_PER_PROC)
-        assert plan.selected == ("main",)
-        assert plan.covered_parameters == 3
-
-    def test_weights_break_ties(self):
-        from repro.lang import compile_source
-
-        prog = compile_source(
-            """
-            proc a(v) { if (v > 1) { send(v); } return 0; }
-            proc b(v) { if (v > 2) { send(v); } return 0; }
-            proc main() {
-                var v = sense(s);
-                var x = a(v);
-                var y = b(v);
-                led(x + y);
-            }
-            """
-        )
-        budget = TIMING_RAM_BYTES_PER_PROC
-        hot_b = plan_hooks(prog, budget, invocation_weights={"a": 1.0, "b": 9.0})
-        assert hot_b.selected == ("b",)
-        hot_a = plan_hooks(prog, budget, invocation_weights={"a": 9.0, "b": 1.0})
-        assert hot_a.selected == ("a",)
-
-    def test_ram_accounting(self, surge_setup):
-        prog, _, _ = surge_setup
-        plan = plan_hooks(prog, ram_budget_bytes=10_000)
-        assert plan.ram_bytes == len(plan.selected) * TIMING_RAM_BYTES_PER_PROC
-
-    def test_negative_budget_rejected(self, surge_setup):
-        prog, _, _ = surge_setup
-        with pytest.raises(ProfilingError):
-            plan_hooks(prog, ram_budget_bytes=-1)
-
-
 class TestApplyPlan:
-    def test_filtered_dataset_only_has_selected(self, surge_setup):
-        prog, _, dataset = surge_setup
-        plan = plan_hooks(prog, ram_budget_bytes=TIMING_RAM_BYTES_PER_PROC)
-        restricted = apply_plan(dataset, plan)
-        assert restricted.procedures() == ["main"]
-        assert restricted.count("link_ok") == 0
-
     def test_estimation_degrades_gracefully_under_plan(self, surge_setup):
         prog, result, dataset = surge_setup
-        plan = plan_hooks(prog, ram_budget_bytes=TIMING_RAM_BYTES_PER_PROC)
-        restricted = apply_plan(dataset, plan)
+        # Only the caller is instrumented: its callee uploads no samples.
+        restricted = TimingDataset({"main": dataset.durations("main")})
         estimate = CodeTomography(prog, MICAZ_LIKE).estimate(
             restricted, EstimationOptions(method="moments", seed=1)
         )

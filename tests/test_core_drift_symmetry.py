@@ -69,7 +69,7 @@ class TestEstimateEpochs:
         second = sample_rewards(model.chain([0.9]), 1500, rng=4)
         xs = np.concatenate([first, second])
         track = estimate_epochs(model, xs, epoch_size=500, rng=5)
-        series = track.parameter_series(0)
+        series = track.thetas[:, 0]
         assert series[0] < 0.25
         assert series[-1] > 0.75
 
@@ -118,5 +118,3 @@ class TestEstimateEpochs:
         track = estimate_epochs(model, xs, epoch_size=50, rng=1)
         with pytest.raises(EstimationError):
             detect_drift(track, threshold=0.0)
-        with pytest.raises(EstimationError):
-            track.parameter_series(5)

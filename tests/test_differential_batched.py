@@ -1,15 +1,17 @@
 """Differential tests: the batched driver against a hand-rolled reference.
 
-``run_program_batched`` promises that its merged result is a pure function
-of ``(program, platform, factory, activations, batch_size, rng)``.  These
+``run_program_batched`` promises that its result is a pure function of
+``(program, platform, factory, activations, batch_size, rng)``.  These
 tests pin that promise differentially: an independent reimplementation
-(spawn the streams up front, run each batch through plain ``run_program``,
-merge in index order) must agree *bit for bit* with the driver, for every
-workload in the registry and across batch sizes spanning one-activation
-batches to a single batch holding the whole run.
+(spawn the streams up front, run each batch on a fresh mote through plain
+``run_program``, join the runs in index order with
+:func:`tests.sim_oracle.merge_batches`) must agree *bit for bit* with the
+driver, which reboots one mote per batch, for every workload in the
+registry and across batch sizes spanning one-activation batches to a
+single batch holding the whole run.
 
 The zero-activation edge also lives here: no batches at all must still
-produce a well-formed empty aggregate, not a crash from merging nothing.
+produce a well-formed empty aggregate.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ import pytest
 
 from repro.faults import FaultModel
 from repro.mote import MICAZ_LIKE
-from repro.sim import (
-    merge_run_results,
-    run_program,
-    run_program_batched,
-    split_activations,
-)
+from repro.sim import run_program, run_program_batched, split_activations
 from repro.util.rng import spawn_seed_sequences
 from repro.workloads.inputs import build_sensors
 from repro.workloads.registry import all_workloads, workload_by_name
+from tests.sim_oracle import merge_batches
 
 ACTIVATIONS = 20
 BATCH_SIZES = (1, 7, 64)  # per-activation batches / ragged split / one batch
@@ -53,7 +51,7 @@ def reference_batched(program, factory, activations, batch_size, rng):
         )
         for seq, size in zip(seqs, sizes)
     ]
-    return merge_run_results(results)
+    return merge_batches(results, MICAZ_LIKE)
 
 
 class TestBatchedMatchesReference:
@@ -138,8 +136,3 @@ class TestZeroActivations:
         )
         assert result.activations == 0
         assert result.records == []
-
-    def test_merge_still_refuses_a_truly_empty_list(self):
-        # The driver's guard exists because this is (correctly) an error.
-        with pytest.raises(ValueError):
-            merge_run_results([])

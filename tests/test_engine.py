@@ -18,7 +18,7 @@ from repro.experiments.engine import (
     config_fingerprint,
     run_experiments,
 )
-from repro.sim import merge_run_results, run_program, split_activations
+from repro.sim import run_program_batched, split_activations
 from repro.util.rng import derive_rng, derive_seed_sequence, spawn_seed_sequences
 from repro.workloads.inputs import build_sensors
 from repro.workloads.registry import workload_by_name
@@ -67,31 +67,24 @@ class TestBatchedSimulation:
         with pytest.raises(ValueError):
             split_activations(10, 0)
 
-    def test_merge_restamps_records_onto_one_axis(self):
+    def test_batches_share_one_cycle_axis(self):
         spec = workload_by_name("blink")
-        sensors = build_sensors(dict(spec.channels), rng=1)
-        a = run_program(spec.program(), QUICK.platform, sensors, activations=5)
-        sensors = build_sensors(dict(spec.channels), rng=2)
-        b = run_program(spec.program(), QUICK.platform, sensors, activations=5)
-        merged = merge_run_results([a, b])
-        assert merged.total_cycles == a.total_cycles + b.total_cycles
-        assert merged.activations == 10
-        # b's first record is shifted past all of a's cycles.
-        first_b = merged.records[len(a.records)]
-        assert first_b.entry_cycle == b.records[0].entry_cycle + a.total_cycles
-        assert first_b.duration_cycles == b.records[0].duration_cycles
-
-    def test_merge_refuses_mixed_programs(self):
-        blink = workload_by_name("blink")
-        surge = workload_by_name("surge")
-        a = run_program(
-            blink.program(), QUICK.platform, build_sensors(dict(blink.channels), rng=1), 2
+        run = run_program_batched(
+            spec.program(),
+            QUICK.platform,
+            lambda g: build_sensors(dict(spec.channels), rng=g),
+            activations=10,
+            batch_size=5,
+            rng=1,
         )
-        b = run_program(
-            surge.program(), QUICK.platform, build_sensors(dict(surge.channels), rng=1), 2
-        )
-        with pytest.raises(ValueError):
-            merge_run_results([a, b])
+        assert run.activations == 10
+        # One record per activation at depth 0, each starting where the
+        # previous one ended, across the batch boundary too.
+        tops = [r for r in run.records if r.depth == 0]
+        assert len(tops) == 10
+        for before, after in zip(tops, tops[1:]):
+            assert after.entry_cycle == before.exit_cycle
+        assert tops[-1].exit_cycle == run.total_cycles
 
 
 class TestEngineDeterminism:

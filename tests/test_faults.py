@@ -23,10 +23,11 @@ from repro.errors import FaultError
 from repro.faults import FAULT_FREE, FaultInjector, FaultModel, collect_timing
 from repro.mote import MICAZ_LIKE
 from repro.profiling import TimingProfiler
-from repro.sim import merge_run_results, run_program, run_program_batched
+from repro.sim import run_program, run_program_batched
 from repro.util.rng import spawn_seed_sequences
 from repro.workloads.inputs import build_sensors
 from repro.workloads.registry import workload_by_name
+from tests.sim_oracle import merge_batches
 
 ALL_KINDS = FaultModel(
     radio_loss=0.3,
@@ -62,20 +63,16 @@ class TestFaultModel:
             FaultModel(sensor_dropout=-0.1)
         with pytest.raises(FaultError):
             FaultModel(radio_loss=0.7, radio_corrupt=0.7)
-        with pytest.raises(FaultError):
-            FaultModel(glitch_cycles=0.0)
 
     def test_enabled_reflects_any_positive_rate(self):
         assert not FAULT_FREE.enabled
         assert FaultModel(reboot=0.01).enabled
-        assert not FaultModel(glitch_cycles=5.0).enabled  # magnitude alone is inert
 
     def test_scaled_preserves_mixture_and_caps(self):
         half = ALL_KINDS.scaled(0.5)
         assert half.radio_loss == pytest.approx(0.15)
         assert half.reboot == pytest.approx(0.075)
-        assert half.glitch_cycles == ALL_KINDS.glitch_cycles
-        assert ALL_KINDS.scaled(0.0) == FaultModel(glitch_cycles=ALL_KINDS.glitch_cycles)
+        assert ALL_KINDS.scaled(0.0) == FaultModel()
         capped = ALL_KINDS.scaled(10.0)
         assert capped.sensor_dropout == 1.0
         # The joint radio budget survives any severity, with the loss:corrupt
@@ -271,8 +268,9 @@ class TestBatchedFaultDeterminism:
         assert runs[0] == runs[1]
 
     def test_manual_batching_reproduces_the_driver(self):
-        # The batched driver is nothing more than per-batch run_program over
-        # pre-spawned streams plus an order-preserving merge; faults included.
+        # The batched driver, which reboots one mote per batch, equals
+        # per-batch run_program on fresh motes over pre-spawned streams,
+        # joined in order; faults included.
         spec = workload_by_name("sense")
         program = spec.program()
         sizes = [8, 8, 4]
@@ -285,7 +283,7 @@ class TestBatchedFaultDeterminism:
             manual.append(
                 run_program(program, MICAZ_LIKE, sensors, size, faults=faults)
             )
-        merged = merge_run_results(manual)
+        merged = merge_batches(manual, MICAZ_LIKE)
         driver = run_program_batched(
             program,
             MICAZ_LIKE,

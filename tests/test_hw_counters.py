@@ -2,9 +2,9 @@
 
 Three load-bearing promises from ``repro.obs.counters``:
 
-* the snapshot algebra is a commutative monoid with a left-inverse diff
-  (the engine's deterministic merge depends on it) — checked
-  property-style with hypothesis;
+* merging snapshots into a registry is order-free on emitted snapshots
+  (the engine's deterministic merge depends on it), and a foreign schema
+  is refused;
 * counters off (the default) is a strict no-op — no registry, no
   allocation, no effect on simulation results;
 * counters on agree bit-for-bit with the simulator's ground truth and
@@ -16,8 +16,6 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ObsError
 from repro.experiments.common import ExperimentConfig
@@ -25,82 +23,18 @@ from repro.experiments.engine import run_experiments
 from repro.lang import compile_source
 from repro.mote import MICAZ_LIKE, SensorSuite, UniformSensor
 from repro.obs import counters as hwc
-from repro.obs.counters import (
-    SNAPSHOT_SCHEMA,
-    HardwareCounters,
-    counters_active,
-    diff_snapshots,
-    empty_snapshot,
-    merge_snapshots,
-)
+from repro.obs.counters import HardwareCounters, counters_active
 from repro.sim import run_program, run_program_batched
 from tests.sim_oracle import oracle_engine
 
 # --------------------------------------------------------------------------
-# Snapshot algebra (hypothesis)
+# Snapshot schema
 # --------------------------------------------------------------------------
-
-_names = st.sampled_from(
-    ["cycles.block", "cycles.jump", "branch.taken", "flash.fetches", "radio.tx_bytes"]
-)
-_fields = st.sampled_from(["invocations", "cycles", "branches", "mispredicts"])
-# Zero-free positive counts: diff drops zero deltas, so the round-trip law
-# diff(a, merge(a, b)) == b only holds for canonical (zero-free) b.
-_counts = st.integers(min_value=1, max_value=10**9)
-
-
-@st.composite
-def snapshots(draw):
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "totals": draw(st.dictionaries(_names, _counts, max_size=5)),
-        "per_proc": draw(
-            st.dictionaries(
-                st.sampled_from(["main", "leaf", "isr"]),
-                st.dictionaries(_fields, _counts, min_size=1, max_size=4),
-                max_size=3,
-            )
-        ),
-    }
 
 
 class TestSnapshotAlgebra:
-    @settings(max_examples=100)
-    @given(a=snapshots(), b=snapshots())
-    def test_merge_commutative(self, a, b):
-        assert merge_snapshots(a, b) == merge_snapshots(b, a)
-
-    @settings(max_examples=100)
-    @given(a=snapshots(), b=snapshots(), c=snapshots())
-    def test_merge_associative(self, a, b, c):
-        assert merge_snapshots(merge_snapshots(a, b), c) == merge_snapshots(
-            a, merge_snapshots(b, c)
-        )
-
-    @settings(max_examples=50)
-    @given(a=snapshots())
-    def test_empty_is_identity(self, a):
-        assert merge_snapshots(a, empty_snapshot()) == merge_snapshots(
-            empty_snapshot(), a
-        )
-        # identity up to canonical form: merging with empty changes nothing
-        assert merge_snapshots(a, empty_snapshot())["totals"] == a["totals"]
-
-    @settings(max_examples=100)
-    @given(a=snapshots(), b=snapshots())
-    def test_diff_inverts_merge(self, a, b):
-        assert diff_snapshots(a, merge_snapshots(a, b)) == b
-
-    def test_diff_rejects_backwards_counters(self):
-        before = {"schema": SNAPSHOT_SCHEMA, "totals": {"cycles.block": 5}, "per_proc": {}}
-        after = {"schema": SNAPSHOT_SCHEMA, "totals": {"cycles.block": 3}, "per_proc": {}}
-        with pytest.raises(ObsError, match="went backwards"):
-            diff_snapshots(before, after)
-
     def test_schema_mismatch_is_loud(self):
         bad = {"schema": "someone-else/9", "totals": {}, "per_proc": {}}
-        with pytest.raises(ObsError, match="schema mismatch"):
-            merge_snapshots(empty_snapshot(), bad)
         with pytest.raises(ObsError, match="schema mismatch"):
             HardwareCounters().merge_snapshot(bad)
 
@@ -293,32 +227,33 @@ class TestCompiledPath:
         assert hwc.total_cycles(compiled_snap) == compiled_result.total_cycles
 
     def test_real_compiled_snapshots_obey_the_monoid_laws(self):
-        """The algebra holds on *emitted* snapshots, not just synthetic ones.
+        """Merging emitted snapshots into a registry is order-free.
 
-        These runs exercise merge/diff on exactly the value shapes the
-        engine produces, radio energy floats included.  Integer counters
-        are exactly associative; the one float counter
-        (``radio.energy_uj``) is associative only up to IEEE rounding, so
-        it is compared approximately.
+        These runs merge exactly the value shapes the engine produces,
+        radio energy floats included.  Integer counters are exactly
+        associative; the one float counter (``radio.energy_uj``) is
+        associative only up to IEEE rounding, so it is compared
+        approximately.
         """
+
+        def merged(*snaps):
+            hw = HardwareCounters()
+            for snap in snaps:
+                hw.merge_snapshot(snap)
+            return hw.snapshot()
+
         _, a = _batched_snapshot(activations=24, rng=1)
         _, b = _batched_snapshot(activations=40, rng=2)
         _, c = _batched_snapshot(activations=16, rng=3)
-        assert merge_snapshots(a, b) == merge_snapshots(b, a)
+        assert merged(a, b) == merged(b, a)
 
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
+        left = merged(merged(a, b), c)
+        right = merged(a, merged(b, c))
         l_energy = left["totals"].pop("radio.energy_uj")
         r_energy = right["totals"].pop("radio.energy_uj")
         assert l_energy == pytest.approx(r_energy, rel=1e-12)
         assert left == right
-        assert merge_snapshots(a, empty_snapshot())["totals"] == a["totals"]
-
-    def test_diff_recovers_a_compiled_run_from_an_aggregate(self):
-        """Inverse law on real data: diff(a, merge(a, b)) == b."""
-        _, a = _batched_snapshot(activations=24, rng=5)
-        _, b = _batched_snapshot(activations=40, rng=6)
-        assert diff_snapshots(a, merge_snapshots(a, b)) == b
+        assert merged(a)["totals"] == a["totals"]
 
     def test_compiled_runs_fold_into_ambient_registry(self):
         """Nested-scope folding works for a batched run."""

@@ -27,7 +27,6 @@ from repro.ir import (
     store,
     unop,
 )
-from repro.ir.instructions import is_comparison
 
 
 class TestInstructionConstructors:
@@ -39,14 +38,14 @@ class TestInstructionConstructors:
 
     def test_binop_reads_both_sources(self):
         i = binop(BinaryOp.ADD, "z", "a", "b")
-        assert i.used_registers() == ("a", "b")
-        assert i.defined_register() == "z"
+        assert i.srcs == ("a", "b")
+        assert i.dst == "z"
 
     def test_call_metadata(self):
         i = call("helper", dst="r", args=("a", "b"))
         assert i.is_call()
         assert i.callee() == "helper"
-        assert i.used_registers() == ("a", "b")
+        assert i.args == ("a", "b")
 
     def test_callee_on_non_call_raises(self):
         with pytest.raises(ValueError):
@@ -54,7 +53,7 @@ class TestInstructionConstructors:
 
     def test_void_call_has_no_dst(self):
         i = call("helper")
-        assert i.defined_register() is None
+        assert i.dst is None
 
     def test_str_forms_are_readable(self):
         assert str(const("x", 3)) == "x = 3"
@@ -67,11 +66,6 @@ class TestInstructionConstructors:
         assert "led" in str(led("v"))
         assert str(call("f", "r", ("x",))) == "r = f(x)"
         assert str(unop(UnaryOp.NEG, "n", "m")) == "n = neg m"
-
-    def test_is_comparison(self):
-        assert is_comparison(BinaryOp.LT)
-        assert is_comparison(BinaryOp.EQ)
-        assert not is_comparison(BinaryOp.ADD)
 
 
 class TestTerminators:

@@ -84,7 +84,7 @@ class TestCostModel:
         b.emit(const("x", 1), const("y", 2), binop(BinaryOp.ADD, "z", "x", "y"))
         b.ret()
         proc = b.build()
-        entry = proc.cfg.entry_block
+        entry = proc.cfg.block(proc.cfg.entry)
         assert DEFAULT_COST_MODEL.block_cycles(entry) == 3
 
     def test_div_much_more_expensive_than_add(self):

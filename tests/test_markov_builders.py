@@ -7,12 +7,7 @@ import pytest
 
 from repro.errors import MarkovError
 from repro.lang import compile_source
-from repro.markov import (
-    BranchParameterization,
-    chain_from_cfg,
-    reward_moments,
-    uniform_branch_probabilities,
-)
+from repro.markov import BranchParameterization, reward_moments
 
 
 @pytest.fixture
@@ -69,25 +64,9 @@ class TestBranchParameterization:
         par = BranchParameterization(diamond_cfg)
         theta = np.array([0.37])
         probs = par.edge_probabilities(theta)
-        recovered = par.theta_from_edge_probabilities(probs)
-        assert recovered == pytest.approx(theta)
-
-    def test_theta_from_else_arm_only(self, diamond_cfg):
-        par = BranchParameterization(diamond_cfg)
         label = par.branch_labels[0]
-        recovered = par.theta_from_edge_probabilities({(label, "else"): 0.8})
-        assert recovered[0] == pytest.approx(0.2)
-
-    def test_theta_from_missing_branch_raises(self, diamond_cfg):
-        par = BranchParameterization(diamond_cfg)
-        with pytest.raises(MarkovError, match="no probability"):
-            par.theta_from_edge_probabilities({})
-
-    def test_branch_index_lookup(self, diamond_cfg):
-        par = BranchParameterization(diamond_cfg)
-        assert par.branch_index(par.branch_labels[0]) == 0
-        with pytest.raises(MarkovError):
-            par.branch_index("join")
+        assert probs[(label, "then")] == pytest.approx(0.37)
+        assert probs[(label, "else")] == pytest.approx(0.63)
 
 
 class TestChainMoments:
@@ -103,13 +82,3 @@ class TestChainMoments:
         chain = par.chain([p], rewards)
         m = reward_moments(chain)
         assert m.mean == pytest.approx(1.0 / (1.0 - p))
-
-    def test_chain_from_cfg_convenience(self, diamond_cfg):
-        par = BranchParameterization(diamond_cfg)
-        chain = chain_from_cfg(diamond_cfg, [0.5], zero_rewards(par))
-        assert chain.start == diamond_cfg.entry
-
-    def test_uniform_prior_shape(self, diamond_cfg):
-        theta = uniform_branch_probabilities(diamond_cfg)
-        assert theta.shape == (1,)
-        assert theta[0] == 0.5

@@ -13,8 +13,6 @@ from repro.markov import (
     expected_edge_traversals,
     expected_visits,
     reward_moments,
-    sample_path,
-    sample_reward,
     sample_rewards,
 )
 
@@ -89,7 +87,7 @@ class TestConstruction:
             ]
         )
         chain = AbsorbingChain(["a", "trap"], matrix, [1.0, 1.0], "a")
-        assert chain.expected_reward() == pytest.approx(1.0)
+        assert reward_moments(chain).mean == pytest.approx(1.0)
 
     def test_probability_lookup(self):
         chain = bernoulli_chain(0.3, 5.0, 9.0)
@@ -107,7 +105,7 @@ class TestExpectedValues:
 
     def test_expected_reward_linear_in_visits(self):
         chain = two_state_chain(p_exit=0.25, rewards=(3.0, 7.0))
-        assert chain.expected_reward() == pytest.approx(3.0 + 4.0 * 7.0)
+        assert reward_moments(chain).mean == pytest.approx(3.0 + 4.0 * 7.0)
 
     def test_bernoulli_mean_and_variance(self):
         p, a, b = 0.3, 10.0, 30.0
@@ -139,7 +137,7 @@ class TestExpectedValues:
     def test_skewness_property(self):
         m = reward_moments(bernoulli_chain(0.1, 0.0, 100.0))
         # Rare cheap arm, common expensive arm -> left-skewed total.
-        assert m.skewness < 0
+        assert m.third_central < 0
 
 
 class TestRandomRewards:
@@ -175,20 +173,10 @@ class TestRandomRewards:
         matrix = np.array([[0.0, 1.0]])
         chain = AbsorbingChain(["a"], matrix, ([1.0], [0.5], [0.0]), "a")
         with pytest.raises(MarkovError, match="deterministic"):
-            sample_reward(chain, rng=0)
-        with pytest.raises(MarkovError, match="deterministic"):
             sample_rewards(chain, 10, rng=0)
 
 
 class TestSampling:
-    def test_path_starts_at_start_state(self):
-        path = sample_path(two_state_chain(), rng=0)
-        assert path[0] == "a"
-
-    def test_single_reward_consistent_with_path(self):
-        chain = bernoulli_chain(0.5, 5.0, 9.0)
-        reward = sample_reward(chain, rng=3)
-        assert reward in (5.0, 9.0)
 
     def test_vectorized_sampling_matches_analytics(self):
         chain = two_state_chain(p_exit=0.3, rewards=(2.0, 5.0))
@@ -248,24 +236,21 @@ class TestSamplingEdgeCases:
         for seed in range(8):
             assert np.all(sample_rewards(chain, 500, rng=seed) == 5.0)
 
-    def test_sample_path_tolerates_tiny_row_sum_error(self):
-        # Chain construction accepts rows within 1e-8 of unit mass; both
-        # samplers must renormalize rather than hand the raw rows to
-        # Generator.choice (whose own tolerance they can exceed).
+    def test_sample_rewards_tolerates_tiny_row_sum_error(self):
+        # Chain construction accepts rows within 1e-8 of unit mass; the
+        # sampler must renormalize before binning its cumulative rows.
         chain = two_state_chain(p_exit=0.4)
         chain._matrix[0, 1] += 1e-12
         chain._matrix[1, 1] += 1e-12
-        path = sample_path(chain, rng=0)
-        assert path[0] == "a"
+        totals = sample_rewards(chain, 100, rng=0)
+        assert np.all(totals >= 3.0 + 7.0)
 
     def test_samplers_tolerate_row_sum_error_beyond_choice_tolerance(self):
         # Regression: rows summing to 1 +/- ~1e-7 (past Generator.choice's
-        # acceptance window) made sample_path raise ValueError.
+        # acceptance window) once made a sampler raise ValueError.
         chain = two_state_chain(p_exit=0.4)
         chain._matrix[0, 1] += 1e-7
         chain._matrix[1, 2] -= 1e-7
-        path = sample_path(chain, rng=0)
-        assert path[0] == "a"
         totals = sample_rewards(chain, 100, rng=0)
         assert totals.shape == (100,)
 
@@ -273,4 +258,4 @@ class TestSamplingEdgeCases:
         chain = two_state_chain(p_exit=0.4)
         chain._matrix[1, :] = 0.0
         with pytest.raises(MarkovError, match="zero-mass"):
-            sample_path(chain, rng=0)
+            sample_rewards(chain, 1, rng=0)

@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.ir import BinaryOp, CFGBuilder, binop, const
-from repro.mote import (
-    AlwaysNotTakenPredictor,
-    AlwaysTakenPredictor,
-    BTFNPredictor,
-    CpuModel,
-    predictor_by_name,
-)
+from repro.mote import AlwaysNotTakenPredictor, BTFNPredictor, CpuModel
 
 
 class TestPredictors:
@@ -20,24 +12,10 @@ class TestPredictors:
         assert not p.predicts_taken(backward_target=True)
         assert not p.predicts_taken(backward_target=False)
 
-    def test_taken_ignores_direction(self):
-        p = AlwaysTakenPredictor()
-        assert p.predicts_taken(backward_target=True)
-        assert p.predicts_taken(backward_target=False)
-
     def test_btfn_follows_direction(self):
         p = BTFNPredictor()
         assert p.predicts_taken(backward_target=True)
         assert not p.predicts_taken(backward_target=False)
-
-    def test_lookup_by_name(self):
-        assert isinstance(predictor_by_name("btfn"), BTFNPredictor)
-        assert isinstance(predictor_by_name("not-taken"), AlwaysNotTakenPredictor)
-        assert isinstance(predictor_by_name("taken"), AlwaysTakenPredictor)
-
-    def test_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="btfn"):
-            predictor_by_name("oracle")
 
 
 class TestCpuModel:
@@ -88,4 +66,4 @@ class TestCpuModel:
         b.emit(const("x", 1), const("y", 2), binop(BinaryOp.ADD, "z", "x", "y"))
         b.ret()
         proc = b.build()
-        assert self.cpu.cost_model.block_cycles(proc.cfg.entry_block) == 3
+        assert self.cpu.cost_model.block_cycles(proc.cfg.block(proc.cfg.entry)) == 3

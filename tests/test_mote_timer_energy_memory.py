@@ -126,7 +126,8 @@ class TestMemoryMap:
         assert ram >= expected_data + 2 * self.mm.stack_bytes_per_procedure
 
     def test_workloads_fit_device(self):
-        assert self.mm.fits(self.prog)
+        assert self.mm.program_rom(self.prog) <= self.mm.flash_bytes
+        assert self.mm.program_ram(self.prog) <= self.mm.ram_bytes
 
     def test_block_rom_includes_terminator(self):
         from repro.ir.block import BasicBlock

@@ -249,13 +249,15 @@ class TestDegenerateBranch:
 
     def test_analytic_metrics_charge_no_events(self):
         from repro.ir.procedure import Procedure
+        from repro.ir.program import Program
         from repro.mote.platform import MICAZ_LIKE
-        from repro.placement import evaluate_layout
+        from repro.placement import evaluate_program_layout, source_order_layout
 
         proc = Procedure(name="deg", cfg=self._degenerate_cfg())
-        layout = Layout.source_order(proc.cfg)
+        program = Program(name="deg", entry="deg", procedures={"deg": proc})
+        layout = source_order_layout(program)
         for p in (0.0, 0.3, 1.0):
-            metrics = evaluate_layout(proc, layout, [p], MICAZ_LIKE)
+            metrics = evaluate_program_layout(program, layout, {"deg": [p]}, MICAZ_LIKE)
             assert metrics.branches == pytest.approx(1.0)
             assert metrics.taken == 0.0
             assert metrics.mispredicts == 0.0

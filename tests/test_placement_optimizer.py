@@ -18,7 +18,6 @@ from repro.mote import (
 from repro.placement import (
     Layout,
     build_chains,
-    evaluate_layout,
     evaluate_program_layout,
     optimize_layout,
     optimize_program_layout,
@@ -219,16 +218,6 @@ class TestAnalyticMetrics:
         )
         # work contributes one branch per activation on top of main's.
         assert metrics.branches > 1.0
-
-    def test_evaluate_layout_rejects_procedures_with_calls(self, demo_program):
-        main = demo_program.procedure("main")
-        with pytest.raises(PlacementError, match="calls"):
-            evaluate_layout(
-                main,
-                Layout.source_order(main.cfg),
-                [0.5],
-                MICAZ_LIKE,
-            )
 
     def test_mispredict_rate_zero_when_no_branches(self):
         prog = compile_source("proc main() { led(1); }")

@@ -78,11 +78,6 @@ class TestRewardMomentsType:
     def test_std_and_skewness(self):
         m = RewardMoments(mean=10.0, variance=4.0, third_central=16.0)
         assert m.std == pytest.approx(2.0)
-        assert m.skewness == pytest.approx(16.0 / 8.0)
-
-    def test_degenerate_variance_skewness_zero(self):
-        m = RewardMoments(mean=10.0, variance=0.0, third_central=0.0)
-        assert m.skewness == 0.0
 
     def test_as_tuple_order(self):
         m = RewardMoments(mean=1.0, variance=2.0, third_central=3.0)

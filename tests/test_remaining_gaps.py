@@ -207,8 +207,9 @@ class TestOverheadArithmetic:
         prog = compile_source("proc main() { send(1); }")
         sensors = SensorSuite({"a": UniformSensor()}, rng=0)
         result = run_program(prog, MICAZ_LIKE, sensors, activations=100)
-        from repro.profiling import timing_overhead
+        from repro.profiling import timing_overhead_from_counts
 
-        report = timing_overhead(prog, result, MICAZ_LIKE)
+        invocations = sum(result.counters.invocations.values())
+        report = timing_overhead_from_counts(prog, invocations, MICAZ_LIKE)
         assert report.energy_mj > 0
         assert report.upload_packets >= 1

@@ -1,11 +1,10 @@
-"""Tests for layout-aware ROM sizing and power-law convergence fitting."""
+"""Tests for layout-aware ROM sizing."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis import fit_power_law
 from repro.lang import compile_source
 from repro.mote import MICAZ_LIKE
 from repro.placement import (
@@ -76,50 +75,3 @@ class TestLayoutRom:
             # Placement may add/remove a few words but not explode the image.
             base = program_layout_rom(source_order_layout(prog), memory)
             assert abs(rom.total_bytes - base.total_bytes) <= 0.25 * base.total_bytes
-
-
-class TestPowerLawFit:
-    def test_recovers_exact_exponent(self):
-        ns = np.array([10, 100, 1000, 10_000])
-        errors = 3.0 * ns**-0.5
-        fit = fit_power_law(ns, errors)
-        assert fit.exponent == pytest.approx(-0.5, abs=1e-9)
-        assert fit.coefficient == pytest.approx(3.0, rel=1e-9)
-        assert fit.residual == pytest.approx(0.0, abs=1e-9)
-
-    def test_predict_interpolates(self):
-        fit = fit_power_law([10, 1000], [1.0, 0.1])
-        assert fit.predict(100) == pytest.approx(np.sqrt(1.0 * 0.1), rel=1e-6)
-
-    def test_noise_reflected_in_residual(self):
-        rng = np.random.default_rng(0)
-        ns = np.array([10, 30, 100, 300, 1000], dtype=float)
-        errors = 2.0 * ns**-0.5 * np.exp(rng.normal(0, 0.2, size=ns.size))
-        fit = fit_power_law(ns, errors)
-        assert -0.8 < fit.exponent < -0.2
-        assert fit.residual > 0
-
-    def test_zero_errors_floored(self):
-        fit = fit_power_law([10, 100], [0.1, 0.0])
-        assert np.isfinite(fit.exponent)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_power_law([10], [0.1])
-        with pytest.raises(ValueError):
-            fit_power_law([0, 10], [0.1, 0.2])
-        with pytest.raises(ValueError):
-            fit_power_law([10, 100], [0.1])
-
-    def test_monte_carlo_estimation_decays_at_half_rate(self):
-        # End-to-end: estimating a Bernoulli probability from samples decays
-        # as n^-1/2; the fitter must see that on real estimation error data.
-        rng = np.random.default_rng(1)
-        truth = 0.3
-        ns = [50, 200, 800, 3200, 12_800]
-        errors = []
-        for n in ns:
-            trials = [abs(rng.binomial(n, truth) / n - truth) for _ in range(200)]
-            errors.append(np.mean(trials))
-        fit = fit_power_law(ns, errors)
-        assert fit.exponent == pytest.approx(-0.5, abs=0.1)

@@ -96,13 +96,6 @@ class TestExecutionCounters:
         fresh = ExecutionCounters()
         assert fresh.true_branch_probabilities(main)[0] == 0.5
 
-    def test_branch_executions_sum_arms(self, counted_program):
-        sensors = SensorSuite({"a": UniformSensor()}, rng=0)
-        result = run_program(counted_program, MICAZ_LIKE, sensors, activations=50)
-        main = counted_program.procedure("main")
-        label = main.cfg.branch_blocks()[0].label
-        assert result.counters.branch_executions("main", label) == 50
-
     def test_counters_consistency_visits_vs_edges(self, demo_program, demo_sensors):
         result = run_program(demo_program, MICAZ_LIKE, demo_sensors, activations=100)
         counters = result.counters
@@ -110,7 +103,9 @@ class TestExecutionCounters:
         for proc in demo_program:
             for block in proc.cfg.branch_blocks():
                 visits = counters.block_visits[(proc.name, block.label)]
-                arms = counters.branch_executions(proc.name, block.label)
+                arms = sum(
+                    counters.edge_counts[(proc.name, block.label, arm)] for arm in ("then", "else")
+                )
                 assert visits == arms
 
     def test_taken_rate_bounds(self, demo_program, demo_sensors):

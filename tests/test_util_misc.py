@@ -7,12 +7,6 @@ import pytest
 
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.tables import Table, format_float
-from repro.util.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-    check_probability_vector,
-)
 
 
 class TestAsRng:
@@ -106,39 +100,3 @@ class TestTable:
         t = Table("demo", ["a"])
         t.extend([[1], [2]])
         assert len(t.rows) == 2
-
-
-class TestValidation:
-    def test_check_positive_accepts(self):
-        assert check_positive("x", 1.5) == 1.5
-
-    def test_check_positive_rejects_zero(self):
-        with pytest.raises(ValueError, match="x"):
-            check_positive("x", 0.0)
-
-    def test_check_fraction_bounds(self):
-        assert check_fraction("f", 0.0) == 0.0
-        assert check_fraction("f", 1.0) == 1.0
-        with pytest.raises(ValueError):
-            check_fraction("f", 1.01)
-
-    def test_check_probability_open_interval(self):
-        with pytest.raises(ValueError):
-            check_probability("p", 0.0, open_interval=True)
-        assert check_probability("p", 0.5, open_interval=True) == 0.5
-
-    def test_probability_vector_sums_to_one(self):
-        vec = check_probability_vector("v", [0.25, 0.75])
-        assert vec.sum() == pytest.approx(1.0)
-
-    def test_probability_vector_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            check_probability_vector("v", [0.2, 0.2])
-
-    def test_probability_vector_rejects_empty(self):
-        with pytest.raises(ValueError):
-            check_probability_vector("v", [])
-
-    def test_probability_vector_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_probability_vector("v", [-0.5, 1.5])
