@@ -21,16 +21,20 @@ dropped, the fit returns its current iterate flagged ``converged=False``
 with ``dropped_observations == n_samples`` instead of dividing by zero
 responsibility mass.
 
-Timer ticks quantize the durations, so a sample holds few distinct values.
-The E-step's kernel, joint, row maxima and normalization therefore run once
-per *distinct* duration (``np.unique``), and the responsibilities are then
-gathered back to one row per observation before the M-step.  The M-step
-itself stays on observation rows on purpose: a multiplicity-weighted sum
-(or a matmul over distinct rows, expanded afterwards) changes the summation
-order, which moves θ̂ in its last bits — enough to flip a near-tie placement
-and change the F4/F5 goldens.  Gathering keeps every estimate bit-identical
-to a per-observation E-step; dropped observations and the log-likelihood
-are likewise counted over observation rows.
+Both steps run at the size of the distinct data.  Timer ticks quantize
+the durations, so a sample holds few distinct values: the kernel, joint,
+row maxima and normalization run once per *distinct* duration
+(``np.unique``), and the M-step, the log-likelihood and the
+dropped-observation count weight each distinct row by its multiplicity in
+the sample.  The path family arrives folded into classes of paths with
+equal arm counts and durations (:class:`~repro.core.path_enum.PathFamily`),
+whose prior mass already carries the class size.  Per iteration the work is
+distinct durations × path classes, not observations × paths.  The weighted
+sums run in a different order than per-observation ones would, so θ̂ agrees
+with a per-observation, per-path EM to rounding, not bit for bit; chain
+formation snaps its edge weights to a 1e-9 grid
+(:data:`repro.placement.chains.WEIGHT_GRID`) so that such noise does not
+flip a placement.
 
 :meth:`EMEstimator.fit_with_family` additionally accepts — and returns —
 the enumerated :class:`PathFamily`, which is what lets the streaming
@@ -105,8 +109,8 @@ class EMEstimator:
     def _log_kernel(
         self, observations: np.ndarray, family: PathFamily
     ) -> np.ndarray:
-        """``log N(y_i; d_p, σ_p²)`` as an (n_values, n_paths) matrix."""
-        var = self._kernel_variance() + family.duration_variances  # (n_paths,)
+        """``log N(y_i; d_p, σ_p²)`` as an (n_values, n_rows) matrix."""
+        var = self._kernel_variance() + family.duration_variances  # (n_rows,)
         diff = observations[:, None] - family.duration_means[None, :]
         # Observations absurdly far from every path overflow diff**2 to inf;
         # the resulting -inf log-kernel is exactly the "drop this row"
@@ -189,9 +193,9 @@ class EMEstimator:
         """The EM iteration proper (split out so the public entry can trace it)."""
         if family is None:
             family = enumerate_paths(self.model, theta)
-        # The E-step runs over distinct durations; ``inverse`` maps each
-        # observation to its distinct value's row.
-        values, inverse = np.unique(ys, return_inverse=True)
+        # Both steps run over distinct durations, each weighted by the
+        # number of observations that share it.
+        values, weights = np.unique(ys, return_counts=True)
         log_kernel = self._log_kernel(values, family)
         family_theta = np.asarray(family.reference_theta, dtype=float)
 
@@ -216,11 +220,10 @@ class EMEstimator:
             prior_max = log_prior.max()
             log_mass = prior_max + np.log(np.sum(np.exp(log_prior - prior_max)))
             log_prior = log_prior - log_mass
-            log_joint = log_kernel + log_prior[None, :]  # (n_distinct, n_paths)
+            log_joint = log_kernel + log_prior[None, :]  # (n_distinct, n_rows)
             row_max = log_joint.max(axis=1)
-            usable_value = np.isfinite(row_max)
-            usable = usable_value[inverse]
-            dropped = int(np.sum(~usable))
+            usable = np.isfinite(row_max)
+            dropped = int(weights[~usable].sum())
             if not np.any(usable):
                 # The M-step would divide by zero responsibility mass.  Hand
                 # back the current iterate, honestly flagged: not converged,
@@ -234,24 +237,21 @@ class EMEstimator:
                         converged=False,
                         log_likelihood=-np.inf,
                         n_samples=int(ys.size),
-                        n_paths=len(family),
+                        n_paths=int(family.multiplicity.sum()),
                         dropped_observations=int(ys.size),
                         arm_counts=np.zeros(theta.size),
                     ),
                     family,
                 )
-            shifted = np.exp(log_joint[usable_value] - row_max[usable_value, None])
+            w = weights[usable]
+            shifted = np.exp(log_joint[usable] - row_max[usable, None])
             norm = shifted.sum(axis=1, keepdims=True)
-            # Gather back to one row per usable observation, in order.
-            rows = (np.cumsum(usable_value) - 1)[inverse[usable]]
-            resp = (shifted / norm)[rows]  # (n_usable, n_paths)
-            row_log_mass = np.log(norm[:, 0]) + row_max[usable_value]
-            log_likelihood = float(np.sum(row_log_mass[rows]))
+            path_weight = w @ (shifted / norm)  # (n_rows,) responsibility mass
+            row_log_mass = np.log(norm[:, 0]) + row_max[usable]
+            log_likelihood = float(w @ row_log_mass)
 
-            then_counts = resp @ family.then_counts  # (n_usable, k)
-            else_counts = resp @ family.else_counts
-            a_total = then_counts.sum(axis=0)
-            b_total = else_counts.sum(axis=0)
+            a_total = path_weight @ family.then_counts
+            b_total = path_weight @ family.else_counts
             denom = a_total + b_total
             arm_counts = denom
             new_theta = np.where(denom > 0, a_total / np.maximum(denom, 1e-12), theta)
@@ -270,7 +270,7 @@ class EMEstimator:
                 converged=converged,
                 log_likelihood=log_likelihood,
                 n_samples=int(ys.size),
-                n_paths=len(family),
+                n_paths=int(family.multiplicity.sum()),
                 dropped_observations=dropped,
                 arm_counts=arm_counts,
             ),

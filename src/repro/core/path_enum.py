@@ -17,15 +17,20 @@ below ``min_prob``; loops terminate naturally because every extra iteration
 multiplies the reference probability down.  The EM estimator re-enumerates
 under its current iterate, so coverage follows the estimate.
 
-A :class:`PathFamily` holds those statistics as read-only arrays, one row per
-path, so it can be shared — across EM iterations and the online
+Many paths share their statistics: a loop whose body holds two branches
+reaches the same arm counts (and the same duration) in every order of its
+iterations.  Such paths are interchangeable in every use of the family, so
+after the search they fold into one *class* row carrying its multiplicity,
+and EM's per-iteration work scales with classes rather than paths.  A
+:class:`PathFamily` holds those statistics as read-only arrays, one row per
+class, so it can be shared — across EM iterations and the online
 estimator's cache — without anyone mutating it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -45,18 +50,22 @@ _ARM_BITS = 16
 
 @dataclass(frozen=True, eq=False)
 class PathFamily:
-    """An enumerated set of paths plus coverage bookkeeping.
+    """An enumerated set of paths, folded into classes, plus coverage bookkeeping.
 
-    Row ``p`` of ``then_counts`` / ``else_counts`` holds path p's arm counts
-    ``a_pk`` / ``b_pk``; ``duration_means`` / ``duration_variances`` hold its
-    total duration moments.  The arrays are read-only and the family
-    compares by identity.
+    Row ``c`` is a class of ``multiplicity[c]`` enumerated paths with equal
+    arm counts and duration moments: ``then_counts`` / ``else_counts`` hold
+    their arm counts ``a_ck`` / ``b_ck`` and ``duration_means`` /
+    ``duration_variances`` their total duration moments.  Rows keep the
+    order in which the search first emitted a member.  ``len()`` counts
+    rows; ``multiplicity.sum()`` counts enumerated paths.  The arrays are
+    read-only and the family compares by identity.
     """
 
-    then_counts: np.ndarray  # (n_paths, k)
-    else_counts: np.ndarray  # (n_paths, k)
-    duration_means: np.ndarray  # (n_paths,)
-    duration_variances: np.ndarray  # (n_paths,)
+    then_counts: np.ndarray  # (n_rows, k)
+    else_counts: np.ndarray  # (n_rows, k)
+    duration_means: np.ndarray  # (n_rows,)
+    duration_variances: np.ndarray  # (n_rows,)
+    multiplicity: np.ndarray  # (n_rows,) enumerated paths per row
     covered_probability: float  # total mass under the reference theta
     reference_theta: tuple[float, ...]
     truncated: bool  # True when max_paths or min_prob cut enumeration short
@@ -67,6 +76,7 @@ class PathFamily:
             self.else_counts,
             self.duration_means,
             self.duration_variances,
+            self.multiplicity,
         ):
             arr.flags.writeable = False
 
@@ -78,7 +88,10 @@ class PathFamily:
         return self.duration_means.shape[0]
 
     def log_probabilities(self, theta: Sequence[float]) -> np.ndarray:
-        """``log P(path | theta)`` for every path (``-inf`` on a 0-probability arm)."""
+        """Each row's class mass: log multiplicity plus ``log P(path | theta)``.
+
+        ``-inf`` on a 0-probability arm.
+        """
         vec = np.asarray(theta, dtype=float)
         a, b = self.then_counts, self.else_counts
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -86,10 +99,10 @@ class PathFamily:
         # 0 * log(0) is a legitimate 0 contribution, not NaN.
         log_p = np.where((a == 0) & np.isnan(log_p), 0.0, log_p)
         log_p = np.where((b == 0) & np.isnan(log_p), 0.0, log_p)
-        return log_p.sum(axis=1)
+        return log_p.sum(axis=1) + np.log(self.multiplicity)
 
     def probabilities(self, theta: Sequence[float]) -> np.ndarray:
-        """``P(path | theta)`` for every path, in order."""
+        """Each row's class mass ``multiplicity · P(path | theta)``, in order."""
         return np.exp(self.log_probabilities(theta))
 
 
@@ -217,14 +230,19 @@ def enumerate_paths(
             "path enumeration found no complete path within limits "
             f"(min_prob={min_prob}, max_paths={max_paths})"
         )
+    # Fold paths with equal (packed counts, duration mean, duration variance)
+    # into one class row; a Counter keeps first-occurrence order.
+    classes = Counter(zip(packed_paths, path_means, path_vars))
+    class_packed, class_means, class_vars = zip(*classes)
     width = 2 * k * _ARM_BITS // 8
-    raw = b"".join(p.to_bytes(width, "little") for p in packed_paths)
-    counts = np.frombuffer(raw, dtype="<u2").reshape(len(packed_paths), 2 * k)
+    raw = b"".join(p.to_bytes(width, "little") for p in class_packed)
+    counts = np.frombuffer(raw, dtype="<u2").reshape(len(classes), 2 * k)
     return PathFamily(
         then_counts=np.ascontiguousarray(counts[:, :k], dtype=float),
         else_counts=np.ascontiguousarray(counts[:, k:], dtype=float),
-        duration_means=np.array(path_means),
-        duration_variances=np.array(path_vars),
+        duration_means=np.array(class_means),
+        duration_variances=np.array(class_vars),
+        multiplicity=np.fromiter(classes.values(), dtype=np.int64, count=len(classes)),
         covered_probability=covered,
         reference_theta=tuple(ref),
         truncated=truncated,

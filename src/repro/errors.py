@@ -9,6 +9,7 @@ callers be more selective without importing deep modules.
 from __future__ import annotations
 
 __all__ = [
+    "ERROR_CODES",
     "ReproError",
     "IRError",
     "CFGValidationError",
@@ -131,16 +132,27 @@ class ServeError(ReproError):
     """Errors from the fleet ingestion service (:mod:`repro.serve`)."""
 
 
+#: The serve wire protocol's stable error-code vocabulary (documented in
+#: docs/serving.md).  Every error reply's code passes through
+#: :class:`ProtocolError`, which accepts no other.
+ERROR_CODES = ("bad-json", "bad-request", "unknown-op", "bad-shard", "unknown-tenant")
+
+
 class ProtocolError(ServeError):
     """A serve request violated the JSON-lines wire protocol.
 
-    Carries a stable machine-readable ``code`` (e.g. ``"bad-json"``,
-    ``"bad-shard"``, ``"unknown-tenant"``) so the service can answer with a
-    structured error object instead of a bare string — motes retry on codes,
-    not prose.
+    Carries a stable machine-readable ``code`` from :data:`ERROR_CODES`
+    (e.g. ``"bad-json"``, ``"bad-shard"``, ``"unknown-tenant"``) so the
+    service can answer with a structured error object instead of a bare
+    string — motes retry on codes, not prose.  A code outside the
+    vocabulary raises ``ValueError``.
     """
 
     def __init__(self, code: str, detail: str) -> None:
+        if code not in ERROR_CODES:
+            raise ValueError(
+                f"unknown protocol error code {code!r} (known: {', '.join(ERROR_CODES)})"
+            )
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from repro.core.drift import detect_drift, estimate_epochs
 from repro.experiments.common import (
     ExperimentConfig,

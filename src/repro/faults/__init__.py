@@ -23,11 +23,10 @@ optional injector; ``None`` keeps the fault-free fast path byte-identical
 to the pre-fault codebase.
 """
 
-from repro.faults.model import FAULT_FREE, FaultInjector, FaultModel
+from repro.faults.model import FaultInjector, FaultModel
 from repro.faults.inject import CollectionStats, collect_timing, faulty_samples
 
 __all__ = [
-    "FAULT_FREE",
     "FaultModel",
     "FaultInjector",
     "CollectionStats",

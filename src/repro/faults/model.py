@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import FaultError
 from repro.util.rng import derive_seed_sequence
 
-__all__ = ["FaultModel", "FaultInjector", "FAULT_FREE", "GLITCH_CYCLES"]
+__all__ = ["FaultModel", "FaultInjector", "GLITCH_CYCLES"]
 
 _ADC_MAX = 1023  # mirrors repro.mote.sensors.ADC_MAX without the import cycle
 
@@ -101,9 +101,6 @@ class FaultModel:
         return replace(
             self, **{name: min(rate, 1.0) for name, rate in rates.items()}
         )
-
-
-FAULT_FREE = FaultModel()
 
 
 class FaultInjector:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.errors import IRError
-from repro.ir.instructions import Branch, Instruction, Jump, Return, Terminator
+from repro.ir.instructions import Branch, Instruction, Return, Terminator
 
 __all__ = ["BasicBlock"]
 

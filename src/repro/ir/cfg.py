@@ -11,11 +11,11 @@ branch polarity (taken = then-successor) when it comes from a conditional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
 from repro.errors import IRError
 from repro.ir.block import BasicBlock
-from repro.ir.instructions import Branch, Jump, Return
+from repro.ir.instructions import Branch, Jump
 
 __all__ = ["CFG", "Edge"]
 

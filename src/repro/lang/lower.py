@@ -20,8 +20,6 @@ The lowering choices that matter to the experiments:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import SemanticError
 from repro.ir.builder import CFGBuilder
 from repro.ir.instructions import (

@@ -11,7 +11,7 @@ model the tomography estimators invert.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

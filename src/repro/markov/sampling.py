@@ -6,8 +6,6 @@ synthetic timing datasets when a full mote simulation is unnecessary.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import MarkovError

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.markov.chain import AbsorbingChain
 
 __all__ = ["expected_visits", "expected_edge_traversals"]

@@ -18,7 +18,7 @@ cost table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.ir.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.mote.cpu import CpuModel

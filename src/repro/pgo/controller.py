@@ -66,7 +66,8 @@ __all__ = [
     "ACTIONS",
 ]
 
-#: Per-segment controller actions (the vocabulary is closed).
+#: Per-segment controller actions; :meth:`PGOController.run_segment` refuses
+#: any other.
 ACTIONS = ("hold", "alarm", "relearn", "swap", "commit", "rollback")
 
 #: State-machine phases.
@@ -279,6 +280,8 @@ class PGOController:
             self.estimator.absorb(shard)
             self.shards_since_reset += 1
             action, detail = self._decide(metrics)
+            if action not in ACTIONS:
+                raise PgoError(f"controller decided {action!r}, not one of {ACTIONS}")
             span.set(action=action, mispredict_rate=round(metrics.mispredict_rate, 6))
         obs.inc("pgo.segments")
         report = SegmentReport(

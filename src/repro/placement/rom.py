@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.instructions import Branch, Jump
-from repro.ir.program import Program
 from repro.mote.memory import MemoryMap
 from repro.placement.layout import Layout, ProgramLayout
 

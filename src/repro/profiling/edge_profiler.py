@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import ProfilingError
 from repro.ir.program import Program
-from repro.markov.builders import BranchParameterization
 from repro.sim.trace import ExecutionCounters
 
 __all__ = ["EdgeProfile", "EdgeProfiler"]

@@ -11,7 +11,7 @@ downstream of this module may touch exact cycle counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 

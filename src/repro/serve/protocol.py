@@ -54,7 +54,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro.errors import ProtocolError
+from repro.errors import ERROR_CODES, ProtocolError
 from repro.obs.validate import SERVE_SCHEMA
 
 __all__ = [
@@ -74,9 +74,6 @@ __all__ = [
 #: Bumped on any wire-visible change; echoed by ``stats`` responses.  The
 #: tag is declared with the other artifact schemas in :mod:`repro.obs.validate`.
 PROTOCOL_VERSION = SERVE_SCHEMA
-
-#: The stable error-code vocabulary (documented in docs/serving.md).
-ERROR_CODES = ("bad-json", "bad-request", "unknown-op", "bad-shard", "unknown-tenant")
 
 
 @dataclass(frozen=True, order=True)

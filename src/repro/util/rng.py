@@ -35,7 +35,7 @@ any child and the parent's future output.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

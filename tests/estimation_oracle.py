@@ -5,18 +5,22 @@ These are the straightforward forms the production code in
 :mod:`repro.sim.timing` was optimized from:
 
 * a heap enumerator that carries each path's arm counts as tuples and
-  returns one :class:`OraclePath` object per path;
+  returns one :class:`OraclePath` object per path, unfolded;
 * a per-path, per-element ``log_probability``;
-* an EM loop whose E-step runs over every observation row;
+* an EM loop whose E-step and M-step run over every observation row and
+  every enumerated path;
 * a procedure timing model that keeps its transition plan as Python rows
   and builds, validates and solves a whole absorbing chain on every
   ``moments`` call, with a per-θ Jacobian from ``∂N = N·∂Q·N``;
 * the moments fit's former solver: one scipy ``least_squares`` run
   (trust-region reflective, finite-difference Jacobian) per start.
 
-The oracle tests hold the production code bit-identical to the first
-three (the Jacobian to a tolerance) and the moments fit's cost to the
-last; the helpers after the EM loop are shared by the oracle test modules.
+The oracle tests hold the production path family bit-identical to the
+enumerator's paths folded into classes (:meth:`OracleFamily.classes`),
+class log-probabilities included; the production EM to the EM loop within
+rounding tolerances; the timing model to the chain (the Jacobian to a
+tolerance); and the moments fit's cost to the last.  The helpers after the
+EM loop are shared by the oracle test modules.
 """
 
 from __future__ import annotations
@@ -52,11 +56,12 @@ from repro.errors import (
     SimulationError,
 )
 from repro.ir.instructions import Branch, Jump, Return
+from repro.lang import compile_source
 from repro.markov.builders import BranchParameterization
 from repro.markov.moments import RewardMoments
 from repro.mote import MICAZ_LIKE
-from repro.placement.layout import Layout
-from repro.sim.timing import ProcedureTimingModel
+from repro.placement.layout import Layout, ProgramLayout
+from repro.sim.timing import ProcedureTimingModel, ProgramTimingModel
 from repro.util.rng import as_rng
 from repro.workloads.synthetic import random_estimation_problem
 
@@ -106,6 +111,22 @@ class OracleFamily:
 
     def log_probabilities(self, theta: np.ndarray) -> np.ndarray:
         return np.array([p.log_probability(theta) for p in self.paths])
+
+    def classes(self) -> tuple[list[OraclePath], np.ndarray]:
+        """The paths folded by equal statistics, in first-occurrence order.
+
+        Returns each class's first path and its multiplicity.
+        """
+        counts: dict[OraclePath, int] = {}
+        for path in self.paths:
+            counts[path] = counts.get(path, 0) + 1
+        return list(counts), np.array(list(counts.values()), dtype=np.int64)
+
+    def class_log_probabilities(self, theta: np.ndarray) -> np.ndarray:
+        """Each class's mass: log multiplicity plus its paths' log-probability."""
+        paths, multiplicity = self.classes()
+        per_path = np.array([p.log_probability(theta) for p in paths])
+        return per_path + np.log(multiplicity)
 
 
 def oracle_enumerate_paths(
@@ -214,7 +235,7 @@ def oracle_fit(
     theta0: Optional[Sequence[float]] = None,
     family: Optional[OracleFamily] = None,
 ) -> tuple[EMResult, OracleFamily]:
-    """``em.fit_with_family`` with an E-step over every observation row."""
+    """``em.fit_with_family`` with both steps over every observation and path."""
     ys = np.asarray(durations, dtype=float)
     k = em.model.n_parameters
     theta = np.full(k, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
@@ -379,14 +400,22 @@ def oracle_fit_moments(
 
 
 def assert_same_family(family, oracle):
-    assert np.array_equal(family.then_counts, oracle.then_counts())
-    assert np.array_equal(family.else_counts, oracle.else_counts())
-    assert np.array_equal(family.duration_means, oracle.duration_means())
-    assert np.array_equal(family.duration_variances, oracle.duration_variances())
+    """``family`` holds exactly the oracle's paths folded into classes."""
+    paths, multiplicity = oracle.classes()
+    then_counts = np.array([p.then_counts for p in paths], dtype=float)
+    else_counts = np.array([p.else_counts for p in paths], dtype=float)
+    assert np.array_equal(family.then_counts, then_counts)
+    assert np.array_equal(family.else_counts, else_counts)
+    assert np.array_equal(family.duration_means, [p.duration_mean for p in paths])
+    assert np.array_equal(
+        family.duration_variances, [p.duration_variance for p in paths]
+    )
+    assert np.array_equal(family.multiplicity, multiplicity)
     assert family.covered_probability == oracle.covered_probability
     assert family.truncated == oracle.truncated
     assert family.reference_theta == oracle.reference_theta
-    assert len(family) == len(oracle)
+    assert len(family) == len(paths)
+    assert int(family.multiplicity.sum()) == len(oracle)
 
 
 def synthetic_model(seed: int, n_branches: int, loop_fraction: float):
@@ -394,6 +423,50 @@ def synthetic_model(seed: int, n_branches: int, loop_fraction: float):
         rng=seed, n_branches=n_branches, loop_fraction=loop_fraction
     )
     return ProcedureTimingModel(proc, MICAZ_LIKE, Layout.source_order(proc.cfg))
+
+
+def folding_loop_model(seed: int, n_branches: int, calls: bool):
+    """``main``'s timing model, where ``main`` loops over ``n_branches`` if/else.
+
+    Each arm writes the LEDs zero to three times (drawn from ``seed``).  Two
+    paths that take the same arms in a different iteration order share arm
+    counts and durations, so their family folds them into one class.  With
+    ``calls``, the first branch's then-arm calls a procedure that has a
+    branch of its own, whose moments (at a θ drawn from ``seed``) put callee
+    variance on the paths.
+    """
+    rng = np.random.default_rng(seed)
+    arms = []
+    for j in range(n_branches):
+        pads = [" ".join([f"led({j});"] * int(rng.integers(0, 4))) for _arm in range(2)]
+        if calls and j == 0:
+            pads[0] += " work();"
+        arms.append(f"if (sense(s{j}) > 500) {{ {pads[0]} }} else {{ {pads[1]} }}")
+    source = "proc main() { while (sense(c) > 500) { " + " ".join(arms) + " } }"
+    if calls:
+        source = "proc work() { if (sense(w) > 500) { led(7); led(7); } }\n" + source
+    program = compile_source(source)
+    timing = ProgramTimingModel(program, MICAZ_LIKE, ProgramLayout.source_order(program))
+    callee_moments = {}
+    if calls:
+        work = timing.procedure_model("work", {})
+        callee_moments["work"] = work.moments(rng.uniform(0.1, 0.9, work.n_parameters))
+    return timing.procedure_model("main", callee_moments)
+
+
+def family_durations(model, theta, count: int, seed: int) -> np.ndarray:
+    """``count`` timer readings of paths drawn from the oracle family at ``theta``.
+
+    Each path's duration is its mean plus Gaussian callee noise, read by an
+    8-cycle tick at a uniform phase.
+    """
+    rng = np.random.default_rng(seed)
+    family = oracle_enumerate_paths(model, theta, min_prob=1e-9, max_paths=20_000)
+    probs = np.exp(family.log_probabilities(np.asarray(theta, dtype=float)))
+    index = rng.choice(len(family), size=count, p=probs / probs.sum())
+    noise = rng.normal(size=count) * np.sqrt(family.duration_variances()[index])
+    raw = family.duration_means()[index] + noise + rng.uniform(0.0, 8.0, count)
+    return np.floor(raw / 8.0) * 8.0
 
 
 # -- the timing model with a per-call chain ------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import FAULT_FREE, FaultInjector, FaultModel, collect_timing
+from repro.faults import FaultInjector, FaultModel, collect_timing
 from repro.mote import MICAZ_LIKE
 from repro.profiling import TimingProfiler
 from repro.sim import run_program, run_program_batched
@@ -65,7 +65,7 @@ class TestFaultModel:
             FaultModel(radio_loss=0.7, radio_corrupt=0.7)
 
     def test_enabled_reflects_any_positive_rate(self):
-        assert not FAULT_FREE.enabled
+        assert not FaultModel().enabled
         assert FaultModel(reboot=0.01).enabled
 
     def test_scaled_preserves_mixture_and_caps(self):
@@ -117,7 +117,7 @@ class TestInjectorDeterminism:
     def test_zero_rate_kinds_draw_nothing(self):
         # With every rate at zero the injector must answer without touching
         # its generators, so interleaving queries cannot change later draws.
-        idle = injector(FAULT_FREE, "noop")
+        idle = injector(FaultModel(), "noop")
         for _ in range(100):
             assert idle.radio_outcome() == "ok"
             assert not idle.sensor_faulted()
@@ -127,7 +127,7 @@ class TestInjectorDeterminism:
         # The untouched generators still agree with a fresh injector's.
         fresh = injector(ALL_KINDS, "noop")
         used = injector(ALL_KINDS, "noop")
-        probe = injector(FAULT_FREE, "noop")
+        probe = injector(FaultModel(), "noop")
         for _ in range(100):
             probe.radio_outcome()  # zero-rate: must not consume
         assert [used.radio_outcome() for _ in range(32)] == [
@@ -138,7 +138,7 @@ class TestInjectorDeterminism:
 class TestStrictNoOp:
     def test_disabled_injector_matches_no_injector(self):
         baseline = run_sense(faults=None)
-        shadowed = run_sense(faults=injector(FAULT_FREE, "noop-run"))
+        shadowed = run_sense(faults=injector(FaultModel(), "noop-run"))
         assert shadowed == baseline
 
     def test_batched_disabled_model_matches_none(self):
@@ -153,7 +153,7 @@ class TestStrictNoOp:
             spec.program(), MICAZ_LIKE, factory, fault_model=None, **kwargs
         )
         b = run_program_batched(
-            spec.program(), MICAZ_LIKE, factory, fault_model=FAULT_FREE, **kwargs
+            spec.program(), MICAZ_LIKE, factory, fault_model=FaultModel(), **kwargs
         )
         assert a == b
 
@@ -182,7 +182,7 @@ class TestStrictNoOp:
         result = run_sense()
         profiler = TimingProfiler(MICAZ_LIKE, rng=99)
         expected = profiler.collect(result.records)
-        for faults in (None, injector(FAULT_FREE, "collect")):
+        for faults in (None, injector(FaultModel(), "collect")):
             dataset, stats = collect_timing(
                 MICAZ_LIKE, result.records, faults=faults, rng=99
             )

@@ -1,10 +1,12 @@
 """Array-native path families against the tuple-based reference enumerator.
 
-:func:`repro.core.enumerate_paths` packs arm counts into ints and stores
-the family as read-only arrays; :mod:`tests.estimation_oracle` keeps the
-straightforward tuple enumerator and per-path ``log_probability``.  Both
-must agree exactly: same paths in the same order, same coverage and
-truncation, and the same log-probabilities to the last bit.
+:func:`repro.core.enumerate_paths` packs arm counts into ints, folds paths
+with equal statistics into classes and stores the family as read-only
+arrays; :mod:`tests.estimation_oracle` keeps the straightforward tuple
+enumerator and per-path ``log_probability``.  Folded the same way, both
+must agree exactly: same classes in the same order with the same
+multiplicities, same coverage and truncation, and the same class
+log-probabilities to the last bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.sim import ProcedureTimingModel, ProgramTimingModel
 from repro.workloads.registry import all_workloads
 from tests.estimation_oracle import (
     assert_same_family,
+    folding_loop_model,
     oracle_enumerate_paths,
     synthetic_model,
 )
@@ -36,7 +39,9 @@ EDGE_THETAS = (0.0, 1.0)
 
 def assert_same_log_probabilities(family, oracle, theta):
     vec = np.asarray(theta, dtype=float)
-    assert np.array_equal(family.log_probabilities(vec), oracle.log_probabilities(vec))
+    assert np.array_equal(
+        family.log_probabilities(vec), oracle.class_log_probabilities(vec)
+    )
 
 
 def workload_models():
@@ -167,6 +172,34 @@ class TestAgainstOracle:
             )
 
 
+class TestFoldingLoops:
+    """Loops over two or more branches, where paths fold into classes."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_branches=st.integers(2, 3),
+        calls=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_generated_loops_fold_like_the_oracle(self, seed, n_branches, calls, data):
+        model = folding_loop_model(seed, n_branches, calls)
+        k = model.n_parameters
+        drawn = [data.draw(reference_thetas) for _ in range(k)]
+        theta = np.array([data.draw(unit_thetas) for _ in range(k)])
+        for reference in (None, drawn):
+            family, oracle = enumerate_both(model, reference)
+            if family is None:
+                continue
+            assert_same_family(family, oracle)
+            assert_same_log_probabilities(family, oracle, theta)
+            per_path = np.exp(oracle.log_probabilities(theta)).sum()
+            assert abs(family.probabilities(theta).sum() - per_path) <= 1e-12
+            if reference is None:
+                # Two loop iterations in either order already fold.
+                assert len(family) < family.multiplicity.sum()
+
+
 @pytest.fixture
 def family():
     prog = compile_source("proc main() { while (sense(a) > 800) { led(1); } }")
@@ -175,7 +208,13 @@ def family():
     return enumerate_paths(model, [0.5], min_prob=1e-4)
 
 
-ARRAYS = ("then_counts", "else_counts", "duration_means", "duration_variances")
+ARRAYS = (
+    "then_counts",
+    "else_counts",
+    "duration_means",
+    "duration_variances",
+    "multiplicity",
+)
 
 
 class TestReadOnly:

@@ -172,6 +172,13 @@ class TestControllerStateMachine:
         reports = run_schedule(ctl, TRAP)
         assert {r.action for r in reports} <= set(ACTIONS)
 
+    def test_an_action_outside_the_vocabulary_is_refused(self, probe, monkeypatch):
+        ctl = PGOController(probe, MICAZ_LIKE)
+        monkeypatch.setattr(ctl, "_decide", lambda metrics: ("panic", ""))
+        with pytest.raises(PgoError, match="'panic'"):
+            ctl.run_segment(probe_sensors("A", 7, 0), ACTS)
+        assert ctl.reports == []
+
     def test_rejects_bad_inputs(self, probe):
         ctl = PGOController(probe, MICAZ_LIKE)
         with pytest.raises(PgoError, match="activations"):

@@ -93,6 +93,12 @@ class TestProtocol:
         assert response["op"] == "error" and response["code"] == code
         json.loads(encode(response))  # the error itself is wire-clean
 
+    def test_protocol_error_refuses_a_code_outside_the_vocabulary(self):
+        for code in ERROR_CODES:
+            assert ProtocolError(code, "detail").code == code
+        with pytest.raises(ValueError, match="'bad-mood'"):
+            ProtocolError("bad-mood", "detail")
+
     def test_receipt_wire_form(self):
         receipt = Receipt(
             status="deferred",
