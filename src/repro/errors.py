@@ -4,6 +4,10 @@ Every error raised deliberately by this library derives from
 :class:`ReproError`, so callers can catch one base class at an API boundary.
 Subsystem-specific bases (:class:`IRError`, :class:`LangError`, ...) let
 callers be more selective without importing deep modules.
+
+Every class survives pickling with its message and attributes: those whose
+constructor takes more than a message rebuild themselves from their fields
+through ``__reduce__``.
 """
 
 from __future__ import annotations
@@ -56,8 +60,12 @@ class LexError(LangError):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        return (type(self), (self.message, self.line, self.column))
 
 
 class ParseError(LangError):
@@ -65,8 +73,12 @@ class ParseError(LangError):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        return (type(self), (self.message, self.line, self.column))
 
 
 class SemanticError(LangError):
@@ -156,6 +168,9 @@ class ProtocolError(ServeError):
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
+
+    def __reduce__(self):
+        return (type(self), (self.code, self.detail))
 
 
 class UnitExecutionError(ExperimentError):

@@ -17,7 +17,7 @@ model charges, while :attr:`Radio.packet_count` counts deliveries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.obs import counters as hwc
 
@@ -27,9 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
 __all__ = ["Radio", "Packet"]
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One transmitted packet: payload value and the send cycle."""
+class Packet(NamedTuple):
+    """One transmitted packet: payload value and the send cycle.
+
+    A tuple, so it compares equal to a plain ``(value, cycle)``.
+    """
 
     value: int
     cycle: int

@@ -45,7 +45,12 @@ ADC_MAX = 1023
 
 
 def _clamp_adc(value: float) -> int:
-    return int(min(max(round(value), 0), ADC_MAX))
+    reading = round(value)  # NaN raises ValueError here or in int() below
+    if reading < 0:
+        return 0
+    if reading > ADC_MAX:
+        return ADC_MAX
+    return int(reading)
 
 
 class Sensor(abc.ABC):
@@ -236,11 +241,11 @@ class SensorSuite:
             raise MoteError(f"unknown sensor channel {channel!r}; known: {known}") from None
         self.read_count += 1
         value = sensor.read(self._rng)
-        hw = hwc.active()
-        if hw is not None:
-            hw.sensor_read()
+        # ``sensor.reads`` is not counted here: the interpreter prices its
+        # SENSE count when it reports.  Dropouts are rare and count here.
         if self.faults is not None and self.faults.sensor_faulted():
             self.dropout_count += 1
+            hw = hwc.active()
             if hw is not None:
                 hw.sensor_dropout()
             return self.faults.stuck_reading()

@@ -25,13 +25,14 @@ Design follows the :mod:`repro.obs` house rules:
   the cycles go" the same way a sampling profiler would.
 
 CPU-side counters (cycle classes, flash fetches, branch outcomes and
-predictions, the per-procedure rows) are not counted event by event: the
-interpreter keeps only its ground-truth execution counts and, when a driver
-reports (:meth:`repro.sim.interpreter.Interpreter.report_counters`), prices
-them through the layout's compiled weights and merges the result here.
-``invocations`` therefore counts completed invocations.  Peripheral
-counters (radio, sensors, timer, scheduler) are added as their events
-happen.
+predictions, the per-procedure rows) and ``sensor.reads`` are not counted
+event by event: the interpreter keeps only its ground-truth execution
+counts and, when a driver reports
+(:meth:`repro.sim.interpreter.Interpreter.report_counters`), prices them
+through the layout's compiled weights and merges the result here.
+``invocations`` therefore counts completed invocations.  The other
+peripheral counters (radio, sensor dropouts, timer, scheduler) are added
+as their events happen.
 
 Scoping: :func:`counters_active` installs a registry for the ``with``
 body.  By default a nested registry *folds its counts into the outer one
@@ -119,9 +120,6 @@ class HardwareCounters:
     def radio_energy(self, uj: float) -> None:
         """Radio transmit energy in microjoules (priced by the caller)."""
         self.add("radio.energy_uj", uj)
-
-    def sensor_read(self) -> None:
-        self.add("sensor.reads")
 
     def sensor_dropout(self) -> None:
         self.add("sensor.dropouts")

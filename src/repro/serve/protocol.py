@@ -49,6 +49,7 @@ Error codes are part of the contract: ``bad-json``, ``bad-request``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -201,7 +202,11 @@ def _shard_samples(obj: Mapping) -> dict[str, np.ndarray]:
                     "bad-shard",
                     f"samples[{name!r}] holds a non-numeric duration: {x!r}",
                 )
-            if not np.isfinite(x) or x < 0:
+            try:
+                value = float(x)  # an int past the float range overflows
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value) or value < 0:
                 raise ProtocolError(
                     "bad-shard",
                     f"samples[{name!r}] holds an impossible duration: {x!r}",
@@ -258,7 +263,7 @@ def parse_request_line(line: str):
     """Decode + validate one wire line (the JSONL entry point)."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ProtocolError("bad-json", f"not valid JSON: {exc}") from exc
     return parse_request(obj)
 

@@ -22,19 +22,27 @@ source only through ``repr()``.  The dict-walking interpreter this was
 compiled from is kept as the test oracle (``tests/sim_oracle.py``), and
 ``tests/test_sim_differential.py`` holds the two bit-identical.
 
-The generated code counts only :class:`ExecutionCounters`.  Under a fixed
-layout, every CPU-side hardware counter (each cycle class, flash fetches,
-branch outcomes and predictions, the per-procedure rows) is a compile-time
-constant times one of those counts, so :func:`_compile` also returns that
-weight table, and :meth:`Interpreter.report_counters` folds the counts
-since its last report through it into the active
+The generated code counts into one flat list of slots and nothing else.
+A slot is one count the ground truth keeps: a block visit, a branch arm or
+jump, a completed invocation, or a SENSE or SEND executed.  Slots are
+numbered from the program alone, so a hot swap to another layout keeps
+counting into the same list.  A slot starts as ``None``; its first bump
+raises ``TypeError``, whose handler stores 1 and appends the slot to a
+first-visit list, which is the order :class:`ExecutionCounters` inserts
+its keys in.  :attr:`Interpreter.counters` folds the slots into the
+:class:`ExecutionCounters` object when it is read.  Under a fixed layout,
+every CPU-side hardware counter (each cycle class, flash fetches, branch
+outcomes and predictions, the per-procedure rows) and ``sensor.reads`` is
+a compile-time constant times one slot, so :func:`_compile` also returns
+that weight table, indexed by slot, and
+:meth:`Interpreter.report_counters` prices the slot counts since its last
+report through it into the active
 :class:`~repro.obs.counters.HardwareCounters` registry.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.ir.block import BasicBlock
@@ -180,13 +188,38 @@ def _definitely_assigned(
 # An ExecutionCounters key: an invocation ``proc``, a block visit
 # ``(proc, label)`` or an edge ``(proc, label, arm)``.
 _Key = Union[str, tuple[str, ...]]
-# What one count of a key adds to the hardware counters: the procedure, its
-# ``totals`` increments and its per-procedure row increments.
-_Weight = tuple[str, tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]
+# What one count of a slot adds to ExecutionCounters: the Counter field and
+# its key (``None`` for neither), and the integer fields it adds one to.
+_Fold = tuple[Optional[str], Optional[_Key], tuple[str, ...]]
+# What one count of a slot adds to the hardware counters: the procedure, its
+# ``totals`` increments and its per-procedure row increments (none for a
+# count no procedure's row holds).
+_Weight = tuple[Optional[str], tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]
+
+# The two program-wide slots: every SENSE and every SEND executed.
+_SENSE, _SEND = 0, 1
+
+
+def _first(counts: list, visited: list[int], slot: int) -> None:
+    """A slot's first bump: it counts 1 and joins the first-visit order."""
+    counts[slot] = 1
+    visited.append(slot)
+
+
+def _bump(slot: int, out: list[str]) -> None:
+    """Source adding one to slot ``slot`` of ``N`` (``None`` until its first bump)."""
+    out.append("try:")
+    out.append(f"    N[{slot}] += 1")
+    out.append("except TypeError:")
+    out.append(f"    _first(N, V, {slot})")
 
 
 class _ProcedureSource:
-    """Generated source for one procedure under one layout on one CPU."""
+    """Generated source for one procedure under one layout on one CPU.
+
+    Each count the code keeps takes the next slot of ``compiled``, so slots
+    follow the procedure's blocks in CFG order, whatever the layout.
+    """
 
     def __init__(
         self,
@@ -195,12 +228,14 @@ class _ProcedureSource:
         layout: Layout,
         program: Program,
         cpu: CpuModel,
+        compiled: _Compiled,
     ) -> None:
         self.name = name
         self.proc = proc
         self.layout = layout
         self.program = program
         self.cpu = cpu
+        self.compiled = compiled
         self.lines: list[str] = []
         self.constants: dict[str, object] = {}
         self.globals_ = set(program.globals_)
@@ -229,9 +264,13 @@ class _ProcedureSource:
         self.bound = _definitely_assigned(proc.cfg.entry, self.blocks, locals_ - self.params)
         self.maybe_unbound: set[str] = set()
         self.resolved = layout.resolve_all_branches()
-        # What one count of each ExecutionCounters key the code bumps adds
-        # to the hardware counters.
-        self.weights: dict[_Key, _Weight] = {}
+
+    def count(self, fold: _Fold, weight: _Weight, out: list[str]) -> None:
+        """Bump a new slot whose counts add ``fold`` and price as ``weight``."""
+        slot = len(self.compiled.folds)
+        self.compiled.folds.append(fold)
+        self.compiled.weights.append(weight)
+        _bump(slot, out)
 
     # -- literals and operands -------------------------------------------------
 
@@ -320,11 +359,11 @@ class _ProcedureSource:
         elif op is Opcode.SENSE:
             expr = _WRAP.format(f"interp.sensors.read({self.literal(instr.imm)})")
             self.write(instr.dst, expr, bound, out)
-            out.append("C.sense_reads += 1")
+            _bump(_SENSE, out)
         elif op is Opcode.SEND:
             value = self.read(instr.srcs[0], bound, out)
             out.append(f"interp.radio.transmit({value}, interp.cycle)")
-            out.append("C.sends += 1")
+            _bump(_SEND, out)
         elif op is Opcode.LED:
             out.append(f"interp.leds = {self.read(instr.srcs[0], bound, out)} & 7")
         elif op is Opcode.CALL:
@@ -365,15 +404,11 @@ class _ProcedureSource:
         self.charge(cycles, out)
         if extra:
             self.charge(cpu.jump_cycles, out)
-        key = (self.name, block.label, arm)
-        out.append(f"EC[{self.literal(key)}] += 1")
-        out.append("C.branches_executed += 1")
+        scalars = ("branches_executed",)
         if taken:
-            out.append("C.taken_total += 1")
+            scalars += ("taken_total",)
         if taken != predicted:
-            out.append("C.mispredict_total += 1")
-        dest = term.then_target if arm == "then" else term.else_target
-        out.append(f"b = {self.target(dest)}")
+            scalars += ("mispredict_total",)
 
         totals = [
             (f"predict.{cpu.predictor.name}.{'taken' if predicted else 'not_taken'}", 1),
@@ -390,17 +425,20 @@ class _ProcedureSource:
             where = "backward" if backward else "forward"
             totals.append((f"branch.mispredict.{where}_target", 1))
             row.append(("mispredicts", 1))
-        self.weights[key] = (self.name, tuple(totals), tuple(row))
+        key = (self.name, block.label, arm)
+        self.count(("edge_counts", key, scalars), (self.name, tuple(totals), tuple(row)), out)
+        dest = term.then_target if arm == "then" else term.else_target
+        out.append(f"b = {self.target(dest)}")
 
     def block(self, block: BasicBlock) -> list[str]:
         out: list[str] = []
         bound = set(self.bound[block.label])
         cycles = self.cpu.cost_model.block_cycles(block)
-        key = (self.name, block.label)
-        self.weights[key] = (
-            self.name, (("cycles.block", cycles), ("flash.fetches", 1)), (("cycles", cycles),)
+        self.count(
+            ("block_visits", (self.name, block.label), ()),
+            (self.name, (("cycles.block", cycles), ("flash.fetches", 1)), (("cycles", cycles),)),
+            out,
         )
-        out.append(f"BV[{self.literal(key)}] += 1")
         out.append("if path is not None:")
         out.append(f"    path.append({self.literal(block.label)})")
         self.charge(cycles, out)
@@ -417,10 +455,12 @@ class _ProcedureSource:
         elif isinstance(term, Jump):
             cost = self.cpu.jump_cost(fallthrough=self.layout.jump_is_elided(block.label))
             self.charge(cost, out)
-            key = (self.name, block.label, "jump")
             jumps = (("control.jumps", 1), ("cycles.jump", cost)) if cost else (("control.jumps", 1),)
-            self.weights[key] = (self.name, jumps, (("cycles", cost),))
-            out.append(f"EC[{self.literal(key)}] += 1")
+            self.count(
+                ("edge_counts", (self.name, block.label, "jump"), ()),
+                (self.name, jumps, (("cycles", cost),)),
+                out,
+            )
             out.append(f"b = {self.target(term.target)}")
         elif isinstance(term, Branch):
             cond = self.read(term.cond, bound, out)
@@ -467,9 +507,8 @@ class _ProcedureSource:
             lines.append(f"    {self.registers[param]} = {_WRAP.format(f'int(args[{i}])')}")
         for register in sorted(self.maybe_unbound, key=self.registers.__getitem__):
             lines.append(f"    {self.registers[register]} = None")
-        lines.append("    C = interp.counters")
-        lines.append("    BV = C.block_visits")
-        lines.append("    EC = C.edge_counts")
+        lines.append("    N = interp._counts")
+        lines.append("    V = interp._visited")
         lines.append("    G = interp.globals")
         lines.append("    A = interp.arrays")
         lines.append("    limit = interp.max_steps")
@@ -483,14 +522,16 @@ class _ProcedureSource:
         lines.append("        steps += 1")
         self.dispatch(bodies, 0, len(bodies), " " * 8)
         cost = self.cpu.return_cost()  # a completed invocation paid its return
-        self.weights[self.name] = (
-            self.name, (("cycles.return", cost),), (("invocations", 1), ("cycles", cost))
+        done: list[str] = []
+        self.count(
+            ("invocations", self.name, ()),
+            (self.name, (("cycles.return", cost),), (("invocations", 1), ("cycles", cost))),
+            done,
         )
-        lines.append(f"    C.invocations[{name}] += 1")
+        lines.extend("    " + line for line in done)
         lines.append(
-            f"    interp.records.append(_Record(procedure={name}, entry_cycle=entry, "
-            "exit_cycle=interp.cycle, depth=depth, "
-            "path=tuple(path) if path is not None else None))"
+            f"    interp.records.append(_new(_Record, ({name}, entry, interp.cycle, depth, "
+            "tuple(path) if path is not None else None)))"
         )
         lines.append("    return rv")
         return "\n".join(lines) + "\n"
@@ -498,6 +539,8 @@ class _ProcedureSource:
 
 _RUNTIME = {
     "_Record": InvocationRecord,
+    "_new": tuple.__new__,
+    "_first": _first,
     "_div": _div,
     "_mod": _mod,
     "_unbound": _unbound,
@@ -515,40 +558,48 @@ class _Compiled(NamedTuple):
     ``functions`` maps a procedure name to ``run(interp, args, depth)``,
     which executes one invocation against ``interp``'s state; compiled
     calls reach their callees through the same mapping, so recursion needs
-    nothing special.  ``weights`` maps every ExecutionCounters key the code
-    can count to what one count adds to the hardware counters.
+    nothing special.  Indexed by slot, ``folds`` says what one count adds to
+    :class:`ExecutionCounters` (a branch arm's taken and mispredicted flags
+    are the layout's) and ``weights`` what it adds to the hardware counters.
     """
 
     functions: dict[str, Callable[..., int]]
-    weights: dict[_Key, _Weight]
+    folds: list[_Fold]
+    weights: list[_Weight]
 
 
 def _compile(program: Program, layout: ProgramLayout, platform: Platform) -> _Compiled:
     """Every procedure of ``program``, compiled for ``layout`` and ``platform``."""
-    compiled = _Compiled({}, {})
+    # The radio counts its own transmissions, so a SEND prices to nothing.
+    compiled = _Compiled(
+        {},
+        [(None, None, ("sense_reads",)), (None, None, ("sends",))],
+        [(None, (("sensor.reads", 1),), ()), (None, (), ())],
+    )
     for name, proc in program.procedures.items():
-        generated = _ProcedureSource(name, proc, layout.layout(name), program, platform.cpu)
+        generated = _ProcedureSource(
+            name, proc, layout.layout(name), program, platform.cpu, compiled
+        )
         source = generated.source()
         namespace = {**_RUNTIME, **generated.constants, "_F": compiled.functions}
         exec(compile(source, f"<repro.sim {name}>", "exec"), namespace)
         compiled.functions[name] = namespace["run"]
-        compiled.weights.update(generated.weights)
     return compiled
 
 
-def _project(weights: dict[_Key, _Weight], counts: Sequence[Counter]) -> dict:
-    """The hardware-counter snapshot that ``counts`` amount to under ``weights``.
+def _project(weights: Sequence[_Weight], counts: Iterable[tuple[int, int]]) -> dict:
+    """The hardware-counter snapshot that ``(slot, count)`` pairs amount to.
 
     A counter or row field appears once a count that adds to it is
     positive, even when the amount it adds is zero.
     """
     totals: dict[str, int] = {}
     per_proc: dict[str, dict[str, int]] = {}
-    for table in counts:
-        for key, n in table.items():
-            proc, adds, row_adds = weights[key]
-            for name, amount in adds:
-                totals[name] = totals.get(name, 0) + amount * n
+    for slot, n in counts:
+        proc, adds, row_adds = weights[slot]
+        for name, amount in adds:
+            totals[name] = totals.get(name, 0) + amount * n
+        if row_adds:
             row = per_proc.setdefault(proc, {})
             for name, amount in row_adds:
                 row[name] = row.get(name, 0) + amount * n
@@ -589,12 +640,74 @@ class Interpreter:
         }
         self.leds = 0
         self.cycle = 0
-        self.counters = ExecutionCounters()
         self.records: list[InvocationRecord] = []
         # Compiled on the first invocation.
         self._compiled: Optional[_Compiled] = None
-        # The counters object and its counts as of the last report.
-        self._reported: tuple[Optional[ExecutionCounters], tuple[Counter, ...]] = (None, ())
+        self._counters = ExecutionCounters()
+        self._fresh_slots()
+
+    # -- counting -------------------------------------------------------------------
+
+    def _fresh_slots(self) -> None:
+        """Count into new slots, with nothing visited, folded or reported.
+
+        ``_counts`` holds each slot's count (``None`` until its first
+        bump) and ``_visited`` the slots in first-bump order; ``_folded``
+        and ``_reported`` hold each slot's count as of the last fold into
+        :attr:`counters` and as of the last report.
+        """
+        n = len(self._compiled.folds) if self._compiled is not None else 0
+        self._counts: list[Optional[int]] = [None] * n
+        self._visited: list[int] = []
+        self._folded = [0] * n
+        self._reported = [0] * n
+
+    def _fold(self) -> None:
+        """Add the slot counts since the last fold to the counters object.
+
+        Slots fold in first-visit order, so each Counter inserts its keys in
+        the order the program first counted them.
+        """
+        counts, folded, counters = self._counts, self._folded, self._counters
+        for slot in self._visited:
+            n = counts[slot]
+            d = n - folded[slot]
+            if d:
+                folded[slot] = n
+                table, key, scalars = self._compiled.folds[slot]
+                if table is not None:
+                    getattr(counters, table)[key] += d
+                for name in scalars:
+                    setattr(counters, name, getattr(counters, name) + d)
+
+    def _load(self, layout: ProgramLayout) -> _Compiled:
+        """Compile for ``layout``.  Slots number the program alone, so the
+        counts so far carry over; the first compile sizes them."""
+        first = self._compiled is None
+        self._compiled = _compile(self.program, layout, self.platform)
+        if first:
+            self._fresh_slots()
+        return self._compiled
+
+    @property
+    def counters(self) -> ExecutionCounters:
+        """The ground-truth counts, folded from the slots when read.
+
+        The compiled code counts only into its slots.  Reading this
+        property brings the :class:`ExecutionCounters` object up to date
+        and returns it; so does :meth:`report_counters`.  A reference held
+        across activations is current only after one of the two.  Setting
+        it brings the old object up to date, then counts into the new one
+        from zero, with a fresh report baseline.
+        """
+        self._fold()
+        return self._counters
+
+    @counters.setter
+    def counters(self, counters: ExecutionCounters) -> None:
+        self._fold()
+        self._counters = counters
+        self._fresh_slots()
 
     # -- procedure invocation -----------------------------------------------------
 
@@ -602,11 +715,11 @@ class Interpreter:
         """Run one invocation of ``proc_name``; returns its value (0 if void).
 
         Records an :class:`InvocationRecord` with exact entry/exit cycles and
-        updates the ground-truth counters as execution proceeds.
+        updates the ground-truth counts as execution proceeds.
         """
         compiled = self._compiled
         if compiled is None:
-            compiled = self._compiled = _compile(self.program, self.layout, self.platform)
+            compiled = self._load(self.layout)
         try:
             run = compiled.functions[proc_name]
         except KeyError:
@@ -619,27 +732,26 @@ class Interpreter:
         return self.invoke(self.program.entry, ())
 
     def report_counters(self) -> None:
-        """Fold the counts since the last report into the active registry.
+        """Fold the slots into :attr:`counters`, then price them into the registry.
 
-        The compiled code counts only :attr:`counters`.  This prices the
-        block visits, edges and completed invocations counted since the
-        previous report (or since :attr:`counters` was replaced) through the
-        compiled weight table, and merges the result into the installed
+        This prices the slot counts since the previous report (or since
+        :attr:`counters` was replaced) through the compiled weight table,
+        and merges the result into the installed
         :class:`~repro.obs.counters.HardwareCounters`; with none installed,
         those counts are dropped.  Drivers call it where a run or segment
         ends, and :meth:`hot_swap_layout` calls it before the weights change.
         """
-        counters = self.counters
-        counts = (counters.block_visits, counters.edge_counts, counters.invocations)
-        owner, before = self._reported
+        self._fold()
+        counts, reported = self._counts, self._reported
+        since = []
+        for slot in self._visited:
+            n = counts[slot]
+            if n != reported[slot]:
+                since.append((slot, n - reported[slot]))
+                reported[slot] = n
         hw = hwc.active()
-        if hw is not None and self._compiled is not None:
-            if owner is counters:
-                since = [now - then for now, then in zip(counts, before)]
-            else:  # a fresh baseline: every count so far is new
-                since = list(counts)
+        if hw is not None and since:
             hw.merge_snapshot(_project(self._compiled.weights, since))
-        self._reported = (counters, tuple(Counter(c) for c in counts))
 
     def hot_swap_layout(self, layout: ProgramLayout) -> None:
         """Re-flash the code image mid-run: adopt a new block layout.
@@ -660,7 +772,7 @@ class Interpreter:
             )
         self.report_counters()
         self.layout = layout
-        self._compiled = _compile(self.program, layout, self.platform)
+        self._load(layout)
 
     def set_sensors(self, sensors: SensorSuite) -> None:
         """Swap the sensor suite between activations (environment segments)."""

@@ -3,17 +3,22 @@
 The interpreter emits one :class:`InvocationRecord` per procedure invocation
 (the timestamps tomography will degrade and consume) and maintains an
 :class:`ExecutionCounters` with the exact dynamic counts a full-instrumentation
-profiler would gather — the oracle every estimator is judged against.  They
-are also the only counts the interpreter keeps: its CPU-side hardware
-counters are these counts priced through the compiled layout (see
+profiler would gather — the oracle every estimator is judged against.  The
+compiled interpreter counts into flat slots and folds them into its
+:class:`ExecutionCounters` when the object is read or the counts are
+reported; its CPU-side hardware counters are the same counts priced through
+the compiled layout (see
 :meth:`repro.sim.interpreter.Interpreter.report_counters`).
+
+A record is a :class:`~typing.NamedTuple`, one per invocation: as a tuple it
+is cheap to build, and it compares equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,8 +28,7 @@ from repro.ir.procedure import Procedure
 __all__ = ["InvocationRecord", "ExecutionCounters", "RunResult"]
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     """One dynamic procedure invocation with exact cycle boundaries."""
 
     procedure: str

@@ -275,6 +275,8 @@ class Interpreter:
             assert instr.dst is not None and isinstance(instr.imm, str)
             self._write(frame, instr.dst, self.sensors.read(instr.imm))
             self.counters.sense_reads += 1
+            if hwc.active() is not None:
+                hwc.active().add("sensor.reads")
         elif op is Opcode.SEND:
             self.radio.transmit(self._read(frame, instr.srcs[0]), self.cycle)
             self.counters.sends += 1

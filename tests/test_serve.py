@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.online import OnlineOptions
 from repro.errors import ProtocolError
@@ -376,3 +378,100 @@ class TestFleet:
             run_fleet(_fleet(faults=faults), ServiceConfig(max_batch=4))
         )
         assert report.shards_accepted == report.shards_sent
+
+
+# -- the malformed-line sweep --------------------------------------------------
+# Generated JSON values and raw text lines, fed to the wire parser and to the
+# service: the parser may raise only a ProtocolError with a known code, and
+# ``handle_line`` answers every line with a JSON-able dict.
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**1100)  # past 2**64 and past the float range
+    | st.floats()
+    | st.text(max_size=8)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+_REQUESTS = st.fixed_dictionaries(
+    {"op": st.sampled_from(["upload", "query", "stats", "nope"]) | _VALUES},
+    optional={
+        "deployment": st.just("field") | _VALUES,
+        "version": st.just("1.0") | _VALUES,
+        "mote": st.integers(-2, 2**70) | _VALUES,
+        "seq": st.integers(-2, 2**70) | _VALUES,
+        "samples": st.dictionaries(
+            st.sampled_from(["main", ""]) | st.text(max_size=6),
+            st.lists(_SCALARS | _VALUES, max_size=4),
+            max_size=3,
+        )
+        | _VALUES,
+        "trace": st.text(max_size=6) | _VALUES,
+    },
+)
+
+
+@st.composite
+def _damaged_lines(draw):
+    """A valid upload line, cut short or with one character spliced in."""
+    line = upload_line(mote=draw(st.integers(0, 9)))
+    cut = draw(st.integers(0, len(line)))
+    if draw(st.booleans()):
+        return line[:cut]
+    return line[:cut] + draw(st.characters()) + line[cut:]
+
+
+_LINES = (
+    st.one_of(_VALUES, _REQUESTS).map(json.dumps)
+    | st.text(max_size=40)
+    | st.integers(1, 5000).map(lambda depth: "[" * depth)
+    | _damaged_lines()
+)
+
+
+async def _answer(line: str) -> dict:
+    service = IngestionService(ServiceConfig(max_batch=10**9))
+    service.register_tenant("field", "1.0", BLINK.program(), PLATFORM)
+    await service.start()  # never drained: asyncio.run cancels the worker
+    return await service.handle_line(line)
+
+
+def parse_error(line: str) -> ProtocolError:
+    with pytest.raises(ProtocolError) as excinfo:
+        parse_request_line(line)
+    return excinfo.value
+
+
+class TestMalformedLineSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(line=_LINES)
+    @example(line=upload_line(samples={"main": [2**64]}))
+    @example(line=upload_line(samples={"main": [2**1100]}))
+    @example(line="[" * 1000)
+    @example(line="1" * 5000)
+    def test_parser_raises_only_protocol_errors(self, line):
+        try:
+            parse_request_line(line)
+        except ProtocolError as exc:
+            assert exc.code in ERROR_CODES
+
+    @settings(max_examples=100, deadline=None)
+    @given(line=_LINES)
+    @example(line=upload_line(samples={"main": [2**64]}))
+    @example(line="[" * 1000)
+    def test_handle_line_answers_every_line(self, line):
+        response = run(_answer(line))
+        assert isinstance(response, dict)
+        encode(response)
+
+    def test_overflowing_and_deep_lines_get_their_codes(self):
+        too_big = parse_error(upload_line(samples={"main": [1.0, 2**1100]}))
+        assert too_big.code == "bad-shard"
+        assert parse_error("[" * 1000).code == "bad-json"
+        upload = parse_request_line(upload_line(samples={"main": [2**64]}))
+        assert upload.samples["main"].tolist() == [float(2**64)]
+

@@ -27,16 +27,25 @@ the same point.  These tests hold it to that, comparing with ``==``:
   ``max_steps`` guard;
 * the methods PGO and F10 drive mid-run — ``hot_swap_layout``, ``reboot``
   and ``set_sensors`` — the PGO controller's drift → swap →
-  commit/rollback loop itself, and F10's open-loop arms.
+  commit/rollback loop itself, and F10's open-loop arms;
+* the points where the compiled engine folds its slot counts into
+  :class:`ExecutionCounters` and prices them into the registry: drawn
+  sequences of activations, reports, reads, held references, replaced
+  counters, hot swaps, reboots, sensor swaps and step-limit overruns;
+* pipebench's own runs, 3,000 activations a program, at seed 2015
+  (``tests/sim_identity.py``, which CI runs at more seeds).
 
 Counterexamples found by the property tests can be recorded as replayable
 fixtures: set ``REPRO_DIFF_RECORD=1`` and failing synthetic cases are
-written to ``tests/fixtures/diff_regressions/``, which
-``test_replay_recorded_regressions`` replays on every run thereafter.
+written to ``tests/fixtures/diff_regressions/`` (fold-point sequences to
+its ``folds/``), which ``test_replay_recorded_regressions`` and
+``test_replay_recorded_fold_sequences`` replay on every run thereafter.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
 import os
 from functools import partial
@@ -79,6 +88,7 @@ from repro.util.rng import derive_rng
 from repro.workloads.inputs import build_sensors
 from repro.workloads.registry import all_workloads
 from repro.workloads.synthetic import random_workload
+from tests.sim_identity import key_order, mismatches
 from tests.sim_oracle import Interpreter as OracleInterpreter
 from tests.sim_oracle import oracle_engine
 
@@ -103,14 +113,6 @@ def on_both_engines(run):
     with oracle_engine():
         oracle = run()
     return compiled, oracle
-
-
-def _ordered(counters) -> list:
-    """First-visit key order of every counter, which renderings iterate."""
-    return [
-        list(c)
-        for c in (counters.block_visits, counters.edge_counts, counters.invocations)
-    ]
 
 
 def observe(cls, build, act) -> dict:
@@ -140,7 +142,7 @@ def observe(cls, build, act) -> dict:
         "leds": interp.leds,
         "cycle": interp.cycle,
         "counters": interp.counters,
-        "counter_order": _ordered(interp.counters),
+        "counter_order": key_order(interp.counters),
         "records": interp.records,
         "packets": interp.radio.packets,
         "dropped": interp.radio.dropped_packets,
@@ -902,3 +904,161 @@ class TestMidRunMethods:
             oracle = run()
         assert compiled == oracle
         assert compiled[1] == 3 and compiled[2]["totals"]["cycles.block"] > 0
+
+
+# --------------------------------------------------------------------------
+# Fold points: where slot counts reach ExecutionCounters and the registry
+# --------------------------------------------------------------------------
+
+FOLD_REGRESSION_DIR = REGRESSION_DIR / "folds"
+
+
+def _fold_subject(name: str, seed: int, n_branches: int):
+    """The program and a sensor factory: generated, or a registered workload."""
+    if name == "synthetic":
+        workload = random_workload(rng=seed, n_branches=n_branches, name=f"synthetic_{seed}")
+        return workload.program(), workload.sensors
+    spec = WORKLOADS[name]
+    return spec.program(), spec.sensors
+
+
+def observe_folds(cls, name: str, seed: int, n_branches: int, ops) -> list:
+    """Run ``ops`` on an interpreter of ``cls``; everything each one shows.
+
+    The whole sequence runs under one registry.  A read records the counts
+    and their key order; a report, a held reference and the end record the
+    hardware snapshot as well, since the compiled engine prices counts only
+    when it reports.  Counts made since the last report are not priced when
+    :attr:`counters` is replaced, so a replacement reports first and runs its
+    own activations under a registry of their own that nobody reads.  An
+    exception ends its op and is recorded by type and message; the sequence
+    goes on from the state it left (an overrun can leave a program's state
+    half-updated, so later activations may fail too).
+    """
+    program, sensors = _fold_subject(name, seed, n_branches)
+    interp = cls(program, MICAZ_LIKE, sensors(rng=seed))
+    hw = HardwareCounters()
+    seen: list = []
+
+    def counts(counters) -> tuple:
+        return copy.deepcopy(counters), key_order(counters)
+
+    def step(op, *arg):
+        if op == "run":
+            activations(arg[0])(interp)
+        elif op == "report":
+            interp.report_counters()
+            seen.append((op, hw.snapshot()))
+        elif op == "read":
+            seen.append((op, *counts(interp.counters)))
+        elif op == "hold":
+            held = interp.counters
+            activations(arg[0])(interp)
+            interp.report_counters()
+            seen.append((op, *counts(held), hw.snapshot()))
+        elif op == "replace":
+            interp.report_counters()
+            held = interp.counters
+            with counters_active(HardwareCounters(), isolated=True):
+                activations(arg[0])(interp)
+                interp.counters = ExecutionCounters()
+            seen.append((op, *counts(held)))
+        elif op == "swap":
+            interp.hot_swap_layout(random_program_layout(program, rng=arg[0]))
+        elif op == "reboot":
+            interp.reboot()
+        elif op == "sensors":
+            interp.set_sensors(sensors(rng=arg[0]))
+        elif op == "overrun":
+            limit, interp.max_steps = interp.max_steps, 1
+            try:
+                interp.run_activation()
+            finally:
+                interp.max_steps = limit
+        else:  # pragma: no cover - the strategy draws only the ops above
+            raise ValueError(op)
+
+    with counters_active(hw, isolated=True):
+        for op in ops:
+            try:
+                step(*op)
+            except Exception as exc:  # noqa: BLE001 - the exception is the datum
+                seen.append((op[0], type(exc), str(exc)))
+        interp.report_counters()
+    seen.append(
+        ("end", *counts(interp.counters), hw.snapshot(), interp.cycle, interp.records,
+         interp.radio.packets, interp.globals, interp.arrays, interp.leds)
+    )
+    return seen
+
+
+def check_fold_sequence(name: str, seed: int, n_branches: int, ops) -> None:
+    """Assert both engines observe the same at every step of ``ops``."""
+    compiled = observe_folds(Interpreter, name, seed, n_branches, ops)
+    oracle = observe_folds(OracleInterpreter, name, seed, n_branches, ops)
+    assert len(compiled) == len(oracle)
+    for step, (mine, theirs) in enumerate(zip(compiled, oracle)):
+        assert mine == theirs, f"observation {step} ({mine[0]}) diverged"
+
+
+_FOLD_OPS = st.one_of(
+    st.tuples(st.just("run"), st.integers(1, 6)),
+    st.tuples(st.just("report")),
+    st.tuples(st.just("read")),
+    st.tuples(st.just("hold"), st.integers(1, 4)),
+    st.tuples(st.just("replace"), st.integers(0, 3)),
+    st.tuples(st.just("swap"), st.integers(0, 10_000)),
+    st.tuples(st.just("reboot")),
+    st.tuples(st.just("sensors"), st.integers(0, 10_000)),
+    st.tuples(st.just("overrun")),
+).map(list)
+
+
+def _record_fold_regression(case: dict) -> Path:
+    FOLD_REGRESSION_DIR.mkdir(parents=True, exist_ok=True)
+    digest = hashlib.sha256(json.dumps(case["ops"]).encode()).hexdigest()[:10]
+    path = FOLD_REGRESSION_DIR / f"folds_{case['name']}_{case['seed']}_{digest}.json"
+    path.write_text(json.dumps(case, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+class TestFoldPoints:
+    """Counts read, reported, held or replaced at any point agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["synthetic"] * 3 + WORKLOAD_NAMES),
+        seed=st.integers(0, 10_000),
+        n_branches=st.integers(1, 6),
+        ops=st.lists(_FOLD_OPS, min_size=1, max_size=12),
+    )
+    def test_engines_agree_at_every_fold_point(self, name, seed, n_branches, ops):
+        try:
+            check_fold_sequence(name, seed, n_branches, ops)
+        except AssertionError:
+            if os.environ.get(RECORD_ENV_VAR, "") not in ("", "0"):
+                _record_fold_regression(
+                    {"name": name, "seed": seed, "n_branches": n_branches, "ops": ops}
+                )
+            raise
+
+
+def _fold_cases():
+    if not FOLD_REGRESSION_DIR.is_dir():
+        return []
+    return sorted(FOLD_REGRESSION_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("fixture", _fold_cases(), ids=lambda p: p.stem)
+def test_replay_recorded_fold_sequences(fixture):
+    """Every recorded fold-point sequence stays fixed forever."""
+    case = json.loads(fixture.read_text())
+    check_fold_sequence(case["name"], case["seed"], case["n_branches"], case["ops"])
+
+
+def test_pipebench_size_runs_agree():
+    """pipebench's profiled and evaluation runs at full size, seed 2015.
+
+    ``python -m tests.sim_identity --seeds ...`` runs the same at any seed.
+    """
+    assert mismatches([2015]) == []
