@@ -6,10 +6,8 @@ via pytest-benchmark, asserts the experiment's qualitative shape, and writes
 the rendered rows/series to ``benchmarks/results/<id>.txt`` so the numbers
 are inspectable after a ``--benchmark-only`` run (which captures stdout).
 
-Benchmarks always execute live — the experiment engine's result cache is
-deliberately not wired in here (``bench_engine.py`` measures the cache
-itself).  Saved renders contain only seed-determined values; wall-clock
-stage diagnostics live in ``ExperimentResult.timings`` and stay out of the
+Saved renders contain only seed-determined values; wall-clock stage
+diagnostics live in ``ExperimentResult.timings`` and stay out of the
 results files so re-runs diff clean.
 """
 

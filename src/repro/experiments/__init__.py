@@ -43,17 +43,12 @@ ALL_EXPERIMENTS = {
 
 # Imported after ALL_EXPERIMENTS exists: the engine resolves experiment
 # functions through this mapping (lazily, to keep the import DAG acyclic).
-from repro.experiments.engine import (  # noqa: E402
-    ExperimentOutcome,
-    ResultCache,
-    run_experiments,
-)
+from repro.experiments.engine import ExperimentOutcome, run_experiments  # noqa: E402
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentOutcome",
-    "ResultCache",
     "run_experiments",
     "ALL_EXPERIMENTS",
 ]

@@ -93,9 +93,8 @@ class ExperimentResult:
     ``timings`` holds wall-clock stage diagnostics (e.g. estimator fit
     seconds).  They are deliberately *excluded* from :meth:`render`: the
     rendered report contains only seed-determined values, which is what
-    lets the engine promise byte-identical output at any worker count and
-    lets the result cache serve renders verbatim.  The CLI reports timings
-    separately (``--progress`` / ``--json``).
+    lets the engine promise byte-identical output at any worker count.  The
+    CLI reports timings separately (``--progress`` / ``--json``).
     """
 
     experiment_id: str

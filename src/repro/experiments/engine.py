@@ -14,12 +14,6 @@ wall-clock diagnostics live outside the rendered tables — so for a fixed
 seed the rendered output is *byte-identical* at any ``jobs`` count,
 including ``jobs=1`` serial runs.
 
-**Caching.** Results are content-addressed by a SHA-256 fingerprint of the
-experiment id plus every config field (and the cache format + package
-version), stored as JSON under ``.repro-cache/``.  Re-running an unchanged
-configuration loads the stored tables verbatim; any config change produces a
-different key, so invalidation is automatic.
-
 **Fault isolation.** A failing experiment no longer aborts the run: the
 engine records the failure and keeps going, reporting everything at the
 end (:class:`ExperimentOutcome.error`).
@@ -32,40 +26,20 @@ experiment's units via :func:`repro.experiments.common.unit_executor`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 import traceback as traceback_mod
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-import repro
 from repro import obs
 from repro.errors import UnitExecutionError
 from repro.experiments.common import ExperimentConfig, ExperimentResult, unit_executor
 from repro.obs import MetricsRegistry, SpanRecord, Tracer
 from repro.obs import counters as hwc
-from repro.profiling.serialize import (
-    experiment_result_from_json,
-    experiment_result_to_json,
-)
 
-__all__ = [
-    "CACHE_FORMAT",
-    "DEFAULT_CACHE_DIR",
-    "ExperimentOutcome",
-    "ProgressEvent",
-    "ResultCache",
-    "config_fingerprint",
-    "run_experiments",
-]
-
-CACHE_FORMAT = 1
-DEFAULT_CACHE_DIR = Path(".repro-cache")
+__all__ = ["ExperimentOutcome", "ProgressEvent", "run_experiments"]
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +76,6 @@ class ExperimentOutcome:
     result: Optional[ExperimentResult] = None
     error: Optional[str] = None
     seconds: float = 0.0
-    cached: bool = False
     failed_unit: Optional[int] = None
     traceback: Optional[str] = None
     spans: list[SpanRecord] = field(default_factory=list)
@@ -111,7 +84,7 @@ class ExperimentOutcome:
 
     @property
     def ok(self) -> bool:
-        """True when the experiment produced a result (live or cached)."""
+        """True when the experiment produced a result."""
         return self.result is not None and self.error is None
 
 
@@ -119,7 +92,7 @@ class ExperimentOutcome:
 class ProgressEvent:
     """One scheduling event, delivered to the CLI's ``--progress`` printer."""
 
-    kind: str  # "start" | "done" | "cached" | "failed"
+    kind: str  # "start" | "done" | "failed"
     experiment_id: str
     completed: int
     total: int
@@ -128,81 +101,6 @@ class ProgressEvent:
 
 
 ProgressFn = Callable[[ProgressEvent], None]
-
-
-# --------------------------------------------------------------------------
-# Content-addressed result cache
-# --------------------------------------------------------------------------
-
-
-def config_fingerprint(experiment_id: str, config: ExperimentConfig) -> str:
-    """SHA-256 content address of one (experiment, configuration) pair.
-
-    Every field that can influence an experiment's output participates:
-    the platform (its frozen-dataclass ``repr`` covers timer, predictor,
-    cost model, energy, and memory parameters), activation count, seed,
-    quick mode, and scenario — plus the cache format and package version so
-    upgrades never serve stale layouts.  Changing any knob therefore
-    changes the key, which is the cache's entire invalidation story.
-    """
-    payload = {
-        "cache_format": CACHE_FORMAT,
-        "repro_version": getattr(repro, "__version__", "unknown"),
-        "experiment_id": experiment_id,
-        "platform": repr(config.platform),
-        "activations": config.activations,
-        "seed": config.seed,
-        "quick": config.quick,
-        "scenario": config.scenario,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class ResultCache:
-    """Disk cache mapping config fingerprints to serialized results.
-
-    Layout: one ``<fingerprint>.json`` per result under ``root`` (flat —
-    the suite has tens of configurations, not millions).  Corrupt or
-    unreadable entries behave as misses; writes go through a temp file +
-    rename so a crashed run never leaves a half-written entry behind.
-    """
-
-    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
-        self.root = Path(root)
-
-    def path_for(self, experiment_id: str, config: ExperimentConfig) -> Path:
-        return self.root / f"{config_fingerprint(experiment_id, config)}.json"
-
-    def load(
-        self, experiment_id: str, config: ExperimentConfig
-    ) -> Optional[ExperimentResult]:
-        """The cached result, or ``None`` on miss/corruption."""
-        path = self.path_for(experiment_id, config)
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            result = experiment_result_from_json(text)
-        except Exception:
-            # A truncated or stale-format entry must never kill a run;
-            # treat it as a miss and let the live run overwrite it.
-            return None
-        if result.experiment_id != experiment_id:
-            return None
-        return result
-
-    def store(
-        self, experiment_id: str, config: ExperimentConfig, result: ExperimentResult
-    ) -> Path:
-        """Persist one result atomically; returns the entry's path."""
-        path = self.path_for(experiment_id, config)
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(experiment_result_to_json(result))
-        tmp.replace(path)
-        return path
 
 
 # --------------------------------------------------------------------------
@@ -315,18 +213,16 @@ def run_experiments(
     ids: Sequence[str],
     config: ExperimentConfig,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressFn] = None,
     observe: bool = False,
     counters: bool = False,
 ) -> list[ExperimentOutcome]:
     """Run ``ids`` under ``config``; returns one outcome per id, in order.
 
-    ``jobs`` caps worker processes (1 = fully in-process).  ``cache``
-    short-circuits ids whose fingerprint already has an entry and stores
-    fresh successes.  ``progress`` receives a :class:`ProgressEvent` as
-    each id starts and finishes (events fire in completion order; the
-    *returned list* is always in request order).
+    ``jobs`` caps worker processes (1 = fully in-process).  ``progress``
+    receives a :class:`ProgressEvent` as each id starts and finishes
+    (events fire in completion order; the *returned list* is always in
+    request order).
 
     ``observe`` turns on telemetry capture: each experiment (and each of
     its batchable units) runs under a tracer/metrics registry in whatever
@@ -343,7 +239,7 @@ def run_experiments(
     snapshot rides back on ``outcome.hw_counters``, and everything folds
     into the caller's active registry in request order.  Counter values are
     seed-determined, so the merged totals are bit-identical at any ``jobs``
-    count.  Cached experiments did not execute and contribute nothing.
+    count.
 
     Failures never raise: a crashed experiment yields an outcome with
     ``error`` set (including the failing unit index and a truncated
@@ -362,24 +258,6 @@ def run_experiments(
     completed = 0
     progress = _bridge_progress(progress)
 
-    pending: list[str] = []
-    for exp_id in ids:
-        hit = cache.load(exp_id, config) if cache is not None else None
-        if hit is not None:
-            completed += 1
-            obs.inc("cache.hit")
-            outcomes[exp_id] = ExperimentOutcome(
-                experiment_id=exp_id, result=hit, cached=True
-            )
-            _notify(
-                progress,
-                ProgressEvent("cached", exp_id, completed, total),
-            )
-        else:
-            if cache is not None:
-                obs.inc("cache.miss")
-            pending.append(exp_id)
-
     def finish(outcome: ExperimentOutcome) -> None:
         nonlocal completed
         completed += 1
@@ -388,19 +266,6 @@ def run_experiments(
         obs.observe("engine.experiment_seconds", outcome.seconds)
         if not outcome.ok:
             obs.inc("engine.experiments_failed")
-        if outcome.ok and cache is not None:
-            try:
-                cache.store(outcome.experiment_id, config, outcome.result)
-                obs.inc("cache.store")
-            except OSError as exc:
-                # The cache is an accelerator, not the deliverable: a full
-                # disk or unwritable --cache-dir must not discard a result
-                # that already finished computing.
-                warnings.warn(
-                    f"result cache write failed for {outcome.experiment_id!r}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         _notify(
             progress,
             ProgressEvent(
@@ -413,21 +278,21 @@ def run_experiments(
             ),
         )
 
-    if len(pending) == 1 and jobs > 1:
+    if len(ids) == 1 and jobs > 1:
         # One experiment, many cores: fan its batchable units out instead.
-        exp_id = pending[0]
+        exp_id = ids[0]
         _notify(progress, ProgressEvent("start", exp_id, completed, total))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             with unit_executor(pool):
                 finish(_execute(exp_id, config, observe, counters))
-    elif jobs == 1 or len(pending) <= 1:
-        for exp_id in pending:
+    elif jobs == 1 or len(ids) <= 1:
+        for exp_id in ids:
             _notify(progress, ProgressEvent("start", exp_id, completed, total))
             finish(_execute(exp_id, config, observe, counters))
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             futures = {}
-            for exp_id in pending:
+            for exp_id in ids:
                 _notify(progress, ProgressEvent("start", exp_id, completed, total))
                 futures[
                     pool.submit(_execute, exp_id, config, observe, counters)

@@ -5,15 +5,14 @@ Examples::
     repro-experiments --list
     repro-experiments t1 f1 f4
     repro-experiments --all --quick --jobs 4
-    repro-experiments --all --no-cache --progress --json run.json
+    repro-experiments --all --progress --json run.json
 
 Runs go through :mod:`repro.experiments.engine`: ``--jobs N`` fans
 independent experiments (or, for a single experiment, its batchable units)
-over N worker processes with bit-identical output to ``--jobs 1``; results
-are cached under ``--cache-dir`` (default ``.repro-cache/``) keyed by the
-full configuration, so warm re-runs skip completed work — disable with
-``--no-cache``.  A failing experiment no longer aborts the run: every
-requested id executes and failures are reported together at exit.
+over N worker processes with bit-identical output to ``--jobs 1``.  Every
+run computes its results live and writes nothing but the artifacts asked
+for.  A failing experiment no longer aborts the run: every requested id
+executes and failures are reported together at exit.
 
 Telemetry (:mod:`repro.obs`): ``--trace PATH`` exports the run's span
 timeline (``--trace-format jsonl`` for JSON lines, ``chrome`` for a
@@ -31,17 +30,13 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentConfig
-from repro.experiments.engine import (
-    DEFAULT_CACHE_DIR,
-    ExperimentOutcome,
-    ProgressEvent,
-    ResultCache,
-    run_experiments,
-)
+from repro.experiments.engine import ExperimentOutcome, ProgressEvent, run_experiments
 from repro.mote.platform import MICAZ_LIKE, TELOSB_LIKE
 from repro.obs import (
     MetricsRegistry,
@@ -54,11 +49,21 @@ from repro.obs import (
 )
 from repro.obs.counters import HardwareCounters, counters_active, format_counters
 from repro.obs.manifest import build_manifest
-from repro.profiling.serialize import json_default
 
 __all__ = ["main"]
 
 _PLATFORMS = {"micaz": MICAZ_LIKE, "telosb": TELOSB_LIKE}
+
+
+def _json_default(value: Any) -> Any:
+    """Make numpy scalars/arrays JSON-safe (experiment series contain them)."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,18 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes; output is bit-identical at any N (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always recompute; neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"result cache location (default: {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--progress",
@@ -155,11 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _progress_printer(event: ProgressEvent) -> None:
     if event.kind == "start":
         print(f"[{event.experiment_id}] started", file=sys.stderr)
-    elif event.kind == "cached":
-        print(
-            f"[{event.experiment_id}] cache hit ({event.completed}/{event.total})",
-            file=sys.stderr,
-        )
     elif event.kind == "failed":
         print(
             f"[{event.experiment_id}] FAILED after {event.seconds:.1f}s "
@@ -182,12 +170,11 @@ def _report_payload(
 ) -> dict:
     """The ``--json`` run report: config echo + per-experiment outcomes.
 
-    Cache behaviour and per-experiment wall-clock come from the metrics
-    registry (the engine records them there on every run), so the report
-    and the ``--metrics`` artifact can never tell different stories.
+    Per-experiment wall-clock comes from the metrics registry (the engine
+    records it there on every run), so the report and the ``--metrics``
+    artifact can never tell different stories.
     """
-    snap = registry.snapshot()
-    counters, gauges = snap["counters"], snap["gauges"]
+    gauges = registry.snapshot()["gauges"]
     return {
         "config": {
             "platform": args.platform,
@@ -195,14 +182,8 @@ def _report_payload(
             "seed": args.seed,
             "quick": args.quick,
             "jobs": args.jobs,
-            "cache": not args.no_cache,
         },
         "wall_seconds": wall_seconds,
-        "cache": {
-            "hits": counters.get("cache.hit", 0),
-            "misses": counters.get("cache.miss", 0),
-            "stores": counters.get("cache.store", 0),
-        },
         "wall_seconds_by_experiment": {
             key.removeprefix("engine.wall_seconds."): value
             for key, value in gauges.items()
@@ -212,7 +193,6 @@ def _report_payload(
             {
                 "id": o.experiment_id,
                 "ok": o.ok,
-                "cached": o.cached,
                 "seconds": o.seconds,
                 "error": o.error,
                 "failed_unit": o.failed_unit,
@@ -278,8 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         quick=args.quick,
     )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    # The registry is always live (it feeds --json's cache/wall-clock block);
+    # The registry is always live (it feeds --json's wall-clock block);
     # span capture — the part with per-unit buffers — only turns on when an
     # artifact was requested.
     registry = MetricsRegistry()
@@ -297,7 +276,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ids,
             config,
             jobs=args.jobs,
-            cache=cache,
             progress=_progress_printer if args.progress else None,
             observe=observe,
             counters=args.counters,
@@ -309,8 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not outcome.ok:
             continue
         print(outcome.result.render())
-        suffix = ", cached" if outcome.cached else ""
-        print(f"[{outcome.experiment_id} finished in {outcome.seconds:.1f}s{suffix}]")
+        print(f"[{outcome.experiment_id} finished in {outcome.seconds:.1f}s]")
         if args.progress and outcome.result.timings:
             for stage_name in sorted(outcome.result.timings):
                 seconds = outcome.result.timings[stage_name]
@@ -327,7 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 json.dumps(
                     _report_payload(outcomes, args, wall, registry),
                     indent=2,
-                    default=json_default,
+                    default=_json_default,
                 )
                 + "\n"
             )
@@ -363,10 +340,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print()
 
     failures = [o for o in outcomes if not o.ok]
-    cached_n = sum(1 for o in outcomes if o.cached)
     print(
         f"{len(outcomes) - len(failures)}/{len(outcomes)} experiments ok "
-        f"({cached_n} cached) in {wall:.1f}s"
+        f"in {wall:.1f}s"
     )
     if failures:
         for outcome in failures:

@@ -3,8 +3,8 @@
 A trace or metrics file divorced from the run that produced it is noise; the
 manifest binds the artifact to the exact configuration — config fingerprint
 per experiment, package version, the seed-derivation scheme, host facts —
-plus per-experiment rollups (wall-clock, cache state, span counts) so a
-reader can triage a run without loading the full span stream.
+plus per-experiment rollups (wall-clock, span counts) so a reader can triage
+a run without loading the full span stream.
 
 The manifest rides inside both artifacts: line one of a JSONL trace, the
 ``otherData`` object of a Chrome trace, and the ``manifest`` key of the
@@ -14,6 +14,8 @@ metrics file.
 from __future__ import annotations
 
 import datetime
+import hashlib
+import json
 import os
 import platform as platform_mod
 import sys
@@ -34,6 +36,29 @@ SEED_SCHEME = (
     "numpy SeedSequence: positional spawn for batch streams, "
     "SHA-256-labelled spawn_key derivation for named streams (repro.util.rng)"
 )
+
+
+def _config_fingerprint(experiment_id: str, config) -> str:
+    """SHA-256 content address of one (experiment, configuration) pair.
+
+    Every field that can influence an experiment's output participates:
+    the platform (its frozen-dataclass ``repr`` covers timer, predictor,
+    cost model, energy, and memory parameters), activation count, seed,
+    quick mode, and scenario — plus the package version.  Two artifacts
+    whose fingerprints differ came from runs that were not configured
+    alike.
+    """
+    payload = {
+        "repro_version": getattr(repro, "__version__", "unknown"),
+        "experiment_id": experiment_id,
+        "platform": repr(config.platform),
+        "activations": config.activations,
+        "seed": config.seed,
+        "quick": config.quick,
+        "scenario": config.scenario,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def host_facts() -> dict:
@@ -59,8 +84,6 @@ def build_manifest(
     ``outcomes`` (when the run has finished) contributes the per-experiment
     rollups.  Everything in the result is plain JSON.
     """
-    from repro.experiments.engine import config_fingerprint  # deferred: cycle
-
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "repro_version": getattr(repro, "__version__", "unknown"),
@@ -74,7 +97,7 @@ def build_manifest(
             "scenario": config.scenario,
         },
         "experiments": {
-            exp_id: {"fingerprint": config_fingerprint(exp_id, config)}
+            exp_id: {"fingerprint": _config_fingerprint(exp_id, config)}
             for exp_id in experiment_ids
         },
         "host": host_facts(),
@@ -85,7 +108,6 @@ def build_manifest(
             entry.update(
                 {
                     "ok": outcome.ok,
-                    "cached": outcome.cached,
                     "wall_seconds": outcome.seconds,
                     "spans": len(outcome.spans),
                     "error": outcome.error,

@@ -2,8 +2,8 @@
 
 The registry answers "where did the work go" questions the trace timeline
 cannot aggregate on its own: how many activations did the simulator execute,
-how many EM iterations did the fits burn, how often did the result cache
-hit, how many faults fired by kind.  Design mirrors :mod:`repro.obs.trace`:
+how many EM iterations did the fits burn, how many faults fired by kind.
+Design mirrors :mod:`repro.obs.trace`:
 
 * **No-op by default.**  Instrumented code calls the module-level helpers
   (:func:`inc`, :func:`observe`, :func:`set_gauge`); with no registry

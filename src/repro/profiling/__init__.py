@@ -17,9 +17,7 @@ Three ways to learn a program's dynamic branch behaviour on a mote:
 
 :mod:`repro.profiling.overhead` prices each approach's ROM/RAM/runtime/
 energy cost from a run's counts — evaluation table T2.
-:mod:`repro.profiling.budget` caps a campaign's samples, and
-:mod:`repro.profiling.serialize` stores finished experiment results as
-JSON for the engine's cache.
+:mod:`repro.profiling.budget` caps a campaign's samples.
 """
 
 from repro.profiling.timing_profiler import TimingDataset, TimingProfiler
@@ -32,7 +30,6 @@ from repro.profiling.overhead import (
     timing_overhead_from_counts,
 )
 from repro.profiling.budget import SampleBudget
-from repro.profiling.serialize import experiment_result_from_json, experiment_result_to_json
 
 __all__ = [
     "TimingDataset",
@@ -46,6 +43,4 @@ __all__ = [
     "sampling_overhead_from_counts",
     "timing_overhead_from_counts",
     "SampleBudget",
-    "experiment_result_to_json",
-    "experiment_result_from_json",
 ]

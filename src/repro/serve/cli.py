@@ -191,7 +191,7 @@ def _print_report(report: FleetReport) -> None:
         estimate = report.estimates[name]
         print(
             f"  {name}: {estimate.total_samples} samples in "
-            f"{estimate.shards_absorbed} batches, max CI half-width "
+            f"{estimate.shards_absorbed} shards, max CI half-width "
             f"{estimate.max_half_width:.3f}"
             + (" (converged)" if estimate.converged else "")
         )

@@ -60,18 +60,20 @@ class TenantEstimate:
 
 
 def snapshot_estimate(
-    tenant: TenantKey, estimator: OnlineEstimator, pending: int
+    tenant: TenantKey, estimator: OnlineEstimator, shards_absorbed: int, pending: int
 ) -> TenantEstimate:
     """Read ``estimator``'s current state into a :class:`TenantEstimate`.
 
-    Pure read — no refit, no RNG — so queries are cheap and serving them
-    never perturbs the estimate.
+    ``shards_absorbed`` and ``pending`` count uploads (the estimator's
+    trajectory counts micro-batches), so together they are the tenant's
+    accepted shards.  Pure read — no refit, no RNG — so queries are cheap
+    and serving them never perturbs the estimate.
     """
     trajectory = estimator.trajectory
     last = trajectory[-1] if trajectory else None
     return TenantEstimate(
         tenant=tenant,
-        shards_absorbed=len(trajectory),
+        shards_absorbed=shards_absorbed,
         pending=pending,
         total_samples=estimator.total_samples,
         n_samples=dict(last.n_samples) if last else {},

@@ -399,8 +399,12 @@ class IngestionService:
             attrs["causal"] = trace_id
         with obs.span("serve.query", **attrs):
             estimator = self._workers[registration.worker].estimator(tenant)
+            in_flight = registration.in_flight
             snapshot = snapshot_estimate(
-                tenant, estimator, pending=registration.in_flight
+                tenant,
+                estimator,
+                shards_absorbed=self._tenant_stats[tenant].accepted - in_flight,
+                pending=in_flight,
             )
         obs.inc("serve.queries")
         return snapshot

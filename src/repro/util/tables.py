@@ -44,30 +44,6 @@ class Table:
         self.digits = digits
         self.rows: list[list[str]] = []
 
-    @classmethod
-    def from_rendered(
-        cls,
-        title: str,
-        columns: Sequence[str],
-        rows: Iterable[Sequence[str]],
-        digits: int = 4,
-    ) -> "Table":
-        """Rebuild a table from already-formatted cells.
-
-        Used by the result cache: cells were rendered by :meth:`add_row`
-        before serialization, so reloading them verbatim keeps a cached
-        table's :meth:`render` output byte-identical to the original.
-        """
-        table = cls(title, columns, digits=digits)
-        for row in rows:
-            cells = [str(c) for c in row]
-            if len(cells) != len(table.columns):
-                raise ValueError(
-                    f"row has {len(cells)} cells, table has {len(table.columns)} columns"
-                )
-            table.rows.append(cells)
-        return table
-
     def add_row(self, *values: Any) -> None:
         """Append one row; must match the header width."""
         if len(values) != len(self.columns):

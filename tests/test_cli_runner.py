@@ -11,12 +11,6 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import main
 
 
-@pytest.fixture()
-def cache_args(tmp_path):
-    """Point the CLI's result cache at a throwaway directory."""
-    return ["--cache-dir", str(tmp_path / "cache")]
-
-
 class TestCli:
     def test_list_prints_all_ids(self, capsys):
         assert main(["--list"]) == 0
@@ -33,20 +27,27 @@ class TestCli:
         assert "zz" in err
         assert "t1" in err  # lists the known ids
 
-    def test_runs_t1_quick(self, capsys, cache_args):
-        assert main(["t1", "--quick", *cache_args]) == 0
+    def test_runs_t1_quick(self, capsys):
+        assert main(["t1", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "benchmark characteristics" in out
         assert "blink" in out
         assert "finished in" in out
 
-    def test_platform_selection(self, capsys, cache_args):
-        assert main(["t1", "--quick", "--platform", "telosb", *cache_args]) == 0
+    def test_writes_nothing_it_was_not_asked_for(self, monkeypatch, tmp_path):
+        # Every table is computed by the code in the tree: a run leaves no
+        # state behind that a later run could read.
+        monkeypatch.chdir(tmp_path)
+        assert main(["t1", "--quick"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_platform_selection(self, capsys):
+        assert main(["t1", "--quick", "--platform", "telosb"]) == 0
         out = capsys.readouterr().out
         assert "blink" in out
 
-    def test_multiple_experiments_in_one_invocation(self, capsys, cache_args):
-        assert main(["t1", "f7", "--quick", "--activations", "600", *cache_args]) == 0
+    def test_multiple_experiments_in_one_invocation(self, capsys):
+        assert main(["t1", "f7", "--quick", "--activations", "600"]) == 0
         out = capsys.readouterr().out
         assert "T1" in out
         assert "F7" in out
@@ -62,7 +63,7 @@ class TestCli:
 
 class TestParallelFlag:
     def test_jobs_output_matches_serial(self, capsys):
-        args = ["t1", "f7", "--quick", "--activations", "600", "--no-cache"]
+        args = ["t1", "f7", "--quick", "--activations", "600"]
         assert main([*args, "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         assert main([*args, "--jobs", "2"]) == 0
@@ -79,28 +80,9 @@ class TestParallelFlag:
         assert tables_only(serial) == tables_only(parallel)
 
 
-class TestCacheFlags:
-    def test_second_run_is_served_from_cache(self, capsys, cache_args):
-        args = ["t1", "--quick", *cache_args]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert ", cached]" not in first
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert ", cached]" in second
-        assert second.splitlines()[0] == first.splitlines()[0]
-
-    def test_no_cache_never_reads_or_writes(self, capsys, tmp_path):
-        cache_dir = tmp_path / "cache"
-        args = ["t1", "--quick", "--no-cache", "--cache-dir", str(cache_dir)]
-        assert main(args) == 0
-        assert not cache_dir.exists()
-        assert ", cached]" not in capsys.readouterr().out
-
-
 class TestProgressFlag:
-    def test_progress_lines_go_to_stderr(self, capsys, cache_args):
-        assert main(["t1", "--quick", "--progress", *cache_args]) == 0
+    def test_progress_lines_go_to_stderr(self, capsys):
+        assert main(["t1", "--quick", "--progress"]) == 0
         captured = capsys.readouterr()
         assert "[t1] started" in captured.err
         assert "[t1] done in" in captured.err
@@ -108,11 +90,9 @@ class TestProgressFlag:
 
 
 class TestJsonReport:
-    def test_report_structure(self, capsys, tmp_path, cache_args):
+    def test_report_structure(self, capsys, tmp_path):
         report = tmp_path / "run.json"
-        args = [
-            "t3", "--quick", "--activations", "600", "--json", str(report), *cache_args
-        ]
+        args = ["t3", "--quick", "--activations", "600", "--json", str(report)]
         assert main(args) == 0
         payload = json.loads(report.read_text())
         assert payload["config"]["seed"] == 2015
@@ -126,7 +106,7 @@ class TestJsonReport:
 
 class TestFailureReporting:
     def test_failed_experiment_reported_at_exit_without_aborting(
-        self, capsys, monkeypatch, cache_args
+        self, capsys, monkeypatch
     ):
         import repro.experiments as exp_pkg
         import repro.experiments.runner as runner_mod
@@ -139,7 +119,7 @@ class TestFailureReporting:
         monkeypatch.setattr(exp_pkg, "ALL_EXPERIMENTS", patched)
         monkeypatch.setattr(runner_mod, "ALL_EXPERIMENTS", patched)
 
-        assert main(["t1", "f7", "--quick", "--activations", "600", *cache_args]) == 1
+        assert main(["t1", "f7", "--quick", "--activations", "600"]) == 1
         captured = capsys.readouterr()
         # The failure is reported...
         assert "t1: failed: " in captured.err

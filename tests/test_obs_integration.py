@@ -119,27 +119,6 @@ class TestSpanCoverage:
         assert counters["estimator.moment_fits"] > 0
 
 
-class TestCacheMetrics:
-    def test_hit_miss_store_counters(self, tmp_path):
-        from repro.experiments.engine import ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        registry = MetricsRegistry()
-        with metrics_active(registry):
-            run_experiments(["t1"], QUICK, cache=cache)
-        counters = registry.snapshot()["counters"]
-        assert counters.get("cache.hit", 0) == 0
-        assert counters["cache.miss"] == 1
-        assert counters["cache.store"] == 1
-
-        registry = MetricsRegistry()
-        with metrics_active(registry):
-            run_experiments(["t1"], QUICK, cache=cache)
-        counters = registry.snapshot()["counters"]
-        assert counters["cache.hit"] == 1
-        assert counters.get("cache.miss", 0) == 0
-
-
 class TestFailedUnitReporting:
     @staticmethod
     def _failing_experiment(config):
@@ -169,9 +148,9 @@ class TestFailedUnitReporting:
         assert "ValueError: unit blew up" in outcome.traceback
         assert len(outcome.traceback) <= TRACEBACK_LIMIT_CHARS + 40
 
-    def test_cli_reports_failing_unit(self, capsys, monkeypatch, tmp_path):
+    def test_cli_reports_failing_unit(self, capsys, monkeypatch):
         self._patch(monkeypatch)
-        assert main(["t1", "--quick", "--cache-dir", str(tmp_path / "c")]) == 1
+        assert main(["t1", "--quick"]) == 1
         err = capsys.readouterr().err
         assert "t1: failed (unit 2):" in err
         assert "ValueError: unit blew up" in err
@@ -198,7 +177,7 @@ class TestFailedUnitReporting:
 
 
 class TestCliArtifacts:
-    BASE = ["t1", "--quick", "--no-cache"]
+    BASE = ["t1", "--quick"]
 
     def test_trace_jsonl_and_metrics_artifacts(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -245,22 +224,13 @@ class TestCliArtifacts:
         assert main([*self.BASE, "--trace", str(trace)]) == 2
         assert "--trace" in capsys.readouterr().err
 
-    def test_json_report_carries_cache_and_wallclock_blocks(
-        self, capsys, tmp_path
-    ):
+    def test_json_report_carries_wallclock_block(self, capsys, tmp_path):
         report = tmp_path / "run.json"
-        cache_dir = tmp_path / "cache"
-        args = ["t1", "--quick", "--cache-dir", str(cache_dir), "--json", str(report)]
-        assert main(args) == 0
+        assert main([*self.BASE, "--json", str(report)]) == 0
         payload = json.loads(report.read_text())
-        assert payload["cache"] == {"hits": 0, "misses": 1, "stores": 1}
         assert set(payload["wall_seconds_by_experiment"]) == {"t1"}
         assert payload["wall_seconds_by_experiment"]["t1"] >= 0.0
         assert payload["experiments"][0]["failed_unit"] is None
-
-        assert main(args) == 0
-        payload = json.loads(report.read_text())
-        assert payload["cache"] == {"hits": 1, "misses": 0, "stores": 0}
 
 
 class TestCheckScript:
@@ -270,7 +240,7 @@ class TestCheckScript:
         assert (
             main(
                 [
-                    "f7", "--quick", "--activations", "600", "--no-cache",
+                    "f7", "--quick", "--activations", "600",
                     "--trace", str(trace), "--metrics", str(metrics),
                 ]
             )

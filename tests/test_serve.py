@@ -328,6 +328,9 @@ class TestWireProtocol:
         assert all(r["op"] == "ack" and r["status"] == "accepted" for r in responses)
         assert query["op"] == "estimate"
         assert query["total_samples"] == 8
+        # Shards, not the two micro-batches they were absorbed in.
+        assert query["shards_absorbed"] == 4
+        assert query["pending"] == 0
         assert query["thetas"] and query["half_widths"]
         assert stats["op"] == "stats"
         assert stats["totals"]["accepted"] == 4
