@@ -21,18 +21,22 @@ dropped, the fit returns its current iterate flagged ``converged=False``
 with ``dropped_observations == n_samples`` instead of dividing by zero
 responsibility mass.
 
-Both steps run at the size of the distinct data.  Timer ticks quantize
-the durations, so a sample holds few distinct values: the kernel, joint,
-row maxima and normalization run once per *distinct* duration
-(``np.unique``), and the M-step, the log-likelihood and the
-dropped-observation count weight each distinct row by its multiplicity in
-the sample.  The path family arrives folded into classes of paths with
-equal arm counts and durations (:class:`~repro.core.path_enum.PathFamily`),
-whose prior mass already carries the class size.  Per iteration the work is
-distinct durations × path classes, not observations × paths.  The weighted
-sums run in a different order than per-observation ones would, so θ̂ agrees
-with a per-observation, per-path EM to rounding, not bit for bit; chain
-formation snaps its edge weights to a 1e-9 grid
+Both steps run at the size of the distinct data.  Timer ticks quantize the
+durations, so a sample holds few distinct values: the kernel, joint, row
+maxima and normalization run once per *distinct* duration (``np.unique``),
+and the M-step, the log-likelihood and the dropped-observation count weight
+each distinct row by its multiplicity in the sample.  The path family
+arrives as classes of paths with equal arm counts and durations
+(:class:`~repro.core.path_enum.PathFamily`), merged while the search still
+holds them on its frontier, so enumeration too costs per class prefix, not
+per path; each class's prior mass carries its size.  Per iteration the work
+is distinct durations × path classes, not observations × paths.  The merged
+search differs from a per-path one only where a ``max_paths`` cut falls
+inside a tier of classes tied exactly in reference probability, which it
+fills class by class (:mod:`repro.core.path_enum`).  The weighted sums run
+in a different order than per-observation ones would, so θ̂ agrees with a
+per-observation, per-path EM to rounding, not bit for bit; chain formation
+snaps its edge weights to a 1e-9 grid
 (:data:`repro.placement.chains.WEIGHT_GRID`) so that such noise does not
 flip a placement.
 

@@ -188,6 +188,14 @@ class OnlineEstimator:
         ``should_stop`` is the *policy's* advice, enforced by the caller's
         collection loop.
         """
+        return self._absorb(shard, n_shards=1)
+
+    def _absorb(
+        self,
+        shard: Union[TimingDataset, Mapping[str, Sequence[float]]],
+        n_shards: int,
+    ) -> ShardEstimate:
+        """Absorb ``shard``, which merges ``n_shards`` shards, as one point."""
         data = shard.samples if isinstance(shard, TimingDataset) else shard
         arrays = {
             name: np.asarray(xs, dtype=float).copy()
@@ -222,7 +230,7 @@ class OnlineEstimator:
         self._trajectory.append(point)
         if self._health is not None:
             self._health.observe_absorb(
-                point, signals=signals, arm_counts=self._arm_counts
+                point, signals=signals, arm_counts=self._arm_counts, shards=n_shards
             )
         return point
 
@@ -242,7 +250,7 @@ class OnlineEstimator:
         """
         if not shards:
             raise EstimationError("absorb_batch needs at least one shard")
-        return self.absorb(merge_shards(shards))
+        return self._absorb(merge_shards(shards), n_shards=len(shards))
 
     def _refit(
         self, shard_index: int, prev_counts: Mapping[str, int]

@@ -20,11 +20,27 @@ under its current iterate, so coverage follows the estimate.
 Many paths share their statistics: a loop whose body holds two branches
 reaches the same arm counts (and the same duration) in every order of its
 iterations.  Such paths are interchangeable in every use of the family, so
-after the search they fold into one *class* row carrying its multiplicity,
-and EM's per-iteration work scales with classes rather than paths.  A
-:class:`PathFamily` holds those statistics as read-only arrays, one row per
-class, so it can be shared — across EM iterations and the online
-estimator's cache — without anyone mutating it.
+the search merges them while they wait on its frontier.  A search node is
+(state, packed arm counts, duration mean, duration variance) and stands for
+a number of paths; a push that finds an equal node waiting adds its count
+to that node instead of queueing a copy, so the search pops one node per
+class prefix rather than one per path, and an exit emits its node's count
+into one *class* row carrying its multiplicity.  A :class:`PathFamily`
+holds those statistics as read-only arrays, one row per class, so it can be
+shared — across EM iterations and the online estimator's cache — without
+anyone mutating it.
+
+The merge keeps the per-path search's pop order, its ``min_prob`` and
+``max_paths`` limits and its rows' first-occurrence order, with one rule
+of its own at the ``max_paths`` cut.  An exit emits its node's count cut
+to what is left of ``max_paths``, so a class split at the cut keeps a
+partial multiplicity.  Distinct classes can tie exactly in probability
+(every reference entry equal, or entries clipped to 0.02/0.98); when the
+cut falls inside such a tie, the last tier fills in merged-node order,
+each class's whole count before the next class's, where a per-path search
+would interleave the tied classes' paths in push order.  Coverage adds a
+node's probability times its count, where a per-path search adds the same
+terms one at a time.
 """
 
 from __future__ import annotations
@@ -170,16 +186,18 @@ def enumerate_paths(
     # counts, duration mean, duration variance).  Nodes therefore pop in order
     # of falling probability and, among equal probabilities, in push order —
     # exactly the order of one heap keyed on (-prob, push sequence number).
-    # Probabilities are carried negated; negation is exact.
+    # Probabilities are carried negated; negation is exact.  ``waiting`` maps
+    # each queued node to the number of paths it stands for: a push that
+    # finds an equal node waiting adds its count there and queues nothing.
     heap: list[float] = []
     queues: dict[float, deque] = {}
+    waiting: dict[tuple, int] = {}
     neg_min = -min_prob
     state = model.states.index(model.entry_state)
-    neg, packed = -1.0, 0
+    neg, packed, count = -1.0, 0, 1
     dur_mean, dur_var = means[state], variances[state]
-    packed_paths: list[int] = []
-    path_means: list[float] = []
-    path_vars: list[float] = []
+    classes: Counter = Counter()
+    room = max_paths
     covered = 0.0
     truncated = False
     while True:
@@ -192,47 +210,59 @@ def enumerate_paths(
             if queue is None:
                 state, dur_mean, dur_var = dst, dur_mean + d_mean, dur_var + d_var
                 continue
-            queue.append((dst, packed, dur_mean + d_mean, dur_var + d_var))
-            state, packed, dur_mean, dur_var = queue.popleft()
-            continue
-        for p_exit in exits:
-            neg_next = neg * p_exit
-            if neg_next >= 0:
-                continue
-            packed_paths.append(packed)
-            path_means.append(dur_mean)
-            path_vars.append(dur_var)
-            covered -= neg_next
-        for dst, p_edge, inc, d_mean, d_var in moves:
-            neg_next = neg * p_edge
-            if neg_next > neg_min:
-                truncated = True
-                continue
-            queue = queues.get(neg_next)
-            if queue is None:
-                queue = queues[neg_next] = deque()
-                heapq.heappush(heap, neg_next)
-            queue.append((dst, packed + inc, dur_mean + d_mean, dur_var + d_var))
-        if exits and len(packed_paths) >= max_paths:
-            truncated = truncated or bool(heap)
-            break
-        if not heap:
-            break
+            node = (dst, packed, dur_mean + d_mean, dur_var + d_var)
+            merged = waiting.get(node)
+            if merged is not None:
+                waiting[node] = merged + count
+            else:
+                waiting[node] = count
+                queue.append(node)
+        else:
+            for p_exit in exits:
+                neg_next = neg * p_exit
+                if neg_next >= 0:
+                    continue
+                # A class the max_paths cut splits keeps the part that fits.
+                emitted = min(count, room)
+                truncated = truncated or emitted < count
+                classes[packed, dur_mean, dur_var] += emitted
+                covered -= neg_next * emitted
+                room -= emitted
+            for dst, p_edge, inc, d_mean, d_var in moves:
+                neg_next = neg * p_edge
+                if neg_next > neg_min:
+                    truncated = True
+                    continue
+                node = (dst, packed + inc, dur_mean + d_mean, dur_var + d_var)
+                merged = waiting.get(node)
+                if merged is not None:
+                    waiting[node] = merged + count
+                    continue
+                waiting[node] = count
+                queue = queues.get(neg_next)
+                if queue is None:
+                    queue = queues[neg_next] = deque()
+                    heapq.heappush(heap, neg_next)
+                queue.append(node)
+            if exits and room == 0:
+                truncated = truncated or bool(heap)
+                break
+            if not heap:
+                break
         neg = heap[0]
         queue = queues[neg]
-        state, packed, dur_mean, dur_var = queue.popleft()
+        node = queue.popleft()
+        count = waiting.pop(node)
+        state, packed, dur_mean, dur_var = node
         if not queue:
             heapq.heappop(heap)
             del queues[neg]
 
-    if not packed_paths:
+    if not classes:
         raise EstimationError(
             "path enumeration found no complete path within limits "
             f"(min_prob={min_prob}, max_paths={max_paths})"
         )
-    # Fold paths with equal (packed counts, duration mean, duration variance)
-    # into one class row; a Counter keeps first-occurrence order.
-    classes = Counter(zip(packed_paths, path_means, path_vars))
     class_packed, class_means, class_vars = zip(*classes)
     width = 2 * k * _ARM_BITS // 8
     raw = b"".join(p.to_bytes(width, "little") for p in class_packed)

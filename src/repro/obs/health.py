@@ -466,16 +466,20 @@ class EstimatorHealthMonitor:
         point,
         signals: Mapping[str, float],
         arm_counts: Optional[Mapping[str, Sequence[float]]] = None,
+        shards: int = 1,
     ) -> list[AlertEvent]:
         """Fold one trajectory point in; returns alerts this shard raised.
 
         ``point`` is the :class:`~repro.core.online.ShardEstimate` just
         appended; ``signals`` the pre-refit innovations from
         :func:`residual_signals`; ``arm_counts`` the EM effective arm counts
-        behind the point's half-widths (gates the coverage audit).
+        behind the point's half-widths (gates the coverage audit);
+        ``shards`` how many shards the point absorbed (a micro-batch holds
+        several).  The drift baseline and ``shards_since_rebuild`` count
+        points, that is absorbed batches.
         """
         fired: list[AlertEvent] = []
-        self._shards += 1
+        self._shards += shards
         self._samples = point.total_samples
         self._last_absorb_t = self._clock()
         if point.families_rebuilt > 0:

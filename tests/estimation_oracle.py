@@ -4,8 +4,9 @@ These are the straightforward forms the production code in
 :mod:`repro.core.path_enum`, :mod:`repro.core.em` and
 :mod:`repro.sim.timing` was optimized from:
 
-* a heap enumerator that carries each path's arm counts as tuples and
-  returns one :class:`OraclePath` object per path, unfolded;
+* a heap enumerator that pushes one node per path prefix, carries arm
+  counts as tuples and returns one :class:`OraclePath` object per path,
+  unfolded;
 * a per-path, per-element ``log_probability``;
 * an EM loop whose E-step and M-step run over every observation row and
   every enumerated path;
@@ -15,12 +16,14 @@ These are the straightforward forms the production code in
 * the moments fit's former solver: one scipy ``least_squares`` run
   (trust-region reflective, finite-difference Jacobian) per start.
 
-The oracle tests hold the production path family bit-identical to the
-enumerator's paths folded into classes (:meth:`OracleFamily.classes`),
-class log-probabilities included; the production EM to the EM loop within
-rounding tolerances; the timing model to the chain (the Jacobian to a
-tolerance); and the moments fit's cost to the last.  The helpers after the
-EM loop are shared by the oracle test modules.
+The oracle tests hold the production path family to the enumerator's
+paths grouped by arm counts (:func:`assert_same_family`: the same paths
+per group, duration moments to rounding, and path_enum's one rule for a
+``max_paths`` cut inside a tie), with class log-probabilities to the last
+bit; the production EM to the EM loop within rounding tolerances; the
+timing model to the chain (the Jacobian to a tolerance); and the moments
+fit's cost to the last.  The helpers after the EM loop are shared by the
+oracle test modules.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -87,12 +90,16 @@ class OraclePath:
 
 @dataclass(frozen=True)
 class OracleFamily:
-    """A tuple of :class:`OraclePath` plus coverage bookkeeping."""
+    """A tuple of :class:`OraclePath` plus coverage bookkeeping.
+
+    ``cut`` is True when enumeration stopped at ``max_paths``.
+    """
 
     paths: tuple[OraclePath, ...]
     covered_probability: float
     reference_theta: tuple[float, ...]
     truncated: bool
+    cut: bool = False
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -111,22 +118,6 @@ class OracleFamily:
 
     def log_probabilities(self, theta: np.ndarray) -> np.ndarray:
         return np.array([p.log_probability(theta) for p in self.paths])
-
-    def classes(self) -> tuple[list[OraclePath], np.ndarray]:
-        """The paths folded by equal statistics, in first-occurrence order.
-
-        Returns each class's first path and its multiplicity.
-        """
-        counts: dict[OraclePath, int] = {}
-        for path in self.paths:
-            counts[path] = counts.get(path, 0) + 1
-        return list(counts), np.array(list(counts.values()), dtype=np.int64)
-
-    def class_log_probabilities(self, theta: np.ndarray) -> np.ndarray:
-        """Each class's mass: log multiplicity plus its paths' log-probability."""
-        paths, multiplicity = self.classes()
-        per_path = np.array([p.log_probability(theta) for p in paths])
-        return per_path + np.log(multiplicity)
 
 
 def oracle_enumerate_paths(
@@ -170,11 +161,11 @@ def oracle_enumerate_paths(
     frontier: list[tuple] = [start]
     paths: list[OraclePath] = []
     covered = 0.0
-    truncated = False
+    truncated = cut = False
 
     while frontier:
         if len(paths) >= max_paths:
-            truncated = True
+            truncated = cut = True
             break
         _, _, state, prob, a, b, dur_mean, dur_var = heapq.heappop(frontier)
         if prob < min_prob:
@@ -226,23 +217,25 @@ def oracle_enumerate_paths(
         covered_probability=covered,
         reference_theta=tuple(float(t) for t in theta_ref),
         truncated=truncated,
+        cut=cut,
     )
 
 
 def oracle_fit(
     em: EMEstimator,
     durations: Sequence[float],
+    enumerate_at: Callable[[np.ndarray], OracleFamily],
     theta0: Optional[Sequence[float]] = None,
     family: Optional[OracleFamily] = None,
 ) -> tuple[EMResult, OracleFamily]:
-    """``em.fit_with_family`` with both steps over every observation and path."""
+    """``em.fit_with_family`` with both steps over every observation and path.
+
+    ``enumerate_at(theta)`` gives the per-path family at a reference theta.
+    """
     ys = np.asarray(durations, dtype=float)
     k = em.model.n_parameters
     theta = np.full(k, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
     theta = np.clip(theta, 0.02, 0.98)
-
-    def enumerate_at(t):
-        return oracle_enumerate_paths(em.model, t)
 
     def log_kernel(fam: OracleFamily) -> np.ndarray:
         var = em._kernel_variance() + fam.duration_variances()
@@ -399,23 +392,154 @@ def oracle_fit_moments(
     )
 
 
-def assert_same_family(family, oracle):
-    """``family`` holds exactly the oracle's paths folded into classes."""
-    paths, multiplicity = oracle.classes()
-    then_counts = np.array([p.then_counts for p in paths], dtype=float)
-    else_counts = np.array([p.else_counts for p in paths], dtype=float)
-    assert np.array_equal(family.then_counts, then_counts)
-    assert np.array_equal(family.else_counts, else_counts)
-    assert np.array_equal(family.duration_means, [p.duration_mean for p in paths])
-    assert np.array_equal(
-        family.duration_variances, [p.duration_variance for p in paths]
+# -- comparing families --------------------------------------------------------
+
+#: Paths with equal arm counts visit the same blocks, so their duration
+#: moments agree up to the order of the sums: a relative bound.
+MOMENT_RTOL = 1e-12
+
+#: ``enumerate_paths`` adds a merged node's probability times its count,
+#: where the oracle adds the same terms one at a time: a relative bound.
+COVERED_RTOL = 1e-12
+
+#: Classes whose reference log-probability lies this close (relative) to the
+#: last path's are tied with it; their products ran in different orders.
+TIE_RTOL = 1e-9
+
+
+def arm_key(then_counts, else_counts) -> tuple:
+    """A path's or class row's arm counts as a hashable key."""
+    return tuple(map(int, then_counts)), tuple(map(int, else_counts))
+
+
+def row_keys(family) -> list[tuple]:
+    """Each :class:`PathFamily` row's arm key, in row order."""
+    return [arm_key(a, b) for a, b in zip(family.then_counts, family.else_counts)]
+
+
+def _grouped(rows) -> dict:
+    groups: dict = {}
+    for key, mean, variance, paths in rows:
+        group = groups.setdefault(key, [0, [], []])
+        group[0] += paths
+        group[1].append(mean)
+        group[2].append(variance)
+    return groups
+
+
+def family_groups(family) -> dict:
+    """A :class:`PathFamily`'s rows grouped by arm counts, in first-occurrence
+    order: ``{arm key: [paths, duration means, duration variances]}``."""
+    rows = zip(
+        row_keys(family),
+        family.duration_means.tolist(),
+        family.duration_variances.tolist(),
+        family.multiplicity.tolist(),
     )
-    assert np.array_equal(family.multiplicity, multiplicity)
-    assert family.covered_probability == oracle.covered_probability
-    assert family.truncated == oracle.truncated
-    assert family.reference_theta == oracle.reference_theta
-    assert len(family) == len(paths)
-    assert int(family.multiplicity.sum()) == len(oracle)
+    return _grouped(rows)
+
+
+def oracle_groups(oracle: OracleFamily) -> dict:
+    """The oracle's paths grouped as :func:`family_groups` groups rows."""
+    return _grouped(
+        (arm_key(p.then_counts, p.else_counts), p.duration_mean, p.duration_variance, 1)
+        for p in oracle.paths
+    )
+
+
+def tied_tier(oracle: OracleFamily) -> set:
+    """Arm keys of the classes tied with the oracle's last path in reference
+    probability, when it stopped at ``max_paths`` inside such a tie.
+
+    Empty unless the oracle was cut and more than one of its classes shares
+    the last path's probability.  ``enumerate_paths`` fills that tier in
+    merged-node order, class by class, where the oracle interleaves the
+    tied classes' paths in push order.
+    """
+    if not oracle.cut:
+        return set()
+    ref = np.asarray(oracle.reference_theta)
+    log_then, log_else = np.log(ref), np.log1p(-ref)
+
+    def log_p(key):
+        return float(np.dot(key[0], log_then) + np.dot(key[1], log_else))
+
+    last_path = oracle.paths[-1]
+    last = log_p(arm_key(last_path.then_counts, last_path.else_counts))
+    tier = {
+        key
+        for key in oracle_groups(oracle)
+        if abs(log_p(key) - last) <= TIE_RTOL * abs(last)
+    }
+    return tier if len(tier) > 1 else set()
+
+
+def assert_same_family(family, oracle):
+    """``family`` holds the oracle's paths folded into classes.
+
+    Rows compare grouped by arm counts, which fix the blocks a path visits:
+    a group's duration moments agree to :data:`MOMENT_RTOL` (its paths
+    summed them in different orders, so a class can split in the last
+    bits), and the groups come in the oracle's first-occurrence order with
+    its path counts.  Where the oracle stopped at ``max_paths`` inside a
+    tier of tied classes (:func:`tied_tier`), the family holds the same
+    groups above the tier, and its tier, as large as the oracle's, draws
+    only on the tied classes.
+    """
+    ours, theirs = family_groups(family), oracle_groups(oracle)
+    tier = tied_tier(oracle)
+    assert list(ours) == [key for key in theirs if key in ours], "class order differs"
+    missing = set(theirs) - set(ours) - tier
+    assert not missing, f"classes missing: {sorted(missing)}"
+    for key, (paths, means, variances) in ours.items():
+        their_paths, their_means, their_variances = theirs[key]
+        if key not in tier:
+            assert paths == their_paths, f"class {key}: {paths} paths, oracle {their_paths}"
+        np.testing.assert_allclose(
+            means + their_means,
+            their_means[0],
+            rtol=MOMENT_RTOL,
+            atol=0,
+            err_msg=f"duration means of class {key}",
+        )
+        np.testing.assert_allclose(
+            variances + their_variances,
+            their_variances[0],
+            rtol=MOMENT_RTOL,
+            atol=0,
+            err_msg=f"duration variances of class {key}",
+        )
+    paths = int(family.multiplicity.sum())
+    assert paths == len(oracle), f"{paths} paths, oracle {len(oracle)}"
+    assert family.truncated == oracle.truncated, "truncation differs"
+    assert family.reference_theta == oracle.reference_theta, "reference theta differs"
+    np.testing.assert_allclose(
+        family.covered_probability,
+        oracle.covered_probability,
+        rtol=COVERED_RTOL,
+        atol=0,
+        err_msg="covered probability",
+    )
+
+
+def unfolded(family) -> OracleFamily:
+    """A :class:`PathFamily` as the oracle holds paths: each class row
+    repeated ``multiplicity`` times, in row order."""
+    paths = []
+    rows = zip(
+        row_keys(family),
+        family.duration_means.tolist(),
+        family.duration_variances.tolist(),
+        family.multiplicity.tolist(),
+    )
+    for (then_counts, else_counts), mean, var, m in rows:
+        paths += [OraclePath(then_counts, else_counts, mean, var)] * m
+    return OracleFamily(
+        paths=tuple(paths),
+        covered_probability=family.covered_probability,
+        reference_theta=family.reference_theta,
+        truncated=family.truncated,
+    )
 
 
 def synthetic_model(seed: int, n_branches: int, loop_fraction: float):

@@ -12,10 +12,15 @@ Three contracts over ``docs/*.md`` + the top-level documents:
 3. **No CLI flag drift.** Every ``--flag`` a code block passes to one of
    the console scripts in ``CLI_MODULES`` must appear in that command's
    live ``--help`` output (subcommand helps included).
+4. **Every metric name is documented.** Every name ``src/`` passes as a
+   string to ``inc`` / ``observe`` / ``set_gauge`` matches a row of the
+   "Metric names" table in ``docs/observability.md``, where a
+   ``<placeholder>`` stands for one name segment.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -226,4 +231,82 @@ def test_documented_cli_flags_exist(command):
     assert not unknown, (
         f"documentation passes flags {sorted(unknown)} that "
         f"`{command} --help` does not list"
+    )
+
+
+# -- metric names --------------------------------------------------------------
+
+OBSERVABILITY = REPO / "docs" / "observability.md"
+METRIC_CALLS = {"inc", "observe", "set_gauge"}
+#: A ``<placeholder>`` in the table, or a ``{field}`` in an f-string name.
+PLACEHOLDER_RE = re.compile(r"<[^>]+>")
+SEGMENT = "[^.]+"
+
+
+def _documented_metric_patterns() -> list[re.Pattern]:
+    """One regex per name in the "Metric names" table.
+
+    A row may list several names; one written ``.suffix`` swaps the
+    previous name's last segment (``a.b`` / ``.c`` reads ``a.c``).
+    """
+    text = OBSERVABILITY.read_text()
+    table = text[text.index("**Metric names.**") :]
+    patterns = []
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            if patterns:
+                break
+            continue
+        cell = line.split("|")[1]
+        if set(cell.strip()) <= {"-"}:
+            continue
+        previous = ""
+        for name in re.findall(r"`([^`]+)`", cell):
+            if name.startswith("."):
+                name = previous.rsplit(".", 1)[0] + name
+            previous = name
+            parts = PLACEHOLDER_RE.split(name)
+            patterns.append(re.compile(SEGMENT.join(map(re.escape, parts))))
+    return patterns
+
+
+def _emitted_metric_names() -> list[tuple[str, str]]:
+    """``(where, name)`` for every string name ``src/`` emits a metric under;
+    an f-string's fields read as ``<field>``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in METRIC_CALLS
+                and node.args
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                name = arg.value
+            elif isinstance(arg, ast.JoinedStr):
+                name = "".join(
+                    part.value if isinstance(part, ast.Constant) else "<field>"
+                    for part in arg.values
+                )
+            else:
+                continue
+            found.append((f"{path.relative_to(REPO)}:{node.lineno}", name))
+    return found
+
+
+def test_every_emitted_metric_name_is_documented():
+    patterns = _documented_metric_patterns()
+    emitted = _emitted_metric_names()
+    assert len(emitted) > 30, "the metric-call scan found too few names"
+    missing = [
+        f"{where}: {name}"
+        for where, name in emitted
+        if not any(pattern.fullmatch(name) for pattern in patterns)
+    ]
+    assert not missing, (
+        "metric names missing from the table in docs/observability.md:\n"
+        + "\n".join(missing)
     )

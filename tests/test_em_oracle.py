@@ -8,10 +8,17 @@ round differently, so θ̂, the arm counts and the log-likelihood must agree
 to :data:`THETA_ATOL` / :data:`RTOL`, and every count (iterations,
 convergence, dropped observations, samples, paths) exactly — in cold fits,
 hybrid-style starts and warm starts that hand a family from one fit to the
-next, as :class:`~repro.core.OnlineEstimator` does.
+next, as :class:`~repro.core.OnlineEstimator` does.  Every family the
+oracle fit enumerates is first held to ``enumerate_paths``'s at the same
+reference theta; where a ``max_paths`` cut falls inside a tie, the two
+hold different paths by design, and the oracle fit scores
+``enumerate_paths``'s family per path instead.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.estimator as estimator_module
-from repro.core import CodeTomography, EMEstimator, EstimationOptions
+from repro.core import CodeTomography, EMEstimator, EstimationOptions, enumerate_paths
 from repro.core.online import WARM_PSEUDO_COUNT
 from repro.markov.sampling import sample_rewards
 from repro.mote import MICAZ_LIKE, TimestampTimer
@@ -35,7 +42,10 @@ from tests.estimation_oracle import (
     oracle_fit,
     oracle_observed_moments,
     synthetic_model,
+    tied_tier,
+    unfolded,
 )
+from tests.family_identity import differences, recorded_enumerations
 
 ACTIVATIONS = 200
 WORKLOADS = [spec.name for spec in all_workloads()]
@@ -59,9 +69,28 @@ def assert_same_result(result, oracle):
     assert result.n_samples == oracle.n_samples
 
 
+def oracle_family_at(model, theta):
+    """The oracle's family at ``theta``, once ``enumerate_paths``'s matches it.
+
+    At a ``max_paths`` cut inside a tie (:func:`tied_tier`) the two differ
+    by design, so there the oracle fit gets ``enumerate_paths``'s family
+    unfolded, and both fits score the same paths.
+    """
+    family = enumerate_paths(model, theta)
+    oracle = oracle_enumerate_paths(model, theta)
+    assert_same_family(family, oracle)
+    return unfolded(family) if tied_tier(oracle) else oracle
+
+
 def fit_both(em, ys, theta0=None, family=None, oracle_family=None):
     result, family = em.fit_with_family(ys, theta0=theta0, family=family)
-    oracle, oracle_family = oracle_fit(em, ys, theta0=theta0, family=oracle_family)
+    oracle, oracle_family = oracle_fit(
+        em,
+        ys,
+        partial(oracle_family_at, em.model),
+        theta0=theta0,
+        family=oracle_family,
+    )
     assert_same_result(result, oracle)
     # The two fits may re-enumerate at iterates that differ in their last
     # bits: the family must be the oracle's at its own reference theta, and
@@ -198,3 +227,19 @@ def test_plain_em_reports_observed_moments_without_a_moments_fit(
             compared += 1
         callee_moments[proc.name] = model.moments(estimate.theta)
     assert compared == 2
+
+
+def test_family_identity_records_and_checks_every_em_enumeration():
+    """``python -m tests.family_identity``'s machinery on one small fit: it
+    sees each family EM enumerates, passes them, and names the procedure and
+    reference theta of a family that is off."""
+    model = folding_loop_model(seed=1, n_branches=2, calls=False)
+    ys = family_durations(model, [0.3, 0.6, 0.4], 120, seed=1)
+    with recorded_enumerations() as calls:
+        EMEstimator(model, timer=MICAZ_LIKE.timer).fit(ys)
+    assert calls
+    assert differences("probe", calls) == []
+    _, theta, family = calls[0]
+    off = dataclasses.replace(family, multiplicity=family.multiplicity + 1)
+    (line,) = differences("probe", [(model, theta, off)])
+    assert line.startswith(f"probe main at theta={theta.tolist()}: ")

@@ -1,12 +1,17 @@
 """Array-native path families against the tuple-based reference enumerator.
 
-:func:`repro.core.enumerate_paths` packs arm counts into ints, folds paths
-with equal statistics into classes and stores the family as read-only
-arrays; :mod:`tests.estimation_oracle` keeps the straightforward tuple
-enumerator and per-path ``log_probability``.  Folded the same way, both
-must agree exactly: same classes in the same order with the same
-multiplicities, same coverage and truncation, and the same class
-log-probabilities to the last bit.
+:func:`repro.core.enumerate_paths` packs arm counts into ints, merges
+paths with equal statistics into classes while they wait on its frontier
+and stores the family as read-only arrays; :mod:`tests.estimation_oracle`
+keeps the straightforward tuple enumerator, one node per path prefix, and
+per-path ``log_probability``.  Grouped by arm counts, both must agree
+(:func:`~tests.estimation_oracle.assert_same_family`): the same groups in
+the same order with the same path counts, duration moments to rounding,
+the same truncation and, to rounding, coverage; each class row's
+log-probability is its paths' oracle log-probability plus its log
+multiplicity, to the last bit.  Where a ``max_paths`` cut falls inside a
+tie, the merged search fills the tied tier class by class; the generated
+cases draw references that force such cuts (:func:`tied_references`).
 """
 
 from __future__ import annotations
@@ -27,10 +32,15 @@ from repro.placement.layout import Layout, ProgramLayout
 from repro.sim import ProcedureTimingModel, ProgramTimingModel
 from repro.workloads.registry import all_workloads
 from tests.estimation_oracle import (
+    arm_key,
     assert_same_family,
+    family_groups,
     folding_loop_model,
     oracle_enumerate_paths,
+    oracle_groups,
+    row_keys,
     synthetic_model,
+    tied_tier,
 )
 
 #: Thetas where the 0 * log 0 = 0 rule decides the answer.
@@ -38,32 +48,40 @@ EDGE_THETAS = (0.0, 1.0)
 
 
 def assert_same_log_probabilities(family, oracle, theta):
+    """Each row's log mass is its paths' oracle log-probability plus its log
+    multiplicity, to the last bit."""
     vec = np.asarray(theta, dtype=float)
+    per_path = {arm_key(p.then_counts, p.else_counts): p for p in oracle.paths}
+    expected = np.array([per_path[key].log_probability(vec) for key in row_keys(family)])
     assert np.array_equal(
-        family.log_probabilities(vec), oracle.class_log_probabilities(vec)
+        family.log_probabilities(vec), expected + np.log(family.multiplicity)
     )
 
 
-def workload_models():
-    """Every parametered procedure model of the six workloads.
+def procedure_models(spec):
+    """``(name, model)`` of each parametered procedure of ``spec``'s program.
 
     Callee time is folded in at the uninformed 0.5 vector, so callers carry
     nonzero path variances.
     """
-    models = []
-    for spec in all_workloads():
-        program = spec.program()
-        timing = ProgramTimingModel(
-            program, MICAZ_LIKE, ProgramLayout.source_order(program)
-        )
-        callee_moments = {}
-        for proc in program.topological_procedures():
-            model = timing.procedure_model(proc.name, callee_moments)
-            half = np.full(model.n_parameters, 0.5)
-            callee_moments[proc.name] = model.moments(half)
-            if model.n_parameters:
-                models.append(pytest.param(model, id=f"{spec.name}/{proc.name}"))
-    return models
+    program = spec.program()
+    timing = ProgramTimingModel(program, MICAZ_LIKE, ProgramLayout.source_order(program))
+    callee_moments = {}
+    for proc in program.topological_procedures():
+        model = timing.procedure_model(proc.name, callee_moments)
+        half = np.full(model.n_parameters, 0.5)
+        callee_moments[proc.name] = model.moments(half)
+        if model.n_parameters:
+            yield proc.name, model
+
+
+def workload_models():
+    """Every parametered procedure model of the six workloads."""
+    return [
+        pytest.param(model, id=f"{spec.name}/{name}")
+        for spec in all_workloads()
+        for name, model in procedure_models(spec)
+    ]
 
 
 unit_thetas = st.one_of(st.sampled_from(EDGE_THETAS), st.floats(0.0, 1.0))
@@ -72,6 +90,17 @@ unit_thetas = st.one_of(st.sampled_from(EDGE_THETAS), st.floats(0.0, 1.0))
 # before any path completes, so reference thetas stop at 0.8 here (and
 # reach 1 in the diamond-only edge test below).
 reference_thetas = st.one_of(st.just(0.0), st.floats(0.0, 0.8))
+
+
+def tied_references(k, loops):
+    """Reference vectors under which distinct classes tie exactly: one value
+    in every entry, or entries at the clip edges (0 and 1 clip to 0.02 and
+    0.98; 1 only without loops, as for :data:`reference_thetas`)."""
+    edges = [0.0] if loops else list(EDGE_THETAS)
+    return st.one_of(
+        reference_thetas.map(lambda t: [t] * k),
+        st.lists(st.sampled_from(edges), min_size=k, max_size=k),
+    )
 
 
 def enumerate_both(model, reference, **limits):
@@ -100,7 +129,12 @@ class TestAgainstOracle:
     ):
         model = synthetic_model(seed, n_branches, loop_fraction)
         k = model.n_parameters
-        reference = [data.draw(reference_thetas) for _ in range(k)]
+        reference = data.draw(
+            st.one_of(
+                st.lists(reference_thetas, min_size=k, max_size=k),
+                tied_references(k, loops=loop_fraction > 0),
+            )
+        )
         family, oracle = enumerate_both(
             model, reference, min_prob=min_prob, max_paths=max_paths
         )
@@ -120,6 +154,22 @@ class TestAgainstOracle:
             assert_same_family(family, oracle)
             for theta in (np.full(k, 0.3), np.zeros(k), np.ones(k), np.linspace(1.0, 0.0, k)):
                 assert_same_log_probabilities(family, oracle, theta)
+
+    def test_cut_inside_a_tie_fills_the_tier_class_by_class(self):
+        # At the 0.9 vector the 2,000-path cut of tinydb-agg's aggregate
+        # falls in a tier of two tied classes: the oracle interleaves their
+        # paths (126 + 19), the merged search fills the first (145 + 0).
+        spec = next(s for s in all_workloads() if s.name == "tinydb-agg")
+        model = dict(procedure_models(spec))["aggregate"]
+        reference = np.full(model.n_parameters, 0.9)
+        family = enumerate_paths(model, reference)
+        oracle = oracle_enumerate_paths(model, reference)
+        tier = tied_tier(oracle)
+        ours, theirs = family_groups(family), oracle_groups(oracle)
+        order = [key for key in theirs if key in tier]
+        assert [theirs[key][0] for key in order] == [126, 19]
+        assert [ours[key][0] if key in ours else 0 for key in order] == [145, 0]
+        assert_same_family(family, oracle)
 
     def test_max_paths_truncation(self):
         model = synthetic_model(seed=11, n_branches=6, loop_fraction=0.6)
@@ -179,22 +229,39 @@ class TestFoldingLoops:
         seed=st.integers(0, 10_000),
         n_branches=st.integers(2, 3),
         calls=st.booleans(),
+        max_paths=st.integers(1, 60),
         data=st.data(),
     )
     @settings(max_examples=25, deadline=None, derandomize=True)
-    def test_generated_loops_fold_like_the_oracle(self, seed, n_branches, calls, data):
+    def test_generated_loops_fold_like_the_oracle(
+        self, seed, n_branches, calls, max_paths, data
+    ):
         model = folding_loop_model(seed, n_branches, calls)
         k = model.n_parameters
         drawn = [data.draw(reference_thetas) for _ in range(k)]
+        tied = data.draw(tied_references(k, loops=True))
         theta = np.array([data.draw(unit_thetas) for _ in range(k)])
-        for reference in (None, drawn):
-            family, oracle = enumerate_both(model, reference)
+        # The uninformed vector ties all classes that take as many arms, and
+        # a tied reference at a small max_paths cuts inside such a tie.
+        for reference, limit in ((None, 2000), (drawn, 2000), (tied, max_paths)):
+            family, oracle = enumerate_both(model, reference, max_paths=limit)
             if family is None:
                 continue
             assert_same_family(family, oracle)
             assert_same_log_probabilities(family, oracle, theta)
-            per_path = np.exp(oracle.log_probabilities(theta)).sum()
-            assert abs(family.probabilities(theta).sum() - per_path) <= 1e-12
+            # Outside a tied tier the class masses sum to the paths' mass.
+            tier = tied_tier(oracle)
+            ours = sum(
+                p
+                for key, p in zip(row_keys(family), family.probabilities(theta))
+                if key not in tier
+            )
+            per_path = sum(
+                np.exp(p.log_probability(theta))
+                for p in oracle.paths
+                if arm_key(p.then_counts, p.else_counts) not in tier
+            )
+            assert abs(ours - per_path) <= 1e-12
             if reference is None:
                 # Two loop iterations in either order already fold.
                 assert len(family) < family.multiplicity.sum()

@@ -335,6 +335,28 @@ class TestWireProtocol:
         assert stats["op"] == "stats"
         assert stats["totals"]["accepted"] == 4
 
+    def test_health_row_counts_shards_like_the_query(self):
+        # Four uploads absorbed in two micro-batches: the stats health row
+        # counts four shards, as the query does.
+        service = IngestionService(ServiceConfig(max_batch=2, health=True))
+        service.register_tenant("field", "1.0", BLINK.program(), PLATFORM)
+
+        async def scenario():
+            async with service:
+                for i in range(4):
+                    await service.handle_line(upload_line(mote=i, seq=0))
+                await service.drain()
+                query = await service.handle_line(
+                    '{"op": "query", "deployment": "field", "version": "1.0"}'
+                )
+                stats = await service.handle_line('{"op": "stats"}')
+                return query, stats
+
+        query, stats = run(scenario())
+        (row,) = stats["health"].values()
+        assert query["shards_absorbed"] == row["shards_absorbed"] == 4
+        assert row["samples_absorbed"] == query["total_samples"] == 8
+
     def test_malformed_lines_are_rejected_and_counted(self):
         service = IngestionService()
         service.register_tenant("field", "1.0", BLINK.program(), PLATFORM)
