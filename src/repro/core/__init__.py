@@ -21,12 +21,7 @@ Supporting analysis: :mod:`~repro.core.identifiability` (is the inverse
 problem well-posed for this CFG?).
 """
 
-from repro.core.moments_fit import (
-    MomentFitResult,
-    fit_moments,
-    measurement_noise_variance,
-    robust_filter,
-)
+from repro.core.moments_fit import MomentFitResult, fit_moments, robust_filter
 from repro.core.path_enum import PathFamily, enumerate_paths
 from repro.core.em import EMEstimator, EMResult
 from repro.core.estimator import (
@@ -54,7 +49,6 @@ __all__ = [
     "fit_moments",
     "MomentFitResult",
     "robust_filter",
-    "measurement_noise_variance",
     "PathFamily",
     "enumerate_paths",
     "EMEstimator",

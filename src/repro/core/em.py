@@ -39,11 +39,6 @@ per-observation, per-path EM to rounding, not bit for bit; chain formation
 snaps its edge weights to a 1e-9 grid
 (:data:`repro.placement.chains.WEIGHT_GRID`) so that such noise does not
 flip a placement.
-
-:meth:`EMEstimator.fit_with_family` additionally accepts — and returns —
-the enumerated :class:`PathFamily`, which is what lets the streaming
-estimator (:mod:`repro.core.online`) warm-start each incremental re-fit
-from the previous iterate without paying enumeration again.
 """
 
 from __future__ import annotations
@@ -106,9 +101,7 @@ class EMEstimator:
     def _kernel_variance(self) -> float:
         if self.timer is None:
             return _MIN_KERNEL_STD**2
-        cpt = self.timer.cycles_per_tick
-        noise = cpt * cpt / 6.0 + 2.0 * self.timer.jitter_cycles**2
-        return max(noise, _MIN_KERNEL_STD**2)
+        return max(self.timer.noise_variance(), _MIN_KERNEL_STD**2)
 
     def _log_kernel(
         self, observations: np.ndarray, family: PathFamily
@@ -130,55 +123,29 @@ class EMEstimator:
         theta0: Optional[Sequence[float]] = None,
     ) -> EMResult:
         """Run EM on measured ``durations``; ``theta0`` defaults to 0.5."""
-        result, _ = self.fit_with_family(durations, theta0=theta0)
-        return result
-
-    def fit_with_family(
-        self,
-        durations: Sequence[float],
-        theta0: Optional[Sequence[float]] = None,
-        family: Optional[PathFamily] = None,
-    ) -> tuple[EMResult, Optional[PathFamily]]:
-        """Like :meth:`fit`, but exchanges the enumerated :class:`PathFamily`.
-
-        ``family`` seeds the E-step with an already-enumerated family (built
-        under compatible reference theta and callee moments — the *caller*
-        vouches for that); the fit still re-enumerates internally whenever
-        the iterate drifts past :data:`REENUMERATE_SHIFT`.  The family the fit
-        ended on is returned alongside the result so incremental callers can
-        cache it for the next shard.
-        """
         ys = np.asarray(durations, dtype=float)
         if ys.size == 0:
             raise EstimationError("EMEstimator.fit needs at least one duration sample")
         k = self.model.n_parameters
         if k == 0:
-            return (
-                EMResult(
-                    theta=np.empty(0),
-                    iterations=0,
-                    converged=True,
-                    log_likelihood=0.0,
-                    n_samples=int(ys.size),
-                    n_paths=0,
-                    dropped_observations=0,
-                ),
-                None,
+            return EMResult(
+                theta=np.empty(0),
+                iterations=0,
+                converged=True,
+                log_likelihood=0.0,
+                n_samples=int(ys.size),
+                n_paths=0,
+                dropped_observations=0,
             )
         theta = np.full(k, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
         if theta.shape != (k,):
             raise EstimationError(f"theta0 must have length {k}, got {theta.shape}")
         theta = np.clip(theta, 0.02, 0.98)
-        if family is not None and len(family.reference_theta) != k:
-            raise EstimationError(
-                f"warm-start family has {len(family.reference_theta)} parameters, "
-                f"model has {k}"
-            )
 
         with obs.span(
             "estimate.em", proc=self.model.procedure.name, samples=int(ys.size)
         ) as span_handle:
-            result, family = self._fit_loop(ys, theta, family)
+            result = self._fit_loop(ys, theta)
             span_handle.set(iterations=result.iterations, converged=result.converged)
         obs.inc("estimator.em_fits")
         obs.inc("estimator.em_iterations", result.iterations)
@@ -189,14 +156,11 @@ class EMEstimator:
         )
         if not result.converged:
             obs.inc("estimator.em_nonconverged")
-        return result, family
+        return result
 
-    def _fit_loop(
-        self, ys: np.ndarray, theta: np.ndarray, family: Optional[PathFamily] = None
-    ) -> tuple[EMResult, PathFamily]:
+    def _fit_loop(self, ys: np.ndarray, theta: np.ndarray) -> EMResult:
         """The EM iteration proper (split out so the public entry can trace it)."""
-        if family is None:
-            family = enumerate_paths(self.model, theta)
+        family = enumerate_paths(self.model, theta)
         # Both steps run over distinct durations, each weighted by the
         # number of observations that share it.
         values, weights = np.unique(ys, return_counts=True)
@@ -234,18 +198,15 @@ class EMEstimator:
                 # every observation dropped, zero effective arm counts (so
                 # any CI built from this fit stays full-width).
                 obs.inc("estimator.em_empty_mass")
-                return (
-                    EMResult(
-                        theta=theta,
-                        iterations=iterations,
-                        converged=False,
-                        log_likelihood=-np.inf,
-                        n_samples=int(ys.size),
-                        n_paths=int(family.multiplicity.sum()),
-                        dropped_observations=int(ys.size),
-                        arm_counts=np.zeros(theta.size),
-                    ),
-                    family,
+                return EMResult(
+                    theta=theta,
+                    iterations=iterations,
+                    converged=False,
+                    log_likelihood=-np.inf,
+                    n_samples=int(ys.size),
+                    n_paths=int(family.multiplicity.sum()),
+                    dropped_observations=int(ys.size),
+                    arm_counts=np.zeros(theta.size),
                 )
             w = weights[usable]
             shifted = np.exp(log_joint[usable] - row_max[usable, None])
@@ -267,16 +228,13 @@ class EMEstimator:
                 break
             theta = new_theta
 
-        return (
-            EMResult(
-                theta=theta,
-                iterations=iterations,
-                converged=converged,
-                log_likelihood=log_likelihood,
-                n_samples=int(ys.size),
-                n_paths=int(family.multiplicity.sum()),
-                dropped_observations=dropped,
-                arm_counts=arm_counts,
-            ),
-            family,
+        return EMResult(
+            theta=theta,
+            iterations=iterations,
+            converged=converged,
+            log_likelihood=log_likelihood,
+            n_samples=int(ys.size),
+            n_paths=int(family.multiplicity.sum()),
+            dropped_observations=dropped,
+            arm_counts=arm_counts,
         )

@@ -18,7 +18,7 @@ Methods:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -174,20 +174,14 @@ class CodeTomography:
         dataset: TimingDataset,
         options: Optional[EstimationOptions] = None,
         rng: RngSource = None,
-        warm_start: Optional[Mapping[str, np.ndarray]] = None,
     ) -> EstimationResult:
         """Estimate every procedure's branch probabilities from ``dataset``.
 
         Procedures with no timing samples fall back to the uninformed 0.5
         vector with a warning — downstream placement still works, it just
-        gets no information for that procedure.
-
-        ``warm_start`` maps procedure name → a previous estimate's theta;
-        for the EM-based methods each warm theta joins the start race (the
-        highest-likelihood fit still wins), which typically cuts iteration
-        count sharply when re-fitting after new data arrives.  The moments
-        method ignores it.  :class:`~repro.core.online.OnlineEstimator` is
-        the incremental layer built on the same idea.
+        gets no information for that procedure.  Refitting as data arrives,
+        warm-started from the previous estimate, is
+        :class:`~repro.core.online.OnlineEstimator`'s job.
         """
         opts = options or EstimationOptions()
         gen = as_rng(rng if rng is not None else opts.seed)
@@ -199,11 +193,8 @@ class CodeTomography:
         ) as prog_span:
             for proc in self.program.topological_procedures():
                 model = self._timing.procedure_model(proc.name, callee_moments)
-                warm = None if warm_start is None else warm_start.get(proc.name)
                 with obs.span("estimate.proc", proc=proc.name, method=opts.method):
-                    estimate = self._estimate_procedure(
-                        model, dataset, opts, gen, warm_theta=warm
-                    )
+                    estimate = self._estimate_procedure(model, dataset, opts, gen)
                 result.estimates[proc.name] = estimate
                 result.warnings.extend(estimate.warnings)
                 obs.inc("estimator.procedures")
@@ -224,7 +215,6 @@ class CodeTomography:
         dataset: TimingDataset,
         opts: EstimationOptions,
         gen: np.random.Generator,
-        warm_theta: Optional[np.ndarray] = None,
     ) -> ProcedureEstimate:
         name = model.procedure.name
         k = model.n_parameters
@@ -320,10 +310,6 @@ class CodeTomography:
         starts: list = [None]
         if opts.method == "hybrid":
             starts.append(moment_fit.theta)
-        if warm_theta is not None:
-            warm = np.asarray(warm_theta, dtype=float)
-            if warm.shape == (k,):
-                starts.append(warm)
         em_result = None
         for theta0 in starts:
             candidate = em.fit(em_durations, theta0=theta0)

@@ -13,7 +13,6 @@ silently returning a prior-dominated answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "practically_invisible_parameters",
 ]
 
-_FD_STEP = 1e-5
 _RANK_RTOL = 1e-7
 
 
@@ -65,7 +63,7 @@ def practically_invisible_parameters(
     empirical estimator.
 
     ``noise_variance`` should come from
-    :func:`repro.core.moments_fit.measurement_noise_variance`.
+    :meth:`repro.mote.timer.TimestampTimer.noise_variance`.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -137,11 +135,9 @@ def exchangeable_pairs(
 
 
 def analyze_identifiability(
-    model: ProcedureTimingModel,
-    theta: Optional[Sequence[float]] = None,
-    moments_used: int = 3,
+    model: ProcedureTimingModel, moments_used: int = 3
 ) -> IdentifiabilityReport:
-    """Rank-analyze the moment map's Jacobian at ``theta`` (default 0.45).
+    """Rank-analyze the moment map's exact Jacobian at theta = 0.45.
 
     0.45 rather than 0.5 because symmetric diamonds have a *stationary*
     variance at exactly 0.5 — evaluating there would under-report their
@@ -159,19 +155,9 @@ def analyze_identifiability(
             insensitive_parameters=(),
             warnings=(),
         )
-    point = np.full(k, 0.45) if theta is None else np.asarray(theta, dtype=float)
-
-    def moment_vector(t: np.ndarray) -> np.ndarray:
-        return np.array(model.moments(t).as_tuple())[:moments_used]
-
-    base = moment_vector(point)
-    scale = np.maximum(np.abs(base), 1.0)
-    jacobian = np.empty((moments_used, k))
-    for j in range(k):
-        bumped = point.copy()
-        bumped[j] += _FD_STEP
-        jacobian[:, j] = (moment_vector(bumped) - base) / _FD_STEP
-    normalized = jacobian / scale[:, None]
+    moments, jacobians = model.moments_and_jacobians(np.full((1, k), 0.45))
+    scale = np.maximum(np.abs(moments[0, :moments_used]), 1.0)
+    normalized = jacobians[0, :moments_used] / scale[:, None]
 
     singular = np.linalg.svd(normalized, compute_uv=False)
     threshold = (singular[0] if singular.size else 0.0) * _RANK_RTOL

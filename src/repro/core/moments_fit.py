@@ -11,8 +11,8 @@ nonlinear least squares:
 * **Weights** are inverse standard errors of the empirical moments, so a
   moment estimated from few samples cannot dominate the fit.
 * **Noise correction**: timer quantization and jitter inflate the observed
-  variance by a known amount (:func:`measurement_noise_variance`), which is
-  subtracted before fitting; their effect on mean and skew is ~zero.
+  variance by a known amount (:meth:`TimestampTimer.noise_variance`), which
+  is subtracted before fitting; their effect on mean and skew is ~zero.
 * **Multi-start**: the residual surface of chains with loops is multimodal,
   so the solver restarts from scattered initial points and keeps the best.
 * **Prior**: a weak pull toward 0.5 regularizes directions the moments do
@@ -91,7 +91,6 @@ from repro.util.rng import RngSource, as_rng
 __all__ = [
     "MomentFitResult",
     "fit_moments",
-    "measurement_noise_variance",
     "moment_sample",
     "observed_moments",
     "robust_filter",
@@ -123,17 +122,6 @@ ROBUST_FLOOR_MULT = 25.0
 
 #: The screen's breakdown point: it never rejects more than this fraction.
 MAX_REJECT_FRACTION = 0.35
-
-
-def measurement_noise_variance(timer: TimestampTimer) -> float:
-    """Variance the timer adds to one duration measurement, in cycles².
-
-    A duration is the difference of two quantized timestamps: each carries
-    uniform quantization error (variance ``cpt² / 12``), so the difference
-    carries ``cpt² / 6``; independent Gaussian jitter at both ends adds
-    ``2 σ_j²``.  (Delegates to :meth:`TimestampTimer.noise_variance`.)
-    """
-    return timer.noise_variance()
 
 
 def robust_filter(
@@ -324,7 +312,7 @@ def observed_moments(
     variance = float(np.mean(centered**2))
     mu3 = float(np.mean(centered**3))
     if timer is not None:
-        variance = max(variance - measurement_noise_variance(timer), 0.0)
+        variance = max(variance - timer.noise_variance(), 0.0)
     return mean, variance, mu3
 
 

@@ -4,18 +4,11 @@ The paper's cost axis is *how many timing samples* profiling has to spend
 before the estimate is usable.  A batch fit answers that only in hindsight;
 this module answers it while collecting.  :class:`OnlineEstimator` absorbs
 timing observations in **shards** and re-fits after each one — but instead
-of re-running EM cold (0.5 prior, fresh path enumeration) the way
+of re-running EM cold from the 0.5 prior the way
 :class:`~repro.core.estimator.CodeTomography` does per call, every re-fit
-
-* **warm-starts** EM from the previous shard's theta, and
-* **reuses** the previously enumerated :class:`~repro.core.path_enum.PathFamily`
-  while two invariants hold: the iterate has moved less than
-  :data:`~repro.core.em.REENUMERATE_SHIFT` from the family's reference
-  theta, *and* the procedure's reward means (which embed folded callee
-  moments — family durations are baked against them) have not drifted past
-  :data:`CALLEE_SHIFT`.
-  Either violation rebuilds the family; leaf procedures, whose reward means
-  never move, reuse indefinitely.
+**warm-starts** EM from the previous shard's theta, shrunk toward 0.5 by
+:data:`WARM_PSEUDO_COUNT`.  Each fit enumerates its path family afresh at
+that start.
 
 After each shard the estimator records a trajectory point
 (:class:`ShardEstimate`): per-procedure theta, Wald CI half-widths derived
@@ -43,8 +36,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import EstimationError
-from repro.core.em import REENUMERATE_SHIFT, EMEstimator
-from repro.core.path_enum import PathFamily
+from repro.core.em import EMEstimator
 from repro.ir.program import Program
 from repro.markov.moments import RewardMoments
 from repro.mote.platform import Platform
@@ -79,10 +71,6 @@ _FULL_HALF_WIDTH = 0.5
 #: would disable shrinkage (raw previous iterate).
 WARM_PSEUDO_COUNT = 100.0
 
-#: A cached path family is rebuilt once the procedure's reward means move
-#: by more than this fraction of their largest magnitude.
-CALLEE_SHIFT = 0.01
-
 
 @dataclass(frozen=True)
 class OnlineOptions:
@@ -110,8 +98,6 @@ class ShardEstimate:
     thetas: dict[str, np.ndarray]
     half_widths: dict[str, np.ndarray]
     em_iterations: int
-    families_reused: int
-    families_rebuilt: int
     converged: bool
     budget_exhausted: bool
 
@@ -148,8 +134,6 @@ class OnlineEstimator:
         self._timing = ProgramTimingModel(program, platform, self.layout)
         self._samples: dict[str, np.ndarray] = {}
         self._theta: dict[str, np.ndarray] = {}
-        self._family: dict[str, PathFamily] = {}
-        self._family_means: dict[str, np.ndarray] = {}
         self._half_width: dict[str, np.ndarray] = {}
         self._trajectory: list[ShardEstimate] = []
         # Health attachment (observational only — never feeds back into the
@@ -168,7 +152,7 @@ class OnlineEstimator:
         The monitor observes every subsequent :meth:`absorb`: pre-refit
         innovation signals (shard means vs. the previous iterate's predicted
         moments) feed its drift detectors, and the post-refit point feeds
-        its coverage audit and staleness gauges.
+        its coverage audit and staleness clock.
         """
         self._health = monitor
         return monitor
@@ -225,8 +209,6 @@ class OnlineEstimator:
             )
         obs.inc("online.shards")
         obs.inc("online.em_iterations", point.em_iterations)
-        obs.inc("online.family_reuses", point.families_reused)
-        obs.inc("online.family_rebuilds", point.families_rebuilt)
         self._trajectory.append(point)
         if self._health is not None:
             self._health.observe_absorb(
@@ -264,8 +246,6 @@ class OnlineEstimator:
         callee_moments: dict[str, RewardMoments] = {}
         arm_counts: dict[str, np.ndarray] = {}
         em_iterations = 0
-        reused = 0
-        rebuilt = 0
         for proc in self.program.topological_procedures():
             name = proc.name
             model = self._timing.procedure_model(name, callee_moments)
@@ -291,21 +271,10 @@ class OnlineEstimator:
                 n0 = WARM_PSEUDO_COUNT
                 if n0 > 0.0:
                     theta0 = (n_prev * theta0 + n0 * 0.5) / (n_prev + n0)
-            means = np.asarray(model.reward_means, dtype=float)
-            cached = self._reusable_family(name, means, theta0)
             em = EMEstimator(model, timer=self.platform.timer)
-            result, family = em.fit_with_family(ys, theta0=theta0, family=cached)
+            result = em.fit(ys, theta0=theta0)
             em_iterations += result.iterations
-            if cached is not None and family is cached:
-                reused += 1
-            else:
-                rebuilt += 1
-                # Anchor the drift check at build time, not at every reuse —
-                # otherwise slow callee drift could creep past CALLEE_SHIFT
-                # without ever tripping it.
-                self._family_means[name] = means.copy()
             self._theta[name] = result.theta
-            self._family[name] = family
             self._half_width[name] = self._ci_half_width(result.theta, result.arm_counts)
             if result.arm_counts is not None:
                 arm_counts[name] = np.asarray(result.arm_counts, dtype=float).copy()
@@ -314,33 +283,7 @@ class OnlineEstimator:
         # monitor: the next shard's innovations are judged against these.
         self._moments = callee_moments
         self._arm_counts = arm_counts
-        return self._trajectory_point(shard_index, em_iterations, reused, rebuilt)
-
-    def _reusable_family(
-        self,
-        name: str,
-        reward_means: np.ndarray,
-        theta0: Optional[np.ndarray],
-    ) -> Optional[PathFamily]:
-        """The cached family, iff theta and callee moments are still close."""
-        family = self._family.get(name)
-        if family is None or theta0 is None:
-            return None
-        reference = np.asarray(family.reference_theta, dtype=float)
-        if reference.shape != theta0.shape:
-            return None
-        # EM clips its start the same way before comparing against the
-        # family's (already clipped) reference theta.
-        start = np.clip(theta0, 0.02, 0.98)
-        if np.max(np.abs(start - reference)) > REENUMERATE_SHIFT:
-            return None
-        anchor = self._family_means.get(name)
-        if anchor is None or anchor.shape != reward_means.shape:
-            return None
-        scale = max(float(np.max(np.abs(anchor))), 1.0)
-        if np.max(np.abs(reward_means - anchor)) > CALLEE_SHIFT * scale:
-            return None
-        return family
+        return self._trajectory_point(shard_index, em_iterations)
 
     def _ci_half_width(
         self, theta: np.ndarray, arm_counts: Optional[np.ndarray]
@@ -353,9 +296,7 @@ class OnlineEstimator:
         )
         return np.where(arm_counts > 0, np.minimum(width, _FULL_HALF_WIDTH), _FULL_HALF_WIDTH)
 
-    def _trajectory_point(
-        self, shard_index: int, em_iterations: int, reused: int, rebuilt: int
-    ) -> ShardEstimate:
+    def _trajectory_point(self, shard_index: int, em_iterations: int) -> ShardEstimate:
         counts = {name: int(xs.size) for name, xs in self._samples.items()}
         converged = False
         if self.options.epsilon is not None:
@@ -376,8 +317,6 @@ class OnlineEstimator:
             thetas={name: t.copy() for name, t in self._theta.items()},
             half_widths={name: hw.copy() for name, hw in self._half_width.items()},
             em_iterations=em_iterations,
-            families_reused=reused,
-            families_rebuilt=rebuilt,
             converged=converged,
             budget_exhausted=exhausted,
         )

@@ -26,9 +26,8 @@ a number of paths; a push that finds an equal node waiting adds its count
 to that node instead of queueing a copy, so the search pops one node per
 class prefix rather than one per path, and an exit emits its node's count
 into one *class* row carrying its multiplicity.  A :class:`PathFamily`
-holds those statistics as read-only arrays, one row per class, so it can be
-shared — across EM iterations and the online estimator's cache — without
-anyone mutating it.
+holds those statistics as read-only arrays, one row per class, so EM's
+iterations can share it without anyone mutating it.
 
 The merge keeps the per-path search's pop order, its ``min_prob`` and
 ``max_paths`` limits and its rows' first-occurrence order, with one rule

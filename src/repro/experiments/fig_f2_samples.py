@@ -8,8 +8,8 @@ rate until timer quantization floors it.
 Since the streaming estimator landed, each workload produces **one
 trajectory**: the long run's dataset is split into per-procedure prefix
 shards at the sample budgets and absorbed incrementally by
-:class:`~repro.core.online.OnlineEstimator`, which warm-starts EM and
-reuses path families between points instead of re-fitting cold per size.
+:class:`~repro.core.online.OnlineEstimator`, which warm-starts EM
+between points instead of re-fitting cold per size.
 Every point therefore sees the same observation stream its predecessors
 saw — exactly the prefix property the old subsample loop approximated with
 repetitions — so the sweep needs no repetitions and is deterministic for a

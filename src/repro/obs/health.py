@@ -23,9 +23,8 @@ Three instruments, all streaming, all deterministic given the shard sequence:
   empirical coverage is compared against :data:`NOMINAL_COVERAGE` and a
   sustained gap raises a calibration alert.
 
-* **Staleness gauges.**  Wall-age since the last absorbed shard and shards
-  since the last path-family rebuild, reported in every summary (the
-  ingestion service adds its backlog SLO on top).
+* **Staleness gauge.**  Wall-age since the last absorbed shard, reported
+  in every summary (the ingestion service adds its backlog SLO on top).
 
 The thresholds are module constants; the only per-monitor choice is the
 warm-up length (the serve default, or 4 shards in :mod:`repro.pgo`).
@@ -456,7 +455,6 @@ class EstimatorHealthMonitor:
         self._shards = 0
         self._samples = 0
         self._last_absorb_t: Optional[float] = None
-        self._shards_since_rebuild = 0
         self._coverage_breached = False
 
     # -- observation --------------------------------------------------------
@@ -475,17 +473,13 @@ class EstimatorHealthMonitor:
         :func:`residual_signals`; ``arm_counts`` the EM effective arm counts
         behind the point's half-widths (gates the coverage audit);
         ``shards`` how many shards the point absorbed (a micro-batch holds
-        several).  The drift baseline and ``shards_since_rebuild`` count
-        points, that is absorbed batches.
+        several).  The drift baseline counts points, that is absorbed
+        batches.
         """
         fired: list[AlertEvent] = []
         self._shards += shards
         self._samples = point.total_samples
         self._last_absorb_t = self._clock()
-        if point.families_rebuilt > 0:
-            self._shards_since_rebuild = 0
-        else:
-            self._shards_since_rebuild += 1
         for proc in sorted(signals):
             state = self._drift.get(proc)
             if state is None:
@@ -513,9 +507,6 @@ class EstimatorHealthMonitor:
                 self.audit.record(proc, theta, hw, truth, counts)
             fired.extend(self._check_coverage(point.shard_index))
         _metrics.set_gauge(f"health.{self.source}.drift_score", self.drift_score)
-        _metrics.set_gauge(
-            f"health.{self.source}.shards_since_rebuild", self._shards_since_rebuild
-        )
         coverage = self.audit.coverage()
         if coverage is not None:
             _metrics.set_gauge(f"health.{self.source}.coverage", coverage)
@@ -626,7 +617,6 @@ class EstimatorHealthMonitor:
             "alarmed_procedures": list(self.alarmed_procedures),
             "shards_absorbed": self._shards,
             "samples_absorbed": self._samples,
-            "shards_since_rebuild": self._shards_since_rebuild,
             "staleness_s": None if age is None else round(age, 6),
             "coverage": None if coverage is None else round(coverage, 6),
             "coverage_checks": self.audit.checks,

@@ -290,7 +290,6 @@ HEALTH_SUMMARY = {
     "drift_alarms": NON_NEGATIVE,
     "shards_absorbed": NON_NEGATIVE,
     "samples_absorbed": NON_NEGATIVE,
-    "shards_since_rebuild": NON_NEGATIVE,
     "staleness_s": Null(NON_NEGATIVE),
     "coverage": Null(Leaf("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1)),
     "coverage_checks": NON_NEGATIVE,

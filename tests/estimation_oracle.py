@@ -226,9 +226,8 @@ def oracle_fit(
     durations: Sequence[float],
     enumerate_at: Callable[[np.ndarray], OracleFamily],
     theta0: Optional[Sequence[float]] = None,
-    family: Optional[OracleFamily] = None,
-) -> tuple[EMResult, OracleFamily]:
-    """``em.fit_with_family`` with both steps over every observation and path.
+) -> EMResult:
+    """``em.fit`` with both steps over every observation and path.
 
     ``enumerate_at(theta)`` gives the per-path family at a reference theta.
     """
@@ -243,8 +242,7 @@ def oracle_fit(
         with np.errstate(over="ignore"):
             return -0.5 * (diff**2 / var[None, :] + np.log(2.0 * np.pi * var[None, :]))
 
-    if family is None:
-        family = enumerate_at(theta)
+    family = enumerate_at(theta)
     kernel = log_kernel(family)
     a_mat, b_mat = family.then_counts(), family.else_counts()
     family_theta = np.asarray(family.reference_theta, dtype=float)
@@ -270,7 +268,7 @@ def oracle_fit(
         usable = np.isfinite(row_max)
         dropped = int(np.sum(~usable))
         if not np.any(usable):
-            result = EMResult(
+            return EMResult(
                 theta=theta,
                 iterations=iterations,
                 converged=False,
@@ -280,7 +278,6 @@ def oracle_fit(
                 dropped_observations=int(ys.size),
                 arm_counts=np.zeros(theta.size),
             )
-            return result, family
         shifted = np.exp(log_joint[usable] - row_max[usable, None])
         norm = shifted.sum(axis=1, keepdims=True)
         resp = shifted / norm
@@ -301,7 +298,7 @@ def oracle_fit(
             break
         theta = new_theta
 
-    result = EMResult(
+    return EMResult(
         theta=theta,
         iterations=iterations,
         converged=converged,
@@ -311,7 +308,6 @@ def oracle_fit(
         dropped_observations=dropped,
         arm_counts=arm_counts,
     )
-    return result, family
 
 
 def oracle_observed_moments(model, durations, timer, robust=False):

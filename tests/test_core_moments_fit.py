@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import fit_moments, measurement_noise_variance
+from repro.core import fit_moments
 from repro.errors import EstimationError
 from repro.markov.sampling import sample_rewards
 from repro.mote import MICAZ_LIKE, TimestampTimer
@@ -29,20 +29,16 @@ def sample_durations(model, theta, n, seed, timer=None):
 
 class TestNoiseVariance:
     def test_ideal_timer_has_tiny_noise(self):
-        assert measurement_noise_variance(TimestampTimer(cycles_per_tick=1)) == pytest.approx(
-            1.0 / 6.0
-        )
+        assert TimestampTimer(cycles_per_tick=1).noise_variance() == pytest.approx(1.0 / 6.0)
 
     def test_noise_grows_quadratically_with_tick(self):
-        v1 = measurement_noise_variance(TimestampTimer(cycles_per_tick=10))
-        v2 = measurement_noise_variance(TimestampTimer(cycles_per_tick=20))
+        v1 = TimestampTimer(cycles_per_tick=10).noise_variance()
+        v2 = TimestampTimer(cycles_per_tick=20).noise_variance()
         assert v2 == pytest.approx(4 * v1)
 
     def test_jitter_adds_twice_its_variance(self):
-        base = measurement_noise_variance(TimestampTimer(cycles_per_tick=1))
-        jittered = measurement_noise_variance(
-            TimestampTimer(cycles_per_tick=1, jitter_cycles=5.0)
-        )
+        base = TimestampTimer(cycles_per_tick=1).noise_variance()
+        jittered = TimestampTimer(cycles_per_tick=1, jitter_cycles=5.0).noise_variance()
         assert jittered == pytest.approx(base + 2 * 25.0)
 
 

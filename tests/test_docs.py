@@ -12,10 +12,12 @@ Three contracts over ``docs/*.md`` + the top-level documents:
 3. **No CLI flag drift.** Every ``--flag`` a code block passes to one of
    the console scripts in ``CLI_MODULES`` must appear in that command's
    live ``--help`` output (subcommand helps included).
-4. **Every metric name is documented.** Every name ``src/`` passes as a
-   string to ``inc`` / ``observe`` / ``set_gauge`` matches a row of the
-   "Metric names" table in ``docs/observability.md``, where a
-   ``<placeholder>`` stands for one name segment.
+4. **Every metric name is documented, and only those.** Every name
+   ``src/`` passes as a string to ``inc`` / ``observe`` / ``set_gauge``
+   matches a row of the "Metric names" table in ``docs/observability.md``,
+   and every name in the table matches one ``src/`` emits, where a
+   ``<placeholder>`` or an f-string's ``{field}`` stands for one name
+   segment.
 """
 
 from __future__ import annotations
@@ -243,18 +245,23 @@ PLACEHOLDER_RE = re.compile(r"<[^>]+>")
 SEGMENT = "[^.]+"
 
 
-def _documented_metric_patterns() -> list[re.Pattern]:
-    """One regex per name in the "Metric names" table.
+def _name_pattern(name: str) -> re.Pattern:
+    """``name`` as a regex in which each ``<placeholder>`` is one segment."""
+    return re.compile(SEGMENT.join(map(re.escape, PLACEHOLDER_RE.split(name))))
+
+
+def _documented_metric_names() -> list[str]:
+    """Every name in the "Metric names" table.
 
     A row may list several names; one written ``.suffix`` swaps the
     previous name's last segment (``a.b`` / ``.c`` reads ``a.c``).
     """
     text = OBSERVABILITY.read_text()
     table = text[text.index("**Metric names.**") :]
-    patterns = []
+    names = []
     for line in table.splitlines()[2:]:
         if not line.startswith("|"):
-            if patterns:
+            if names:
                 break
             continue
         cell = line.split("|")[1]
@@ -265,9 +272,8 @@ def _documented_metric_patterns() -> list[re.Pattern]:
             if name.startswith("."):
                 name = previous.rsplit(".", 1)[0] + name
             previous = name
-            parts = PLACEHOLDER_RE.split(name)
-            patterns.append(re.compile(SEGMENT.join(map(re.escape, parts))))
-    return patterns
+            names.append(name)
+    return names
 
 
 def _emitted_metric_names() -> list[tuple[str, str]]:
@@ -298,7 +304,7 @@ def _emitted_metric_names() -> list[tuple[str, str]]:
 
 
 def test_every_emitted_metric_name_is_documented():
-    patterns = _documented_metric_patterns()
+    patterns = [_name_pattern(name) for name in _documented_metric_names()]
     emitted = _emitted_metric_names()
     assert len(emitted) > 30, "the metric-call scan found too few names"
     missing = [
@@ -309,4 +315,19 @@ def test_every_emitted_metric_name_is_documented():
     assert not missing, (
         "metric names missing from the table in docs/observability.md:\n"
         + "\n".join(missing)
+    )
+
+
+def test_every_documented_metric_name_is_emitted():
+    patterns = [_name_pattern(name) for _, name in _emitted_metric_names()]
+    documented = _documented_metric_names()
+    assert len(documented) > 30, "the table scan found too few names"
+    stale = [
+        name
+        for name in documented
+        if not any(pattern.fullmatch(name) for pattern in patterns)
+    ]
+    assert not stale, (
+        "names in the table in docs/observability.md that src/ never emits:\n"
+        + "\n".join(stale)
     )

@@ -284,7 +284,6 @@ class TestAlerts:
 class FakePoint:
     shard_index: int
     total_samples: int = 100
-    families_rebuilt: int = 0
     thetas: dict = field(default_factory=dict)
     half_widths: dict = field(default_factory=dict)
 
@@ -336,14 +335,6 @@ class TestMonitor:
         assert monitor.staleness_s(now=30.0) == 0.0
         assert monitor.staleness_s(now=45.0) == 15.0
         assert monitor.summary(now=45.0)["staleness_s"] == 15.0
-
-    def test_shards_since_rebuild_resets_on_rebuild(self):
-        monitor = EstimatorHealthMonitor()
-        for i in range(4):
-            monitor.observe_absorb(FakePoint(i), signals={})
-        assert monitor.summary()["shards_since_rebuild"] == 4
-        monitor.observe_absorb(FakePoint(4, families_rebuilt=1), signals={})
-        assert monitor.summary()["shards_since_rebuild"] == 0
 
     def test_alerts_fan_out_to_metrics_trace_and_sink(self):
         seen = []
@@ -638,7 +629,6 @@ def make_summary(**overrides) -> dict:
         "alarmed_procedures": [],
         "shards_absorbed": 40,
         "samples_absorbed": 1600,
-        "shards_since_rebuild": 3,
         "staleness_s": 0.5,
         "coverage": 0.95,
         "coverage_checks": 100,

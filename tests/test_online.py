@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.online as online_module
-from repro.core.online import (
-    OnlineEstimator,
-    OnlineOptions,
-    dataset_shards,
-)
+from repro.core.online import OnlineEstimator, OnlineOptions, dataset_shards
 from repro.errors import EstimationError
 from repro.experiments.common import ExperimentConfig, profiled_run
 from repro.profiling.budget import SampleBudget
@@ -72,24 +67,6 @@ class TestAbsorb:
         # Warm starts: later shards must not pay the cold fit's full
         # iteration bill again.
         assert points[-1].em_iterations <= points[0].em_iterations
-
-    def test_families_reused_when_the_iterate_is_stable(self, monkeypatch):
-        # Oscilloscope's theta settles after the first shard; with warm
-        # shrinkage off, subsequent starts stay within REENUMERATE_SHIFT of
-        # the cached family's reference, so every re-fit reuses it.  (With
-        # shrinkage on, the start is pulled toward 0.5 until the evidence
-        # dwarfs the pseudo-count — reuse then kicks in at larger n.)
-        monkeypatch.setattr(online_module, "WARM_PSEUDO_COUNT", 0.0)
-        run = profiled_run(workload_by_name("oscilloscope"), CONFIG)
-        est = OnlineEstimator(
-            run.program, CONFIG.platform, OnlineOptions(epsilon=None)
-        )
-        points = [
-            est.absorb(s)
-            for s in dataset_shards(run.dataset, (50, 100, 200, 400))
-        ]
-        assert all(p.families_rebuilt == 0 for p in points[1:])
-        assert all(p.families_reused > 0 for p in points[1:])
 
     def test_unseen_procedure_reports_prior_and_full_width(self, sense_run):
         est = OnlineEstimator(sense_run.program, CONFIG.platform)

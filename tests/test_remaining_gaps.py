@@ -76,11 +76,10 @@ class TestIdentifiabilityEqualCostArms:
         # branch-direction cost asymmetry): structurally identifiable, but
         # below the noise floor at tiny sample budgets.
         from repro.core import practically_invisible_parameters
-        from repro.core.moments_fit import measurement_noise_variance
 
         model = self.model_for(self.LED_ONLY)
         assert analyze_identifiability(model).well_posed
-        noise = measurement_noise_variance(MICAZ_LIKE.timer)
+        noise = MICAZ_LIKE.timer.noise_variance()
         assert practically_invisible_parameters(model, noise, n_samples=3) == [0]
         # Averaging over enough samples resolves even a sub-tick mean shift.
         assert practically_invisible_parameters(model, noise, n_samples=2000) == []
@@ -88,21 +87,19 @@ class TestIdentifiabilityEqualCostArms:
     def test_visible_branch_detectable_even_at_tiny_budgets(self):
         # A 160-cycle send on one arm dwarfs the noise immediately.
         from repro.core import practically_invisible_parameters
-        from repro.core.moments_fit import measurement_noise_variance
 
         model = self.model_for(self.VISIBLE)
         report = analyze_identifiability(model)
         assert report.well_posed
         assert not report.insensitive_parameters
-        noise = measurement_noise_variance(MICAZ_LIKE.timer)
+        noise = MICAZ_LIKE.timer.noise_variance()
         assert practically_invisible_parameters(model, noise, n_samples=3) == []
 
     def test_visibility_is_monotone_in_samples(self):
         from repro.core import practically_invisible_parameters
-        from repro.core.moments_fit import measurement_noise_variance
 
         model = self.model_for(self.LED_ONLY)
-        noise = measurement_noise_variance(MICAZ_LIKE.timer)
+        noise = MICAZ_LIKE.timer.noise_variance()
         flags = [
             len(practically_invisible_parameters(model, noise, n_samples=n))
             for n in (2, 20, 20_000)
