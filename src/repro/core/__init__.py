@@ -21,53 +21,33 @@ Supporting analysis: :mod:`~repro.core.identifiability` (is the inverse
 problem well-posed for this CFG?).
 """
 
-from repro.core.moments_fit import MomentFitResult, fit_moments, robust_filter
-from repro.core.path_enum import PathFamily, enumerate_paths
-from repro.core.em import EMEstimator, EMResult
-from repro.core.estimator import (
-    CodeTomography,
-    EstimationOptions,
-    EstimationResult,
-    ProcedureEstimate,
-)
-from repro.core.identifiability import (
-    IdentifiabilityReport,
-    analyze_identifiability,
-    exchangeable_pairs,
-    practically_invisible_parameters,
-)
-from repro.core.online import (
-    OnlineEstimator,
-    OnlineOptions,
-    ShardEstimate,
-    dataset_shards,
-)
-from repro.core.drift import DriftTrack, detect_drift, estimate_epochs
-from repro.core.report import estimation_report, render_estimation_report
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "fit_moments",
-    "MomentFitResult",
-    "robust_filter",
-    "PathFamily",
-    "enumerate_paths",
-    "EMEstimator",
-    "EMResult",
-    "CodeTomography",
-    "EstimationOptions",
-    "EstimationResult",
-    "ProcedureEstimate",
-    "OnlineEstimator",
-    "OnlineOptions",
-    "ShardEstimate",
-    "dataset_shards",
-    "IdentifiabilityReport",
-    "analyze_identifiability",
-    "exchangeable_pairs",
-    "practically_invisible_parameters",
-    "DriftTrack",
-    "estimate_epochs",
-    "detect_drift",
-    "estimation_report",
-    "render_estimation_report",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "moments_fit": ("fit_moments", "MomentFitResult", "robust_filter"),
+        "path_enum": ("PathFamily", "enumerate_paths"),
+        "em": ("EMEstimator", "EMResult"),
+        "estimator": (
+            "CodeTomography",
+            "EstimationOptions",
+            "EstimationResult",
+            "ProcedureEstimate",
+        ),
+        "online": (
+            "OnlineEstimator",
+            "OnlineOptions",
+            "ShardEstimate",
+            "dataset_shards",
+        ),
+        "identifiability": (
+            "IdentifiabilityReport",
+            "analyze_identifiability",
+            "exchangeable_pairs",
+            "practically_invisible_parameters",
+        ),
+        "drift": ("DriftTrack", "estimate_epochs", "detect_drift"),
+        "report": ("estimation_report", "render_estimation_report"),
+    },
+)

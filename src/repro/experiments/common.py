@@ -41,12 +41,10 @@ from repro.errors import UnitExecutionError
 from repro.obs import MetricsRegistry, Tracer, current_registry, current_tracer
 from repro.obs import metrics_active, tracing
 from repro.obs import counters as hwc
-from repro.ir.program import Program
 from repro.mote.platform import MICAZ_LIKE, Platform
 from repro.placement.layout import ProgramLayout
-from repro.profiling import TimingDataset, TimingProfiler
-from repro.sim import RunResult, run_program
 from repro.util.tables import Table
+from repro.workloads.profiled import ProfiledRun, profile_workload
 from repro.workloads.registry import WorkloadSpec
 
 __all__ = [
@@ -275,40 +273,21 @@ def stage(timings: dict[str, float], name: str) -> Iterator[None]:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - started
 
 
-@dataclass
-class ProfiledRun:
-    """One workload executed once, with everything later stages need."""
-
-    spec: WorkloadSpec
-    program: Program
-    result: RunResult
-    dataset: TimingDataset
-    truth: dict[str, np.ndarray]
-
-
 def profiled_run(
     spec: WorkloadSpec,
     config: ExperimentConfig,
     layout: Optional[ProgramLayout] = None,
     seed_offset: int = 0,
 ) -> ProfiledRun:
-    """Run one workload and collect its timing dataset + ground truth."""
-    program = spec.program()
-    sensors = spec.sensors(scenario=config.scenario, rng=config.seed + seed_offset)
-    result = run_program(
-        program,
+    """Run one workload at ``config``'s size, seed and scenario and collect
+    its timing dataset + ground truth (:func:`profile_workload`)."""
+    return profile_workload(
+        spec,
         config.platform,
-        sensors,
-        activations=config.effective_activations,
-        layout=layout,
-    )
-    profiler = TimingProfiler(config.platform, rng=config.seed + seed_offset + 1)
-    dataset = profiler.collect(result.records)
-    truth = {
-        proc.name: result.counters.true_branch_probabilities(proc) for proc in program
-    }
-    return ProfiledRun(
-        spec=spec, program=program, result=result, dataset=dataset, truth=truth
+        config.effective_activations,
+        config.seed + seed_offset,
+        config.scenario,
+        layout,
     )
 
 

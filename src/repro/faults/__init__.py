@@ -23,13 +23,12 @@ optional injector; ``None`` keeps the fault-free fast path byte-identical
 to the pre-fault codebase.
 """
 
-from repro.faults.model import FaultInjector, FaultModel
-from repro.faults.inject import CollectionStats, collect_timing, faulty_samples
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FaultModel",
-    "FaultInjector",
-    "CollectionStats",
-    "collect_timing",
-    "faulty_samples",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "model": ("FaultModel", "FaultInjector"),
+        "inject": ("CollectionStats", "collect_timing", "faulty_samples"),
+    },
+)

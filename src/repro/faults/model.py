@@ -25,11 +25,10 @@ from typing import Union
 import numpy as np
 
 from repro.errors import FaultError
+from repro.mote.sensors import ADC_MAX
 from repro.util.rng import derive_seed_sequence
 
 __all__ = ["FaultModel", "FaultInjector", "GLITCH_CYCLES"]
-
-_ADC_MAX = 1023  # mirrors repro.mote.sensors.ADC_MAX without the import cycle
 
 _RATE_FIELDS = ("radio_loss", "radio_corrupt", "sensor_dropout", "timer_glitch", "reboot")
 
@@ -169,7 +168,7 @@ class FaultInjector:
 
     def stuck_reading(self) -> int:
         """The rail value a browned-out read returns (ADC 0 or full scale)."""
-        return _ADC_MAX if self._sensor.integers(0, 2) else 0
+        return ADC_MAX if self._sensor.integers(0, 2) else 0
 
     # -- node reboots --------------------------------------------------------
 

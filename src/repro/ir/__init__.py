@@ -9,65 +9,39 @@ are the only source of execution-time variability.  The front end
 optimizer (:mod:`repro.placement`) reorders the blocks.
 """
 
-from repro.ir.instructions import (
-    BinaryOp,
-    UnaryOp,
-    Branch,
-    Instruction,
-    Jump,
-    Opcode,
-    Return,
-    Terminator,
-    binop,
-    call,
-    const,
-    led,
-    load,
-    mov,
-    nop,
-    send,
-    sense,
-    store,
-    unop,
-)
-from repro.ir.block import BasicBlock
-from repro.ir.cfg import CFG, Edge
-from repro.ir.procedure import Procedure
-from repro.ir.program import Program
-from repro.ir.builder import CFGBuilder
-from repro.ir.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.ir.validate import validate_cfg, validate_program
-from repro.ir.dot import cfg_to_dot
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Opcode",
-    "BinaryOp",
-    "UnaryOp",
-    "Instruction",
-    "Terminator",
-    "Jump",
-    "Branch",
-    "Return",
-    "binop",
-    "call",
-    "const",
-    "led",
-    "load",
-    "mov",
-    "nop",
-    "send",
-    "sense",
-    "store",
-    "unop",
-    "BasicBlock",
-    "CFG",
-    "Edge",
-    "Procedure",
-    "Program",
-    "CFGBuilder",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "validate_cfg",
-    "validate_program",
-    "cfg_to_dot",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "instructions": (
+            "Opcode",
+            "BinaryOp",
+            "UnaryOp",
+            "Instruction",
+            "Terminator",
+            "Jump",
+            "Branch",
+            "Return",
+            "binop",
+            "call",
+            "const",
+            "led",
+            "load",
+            "mov",
+            "nop",
+            "send",
+            "sense",
+            "store",
+            "unop",
+        ),
+        "block": ("BasicBlock",),
+        "cfg": ("CFG", "Edge"),
+        "procedure": ("Procedure",),
+        "program": ("Program",),
+        "builder": ("CFGBuilder",),
+        "costmodel": ("CostModel", "DEFAULT_COST_MODEL"),
+        "validate": ("validate_cfg", "validate_program"),
+        "dot": ("cfg_to_dot",),
+    },
+)

@@ -10,14 +10,25 @@ globals, fixed-size arrays, ``if``/``while``, and the mote builtins
 The public entry point is :func:`compile_source`.
 """
 
-from repro.lang.lexer import tokenize
-from repro.lang.parser import parse
-from repro.lang.lower import lower_program
-from repro.lang.semantics import check_program
+from __future__ import annotations
 
-from repro.ir.program import Program
+from typing import TYPE_CHECKING
 
-__all__ = ["compile_source", "tokenize", "parse", "check_program", "lower_program"]
+from repro.util.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ir.program import Program
+
+_stages, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "lexer": ("tokenize",),
+        "parser": ("parse",),
+        "semantics": ("check_program",),
+        "lower": ("lower_program",),
+    },
+)
+__all__ = ["compile_source", *_stages]
 
 
 def compile_source(source: str, name: str = "program", entry: str = "main") -> Program:
@@ -28,6 +39,10 @@ def compile_source(source: str, name: str = "program", entry: str = "main") -> P
     line/column position on the first problem found.
     """
     from repro.ir.validate import validate_program
+    from repro.lang.lexer import tokenize
+    from repro.lang.lower import lower_program
+    from repro.lang.parser import parse
+    from repro.lang.semantics import check_program
 
     module = parse(tokenize(source))
     check_program(module, entry=entry)

@@ -9,18 +9,15 @@ both the forward model (predicting end-to-end timing moments from branch
 probabilities) and the inverse problem (Code Tomography) are built on.
 """
 
-from repro.markov.chain import AbsorbingChain
-from repro.markov.moments import reward_moments, RewardMoments
-from repro.markov.visits import expected_visits, expected_edge_traversals
-from repro.markov.sampling import sample_rewards
-from repro.markov.builders import BranchParameterization
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AbsorbingChain",
-    "RewardMoments",
-    "reward_moments",
-    "expected_visits",
-    "expected_edge_traversals",
-    "sample_rewards",
-    "BranchParameterization",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "chain": ("AbsorbingChain",),
+        "moments": ("RewardMoments", "reward_moments"),
+        "visits": ("expected_visits", "expected_edge_traversals"),
+        "sampling": ("sample_rewards",),
+        "builders": ("BranchParameterization",),
+    },
+)

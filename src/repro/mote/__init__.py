@@ -16,49 +16,28 @@ models exactly the properties the technique depends on:
   (:mod:`repro.mote.scheduler`).
 """
 
-from repro.mote.predictor import (
-    AlwaysNotTakenPredictor,
-    BTFNPredictor,
-    StaticPredictor,
-)
-from repro.mote.cpu import CpuModel
-from repro.mote.timer import TimestampTimer
-from repro.mote.energy import EnergyModel
-from repro.mote.memory import MemoryMap
-from repro.mote.sensors import (
-    AR1Sensor,
-    BurstySensor,
-    ConstantSensor,
-    DiurnalSensor,
-    IIDSensor,
-    Sensor,
-    SensorSuite,
-    UniformSensor,
-)
-from repro.mote.radio import Radio
-from repro.mote.scheduler import Scheduler, Task
-from repro.mote.platform import MICAZ_LIKE, TELOSB_LIKE, Platform
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "StaticPredictor",
-    "AlwaysNotTakenPredictor",
-    "BTFNPredictor",
-    "CpuModel",
-    "TimestampTimer",
-    "EnergyModel",
-    "MemoryMap",
-    "Sensor",
-    "SensorSuite",
-    "IIDSensor",
-    "UniformSensor",
-    "AR1Sensor",
-    "BurstySensor",
-    "DiurnalSensor",
-    "ConstantSensor",
-    "Radio",
-    "Scheduler",
-    "Task",
-    "Platform",
-    "MICAZ_LIKE",
-    "TELOSB_LIKE",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "predictor": ("StaticPredictor", "AlwaysNotTakenPredictor", "BTFNPredictor"),
+        "cpu": ("CpuModel",),
+        "timer": ("TimestampTimer",),
+        "energy": ("EnergyModel",),
+        "memory": ("MemoryMap",),
+        "sensors": (
+            "Sensor",
+            "SensorSuite",
+            "IIDSensor",
+            "UniformSensor",
+            "AR1Sensor",
+            "BurstySensor",
+            "DiurnalSensor",
+            "ConstantSensor",
+        ),
+        "radio": ("Radio",),
+        "scheduler": ("Scheduler", "Task"),
+        "platform": ("Platform", "MICAZ_LIKE", "TELOSB_LIKE"),
+    },
+)

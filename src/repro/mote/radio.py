@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.obs import counters as hwc
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
+if TYPE_CHECKING:  # pragma: no cover - repro.faults loads only with a fault model
     from repro.faults.model import FaultInjector
 
 __all__ = ["Radio", "Packet"]

@@ -42,7 +42,13 @@ __all__ = [
     "set_gauge",
     "observe",
     "write_metrics",
+    "SERVE_SCHEMA",
 ]
+
+#: Schema tag of the metrics file's ``serve`` embed: the serve wire
+#: protocol's version, which ``stats`` responses echo
+#: (:data:`repro.serve.protocol.PROTOCOL_VERSION`).
+SERVE_SCHEMA = "repro.serve/1"
 
 #: Default histogram upper bounds — spans of seconds-scale pipeline stages.
 DEFAULT_BUCKETS: tuple[float, ...] = (0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0)

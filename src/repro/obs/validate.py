@@ -20,8 +20,8 @@ A shape is plain data (the container has no ``jsonschema``):
 
 Failures raise :class:`ArtifactError` naming the file, the line for JSONL,
 and the key path.  The schema tags of the formats whose readers import
-this module (alerts, health reports, attribution reports, the serve embed)
-are declared here, so each tag has one definition and no import cycles.
+this module (alerts, health reports, attribution reports) are declared
+here, so each tag has one definition and no import cycles.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterator, Union
 
 from repro.errors import ObsError
 from repro.obs.counters import SNAPSHOT_SCHEMA
+from repro.obs.metrics import SERVE_SCHEMA
 from repro.obs.trace import TRACE_SCHEMA
 
 __all__ = ["ArtifactError", "check", "read_json", "read_jsonl", "require_span_coverage"]
@@ -45,10 +46,6 @@ REPORT_SCHEMA = "repro.health-report/1"
 
 #: Schema tag on every attribution report (``repro.obs.compare``).
 OBS_REPORT_SCHEMA = "repro.obs-report/1"
-
-#: The serve wire protocol's version, echoed as the schema of ``stats``
-#: responses and of the metrics file's ``serve`` embed.
-SERVE_SCHEMA = "repro.serve/1"
 
 #: Alert severities, mild to severe (the vocabulary is closed).
 SEVERITIES = ("warning", "critical")

@@ -12,22 +12,18 @@ post-hoc attribution are lookups.  Experiment F10 measures the loop
 against a frozen static placement and an oracle re-placer.
 """
 
-from repro.pgo.controller import (
-    ACTIONS,
-    PGOController,
-    SegmentMetrics,
-    SegmentReport,
-    measure_segment,
-)
-from repro.pgo.registry import EVENT_KINDS, LayoutRegistry, SwapEvent
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "EVENT_KINDS",
-    "LayoutRegistry",
-    "PGOController",
-    "SegmentMetrics",
-    "SegmentReport",
-    "SwapEvent",
-    "measure_segment",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "controller": (
+            "ACTIONS",
+            "PGOController",
+            "SegmentMetrics",
+            "SegmentReport",
+            "measure_segment",
+        ),
+        "registry": ("EVENT_KINDS", "LayoutRegistry", "SwapEvent"),
+    },
+)

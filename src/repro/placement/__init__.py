@@ -17,35 +17,22 @@ taken branches and static mispredictions.  The package provides:
   cycle metrics for a layout under a branch-probability assignment.
 """
 
-from repro.placement.layout import Layout, ProgramLayout, ResolvedBranch
-from repro.placement.baselines import random_program_layout, source_order_layout
-from repro.placement.chains import build_chains
-from repro.placement.optimizer import optimize_layout, optimize_program_layout
-from repro.placement.mispredict import LayoutMetrics, evaluate_program_layout
-from repro.placement.refine import (
-    control_transfer_cost,
-    optimize_refined_layout,
-    optimize_refined_program_layout,
-    refine_layout,
-)
-from repro.placement.rom import LayoutRom, layout_rom, program_layout_rom
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Layout",
-    "ProgramLayout",
-    "ResolvedBranch",
-    "source_order_layout",
-    "random_program_layout",
-    "build_chains",
-    "optimize_layout",
-    "optimize_program_layout",
-    "control_transfer_cost",
-    "refine_layout",
-    "optimize_refined_layout",
-    "optimize_refined_program_layout",
-    "LayoutMetrics",
-    "evaluate_program_layout",
-    "LayoutRom",
-    "layout_rom",
-    "program_layout_rom",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "layout": ("Layout", "ProgramLayout", "ResolvedBranch"),
+        "baselines": ("source_order_layout", "random_program_layout"),
+        "chains": ("build_chains",),
+        "optimizer": ("optimize_layout", "optimize_program_layout"),
+        "refine": (
+            "control_transfer_cost",
+            "refine_layout",
+            "optimize_refined_layout",
+            "optimize_refined_program_layout",
+        ),
+        "mispredict": ("LayoutMetrics", "evaluate_program_layout"),
+        "rom": ("LayoutRom", "layout_rom", "program_layout_rom"),
+    },
+)

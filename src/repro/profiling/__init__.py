@@ -20,27 +20,20 @@ energy cost from a run's counts — evaluation table T2.
 :mod:`repro.profiling.budget` caps a campaign's samples.
 """
 
-from repro.profiling.timing_profiler import TimingDataset, TimingProfiler
-from repro.profiling.edge_profiler import EdgeProfile, EdgeProfiler
-from repro.profiling.sampling_profiler import SamplingProfile, SamplingProfiler
-from repro.profiling.overhead import (
-    OverheadReport,
-    edge_instrumentation_overhead_from_counts,
-    sampling_overhead_from_counts,
-    timing_overhead_from_counts,
-)
-from repro.profiling.budget import SampleBudget
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "TimingDataset",
-    "TimingProfiler",
-    "EdgeProfile",
-    "EdgeProfiler",
-    "SamplingProfile",
-    "SamplingProfiler",
-    "OverheadReport",
-    "edge_instrumentation_overhead_from_counts",
-    "sampling_overhead_from_counts",
-    "timing_overhead_from_counts",
-    "SampleBudget",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "timing_profiler": ("TimingDataset", "TimingProfiler"),
+        "edge_profiler": ("EdgeProfile", "EdgeProfiler"),
+        "sampling_profiler": ("SamplingProfile", "SamplingProfiler"),
+        "overhead": (
+            "OverheadReport",
+            "edge_instrumentation_overhead_from_counts",
+            "sampling_overhead_from_counts",
+            "timing_overhead_from_counts",
+        ),
+        "budget": ("SampleBudget",),
+    },
+)

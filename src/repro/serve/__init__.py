@@ -30,57 +30,35 @@ the final estimates are bit-identical at any worker count.  See
 ``docs/serving.md``.
 """
 
-from repro.serve.batcher import MicroBatcher, PendingShard
-from repro.serve.loadgen import (
-    FleetReport,
-    FleetSpec,
-    TenantSpec,
-    build_uploads,
-    default_fleet,
-    run_fleet,
-)
-from repro.serve.protocol import (
-    ERROR_CODES,
-    PROTOCOL_VERSION,
-    QueryRequest,
-    Receipt,
-    ShardUpload,
-    StatsRequest,
-    TenantKey,
-    encode,
-    error_response,
-    parse_request,
-    parse_request_line,
-)
-from repro.serve.query import TenantEstimate, snapshot_estimate
-from repro.serve.service import IngestionService, ServiceConfig, TenantStats
-from repro.serve.worker import AbsorbResult, EstimatorWorker
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ERROR_CODES",
-    "TenantKey",
-    "ShardUpload",
-    "QueryRequest",
-    "StatsRequest",
-    "Receipt",
-    "parse_request",
-    "parse_request_line",
-    "error_response",
-    "encode",
-    "MicroBatcher",
-    "PendingShard",
-    "EstimatorWorker",
-    "AbsorbResult",
-    "TenantEstimate",
-    "snapshot_estimate",
-    "IngestionService",
-    "ServiceConfig",
-    "TenantStats",
-    "TenantSpec",
-    "FleetSpec",
-    "FleetReport",
-    "default_fleet",
-    "build_uploads",
-    "run_fleet",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "protocol": (
+            "PROTOCOL_VERSION",
+            "ERROR_CODES",
+            "TenantKey",
+            "ShardUpload",
+            "QueryRequest",
+            "StatsRequest",
+            "Receipt",
+            "parse_request",
+            "parse_request_line",
+            "error_response",
+            "encode",
+        ),
+        "batcher": ("MicroBatcher", "PendingShard"),
+        "worker": ("EstimatorWorker", "AbsorbResult"),
+        "query": ("TenantEstimate", "snapshot_estimate"),
+        "service": ("IngestionService", "ServiceConfig", "TenantStats"),
+        "loadgen": (
+            "TenantSpec",
+            "FleetSpec",
+            "FleetReport",
+            "default_fleet",
+            "build_uploads",
+            "run_fleet",
+        ),
+    },
+)

@@ -1,11 +1,13 @@
 """Fleet driver: thousands of simulated motes against the ingestion service.
 
 The load generator stands in for a deployed sensor fleet.  For each tenant
-it runs the tenant's workload **once** (the same
-:func:`~repro.experiments.common.profiled_run` pipeline the experiments
-use) to build a per-procedure *sample pool* — real measured durations from
-the simulated mote — then deals shards out of that pool to ``n_motes``
-simulated motes.  Every draw comes from a labelled
+it runs the tenant's workload **once**
+(:func:`~repro.workloads.profiled.profile_workload`, the run the
+experiments start from too) to build a per-procedure *sample pool* — real
+measured durations from the simulated mote — then deals shards out of that
+pool to ``n_motes`` simulated motes.  :func:`tenant_truth` reads the same
+run's ground truth: a bounded memo keyed on what determines the run hands
+out its pool and truth as read-only arrays.  Every draw comes from a labelled
 :func:`~repro.util.rng.derive_rng` stream keyed by
 ``(seed, "serve", deployment, version, mote, shard)``, so the generated
 upload sequence is a pure function of the :class:`FleetSpec` — the same
@@ -14,7 +16,8 @@ fleet byte-for-byte on every run, at any service worker count.
 Optionally each mote uplinks through a
 :class:`~repro.faults.FaultInjector` (:func:`~repro.faults.faulty_samples`),
 so the service can be load-tested under packet loss, corruption and timer
-glitches too.
+glitches too; :mod:`repro.faults` loads only for a fleet with an enabled
+fault model.
 
 :func:`run_fleet` pre-generates all uploads, then measures pure ingestion:
 submit + micro-batched absorption + drain, reporting sustained shards/sec
@@ -25,22 +28,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.experiments.common import ExperimentConfig, profiled_run
 from repro.core.online import OnlineOptions
 from repro.errors import ServeError
-from repro.faults.inject import faulty_samples
-from repro.faults.model import FaultInjector, FaultModel
 from repro.mote.platform import MICAZ_LIKE, Platform
 from repro.profiling.budget import SampleBudget
 from repro.serve.protocol import ShardUpload, TenantKey
 from repro.serve.query import TenantEstimate
 from repro.serve.service import IngestionService, ServiceConfig
 from repro.util.rng import derive_rng, derive_seed_sequence
+from repro.workloads.profiled import profile_workload
 from repro.workloads.registry import all_workloads, workload_by_name
+
+if TYPE_CHECKING:
+    from repro.faults.model import FaultInjector, FaultModel
 
 __all__ = [
     "TenantSpec",
@@ -52,6 +56,13 @@ __all__ = [
     "build_uploads",
     "run_fleet",
 ]
+
+#: Activations of one pool-generation run: the experiments' full size, or a
+#: tenth of it for a quick fleet.
+POOL_ACTIVATIONS = 3000
+
+#: Pool-generation runs the memo keeps (their pools and ground truth).
+POOL_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -184,35 +195,57 @@ def _pool_seed(fleet: FleetSpec, spec: TenantSpec) -> int:
     return int(seq.generate_state(1, dtype=np.uint32)[0])
 
 
-def _tenant_run(fleet: FleetSpec, spec: TenantSpec, scenario: str):
-    """One tenant's pool-generation run under ``scenario``."""
-    config = ExperimentConfig(
-        platform=fleet.platform,
-        seed=_pool_seed(fleet, spec),
-        quick=fleet.quick,
-        scenario=scenario,
-    )
-    return profiled_run(workload_by_name(spec.workload), config)
+# One pool-generation run: its per-procedure duration pool and ground truth.
+_PoolRun = tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
+_pool_memo: dict[tuple, _PoolRun] = {}
+
+
+def _tenant_run(fleet: FleetSpec, spec: TenantSpec, scenario: str) -> _PoolRun:
+    """One tenant's pool-generation run under ``scenario``, read-only.
+
+    Memoized on what determines the run — workload, scenario, derived seed,
+    activations and platform (by its ``repr``, which spells out every
+    field) — so a tenant's pool and its truth cost one simulation; past
+    :data:`POOL_MEMO_SIZE` runs the least recently used is dropped.
+    """
+    seed = _pool_seed(fleet, spec)
+    activations = POOL_ACTIVATIONS // 10 if fleet.quick else POOL_ACTIVATIONS
+    key = (spec.workload, scenario, seed, activations, repr(fleet.platform))
+    run = _pool_memo.pop(key, None)
+    if run is None:
+        profiled = profile_workload(
+            workload_by_name(spec.workload), fleet.platform, activations, seed, scenario
+        )
+        pool = {name: xs for name, xs in profiled.dataset.samples.items() if xs.size}
+        truth = dict(profiled.truth)
+        for xs in (*pool.values(), *truth.values()):
+            xs.flags.writeable = False
+        run = (pool, truth)
+        if len(_pool_memo) >= POOL_MEMO_SIZE:
+            del _pool_memo[next(iter(_pool_memo))]
+    _pool_memo[key] = run
+    return run
 
 
 def tenant_pool(
     fleet: FleetSpec, spec: TenantSpec, scenario: Optional[str] = None
 ) -> dict[str, np.ndarray]:
-    """One tenant's per-procedure duration pool (one workload run)."""
-    run = _tenant_run(fleet, spec, scenario or fleet.scenario)
-    return {
-        name: xs.copy() for name, xs in run.dataset.samples.items() if xs.size
-    }
+    """One tenant's per-procedure duration pool (one workload run; the
+    arrays are read-only)."""
+    pool, _ = _tenant_run(fleet, spec, scenario or fleet.scenario)
+    return dict(pool)
 
 
 def tenant_truth(fleet: FleetSpec, spec: TenantSpec) -> dict[str, np.ndarray]:
-    """Ground-truth branch probabilities behind one tenant's *base* pool.
+    """Ground-truth branch probabilities behind one tenant's *base* pool,
+    from the same run (the arrays are read-only).
 
     What the CI-calibration audit holds the served estimates against; under
     an injected drift (``drift_at_shard``) the post-onset regime differs on
     purpose, which is exactly when coverage should degrade and alert.
     """
-    return dict(_tenant_run(fleet, spec, fleet.scenario).truth)
+    _, truth = _tenant_run(fleet, spec, fleet.scenario)
+    return dict(truth)
 
 
 def _mote_shard(
@@ -256,6 +289,8 @@ def build_uploads(fleet: FleetSpec) -> list[ShardUpload]:
     for spec in fleet.tenants:
         for mote in range(spec.n_motes):
             if spec.faults is not None and spec.faults.enabled:
+                from repro.faults.model import FaultInjector
+
                 injectors[(spec.tenant, mote)] = FaultInjector.derived(
                     spec.faults,
                     fleet.seed,
@@ -281,6 +316,8 @@ def build_uploads(fleet: FleetSpec) -> list[ShardUpload]:
                 samples = _mote_shard(fleet, spec, pool, mote, shard)
                 injector = injectors[(spec.tenant, mote)]
                 if injector is not None:
+                    from repro.faults.inject import faulty_samples
+
                     delivered = {}
                     for name in sorted(samples):
                         kept, _ = faulty_samples(

@@ -56,10 +56,11 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.errors import ERROR_CODES, ProtocolError
-from repro.obs.validate import SERVE_SCHEMA
+from repro.obs.metrics import SERVE_SCHEMA
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_DURATION_CYCLES",
     "ERROR_CODES",
     "TenantKey",
     "ShardUpload",
@@ -73,8 +74,17 @@ __all__ = [
 ]
 
 #: Bumped on any wire-visible change; echoed by ``stats`` responses.  The
-#: tag is declared with the other artifact schemas in :mod:`repro.obs.validate`.
+#: tag is declared in :mod:`repro.obs.metrics`, beside the metrics file whose
+#: ``serve`` embed carries it, so the artifact checker reads the same one.
 PROTOCOL_VERSION = SERVE_SCHEMA
+
+#: The longest duration an upload may report, in cycles: 2**32 cycles is
+#: about 9.7 minutes at the MICAz-like 7.37 MHz clock, where one procedure
+#: invocation on a mote takes thousands of cycles, so a longer "duration"
+#: was never measured.  Faulty but real readings stay far below it (a
+#: corrupted one is a 16-bit tick count times the cycles per tick, a timer
+#: glitch adds ~1e5 cycles) and reach the robust estimation path instead.
+MAX_DURATION_CYCLES = 2**32
 
 
 @dataclass(frozen=True, order=True)
@@ -206,7 +216,7 @@ def _shard_samples(obj: Mapping) -> dict[str, np.ndarray]:
                 value = float(x)  # an int past the float range overflows
             except OverflowError:
                 value = math.inf
-            if not math.isfinite(value) or value < 0:
+            if not math.isfinite(value) or not 0 <= value <= MAX_DURATION_CYCLES:
                 raise ProtocolError(
                     "bad-shard",
                     f"samples[{name!r}] holds an impossible duration: {x!r}",

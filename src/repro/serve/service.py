@@ -37,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.core.online import OnlineOptions
 from repro.errors import ProtocolError, ServeError
 from repro.ir.program import Program
 from repro.mote.platform import Platform
-from repro.obs.health import AlertEvent, EstimatorHealthMonitor
 from repro.placement.layout import ProgramLayout
 from repro.profiling.budget import SampleBudget
 from repro.serve.batcher import MicroBatcher
@@ -62,6 +61,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.query import TenantEstimate, snapshot_estimate
 from repro.serve.worker import AbsorbResult, EstimatorWorker
+
+if TYPE_CHECKING:  # pragma: no cover - repro.obs.health loads only with health on
+    from repro.obs.health import AlertEvent, EstimatorHealthMonitor
 
 __all__ = ["ServiceConfig", "TenantStats", "IngestionService"]
 
@@ -220,6 +222,8 @@ class IngestionService:
         opts = options or OnlineOptions()
         monitor = None
         if self.config.health:
+            from repro.obs.health import EstimatorHealthMonitor
+
             monitor = EstimatorHealthMonitor(
                 source=str(tenant), truth=truth, clock=self._clock
             )

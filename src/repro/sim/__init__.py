@@ -18,19 +18,14 @@ branch probabilities.  This is the forward model that Code Tomography
 inverts.
 """
 
-from repro.sim.trace import ExecutionCounters, InvocationRecord, RunResult
-from repro.sim.interpreter import Interpreter
-from repro.sim.runner import run_program, run_program_batched, split_activations
-from repro.sim.timing import ProcedureTimingModel, ProgramTimingModel
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ExecutionCounters",
-    "InvocationRecord",
-    "RunResult",
-    "Interpreter",
-    "run_program",
-    "run_program_batched",
-    "split_activations",
-    "ProcedureTimingModel",
-    "ProgramTimingModel",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "trace": ("ExecutionCounters", "InvocationRecord", "RunResult"),
+        "interpreter": ("Interpreter",),
+        "runner": ("run_program", "run_program_batched", "split_activations"),
+        "timing": ("ProcedureTimingModel", "ProgramTimingModel"),
+    },
+)

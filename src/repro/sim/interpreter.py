@@ -57,7 +57,7 @@ from repro.obs import counters as hwc
 from repro.placement.layout import Layout, ProgramLayout
 from repro.sim.trace import ExecutionCounters, InvocationRecord
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> mote)
+if TYPE_CHECKING:  # pragma: no cover - repro.faults loads only with a fault model
     from repro.faults.model import FaultInjector
 
 __all__ = ["Interpreter", "MAX_CALL_DEPTH"]
@@ -238,6 +238,7 @@ class _ProcedureSource:
         self.compiled = compiled
         self.lines: list[str] = []
         self.constants: dict[str, object] = {}
+        self.callees: dict[str, str] = {}  # procedure -> the name it is bound to
         self.globals_ = set(program.globals_)
         self.params = set(proc.params)
         self.blocks = list(proc.cfg)
@@ -278,6 +279,12 @@ class _ProcedureSource:
         if name not in self.registers:
             self.registers[name] = f"r{len(self.registers)}"
         return self.registers[name]
+
+    def callee(self, name: str) -> str:
+        """The global through which this procedure calls procedure ``name``."""
+        if name not in self.callees:
+            self.callees[name] = f"_c{len(self.callees)}"
+        return self.callees[name]
 
     def literal(self, value: object) -> str:
         """Source for ``value``: inline when ``repr`` round-trips, else a name."""
@@ -369,7 +376,7 @@ class _ProcedureSource:
         elif op is Opcode.CALL:
             args = "".join(f"{self.read(a, bound, out)}, " for a in instr.args)
             if instr.imm in self.program.procedures:
-                call = f"_F[{self.literal(instr.imm)}](interp, ({args}), depth + 1)"
+                call = f"{self.callee(instr.imm)}(interp, ({args}), depth + 1)"
             else:  # the public entry point raises the unknown-procedure error
                 call = f"interp.invoke({self.literal(instr.imm)}, ({args}), depth + 1)"
             if instr.dst is None:
@@ -556,11 +563,13 @@ class _Compiled(NamedTuple):
     """A program compiled for one layout and platform.
 
     ``functions`` maps a procedure name to ``run(interp, args, depth)``,
-    which executes one invocation against ``interp``'s state; compiled
-    calls reach their callees through the same mapping, so recursion needs
-    nothing special.  Indexed by slot, ``folds`` says what one count adds to
-    :class:`ExecutionCounters` (a branch arm's taken and mispredicted flags
-    are the layout's) and ``weights`` what it adds to the hardware counters.
+    which executes one invocation against ``interp``'s state; each
+    function's globals bind its callees, so a program whose call graph is
+    acyclic (the front end's always are) holds no reference cycle and is
+    freed by reference counting.  Indexed by slot, ``folds`` says what one
+    count adds to :class:`ExecutionCounters` (a branch arm's taken and
+    mispredicted flags are the layout's) and ``weights`` what it adds to the
+    hardware counters.
     """
 
     functions: dict[str, Callable[..., int]]
@@ -576,14 +585,20 @@ def _compile(program: Program, layout: ProgramLayout, platform: Platform) -> _Co
         [(None, None, ("sense_reads",)), (None, None, ("sends",))],
         [(None, (("sensor.reads", 1),), ()), (None, (), ())],
     )
+    calls = []
     for name, proc in program.procedures.items():
         generated = _ProcedureSource(
             name, proc, layout.layout(name), program, platform.cpu, compiled
         )
         source = generated.source()
-        namespace = {**_RUNTIME, **generated.constants, "_F": compiled.functions}
+        namespace = {**_RUNTIME, **generated.constants}
         exec(compile(source, f"<repro.sim {name}>", "exec"), namespace)
-        compiled.functions[name] = namespace["run"]
+        # Popped: a namespace that held its own function would be a cycle.
+        compiled.functions[name] = namespace.pop("run")
+        calls.append((namespace, generated.callees))
+    for namespace, callees in calls:
+        for callee, bound in callees.items():
+            namespace[bound] = compiled.functions[callee]
     return compiled
 
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.obs import counters as hwc
-from repro.faults.model import FaultInjector, FaultModel
 from repro.mote.platform import Platform
 from repro.mote.sensors import SensorSuite
 from repro.ir.program import Program
@@ -38,6 +37,9 @@ from repro.placement.layout import ProgramLayout
 from repro.sim.interpreter import Interpreter
 from repro.sim.trace import RunResult
 from repro.util.rng import RngSource, spawn_seed_sequences
+
+if TYPE_CHECKING:
+    from repro.faults.model import FaultInjector, FaultModel
 
 __all__ = [
     "run_program",
@@ -47,7 +49,7 @@ __all__ = [
 
 SensorFactory = Callable[[np.random.Generator], SensorSuite]
 # One batch: its activation count, sensor suite and fault injector.
-_Batch = tuple[int, SensorSuite, Optional[FaultInjector]]
+_Batch = tuple[int, SensorSuite, Optional["FaultInjector"]]
 
 
 def run_program(
@@ -200,6 +202,8 @@ def run_program_batched(
     # validate or pre-draw see the same calls at every size.
     sizes = split_activations(activations, batch_size) or [0]
     enabled = fault_model is not None and fault_model.enabled
+    if enabled:  # a fault-free run never loads repro.faults
+        from repro.faults.model import FaultInjector
     obs.inc("sim.batches", len(sizes))
 
     def batches() -> Iterator[_Batch]:

@@ -1,12 +1,11 @@
 """Shared utilities: RNG plumbing and text tables."""
 
-from repro.util.rng import RngSource, as_rng, spawn_rngs
-from repro.util.tables import Table, format_float
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "RngSource",
-    "as_rng",
-    "spawn_rngs",
-    "Table",
-    "format_float",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "rng": ("RngSource", "as_rng", "spawn_rngs"),
+        "tables": ("Table", "format_float"),
+    },
+)

@@ -35,6 +35,7 @@ any child and the parent's future output.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -109,7 +110,14 @@ def _label_words(label: Union[str, int]) -> tuple[int, ...]:
         if label < 0:
             raise ValueError(f"path labels must be non-negative, got {label}")
         return (int(label),)
-    digest = hashlib.sha256(str(label).encode("utf-8")).digest()
+    return _string_words(str(label))
+
+
+@lru_cache(maxsize=1024)
+def _string_words(text: str) -> tuple[int, ...]:
+    """The first 16 bytes of ``text``'s SHA-256 as four little-endian words
+    (memoized: a fleet derives one stream per shard from a few labels)."""
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 

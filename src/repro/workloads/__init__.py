@@ -18,13 +18,12 @@ random estimation problems for parameter sweeps.  All workloads register in
 :mod:`repro.workloads.registry`.
 """
 
-from repro.workloads.registry import WorkloadSpec, all_workloads, workload_by_name
-from repro.workloads.synthetic import random_estimation_problem, random_workload
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "WorkloadSpec",
-    "all_workloads",
-    "workload_by_name",
-    "random_workload",
-    "random_estimation_problem",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "registry": ("WorkloadSpec", "all_workloads", "workload_by_name"),
+        "synthetic": ("random_workload", "random_estimation_problem"),
+    },
+)

@@ -31,6 +31,7 @@ from repro.serve import (
     parse_request_line,
     run_fleet,
 )
+from repro.serve.protocol import MAX_DURATION_CYCLES
 from repro.workloads.registry import workload_by_name
 
 BLINK = workload_by_name("blink")
@@ -84,6 +85,8 @@ class TestProtocol:
             (upload_line(samples={"main": [1.0, -2.0]}), "bad-shard"),
             (upload_line(samples={"main": [True]}), "bad-shard"),
             (upload_line(samples={"main": []}), "bad-shard"),
+            (upload_line(samples={"main": [1.8446744073709552e19, 60.0]}), "bad-shard"),
+            (upload_line(samples={"main": [MAX_DURATION_CYCLES + 1]}), "bad-shard"),
         ],
     )
     def test_malformed_lines_raise_stable_codes(self, line, code):
@@ -497,6 +500,7 @@ class TestMalformedLineSweep:
         too_big = parse_error(upload_line(samples={"main": [1.0, 2**1100]}))
         assert too_big.code == "bad-shard"
         assert parse_error("[" * 1000).code == "bad-json"
-        upload = parse_request_line(upload_line(samples={"main": [2**64]}))
-        assert upload.samples["main"].tolist() == [float(2**64)]
+        assert parse_error(upload_line(samples={"main": [2**64]})).code == "bad-shard"
+        upload = parse_request_line(upload_line(samples={"main": [MAX_DURATION_CYCLES]}))
+        assert upload.samples["main"].tolist() == [float(MAX_DURATION_CYCLES)]
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.errors import SimulationError
 from repro.lang import compile_source
 from repro.mote import MICAZ_LIKE, ConstantSensor, SensorSuite
 from repro.sim import Interpreter, run_program
+from repro.workloads.registry import workload_by_name
 
 
 def run_main(src: str, sensor_value: int = 0, activations: int = 1):
@@ -157,6 +161,20 @@ class TestCallsAndEffects:
         # Callee interval nests inside the caller's.
         assert by_name["main"].entry_cycle <= by_name["leaf"].entry_cycle
         assert by_name["leaf"].exit_cycle <= by_name["main"].exit_cycle
+
+    def test_finished_program_is_freed_by_reference_counting(self):
+        # With the cycle collector off, only reference counting can free the
+        # compiled code: no generated function may reach itself.
+        spec = workload_by_name("tinydb-agg")
+        gc.disable()
+        try:
+            interp = Interpreter(spec.program(), MICAZ_LIKE, spec.sensors(rng=1))
+            interp.run_activation()
+            aggregate = weakref.ref(interp._compiled.functions["aggregate"])
+            del interp
+            assert aggregate() is None
+        finally:
+            gc.enable()
 
 
 class TestExecutionBounds:
