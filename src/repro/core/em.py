@@ -39,10 +39,24 @@ per-observation, per-path EM to rounding, not bit for bit; chain formation
 snaps its edge weights to a 1e-9 grid
 (:data:`repro.placement.chains.WEIGHT_GRID`) so that such noise does not
 flip a placement.
+
+Per fit, the distinct durations and their weights are found once.  Per
+family (the first, and one per re-enumeration), the log-kernel matrix and
+the family's θ-independent terms (:class:`~repro.core.path_enum.PathFamily`
+computes its log multiplicities when built) are computed once.  Per
+iteration only what depends on θ runs: the class log-priors, the joint,
+the responsibilities and their weighted sums, as numpy calls on those
+arrays.  Where no distinct duration is dropped, the iteration uses the
+arrays whole instead of gathering the usable rows.  The k-vector
+bookkeeping (the re-enumeration shift, the M-step division, its fallback
+and clip, the convergence step) runs on k Python floats, whose IEEE
+arithmetic, ``min`` and ``max`` give numpy's results bit for bit; a NaN
+step propagates as ``np.max`` propagates it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -158,27 +172,29 @@ class EMEstimator:
             obs.inc("estimator.em_nonconverged")
         return result
 
-    def _fit_loop(self, ys: np.ndarray, theta: np.ndarray) -> EMResult:
+    def _fit_loop(self, ys: np.ndarray, theta0: np.ndarray) -> EMResult:
         """The EM iteration proper (split out so the public entry can trace it)."""
-        family = enumerate_paths(self.model, theta)
+        family = enumerate_paths(self.model, theta0)
         # Both steps run over distinct durations, each weighted by the
         # number of observations that share it.
         values, weights = np.unique(ys, return_counts=True)
         log_kernel = self._log_kernel(values, family)
-        family_theta = np.asarray(family.reference_theta, dtype=float)
+        # The iterate and the per-branch bookkeeping are k Python floats.
+        theta = theta0.tolist()
+        family_theta = family.reference_theta
 
         converged = False
         log_likelihood = -np.inf
         dropped = 0
         iterations = 0
-        arm_counts = np.zeros(theta.size)
+        arm_counts: list[float] = []
         for iterations in range(1, MAX_ITERATIONS + 1):
             # Re-enumerate when the iterate has drifted from the family's base.
-            if np.max(np.abs(theta - family_theta)) > REENUMERATE_SHIFT:
+            if _max_step(theta, family_theta) > REENUMERATE_SHIFT:
                 obs.inc("estimator.em_reenumerations")
                 family = enumerate_paths(self.model, theta)
                 log_kernel = self._log_kernel(values, family)
-                family_theta = theta.copy()
+                family_theta = theta
 
             log_prior = family.log_probabilities(theta)
             # Renormalize the truncated path family into a proper mixture so
@@ -186,55 +202,70 @@ class EMEstimator:
             # and (b) log-likelihoods are comparable across families with
             # different truncation (the hybrid start-race relies on this).
             prior_max = log_prior.max()
-            log_mass = prior_max + np.log(np.sum(np.exp(log_prior - prior_max)))
+            log_mass = prior_max + np.log(np.exp(log_prior - prior_max).sum())
             log_prior = log_prior - log_mass
             log_joint = log_kernel + log_prior[None, :]  # (n_distinct, n_rows)
             row_max = log_joint.max(axis=1)
             usable = np.isfinite(row_max)
-            dropped = int(weights[~usable].sum())
-            if not np.any(usable):
+            if usable.all():
+                dropped = 0
+                w = weights
+            elif not usable.any():
                 # The M-step would divide by zero responsibility mass.  Hand
                 # back the current iterate, honestly flagged: not converged,
                 # every observation dropped, zero effective arm counts (so
                 # any CI built from this fit stays full-width).
                 obs.inc("estimator.em_empty_mass")
                 return EMResult(
-                    theta=theta,
+                    theta=np.array(theta),
                     iterations=iterations,
                     converged=False,
                     log_likelihood=-np.inf,
                     n_samples=int(ys.size),
                     n_paths=int(family.multiplicity.sum()),
                     dropped_observations=int(ys.size),
-                    arm_counts=np.zeros(theta.size),
+                    arm_counts=np.zeros(len(theta)),
                 )
-            w = weights[usable]
-            shifted = np.exp(log_joint[usable] - row_max[usable, None])
+            else:
+                dropped = int(weights[~usable].sum())
+                w = weights[usable]
+                log_joint = log_joint[usable]
+                row_max = row_max[usable]
+            shifted = np.exp(log_joint - row_max[:, None])
             norm = shifted.sum(axis=1, keepdims=True)
             path_weight = w @ (shifted / norm)  # (n_rows,) responsibility mass
-            row_log_mass = np.log(norm[:, 0]) + row_max[usable]
+            row_log_mass = np.log(norm[:, 0]) + row_max
             log_likelihood = float(w @ row_log_mass)
 
-            a_total = path_weight @ family.then_counts
-            b_total = path_weight @ family.else_counts
-            denom = a_total + b_total
-            arm_counts = denom
-            new_theta = np.where(denom > 0, a_total / np.maximum(denom, 1e-12), theta)
-            new_theta = np.clip(new_theta, 1e-4, 1.0 - 1e-4)
+            a_total = (path_weight @ family.then_counts).tolist()
+            b_total = (path_weight @ family.else_counts).tolist()
+            arm_counts = [a + b for a, b in zip(a_total, b_total)]
+            # θ_k = a_k / (a_k + b_k), or the old θ_k for a branch that got
+            # no mass, clipped to [1e-4, 1 - 1e-4].
+            new_theta = [
+                min(max(a / max(denom, 1e-12) if denom > 0 else t, 1e-4), 1.0 - 1e-4)
+                for a, denom, t in zip(a_total, arm_counts, theta)
+            ]
 
-            if np.max(np.abs(new_theta - theta)) < TOLERANCE:
+            if _max_step(new_theta, theta) < TOLERANCE:
                 theta = new_theta
                 converged = True
                 break
             theta = new_theta
 
         return EMResult(
-            theta=theta,
+            theta=np.array(theta),
             iterations=iterations,
             converged=converged,
             log_likelihood=log_likelihood,
             n_samples=int(ys.size),
             n_paths=int(family.multiplicity.sum()),
             dropped_observations=dropped,
-            arm_counts=arm_counts,
+            arm_counts=np.array(arm_counts),
         )
+
+
+def _max_step(new: Sequence[float], old: Sequence[float]) -> float:
+    """``np.max(np.abs(new - old))`` on Python floats: NaN if any step is NaN."""
+    steps = [abs(x - y) for x, y in zip(new, old)]
+    return max(steps) if all(step == step for step in steps) else math.nan

@@ -47,6 +47,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,7 +74,10 @@ class PathFamily:
     ``duration_variances`` their total duration moments.  Rows keep the
     order in which the search first emitted a member.  ``len()`` counts
     rows; ``multiplicity.sum()`` counts enumerated paths.  The arrays are
-    read-only and the family compares by identity.
+    read-only and the family compares by identity.  The θ-independent
+    terms of :meth:`log_probabilities` are computed once per family: the
+    log multiplicities when it is built, the zero-count masks the first
+    time a θ on a bound needs them.
     """
 
     then_counts: np.ndarray  # (n_rows, k)
@@ -94,6 +98,7 @@ class PathFamily:
             self.multiplicity,
         ):
             arr.flags.writeable = False
+        object.__setattr__(self, "_log_multiplicity", np.log(self.multiplicity))
 
     def __reduce__(self):
         # Rebuild through __init__ so unpickled arrays are read-only again.
@@ -102,19 +107,32 @@ class PathFamily:
     def __len__(self) -> int:
         return self.duration_means.shape[0]
 
+    @cached_property
+    def _zero_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where a row never takes a branch's then arm, and its else arm."""
+        return self.then_counts == 0, self.else_counts == 0
+
     def log_probabilities(self, theta: Sequence[float]) -> np.ndarray:
         """Each row's class mass: log multiplicity plus ``log P(path | theta)``.
 
-        ``-inf`` on a 0-probability arm.
+        With every θ entry strictly inside (0, 1), as EM's iterates always
+        are, that is ``Σ_k a_k log θ_k + b_k log(1 − θ_k)``, which no term
+        can make NaN.  On a bound the same sum is guarded: an arm of
+        probability 0 that a row never takes adds 0 (not ``0 · log 0 =
+        NaN``), and one it takes makes the row ``-inf``.  The two formulas
+        agree bit for bit wherever both apply.
         """
         vec = np.asarray(theta, dtype=float)
         a, b = self.then_counts, self.else_counts
-        with np.errstate(divide="ignore", invalid="ignore"):
+        if all(0.0 < t < 1.0 for t in vec.ravel().tolist()):
             log_p = a * np.log(vec) + b * np.log1p(-vec)
-        # 0 * log(0) is a legitimate 0 contribution, not NaN.
-        log_p = np.where((a == 0) & np.isnan(log_p), 0.0, log_p)
-        log_p = np.where((b == 0) & np.isnan(log_p), 0.0, log_p)
-        return log_p.sum(axis=1) + np.log(self.multiplicity)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_p = a * np.log(vec) + b * np.log1p(-vec)
+            then_zero, else_zero = self._zero_counts
+            log_p = np.where(then_zero & np.isnan(log_p), 0.0, log_p)
+            log_p = np.where(else_zero & np.isnan(log_p), 0.0, log_p)
+        return log_p.sum(axis=1) + self._log_multiplicity
 
     def probabilities(self, theta: Sequence[float]) -> np.ndarray:
         """Each row's class mass ``multiplicity · P(path | theta)``, in order."""

@@ -40,10 +40,9 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.faults.model import FaultModel
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -53,10 +52,12 @@ from repro.obs import (
     write_jsonl,
     write_metrics,
 )
-from repro.obs.health import build_health_report, write_alert_log
 from repro.profiling.budget import SampleBudget
 from repro.serve.loadgen import FleetReport, default_fleet, run_fleet
 from repro.serve.service import IngestionService, ServiceConfig
+
+if TYPE_CHECKING:  # pragma: no cover - repro.faults loads only for a fault flag
+    from repro.faults.model import FaultModel
 
 __all__ = ["main"]
 
@@ -160,9 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fault_model(args: argparse.Namespace) -> Optional[FaultModel]:
+def _fault_model(args: argparse.Namespace) -> Optional["FaultModel"]:
     if not (args.fault_drop or args.fault_corrupt or args.fault_glitch):
         return None
+    from repro.faults.model import FaultModel
+
     return FaultModel(
         radio_loss=args.fault_drop,
         radio_corrupt=args.fault_corrupt,
@@ -284,6 +287,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             artifact_error = f"--trace: could not write {args.trace_path}: {exc}"
             print(artifact_error, file=sys.stderr)
+    if health_on:
+        from repro.obs.health import build_health_report, write_alert_log
     if args.metrics_path is not None:
         try:
             health_report = None

@@ -121,6 +121,10 @@ class TenantStats:
 class _Registration:
     worker: int
     budget: Optional[SampleBudget]
+    # The tenant's span label and counter names, formatted once.
+    label: str
+    accepted_counter: str
+    deferred_counter: str
     accepted_counts: dict[str, int] = field(default_factory=dict)
     in_flight: int = 0
     # Health monitoring (None when ServiceConfig.health is off).
@@ -219,19 +223,25 @@ class IngestionService:
         tenant = TenantKey(deployment_id, program_version)
         if tenant in self._registry:
             raise ServeError(f"tenant {tenant} already registered")
+        label = str(tenant)
         opts = options or OnlineOptions()
         monitor = None
         if self.config.health:
             from repro.obs.health import EstimatorHealthMonitor
 
             monitor = EstimatorHealthMonitor(
-                source=str(tenant), truth=truth, clock=self._clock
+                source=label, truth=truth, clock=self._clock
             )
         # Round robin in registration order: tenants spread evenly over the
         # workers, and a tenant keeps its worker for the service's life.
         worker = len(self._registry) % self.config.n_workers
         self._registry[tenant] = _Registration(
-            worker=worker, budget=opts.budget, monitor=monitor
+            worker=worker,
+            budget=opts.budget,
+            label=label,
+            accepted_counter=f"serve.tenant.{label}.accepted",
+            deferred_counter=f"serve.tenant.{label}.deferred",
+            monitor=monitor,
         )
         self._tenant_stats[tenant] = TenantStats()
         estimator = self._workers[worker].adopt(
@@ -266,18 +276,18 @@ class IngestionService:
         stats = self._tenant_stats[tenant]
         with obs.span(
             "serve.ingest",
-            tenant=str(tenant),
+            tenant=registration.label,
             mote=upload.mote_id,
             seq=upload.seq,
             causal=upload.causal_id,
         ):
             budget = registration.budget
             if budget is not None and budget.exhausted(registration.accepted_counts):
-                return self._defer(tenant, stats, "budget-exhausted")
+                return self._defer(tenant, registration, stats, "budget-exhausted")
             if registration.in_flight >= self.config.max_backlog:
                 if registration.monitor is not None:
                     self._check_backlog(tenant, registration)
-                return self._defer(tenant, stats, "backlog-full")
+                return self._defer(tenant, registration, stats, "backlog-full")
             for name, xs in upload.samples.items():
                 registration.accepted_counts[name] = registration.accepted_counts.get(
                     name, 0
@@ -286,7 +296,7 @@ class IngestionService:
             stats.accepted += 1
             stats.samples += upload.n_samples
             obs.inc("serve.shards_accepted")
-            obs.inc(f"serve.tenant.{tenant}.accepted")
+            obs.inc(registration.accepted_counter)
             batch = self._batcher.add(upload, self._clock())
         if batch is not None:
             self._enqueue(tenant, batch)
@@ -298,14 +308,20 @@ class IngestionService:
             status="accepted", tenant=tenant, pending=registration.in_flight
         )
 
-    def _defer(self, tenant: TenantKey, stats: TenantStats, reason: str) -> Receipt:
+    def _defer(
+        self,
+        tenant: TenantKey,
+        registration: _Registration,
+        stats: TenantStats,
+        reason: str,
+    ) -> Receipt:
         stats.deferred += 1
         obs.inc("serve.shards_deferred")
-        obs.inc(f"serve.tenant.{tenant}.deferred")
+        obs.inc(registration.deferred_counter)
         return Receipt(
             status="deferred",
             tenant=tenant,
-            pending=self._registry[tenant].in_flight,
+            pending=registration.in_flight,
             reason=reason,
             retry_after_s=RETRY_AFTER_S,
         )
@@ -398,7 +414,7 @@ class IngestionService:
         """The tenant's estimate as of the last absorbed batch."""
         registration = self._registration(tenant)
         self._queries += 1
-        attrs = {"tenant": str(tenant)}
+        attrs = {"tenant": registration.label}
         if trace_id is not None:
             attrs["causal"] = trace_id
         with obs.span("serve.query", **attrs):

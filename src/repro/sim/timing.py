@@ -56,6 +56,16 @@ arrays, and the raw-to-central conversion is the shared
 against the reward vector, or a different memory layout, moves the last
 bits.
 
+A model is also reused across refits.  :meth:`ProgramTimingModel.procedure_model`
+keeps each procedure's last model and returns it again while every callee
+moment it folded in compares equal, so an estimator that refits the
+program bottom-up builds each leaf once and a caller once per change in its
+callees' estimates, and every cache the model filled (the reachable mask,
+the batched plan) carries over.  The model keeps only what it was built
+from and what it derived from that, so a reused model answers as a fresh
+one does, bit for bit.  Its transition plan for path enumeration is
+resolved once too, kept as tuples, and handed out as fresh lists.
+
 Batched, with the Jacobian
 --------------------------
 
@@ -145,6 +155,7 @@ class ProcedureTimingModel:
             return index[name]
 
         # Pass 1: block states with their rewards.
+        folded: dict[str, RewardMoments] = {}
         for label in par.states:
             block = cfg.block(label)
             # Analytic pricing, not execution: go through the cost model
@@ -153,7 +164,7 @@ class ProcedureTimingModel:
             m_extra = v_extra = t_extra = 0.0
             for callee in block.calls():
                 try:
-                    cm = callee_moments[callee]
+                    cm = folded[callee] = callee_moments[callee]
                 except KeyError:
                     raise SimulationError(
                         f"timing model for {procedure.name!r} needs moments of "
@@ -195,6 +206,7 @@ class ProcedureTimingModel:
                     arms.append((src, arm_state, k, arm))
 
         self.states = states
+        self._folded = folded
         self._mean = np.asarray(mean)
         self._var = np.asarray(var)
         self._mu3 = np.asarray(mu3)
@@ -238,6 +250,7 @@ class ProcedureTimingModel:
         # kept once computed.
         self._all_arms_mask: Optional[np.ndarray] = None
         self._batch: Optional[_BatchPlan] = None
+        self._plan: Optional[tuple[tuple[tuple, ...], ...]] = None
 
     @property
     def n_parameters(self) -> int:
@@ -265,16 +278,20 @@ class ProcedureTimingModel:
         Row entries are ``("exit", p)``, ``("fixed", dst_index, p)`` or
         ``("theta", dst_index, param_index, arm)`` with ``arm`` in
         ``{"then", "else"}``.  Exposed for the path-enumeration machinery in
-        :mod:`repro.core.path_enum`.
+        :mod:`repro.core.path_enum`.  The plan is resolved once per model and
+        kept as tuples; each call returns fresh row lists, so a caller that
+        edits its copy changes no later call's plan.
         """
-        n = len(self.states)
-        plan: list[list[tuple]] = [[] for _ in range(n)]
-        for src, dst in zip(*np.nonzero(self._base)):
-            p = float(self._base[src, dst])
-            plan[src].append(("exit", p) if dst == n else ("fixed", int(dst), p))
-        for src, arm_state, k, arm in self._arms:
-            plan[src].append(("theta", arm_state, k, arm))
-        return plan
+        if self._plan is None:
+            n = len(self.states)
+            plan: list[list[tuple]] = [[] for _ in range(n)]
+            for src, dst in zip(*np.nonzero(self._base)):
+                p = float(self._base[src, dst])
+                plan[src].append(("exit", p) if dst == n else ("fixed", int(dst), p))
+            for src, arm_state, k, arm in self._arms:
+                plan[src].append(("theta", arm_state, k, arm))
+            self._plan = tuple(map(tuple, plan))
+        return [list(row) for row in self._plan]
 
     def _transition(self, theta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """``(matrix, arm probabilities)`` for ``theta``, before validation.
@@ -456,15 +473,31 @@ class ProgramTimingModel:
         self.program = program
         self.platform = platform
         self.layout = layout or ProgramLayout.source_order(program)
+        self._models: dict[str, ProcedureTimingModel] = {}
 
     def procedure_model(
         self, proc_name: str, callee_moments: Mapping[str, RewardMoments]
     ) -> ProcedureTimingModel:
-        """Model of one procedure given its callees' moments."""
-        proc = self.program.procedure(proc_name)
-        return ProcedureTimingModel(
-            proc, self.platform, self.layout.layout(proc_name), callee_moments
-        )
+        """Model of one procedure given its callees' moments.
+
+        The last model built for each procedure is kept and returned again
+        while every callee moment it folded in compares equal, so a leaf is
+        built once and a caller once per change in its callees' estimates.
+        Float ``==`` tells apart every two moments that fold differently:
+        it equates only ±0, which fold to the same reward, and a NaN only
+        with itself.
+        """
+        model = self._models.get(proc_name)
+        if model is None or any(
+            callee_moments.get(callee) != moments
+            for callee, moments in model._folded.items()
+        ):
+            proc = self.program.procedure(proc_name)
+            model = ProcedureTimingModel(
+                proc, self.platform, self.layout.layout(proc_name), callee_moments
+            )
+            self._models[proc_name] = model
+        return model
 
     def all_moments(self, thetas: Mapping[str, Sequence[float]]) -> dict[str, RewardMoments]:
         """Execution-time moments of every procedure, composed bottom-up.

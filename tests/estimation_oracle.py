@@ -555,6 +555,13 @@ def folding_loop_model(seed: int, n_branches: int, calls: bool):
     branch of its own, whose moments (at a θ drawn from ``seed``) put callee
     variance on the paths.
     """
+    timing, callee_moments = folding_loop_timing(seed, n_branches, calls)
+    return timing.procedure_model("main", callee_moments)
+
+
+def folding_loop_timing(seed: int, n_branches: int, calls: bool):
+    """The program timing model behind :func:`folding_loop_model`, and the
+    callee moments ``main``'s model folds in."""
     rng = np.random.default_rng(seed)
     arms = []
     for j in range(n_branches):
@@ -571,7 +578,7 @@ def folding_loop_model(seed: int, n_branches: int, calls: bool):
     if calls:
         work = timing.procedure_model("work", {})
         callee_moments["work"] = work.moments(rng.uniform(0.1, 0.9, work.n_parameters))
-    return timing.procedure_model("main", callee_moments)
+    return timing, callee_moments
 
 
 def family_durations(model, theta, count: int, seed: int) -> np.ndarray:

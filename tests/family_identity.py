@@ -21,6 +21,10 @@ It exits 1 naming the procedure and reference theta of every mismatch (0
 when there is none)::
 
     PYTHONPATH=src python -m tests.family_identity [--seeds 2015 2016]
+
+The two drivers, :func:`serve_runs` and :func:`hybrid_runs`, take the
+recording context as an argument; :mod:`tests.em_identity` runs them to
+record every EM fit instead.
 """
 
 from __future__ import annotations
@@ -82,9 +86,10 @@ def differences(label: str, calls: list) -> list[str]:
     return found
 
 
-def loop_estimates(seed: int) -> tuple[int, list[str]]:
-    """Families checked and mismatches over the six hybrid estimates."""
-    checked, found = 0, []
+def hybrid_runs(seed: int, recording) -> list[tuple[str, list]]:
+    """``(label, recorded)`` per registered workload: its hybrid estimate at
+    ``seed``, run inside ``recording()``, and what that block collected."""
+    runs = []
     for spec in all_workloads():
         program = spec.program()
         run = run_program(
@@ -92,44 +97,49 @@ def loop_estimates(seed: int) -> tuple[int, list[str]]:
         )
         dataset = TimingProfiler(MICAZ_LIKE, rng=seed + 1).collect(run.records)
         options = EstimationOptions(method="hybrid", seed=seed)
-        with recorded_enumerations() as calls:
+        with recording() as recorded:
             try:
                 CodeTomography(program, MICAZ_LIKE).estimate(dataset, options)
             except EstimationError:
-                pass  # the families enumerated before the failure still count
-        checked += len(calls)
-        found += differences(f"seed {seed} {spec.name}", calls)
-    return checked, found
+                pass  # what ran before the failure still counts
+        runs.append((f"seed {seed} {spec.name}", recorded))
+    return runs
 
 
-def serve_replay() -> tuple[int, list[str]]:
-    """Families checked and mismatches over the serve-ingest stream replay."""
+def serve_runs(recording) -> list[tuple[str, list]]:
+    """``(label, recorded)`` per serve-ingest tenant: its shard stream
+    replayed in batches, run inside ``recording()``."""
     fleet = default_fleet(n_motes=SERVE_MOTES, samples_per_proc=SERVE_SAMPLES_PER_PROC)
     streams: dict = {}
     for upload in build_uploads(fleet):
         streams.setdefault(upload.tenant, []).append(upload.samples)
-    checked, found = 0, []
+    runs = []
     for spec in fleet.tenants:
         program = workload_by_name(spec.workload).program()
         estimator = OnlineEstimator(program, fleet.platform, options=spec.options())
         stream = streams[spec.tenant]
-        with recorded_enumerations() as calls:
+        with recording() as recorded:
             for start in range(0, len(stream), SERVE_BATCH):
                 estimator.absorb_batch(stream[start : start + SERVE_BATCH])
-        checked += len(calls)
-        found += differences(f"serve {spec.tenant}", calls)
-    return checked, found
+        runs.append((f"serve {spec.tenant}", recorded))
+    return runs
+
+
+def all_runs(seeds, recording) -> list[tuple[str, list]]:
+    """The serve replay, then the hybrid estimates at each seed."""
+    runs = serve_runs(recording)
+    for seed in seeds:
+        runs += hybrid_runs(seed, recording)
+    return runs
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[2015, 2016])
     args = parser.parse_args(argv)
-    checked, found = serve_replay()
-    for seed in args.seeds:
-        seed_checked, seed_found = loop_estimates(seed)
-        checked += seed_checked
-        found += seed_found
+    runs = all_runs(args.seeds, recorded_enumerations)
+    checked = sum(len(calls) for _, calls in runs)
+    found = [line for label, calls in runs for line in differences(label, calls)]
     for line in found:
         print(line)
     if found:

@@ -18,6 +18,9 @@ Three contracts over ``docs/*.md`` + the top-level documents:
    and every name in the table matches one ``src/`` emits, where a
    ``<placeholder>`` or an f-string's ``{field}`` stands for one name
    segment.
+5. **The module map is the import graph.** Every ``repro`` import in
+   ``src/`` points up ``docs/architecture.md``'s module map, or is an
+   on-demand import that page names.
 """
 
 from __future__ import annotations
@@ -278,18 +281,22 @@ def _documented_metric_names() -> list[str]:
 
 def _emitted_metric_names() -> list[tuple[str, str]]:
     """``(where, name)`` for every string name ``src/`` emits a metric under;
-    an f-string's fields read as ``<field>``."""
+    an f-string's fields read as ``<field>``.  A counter name formatted
+    ahead of its ``inc`` is passed as a ``*_counter=`` keyword."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not (
+            if isinstance(node, ast.keyword) and (node.arg or "").endswith("_counter"):
+                arg = node.value
+            elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in METRIC_CALLS
                 and node.args
             ):
+                arg = node.args[0]
+            else:
                 continue
-            arg = node.args[0]
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 name = arg.value
             elif isinstance(arg, ast.JoinedStr):
@@ -331,3 +338,87 @@ def test_every_documented_metric_name_is_emitted():
         "names in the table in docs/observability.md that src/ never emits:\n"
         + "\n".join(stale)
     )
+
+
+# -- the module map ------------------------------------------------------------
+
+ARCHITECTURE = REPO / "docs" / "architecture.md"
+
+#: What every layer may import; the map's layers sit below these.
+SUPPORT = ("repro.util", "repro.errors", "repro.obs")
+
+UNIT_RE = re.compile(r"^[\s│├└─]*(repro(?:\.\w+)+)\s", re.M)
+NAMED_EDGE_RE = re.compile(r"^- `(repro[\w.]*)` → `(repro[\w.]*)`", re.M)
+
+
+def _section(heading: str) -> str:
+    """The body of ``docs/architecture.md``'s ``## heading`` section."""
+    body = ARCHITECTURE.read_text().split(f"\n## {heading}\n", 1)[1]
+    return body.split("\n## ", 1)[0]
+
+
+def _is_module(dotted: str) -> bool:
+    path = SRC.joinpath(*dotted.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def _imports(node: ast.AST, on_demand: bool = False):
+    """``(imported module, on demand)`` for every import under ``node``; an
+    import inside a function or an ``if TYPE_CHECKING:`` runs on demand."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.name, on_demand
+        return
+    if isinstance(node, ast.ImportFrom):
+        for alias in node.names:
+            dotted = f"{node.module}.{alias.name}"
+            yield (dotted if _is_module(dotted) else node.module), on_demand
+        return
+    if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+        children = [(child, True) for child in node.body]
+        children += [(child, on_demand) for child in node.orelse]
+    else:
+        inner = on_demand or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        children = [(child, inner) for child in ast.iter_child_nodes(node)]
+    for child, flag in children:
+        yield from _imports(child, flag)
+
+
+def test_module_map_orders_every_import():
+    (block,) = re.findall(r"```\n(.*?)```", _section("Module map"), re.S)
+    units = UNIT_RE.findall(block)
+    assert len(units) == len(set(units)) > 10, units
+    named = set(NAMED_EDGE_RE.findall(_section("On-demand imports")))
+
+    def ranks(module: str) -> list[int]:
+        """The map rows ``module`` belongs to (-1: support); several for a
+        package the map splits, none for a module off the map."""
+        if module == "repro" or ".".join(module.split(".")[:2]) in SUPPORT:
+            return [-1]
+        holders = [u for u in units if module == u or module.startswith(u + ".")]
+        if holders:
+            return [units.index(max(holders, key=len))]
+        return [i for i, u in enumerate(units) if u.startswith(module + ".")]
+
+    problems, used = [], set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        source = ranks(module)
+        if not source:
+            problems.append(f"{module} is not on the module map")
+            continue
+        for target, on_demand in _imports(ast.parse(path.read_text())):
+            if target.split(".")[0] != "repro":
+                continue
+            above = ranks(target)
+            if not above:
+                problems.append(f"{module} imports {target}, which is not on the map")
+            elif above == [-1] or max(above) < min(source) or above == source:
+                continue
+            elif on_demand and (module, target) in named:
+                used.add((module, target))
+            else:
+                kind = "on demand" if on_demand else "at module level"
+                problems.append(f"{module} → {target} ({kind}) points down the map")
+    problems += [f"named edge {a} → {b} is not imported on demand" for a, b in named - used]
+    assert not problems, "\n".join(problems)

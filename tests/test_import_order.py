@@ -81,7 +81,8 @@ def test_runtime_does_not_load_scipy():
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.serve.service", "repro.serve.loadgen", "repro.core.online"]
+    "module",
+    ["repro.serve.service", "repro.serve.loadgen", "repro.serve.cli", "repro.core.online"],
 )
 def test_serving_path_loads_only_what_it_runs(module):
     loaded = loaded_by(f"import {module}")

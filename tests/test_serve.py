@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.online import OnlineOptions
 from repro.errors import ProtocolError
-from repro.obs import Tracer, tracing
+from repro.obs import MetricsRegistry, Tracer, metrics_active, tracing
 from repro.profiling.budget import SampleBudget
 from repro.serve import (
     ERROR_CODES,
@@ -285,6 +285,34 @@ class TestBudgetBackpressure:
         assert totals["accepted"] == 5
         assert totals["deferred"] == len(deferred)
         assert len(accepted) + len(deferred) == len(uploads)
+
+    def test_tenant_counters_and_span_labels(self):
+        """Each tenant's accepted/deferred counters and span labels name it
+        as ``deployment@version`` and count its own receipts."""
+        (budgeted,) = _fleet(budget=SampleBudget(max_total=15)).tenants
+        other = TenantSpec("site-b", "sense", n_motes=2, shards_per_mote=3, samples_per_proc=2)
+        fleet = FleetSpec(tenants=(budgeted, other), seed=77)
+        uploads = build_uploads(fleet)
+        service = IngestionService(ServiceConfig(max_batch=4))
+        _register_fleet(service, fleet)
+        registry, tracer = MetricsRegistry(), Tracer()
+        with metrics_active(registry), tracing(tracer):
+            receipts, _, _ = run(_serve_uploads(service, uploads))
+        counters = registry.snapshot()["counters"]
+        tallies = {}
+        for receipt in receipts:
+            name = f"serve.tenant.{receipt.tenant}.{receipt.status}"
+            tallies[name] = tallies.get(name, 0) + 1
+        assert tallies == {
+            "serve.tenant.site-a@1.0.accepted": 5,
+            "serve.tenant.site-a@1.0.deferred": 19,
+            "serve.tenant.site-b@1.0.accepted": 6,
+        }
+        assert {k: v for k, v in counters.items() if k.startswith("serve.tenant.")} == tallies
+        ingest = [s.attrs["tenant"] for s in tracer.spans if s.name == "serve.ingest"]
+        assert ingest == [str(upload.tenant) for upload in uploads]
+        queries = [s.attrs["tenant"] for s in tracer.spans if s.name == "serve.query"]
+        assert queries == ["site-a@1.0", "site-b@1.0"]
 
     def test_backlog_cap_defers(self):
         tenant = TenantKey("d", "v")
